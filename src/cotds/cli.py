@@ -159,9 +159,6 @@ def cmd_cotds_run(args) -> int:
     os.makedirs(out, exist_ok=True)
     channels = scenario.channels or list(result.log.columns)
     write_csv(os.path.join(out, "run.csv"), result.log, channels)
-    for ch in channels:
-        safe = ch.replace("/", "_")
-        write_csv(os.path.join(out, f"{safe}.csv"), result.log, [ch])
     summary = os.path.join(out, "summary.txt")
     with open(summary, "w") as fh:
         fh.write(f"scenario: {result.scenario}\n"

@@ -3,10 +3,12 @@
 A scenario names a transmission dataset, attaches distribution feeders to
 interface buses, and selects a coupling method and macro step.  Besides
 the two coupling schedules there is a monolithic reference mode that
-stacks every equation into one DAE and integrates it with a single
-trapezoidal solver; it shares the model objects with the co-simulation
-path so any disagreement between the two is coupling error, not modeling
-error.
+integrates the whole system as one DAE with a single trapezoidal solver.
+That DAE only stacks the blocks the co-simulation path solves: the
+transmission DAE, and each feeder's motor derivatives and KCL mismatch.
+Events act on the same component objects in both modes.  Both paths thus
+solve one model, and any disagreement between them is coupling error,
+not modeling error.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cosim import (CosimError, CouplingLink, CouplingMethod,
-                    CouplingSchedule, Event, TimeSeriesLog, run_cosimulation)
+from .cosim import (CouplingLink, CouplingMethod, CouplingSchedule, Event,
+                    TimeSeriesLog, run_cosimulation)
 from .feeder import (DistributionFeeder, DistributionSubSystem, FeederBranch,
                      MotorUnit)
 from .integrators import DaeSystem, NewtonConfig, trapezoidal_dae_step
-from .loads import (InductionMotor, InductionMotorParams, ZipLoadParams,
-                    zip_power)
+from .loads import InductionMotor, InductionMotorParams, ZipLoadParams
+from .loads import zip_power  # noqa: F401  (bench/tracing.py patches it here)
 from .machines import GeneratorBank
 from .power_network import load_network
 from .transmission import TransmissionDae, TransmissionSubSystem
@@ -95,7 +97,6 @@ class Scenario:
     events: list[Event] = field(default_factory=list)
     method: RunMethod = RunMethod.SERIES
     h_macro: float = 0.006
-    n_micro: int = 1
     t_end: float = 10.0
     rk_tol: float = 1e-6
     channels: list[str] = field(default_factory=list)
@@ -355,181 +356,115 @@ def compare_runs(a: RunResult, b: RunResult,
 
 
 class MonolithicDae(DaeSystem):
-    """All generators, motors, and both networks in one DAE.
+    """The transmission DAE and every feeder, stacked into one DAE.
 
-    Differential states: generator blocks then three per motor (inactive
-    motors are frozen at zero derivative).  Algebraic unknowns: real and
-    imaginary transmission bus voltages followed by feeder node voltages
-    for nodes 1..N of every feeder (node 0 is identified with the
-    interface bus).  Inactive feeders pin their node voltages to the
-    substation value.
+    It holds no physics of its own.  The network and generator block is
+    ``TransmissionDae.f``/``g``, whose input ``u`` is the feeders' source
+    power at the current iterate: the same [P, Q] per interface bus that
+    co-simulation holds fixed over a macro step.  Each feeder adds its
+    motor derivatives to ``f`` and its KCL mismatch to ``g``.
+
+    Differential states: the generator blocks, then three per motor,
+    feeder by feeder.  Algebraic unknowns: real then imaginary bus
+    voltages, then for every feeder the real then imaginary voltages of
+    nodes 1..N (node 0 is the interface bus).
     """
 
-    def __init__(self, tdae: TransmissionDae,
+    def __init__(self, tsub: TransmissionSubSystem,
                  dsubs: dict[str, DistributionSubSystem],
                  interface_buses: list[int]):
-        self.tdae = tdae
-        self.net = tdae.net
-        self.bank = tdae.bank
-        self.interface_buses = list(interface_buses)
-        self.feeders = []
-        self.feeder_bus = []
-        for bus in interface_buses:
-            for fd in dsubs[f"D{bus}"].feeders:
-                self.feeders.append(fd)
-                self.feeder_bus.append(bus)
-        self.motors = [mu for fd in self.feeders for mu in fd.motors]
-        self._ngen_x = tdae.n_x
-        self._nbus = self.net.n_bus
-        # per-feeder slice of y (child-node voltages, real then imag)
-        self._fslices = []
-        off = 2 * self._nbus
-        for fd in self.feeders:
-            m = fd.n_nodes - 1
-            self._fslices.append((off, m))
-            off += 2 * m
-        self._ny = off
+        self.tsub = tsub
+        self.tdae = tdae = tsub.dae
+        self.dsubs = [dsubs[f"D{bus}"] for bus in interface_buses]
+        self.n_if = len(interface_buses)
+        # per feeder: the feeder, its interface index, the slice of x
+        # holding its motor states, the slice of the stacked node voltages
+        # holding its nodes 0..N, and where its node voltages start in y
+        self._blocks = []
+        re_idx, im_idx = [], []
+        nx, ny = tdae.n_x, tdae.n_y
+        for k, bus in enumerate(interface_buses):
+            bus_i = tdae.net.idx(bus)
+            for fd in self.dsubs[k].feeders:
+                m, n_states = fd.n_nodes - 1, 3 * len(fd.motors)
+                nodes = slice(len(re_idx), len(re_idx) + m + 1)
+                self._blocks.append(
+                    (fd, k, slice(nx, nx + n_states), nodes, ny))
+                re_idx += [bus_i, *range(ny, ny + m)]
+                im_idx += [bus_i + tdae.net.n_bus, *range(ny + m, ny + 2 * m)]
+                nx += n_states
+                ny += 2 * m
+        self.motors = [mu for fd, *_ in self._blocks for mu in fd.motors]
+        self._re_idx, self._im_idx = np.array(re_idx), np.array(im_idx)
+        self._nx, self._ny = nx, ny
 
     @property
     def n_x(self) -> int:
-        return self._ngen_x + 3 * len(self.motors)
+        return self._nx
 
     @property
     def n_y(self) -> int:
         return self._ny
 
-    # -- unpacking helpers
+    def _feeder_blocks(self, x, y):
+        """(feeder, interface index, node voltages, motor states) each."""
+        v = y[self._re_idx] + 1j * y[self._im_idx]
+        for fd, k, xs, vs, _ in self._blocks:
+            yield fd, k, v[vs], x[xs].reshape(-1, 3)
 
-    def motor_state(self, x, k):
-        o = self._ngen_x + 3 * k
-        return x[o:o + 3]
-
-    def feeder_voltages(self, y, k, v_sub):
-        off, m = self._fslices[k]
-        v = np.empty(m + 1, dtype=complex)
-        v[0] = v_sub
-        v[1:] = y[off:off + m] + 1j * y[off + m:off + 2 * m]
-        return v
-
-    def bus_voltages(self, y):
-        n = self._nbus
-        return y[:n] + 1j * y[n:2 * n]
+    def interface_power(self, x, y):
+        """Consumed [P, Q] per interface bus, and every feeder's mismatch."""
+        s = np.zeros(self.n_if, dtype=complex)
+        mismatch = []
+        for fd, k, v, states in self._feeder_blocks(x, y):
+            i_src, r = fd.kcl(v, states)
+            s[k] += v[0] * np.conj(i_src)
+            mismatch += [r.real, r.imag]
+        u = np.empty(2 * self.n_if)
+        u[0::2], u[1::2] = s.real, s.imag
+        return u, mismatch
 
     def f(self, x, y, u):
-        v = self.bus_voltages(y)
-        out = np.empty(self.n_x)
-        out[:self._ngen_x] = self.bank.derivatives(
-            x[:self._ngen_x], v[self.tdae._gen_idx])
-        mk = 0
-        for k, fd in enumerate(self.feeders):
-            bus_i = self.net.idx(self.feeder_bus[k])
-            vf = self.feeder_voltages(y, k, v[bus_i])
-            for mu in fd.motors:
-                st = self.motor_state(x, mk)
-                if fd.active and mu.active:
-                    out[self._ngen_x + 3 * mk:self._ngen_x + 3 * mk + 3] = \
-                        mu.motor.derivatives(st, complex(vf[mu.node]))
-                else:
-                    out[self._ngen_x + 3 * mk:self._ngen_x + 3 * mk + 3] = 0.0
-                mk += 1
-        return out
+        tdae = self.tdae
+        out = [tdae.f(x[:tdae.n_x], y[:tdae.n_y], None)]
+        for fd, _, v, states in self._feeder_blocks(x, y):
+            out.append(fd.motor_derivatives(v, states))
+        return np.concatenate(out)
 
     def g(self, x, y, u):
-        v = self.bus_voltages(y)
-        i_inj = np.zeros(self._nbus, dtype=complex)
-        i_inj[self.tdae._gen_idx] += self.bank.injected_current(
-            x[:self._ngen_x], v[self.tdae._gen_idx])
-        for bus, zl in self.tdae.static_loads.items():
-            i = self.net.idx(bus)
-            s = zip_power(zl, abs(v[i]))
-            i_inj[i] -= np.conj(s / v[i])
+        tdae = self.tdae
+        u_t, mismatch = self.interface_power(x, y)
+        return np.concatenate(
+            [tdae.g(x[:tdae.n_x], y[:tdae.n_y], u_t)] + mismatch)
 
-        res_f = []
-        mk = 0
-        for k, fd in enumerate(self.feeders):
-            bus_i = self.net.idx(self.feeder_bus[k])
-            v_sub = v[bus_i]
-            vf = self.feeder_voltages(y, k, v_sub)
-            if not fd.active:
-                mk += len(fd.motors)
-                r = vf[1:] - v_sub  # pin dead nodes to the substation
-                res_f.append(np.concatenate([r.real, r.imag]))
-                continue
-            idraw = np.zeros(fd.n_nodes, dtype=complex)
-            for node, zl in fd.zip_loads.items():
-                s = zip_power(zl, abs(vf[node]))
-                idraw[node] += np.conj(s / vf[node])
-            for mu in fd.motors:
-                st = self.motor_state(x, mk)
-                mk += 1
-                if mu.active:
-                    s = mu.motor.terminal_power(st, complex(vf[mu.node]))
-                    idraw[mu.node] += np.conj(s / vf[mu.node])
-            # KCL at every feeder node; branch currents from voltage drops
-            bal = -idraw.astype(complex)
-            for br in fd.branches:
-                ibr = (vf[br.parent] - vf[br.child]) / br.z
-                bal[br.parent] -= ibr
-                bal[br.child] += ibr
-            # -bal[0] is the total current the feeder pulls from its bus
-            i_inj[bus_i] += bal[0]
-            r = bal[1:]
-            res_f.append(np.concatenate([r.real, r.imag]))
+    # -- the shared component objects
 
-        mis = self.net.ybus @ v - i_inj
-        return np.concatenate([mis.real, mis.imag] + res_f)
+    def scatter(self, x, y) -> None:
+        """Write (x, y) into the transmission, feeder and motor objects."""
+        tdae = self.tdae
+        self.tsub.x, self.tsub.y = x[:tdae.n_x].copy(), y[:tdae.n_y].copy()
+        for d, e in zip(self.dsubs, self.tsub.output().reshape(-1, 2)):
+            d.set_input(e)
+        for fd, _, v, states in self._feeder_blocks(x, y):
+            fd.v = v.copy()
+            for mu, st in zip(fd.motors, states):
+                mu.state = st.copy()
 
-    # -- state assembly from initialized sub-systems
+    def gather(self):
+        """(x, y) read from the component objects.
 
-    def assemble(self, tsub: TransmissionSubSystem):
-        x = np.zeros(self.n_x)
-        x[:self._ngen_x] = tsub.x
-        y = np.zeros(self.n_y)
-        y[:2 * self._nbus] = tsub.y
-        v = self.bus_voltages(y)
-        mk = 0
-        for k, fd in enumerate(self.feeders):
-            off, m = self._fslices[k]
-            if fd.active:
-                vf = fd.v
-            else:
-                vf = np.full(fd.n_nodes, v[self.net.idx(self.feeder_bus[k])],
-                             dtype=complex)
-            y[off:off + m] = vf[1:].real
-            y[off + m:off + 2 * m] = vf[1:].imag
-            for mu in fd.motors:
-                x[self._ngen_x + 3 * mk:self._ngen_x + 3 * mk + 3] = mu.state
-                mk += 1
+        An inactive feeder's nodes are put at its interface bus voltage.
+        """
+        x = np.concatenate([self.tsub.x] + [mu.state for mu in self.motors])
+        y = np.empty(self.n_y)
+        y[:self.tdae.n_y] = self.tsub.y
+        v_if = self.tsub.output()
+        for fd, k, _, _, off in self._blocks:
+            m = fd.n_nodes - 1
+            v = fd.v[1:] if fd.active else complex(*v_if[2 * k:2 * k + 2])
+            y[off:off + m] = np.real(v)
+            y[off + m:off + 2 * m] = np.imag(v)
         return x, y
-
-    def source_power(self, x, y, bus: int) -> complex:
-        """Total complex power flowing from ``bus`` into its feeders."""
-        v = self.bus_voltages(y)
-        v_sub = v[self.net.idx(bus)]
-        s = 0j
-        mk = 0
-        for k, fd in enumerate(self.feeders):
-            nmot = len(fd.motors)
-            if self.feeder_bus[k] != bus or not fd.active:
-                mk += nmot
-                continue
-            vf = self.feeder_voltages(y, k, v_sub)
-            i_src = 0j
-            for br in fd.branches:
-                if br.parent == 0:
-                    i_src += (vf[0] - vf[br.child]) / br.z
-            # plus anything drawn at the substation node itself
-            if 0 in fd.zip_loads:
-                s0 = zip_power(fd.zip_loads[0], abs(v_sub))
-                i_src += np.conj(s0 / v_sub)
-            for mu in fd.motors:
-                st = self.motor_state(x, mk)
-                mk += 1
-                if mu.active and mu.node == 0:
-                    sm = mu.motor.terminal_power(st, complex(v_sub))
-                    i_src += np.conj(sm / v_sub)
-            s += v_sub * np.conj(i_src)
-        return s
 
 
 # -- run orchestration --------------------------------------------------------
@@ -574,23 +509,19 @@ def _run_monolithic(scenario: Scenario) -> TimeSeriesLog:
     tsub = subsystems["T"]
     dsubs = {k: v for k, v in subsystems.items() if k != "T"}
     iterative_td_powerflow_init(tsub, dsubs, interface_buses)
-    mono = MonolithicDae(tsub.dae, dsubs, interface_buses)
-    x, y = mono.assemble(tsub)
+    mono = MonolithicDae(tsub, dsubs, interface_buses)
+    x, y = mono.gather()
 
     columns = ["T.out[%d]" % i for i in range(2 * len(interface_buses))]
     for bus in interface_buses:
         columns += [f"D{bus}.out[0]", f"D{bus}.out[1]"]
     snap_keys = sorted(tsub.snapshot())
     columns += [f"T.{k}" for k in snap_keys]
-    motor_cols = []
-    for k, fd in enumerate(mono.feeders):
-        bus = mono.feeder_bus[k]
-        for mu in fd.motors:
-            motor_cols.append((f"D{bus}.{mu.name}.slip", k, mu))
-    columns += [c for c, _, _ in motor_cols]
+    for bus, d in zip(interface_buses, mono.dsubs):
+        columns += [f"D{bus}.{mu.name}.slip"
+                    for fd in d.feeders for mu in fd.motors]
 
-    events = sorted(scenario.events, key=lambda e: e.time)
-    pending = list(events)
+    pending = sorted(scenario.events, key=lambda e: e.time)
     newton = NewtonConfig()
     h = scenario.h_macro
     n_steps = int(round(scenario.t_end / h))
@@ -599,30 +530,23 @@ def _run_monolithic(scenario: Scenario) -> TimeSeriesLog:
     failure = None
 
     def record(t, x, y):
-        v = mono.bus_voltages(y)
-        row = []
-        for bus in interface_buses:
-            vb = v[mono.net.idx(bus)]
-            row += [vb.real, vb.imag]
-        for bus in interface_buses:
-            s = mono.source_power(x, y, bus)
-            row += [s.real, s.imag]
-        tsub.x = x[:mono._ngen_x]
-        tsub.y = y[:2 * mono._nbus]
+        mono.scatter(x, y)
         snap = tsub.snapshot()
-        row += [snap[k] for k in snap_keys]
-        for _, k, mu in motor_cols:
-            mk = mono.motors.index(mu)
-            row.append(float(mono.motor_state(x, mk)[2]))
         times.append(t)
-        rows.append(row)
+        rows.append(list(tsub.output()) + list(mono.interface_power(x, y)[0])
+                    + [snap[k] for k in snap_keys]
+                    + [float(mu.state[2]) for mu in mono.motors])
 
     t = 0.0
     record(t, x, y)
     for i in range(n_steps):
         while pending and pending[0].time <= t + 1e-12:
             ev = pending.pop(0)
-            x, y = _apply_monolithic_event(mono, ev, x, y)
+            if ev.target not in dsubs:
+                raise EngineError(f"no distribution sub-system {ev.target!r}")
+            mono.scatter(x, y)
+            dsubs[ev.target].switch(ev.action, ev.params)
+            x, y = mono.gather()
         try:
             x, y = trapezoidal_dae_step(mono, x, y, None, h, newton)
         except (OverflowError, FloatingPointError):
@@ -638,44 +562,3 @@ def _run_monolithic(scenario: Scenario) -> TimeSeriesLog:
         record(t, x, y)
     return TimeSeriesLog(columns=columns, times=times, rows=rows,
                          diverged=diverged, failure=failure)
-
-
-def _apply_monolithic_event(mono: MonolithicDae, ev: Event, x, y):
-    x = x.copy()
-    v = mono.bus_voltages(y)
-    if ev.action == "connect_motor":
-        name = ev.params["name"]
-        for mk, mu in enumerate(mono.motors):
-            if mu.name == name:
-                mu.motor.initialize(1.0 + 0.0j, mu.p_target)
-                x[mono._ngen_x + 3 * mk:mono._ngen_x + 3 * mk + 3] = \
-                    mu.motor.standstill_state()
-                mu.active = True
-                return x, y
-        raise EngineError(f"no motor named {name!r}")
-    if ev.action == "disconnect_motor":
-        for mu in mono.motors:
-            if mu.name == ev.params["name"]:
-                mu.active = False
-                return x, y
-        raise EngineError(f"no motor named {ev.params['name']!r}")
-    if ev.action == "connect_feeder":
-        # index within the named D sub-system's feeder list
-        bus = int(ev.target[1:])
-        idx = int(ev.params["index"])
-        cand = [k for k, b in enumerate(mono.feeder_bus) if b == bus]
-        k = cand[idx]
-        fd = mono.feeders[k]
-        fd.active = True
-        v_sub = complex(v[mono.net.idx(bus)])
-        fd.initialize(v_sub)
-        off, m = mono._fslices[k]
-        y = y.copy()
-        y[off:off + m] = fd.v[1:].real
-        y[off + m:off + 2 * m] = fd.v[1:].imag
-        base = sum(len(f.motors) for f in mono.feeders[:k])
-        for j, mu in enumerate(fd.motors):
-            x[mono._ngen_x + 3 * (base + j):
-              mono._ngen_x + 3 * (base + j) + 3] = mu.state
-        return x, y
-    raise EngineError(f"unknown event action {ev.action!r}")

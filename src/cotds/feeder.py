@@ -4,7 +4,11 @@ A feeder is a radial tree of series branches fed from a substation node.
 Node components are static ZIP loads and induction motors.  The feeder
 power flow is a backward/forward sweep: node currents are accumulated
 toward the substation, then voltages are propagated outward, iterating
-because load currents depend on node voltage.
+because load currents depend on node voltage.  ``node_currents`` is the
+one place the ZIP and motor currents are computed; besides the sweep it
+feeds ``kcl``, the feeder's KCL mismatch at given node voltages and motor
+states, which the monolithic reference stacks into its DAE together with
+``motor_derivatives``.
 
 The ``DistributionSubSystem`` wraps one or more feeders hanging off a
 single transmission interface bus.  Its macro step is: solve the feeder
@@ -79,18 +83,53 @@ class DistributionFeeder:
 
     # -- power flow -------------------------------------------------------
 
-    def node_currents(self) -> np.ndarray:
-        """Current drawn at each node by its components (system base)."""
+    def node_currents(self, v: np.ndarray | None = None,
+                      states=None) -> np.ndarray:
+        """Current drawn at each node by its components (system base).
+
+        ``v`` holds the node voltages and ``states`` one state per motor,
+        in ``motors`` order; both default to the feeder's own.
+        """
+        if v is None:
+            v = self.v
         i = np.zeros(self.n_nodes, dtype=complex)
         for node, zl in self.zip_loads.items():
-            s = zip_power(zl, abs(self.v[node]))
-            i[node] += np.conj(s / self.v[node])
-        for mu in self.motors:
+            s = zip_power(zl, abs(v[node]))
+            i[node] += np.conj(s / v[node])
+        for k, mu in enumerate(self.motors):
             if not mu.active:
                 continue
-            s = mu.motor.terminal_power(mu.state, self.v[mu.node])
-            i[mu.node] += np.conj(s / self.v[mu.node])
+            x = mu.state if states is None else states[k]
+            s = mu.motor.terminal_power(x, v[mu.node])
+            i[mu.node] += np.conj(s / v[mu.node])
         return i
+
+    def kcl(self, v: np.ndarray, states) -> tuple[complex, np.ndarray]:
+        """Source current and KCL mismatch at nodes 1..N.
+
+        ``v`` holds every node voltage, node 0 the substation's.  The
+        mismatch at a node is the branch current flowing in less the
+        branch currents flowing out and the current its components draw.
+        A feeder that is switched off draws nothing, and its nodes float
+        at the substation voltage.
+        """
+        if not self.active:
+            return 0j, v[1:] - v[0]
+        bal = -self.node_currents(v, states)
+        for br in self.branches:
+            ibr = (v[br.parent] - v[br.child]) / br.z
+            bal[br.parent] -= ibr
+            bal[br.child] += ibr
+        return -bal[0], bal[1:]
+
+    def motor_derivatives(self, v: np.ndarray, states) -> np.ndarray:
+        """Stacked motor state derivatives; zero for a motor switched off."""
+        out = np.zeros((len(self.motors), InductionMotor.N_STATES))
+        if self.active:
+            for k, (mu, x) in enumerate(zip(self.motors, states)):
+                if mu.active:
+                    out[k] = mu.motor.derivatives(x, complex(v[mu.node]))
+        return out.ravel()
 
     def sweep(self, v_sub: complex, tol: float = 1e-8,
               max_iter: int = 100) -> complex:
@@ -205,9 +244,15 @@ class DistributionSubSystem(SubSystem):
         return out
 
     def apply_event(self, action: str, params) -> None:
+        self.switch(action, params)
+        # the interface sees topology changes immediately
+        s = self._total_power()
+        self._output = np.array([s.real, s.imag])
+
+    def switch(self, action: str, params) -> None:
+        """Apply a topology event to the feeders; the output is left as is."""
         if action == "connect_motor":
             mu = self._find_motor(params["name"])
-            mu.state = mu.motor.standstill_state()
             # load torque referenced to rated consumption at nominal volts
             mu.motor.initialize(1.0 + 0.0j, mu.p_target)
             mu.state = mu.motor.standstill_state()
@@ -222,9 +267,6 @@ class DistributionSubSystem(SubSystem):
             self.feeders[int(params["index"])].active = False
         else:
             raise CosimError(f"unknown distribution event {action!r}")
-        # the interface sees topology changes immediately
-        s = self._total_power()
-        self._output = np.array([s.real, s.imag])
 
     def _find_motor(self, name: str) -> MotorUnit:
         for fd in self.feeders:

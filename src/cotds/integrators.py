@@ -1,16 +1,16 @@
 """Numerical kernels for sub-system solvers.
 
-Three kernels: an implicit trapezoidal step for small dense DAE systems
-(damped Newton on the stacked residual, finite-difference Jacobian by
-default), an explicit Euler micro-stepper, and an adaptive embedded
-Runge-Kutta 4(5) (Dormand-Prince) integrator for node-level component
-dynamics.  All systems here are small and dense; no sparsity is exploited.
+Two kernels: an implicit trapezoidal step for small dense DAE systems
+(damped Newton on the stacked residual, finite-difference Jacobian), and
+an adaptive embedded Runge-Kutta 4(5) (Dormand-Prince) integrator for
+node-level component dynamics.  All systems here are small and dense; no
+sparsity is exploited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "NewtonError",
     "StiffnessError",
     "trapezoidal_dae_step",
-    "euler_substeps",
     "rk_component_step",
 ]
 
@@ -58,7 +57,6 @@ class DaeSystem:
 class NewtonConfig:
     max_iterations: int = 20
     residual_tolerance: float = 1e-8
-    jacobian_mode: str = "finite-difference"  # or "analytic-if-provided"
     fd_epsilon: float = 1e-7
     max_damping_halvings: int = 6
 
@@ -82,8 +80,7 @@ def _fd_jacobian(res: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
 
 
 def _newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
-                  cfg: NewtonConfig,
-                  jacobian: Optional[Callable] = None) -> np.ndarray:
+                  cfg: NewtonConfig) -> np.ndarray:
     """Damped Newton on res(z) = 0 starting from z0."""
     z = z0.copy()
     r = res(z)
@@ -91,10 +88,7 @@ def _newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     for _ in range(cfg.max_iterations):
         if rnorm <= cfg.residual_tolerance:
             return z
-        if jacobian is not None and cfg.jacobian_mode == "analytic-if-provided":
-            jac = jacobian(z)
-        else:
-            jac = _fd_jacobian(res, z, r, cfg.fd_epsilon)
+        jac = _fd_jacobian(res, z, r, cfg.fd_epsilon)
         try:
             dz = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -139,20 +133,6 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
     z0 = np.concatenate([x + h * f0, y]) if ny else x + h * f0
     z = _newton_solve(residual, z0, cfg)
     return z[:nx].copy(), z[nx:].copy()
-
-
-def euler_substeps(deriv: Callable, x: np.ndarray, u, h: float,
-                   n: int) -> np.ndarray:
-    """n explicit Euler micro steps of size h/n with input u held constant."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x = np.asarray(x, dtype=float).copy()
-    dt = h / n
-    for i in range(n):
-        x = x + dt * np.asarray(deriv(x, u), dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise OverflowError(f"non-finite state at Euler micro step {i}")
-    return x
 
 
 # Dormand-Prince 4(5) coefficients

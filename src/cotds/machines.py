@@ -74,16 +74,6 @@ class GeneratorBank:
 
     # -- stator / network interface -------------------------------------
 
-    def dq_voltage(self, v_bus: np.ndarray, delta: np.ndarray):
-        """Rotate terminal phasors into each machine's rotor frame."""
-        vdq = v_bus * np.exp(-1j * (delta - np.pi / 2.0))
-        return vdq.real, vdq.imag
-
-    def stator_currents(self, eq_p, ed_p, vd, vq):
-        i_d = (eq_p - vq) / self.xd_p
-        i_q = (vd - ed_p) / self.xq_p
-        return i_d, i_q
-
     def injected_current(self, x: np.ndarray, v_bus: np.ndarray) -> np.ndarray:
         """Network-frame current phasor injected by each machine."""
         b = x.reshape(self.n_machines, N_GEN_STATES)

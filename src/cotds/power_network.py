@@ -54,10 +54,6 @@ class TransmissionNetwork:
         return self._index[bus]
 
     @property
-    def load_buses(self) -> list[int]:
-        return sorted(self.loads)
-
-    @property
     def omega_s(self) -> float:
         return 2.0 * np.pi * self.f_hz
 
@@ -105,9 +101,6 @@ class PowerFlowResult:
     s_gen: np.ndarray  # complex generated power per generator
     iterations: int
     mismatch: float
-
-    def v_at(self, net: TransmissionNetwork, bus: int) -> complex:
-        return self.v[net.idx(bus)]
 
 
 def newton_power_flow(net: TransmissionNetwork,

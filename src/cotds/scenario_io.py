@@ -110,7 +110,7 @@ def parse_scenario(doc: dict) -> Scenario:
                  dict(events=(list, [])))
     run = _require(v["run"], "run",
                    dict(method=str, h_macro=float, t_end=float),
-                   dict(n_micro=(int, 1), rk_tol=(float, 1e-6)))
+                   dict(rk_tol=(float, 1e-6)))
     try:
         method = RunMethod(run["method"])
     except ValueError:
@@ -130,9 +130,8 @@ def parse_scenario(doc: dict) -> Scenario:
                for i, f in enumerate(v["feeders"])]
     return Scenario(name=v["name"], transmission=v["transmission"],
                     feeders=feeders, events=events, method=method,
-                    h_macro=run["h_macro"], n_micro=run["n_micro"],
-                    t_end=run["t_end"], rk_tol=run["rk_tol"],
-                    channels=list(channels))
+                    h_macro=run["h_macro"], t_end=run["t_end"],
+                    rk_tol=run["rk_tol"], channels=list(channels))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -181,7 +180,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "events": [{"time": e.time, "target": e.target, "action": e.action,
                     "params": dict(e.params)} for e in s.events],
         "run": {"method": s.method.value, "h_macro": s.h_macro,
-                "n_micro": s.n_micro, "t_end": s.t_end, "rk_tol": s.rk_tol},
+                "t_end": s.t_end, "rk_tol": s.rk_tol},
         "outputs": {"channels": list(s.channels)},
     }
 

@@ -80,7 +80,7 @@ class TestRunAndCompare:
     def test_compare_identical_runs(self, tmp_path, capsys):
         a = self.run_fixture(tmp_path, "a")
         b = self.run_fixture(tmp_path, "b")
-        rc = run_cli("compare", a, b)
+        rc = run_cli("compare", a, b, "--out-dir", str(tmp_path))
         assert rc == 0
         assert "worst max-abs deviation: 0.0" in capsys.readouterr().out
 

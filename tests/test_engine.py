@@ -239,6 +239,25 @@ class TestRunScenario:
         km = np.argmax(np.abs(np.diff(vm)) > 1e-3)
         assert ks == km
 
+    @pytest.mark.parametrize("events", [
+        [Event(1.0, "D2", "disconnect_motor", {"name": "f1_im"})],
+        [Event(1.0, "D2", "connect_feeder", {"index": 1}),
+         Event(1.5, "D2", "disconnect_feeder", {"index": 0})],
+    ], ids=["disconnect_motor", "connect_then_disconnect_feeder"])
+    def test_events_match_monolithic(self, events):
+        runs = {}
+        for m in (RunMethod.SERIES, RunMethod.MONOLITHIC):
+            s = load_scenario(fixture_path("testcase2"))
+            s.method, s.t_end, s.events = m, 2.0, events
+            r = run_scenario(s)
+            assert r.log.failure is None
+            assert r.verdict is Verdict.CONVERGED
+            runs[m] = r
+        rep = compare_runs(runs[RunMethod.SERIES], runs[RunMethod.MONOLITHIC],
+                           ["T.bus2.vmag"])
+        # criterion 8's bound on the coupling error
+        assert rep.worst < 0.01
+
     def test_channels_present(self):
         s = quick_scenario()
         r = run_scenario(s)

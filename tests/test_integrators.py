@@ -7,7 +7,6 @@ from cotds.integrators import (
     DaeSystem,
     NewtonConfig,
     NewtonError,
-    euler_substeps,
     rk_component_step,
     trapezoidal_dae_step,
 )
@@ -105,38 +104,6 @@ class TestTrapezoidalDae:
             NewtonConfig(max_iterations=0)
         with pytest.raises(ValueError):
             NewtonConfig(residual_tolerance=0.0)
-
-
-class TestEulerSubsteps:
-    def test_single_step(self):
-        x = euler_substeps(lambda x, u: -2.0 * x, np.array([1.0]), None, 0.75, 1)
-        assert x[0] == pytest.approx(-0.5, abs=1e-12)
-
-    def test_hundred_steps(self):
-        x = euler_substeps(lambda x, u: -2.0 * x, np.array([1.0]), None, 0.75, 100)
-        assert x[0] == pytest.approx((1 - 0.015) ** 100, abs=1e-12)
-
-    def test_zero_derivative(self):
-        for n in (1, 7, 100):
-            x = euler_substeps(lambda x, u: 0.0 * x, np.array([3.0]), None, 1.0, n)
-            assert x[0] == 3.0
-
-    def test_converges_to_exponential(self):
-        lam, h = -3.0, 0.5
-        errs = [
-            abs(euler_substeps(lambda x, u: lam * x, np.array([1.0]), None, h, n)[0]
-                - math.exp(lam * h))
-            for n in (10, 100, 1000)
-        ]
-        assert errs[1] < errs[0] / 8 and errs[2] < errs[1] / 8  # O(1/n)
-
-    def test_nonfinite_raises(self):
-        with pytest.raises(OverflowError), np.errstate(over="ignore"):
-            euler_substeps(lambda x, u: x * x, np.array([1e200]), None, 1.0, 3)
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            euler_substeps(lambda x, u: x, np.array([1.0]), None, 1.0, 0)
 
 
 class TestRkComponentStep:
