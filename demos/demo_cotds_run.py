@@ -27,9 +27,9 @@ def main():
               f"steps={len(res.log.times):5d}  wall={res.wall_time:6.2f} s")
 
     ref = results[RunMethod.MONOLITHIC]
-    vbus = [c for c in ref.log.columns if c.split(".")[-1].startswith("v")]
+    vbus = [c for c in ref.log.columns if c.endswith(".vmag")]
     for method in (RunMethod.SERIES, RunMethod.PARALLEL):
-        dev = compare_runs(results[method], ref, channels=vbus)
+        dev = compare_runs(results[method].log, ref.log, channels=vbus)
         worst_ch = max(dev.max_abs, key=dev.max_abs.get)
         print(f"{method.value:>10s} vs monolithic: worst bus-voltage "
               f"deviation = {dev.worst:.3e} pu on {worst_ch}")

@@ -2,14 +2,18 @@
 
 Sub-modules:
 
-- ``linlab``: linear two-state coupled test system, exact step matrices
-  and spectral-radius stability analysis of the parallel and series
-  coupling schedules.
-- ``cosim``: generic macro-step co-simulation orchestrator.
-- ``integrators``: trapezoidal DAE stepping, Euler micro-stepping and an
-  adaptive explicit Runge-Kutta kernel.
-- ``power``: phasor-domain transmission and distribution sub-system models.
-- ``engine``: scenario-level combined transmission-distribution runs.
+- ``linlab``, ``linear_subsystems``: linear two-state coupled test
+  system, exact step matrices and spectral-radius stability analysis of
+  the parallel and series coupling schedules, and its two halves as
+  sub-systems.
+- ``cosim``: the macro-step loop every run shares, and the parallel and
+  series exchange schedules.
+- ``integrators``: trapezoidal DAE stepping and an adaptive explicit
+  Runge-Kutta kernel.
+- ``power_network``, ``machines``, ``transmission``, ``loads``,
+  ``feeder``: phasor-domain transmission and distribution models.
+- ``engine``: scenario-level combined transmission-distribution runs
+  (series, parallel, monolithic) and the convergence detector.
 - ``scenario_io`` / ``cli``: scenario files, CSV emission, command line.
 """
 

@@ -1,7 +1,8 @@
 """Generic macro-step co-simulation orchestrator.
 
-Sub-systems exchange interface variables only at macro-step boundaries.
-Two schedules are supported:
+Every run, co-simulated or monolithic, goes through one loop, ``march``,
+and differs only in the step and the event function it hands the march.
+``run_cosimulation`` supplies the two exchange schedules:
 
 - parallel: every sub-system advances using the other sub-systems'
   start-of-step outputs (Jacobi exchange);
@@ -11,14 +12,14 @@ Two schedules are supported:
   "stale" and always carry the previous step's value.
 
 Timed events snap to the first macro boundary at or after their time and
-are applied before input delivery for that step.
+are applied before that boundary's step.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "Event",
     "TimeSeriesLog",
     "ConsistencyReport",
+    "march",
     "run_cosimulation",
     "verify_initial_consistency",
     "CosimError",
@@ -176,7 +178,7 @@ def _validate_links(subsystems, links):
 
 
 def _tiers(subsystems, links, series_order):
-    """Split into (first tier, second tier); only two tiers are supported."""
+    """The non-empty of (first tier, second tier); there are no others."""
     order = list(series_order)
     if not order or set(order) != set(subsystems):
         raise CosimError("series_order must list every sub-system exactly once")
@@ -189,7 +191,7 @@ def _tiers(subsystems, links, series_order):
         if lk.source in downstream and lk.sink in downstream:
             raise CosimError("series schedule supports exactly two tiers; "
                              f"link {lk.source}->{lk.sink} is tier-2 to tier-2")
-    return tier1, tier2
+    return [tier for tier in (tier1, tier2) if tier]
 
 
 def verify_initial_consistency(subsystems: Mapping[str, SubSystem],
@@ -215,13 +217,60 @@ def _assumed_input(sub: SubSystem) -> np.ndarray:
     return np.asarray(u, dtype=float)
 
 
-def _deliver(subsystems, links, outputs, inputs, only_sources=None):
-    """Copy link values from the given output snapshot into the input dict."""
-    for lk in links:
-        if only_sources is not None and lk.source not in only_sources:
-            continue
-        src = outputs[lk.source][slice(*lk.source_range)]
-        inputs[lk.sink][slice(*lk.sink_range)] = src
+def march(schedule: CouplingSchedule,
+          subsystems: Mapping[str, SubSystem],
+          step: Callable[[float], None],
+          fire: Callable[[Event], None],
+          snapshot_channels: Mapping[str, Sequence[str]] | None = None,
+          ) -> TimeSeriesLog:
+    """Fire due events, ``step(h)`` and record, once per macro step.
+
+    A record holds each sub-system's ``output()`` and snapshot channels,
+    at t = 0 and after every step.  OverflowError, FloatingPointError or
+    a non-finite record is a divergence, any other exception from a step
+    a sub-system failure; either truncates the log with time and cause.
+    """
+    snapshot_channels = snapshot_channels or {}
+    columns = []
+    for name, sub in subsystems.items():
+        columns += [f"{name}.out[{i}]"
+                    for i in range(np.asarray(sub.output()).size)]
+        columns += [f"{name}.{ch}" for ch in snapshot_channels.get(name, ())]
+    log = TimeSeriesLog(columns=columns)
+
+    def record(t):
+        row = []
+        for name, sub in subsystems.items():
+            row.extend(np.asarray(sub.output(), dtype=float))
+            snap = sub.snapshot()
+            row.extend(snap[ch] for ch in snapshot_channels.get(name, ()))
+        log.append(t, np.array(row, dtype=float))
+
+    record(0.0)
+    events = sorted(schedule.events, key=lambda e: e.time)
+    next_event = 0
+    h = schedule.h_macro
+    t = 0.0
+    for i in range(int(round(schedule.t_end / h))):
+        while next_event < len(events) and events[next_event].time <= t + 1e-12:
+            fire(events[next_event])
+            next_event += 1
+        try:
+            step(h)
+        except (OverflowError, FloatingPointError) as exc:
+            log.diverged = True
+            log.failure = f"divergence at t={t + h:.6g}: {exc}"
+            break
+        except Exception as exc:  # solver failure: truncate with cause
+            log.failure = f"sub-system failure at t={t + h:.6g}: {exc}"
+            break
+        t = (i + 1) * h
+        record(t)
+        if not np.all(np.isfinite(log.rows[-1])):
+            log.diverged = True
+            log.failure = f"divergence at t={t:.6g}: non-finite record"
+            break
+    return log
 
 
 def run_cosimulation(schedule: CouplingSchedule,
@@ -230,90 +279,42 @@ def run_cosimulation(schedule: CouplingSchedule,
                      init_tol: float = 1e-6,
                      snapshot_channels: Mapping[str, Sequence[str]] | None = None,
                      ) -> TimeSeriesLog:
-    """Execute macro steps until t_end, exchanging interface data per schedule.
+    """March to t_end, exchanging interface data per schedule each step.
 
-    Inputs are held constant within a macro step.  Events fire at the first
-    macro boundary at or after their time, before input delivery.  Refuses
-    to start when the initial interface values are inconsistent beyond
-    init_tol; a sub-system failure mid-run truncates the log with a cause.
+    Inputs are held constant within a macro step.  Refuses to start when
+    the initial interface values are inconsistent beyond init_tol.
     """
     _validate_links(subsystems, links)
-    snapshot_channels = snapshot_channels or {}
     report = verify_initial_consistency(subsystems, links, init_tol)
     if not report.consistent:
         raise CosimError(
             f"inconsistent initialization: worst interface mismatch "
             f"{report.worst:.3e} exceeds {init_tol:.3e} on {report.flagged()}")
 
-    names = list(subsystems)
-    columns = []
-    for name in names:
-        columns += [f"{name}.out[{i}]"
-                    for i in range(np.asarray(subsystems[name].output()).size)]
-        for ch in snapshot_channels.get(name, ()):
-            columns.append(f"{name}.{ch}")
-    log = TimeSeriesLog(columns=columns)
-
-    if schedule.method is CouplingMethod.SERIES:
-        tier1, tier2 = _tiers(subsystems, links, schedule.series_order
-                              or list(names))
-    else:
-        tier1, tier2 = names, []
-
-    events = sorted(schedule.events, key=lambda e: e.time)
-    next_event = 0
+    tiers = ([list(subsystems)] if schedule.method is CouplingMethod.PARALLEL
+             else _tiers(subsystems, links,
+                         schedule.series_order or list(subsystems)))
     inputs = {name: _assumed_input(sub).copy()
               for name, sub in subsystems.items()}
-    outputs = {name: np.asarray(sub.output(), dtype=float).copy()
-               for name, sub in subsystems.items()}
 
-    def record(t):
-        row = []
-        for name in names:
-            row.extend(outputs[name])
-            snap = subsystems[name].snapshot()
-            row.extend(snap[ch] for ch in snapshot_channels.get(name, ()))
-        log.append(t, np.array(row, dtype=float))
-
-    record(0.0)
-    n_steps = int(round(schedule.t_end / schedule.h_macro))
-    t = 0.0
-    for i in range(n_steps):
-        # events snap to the first boundary >= their time
-        while next_event < len(events) and events[next_event].time <= t + 1e-12:
-            ev = events[next_event]
-            subsystems[ev.target].apply_event(ev.action, ev.params)
-            outputs[ev.target] = np.asarray(subsystems[ev.target].output(),
-                                            dtype=float).copy()
-            next_event += 1
-        try:
-            # stale exchange: everyone sees start-of-step outputs first
-            _deliver(subsystems, links, outputs, inputs)
-            for name in tier1:
+    def step(h):
+        # stale exchange: everyone sees start-of-step outputs first; in
+        # series, fresh first-tier outputs then flow downstream before
+        # tier 2 moves
+        sources = list(subsystems)
+        for tier in tiers:
+            outputs = {name: np.asarray(subsystems[name].output(), dtype=float)
+                       for name in sources}
+            for lk in links:
+                if lk.source in outputs:
+                    inputs[lk.sink][slice(*lk.sink_range)] = \
+                        outputs[lk.source][slice(*lk.source_range)]
+            for name in tier:
                 subsystems[name].set_input(inputs[name])
-                subsystems[name].advance(schedule.h_macro)
-                outputs[name] = np.asarray(subsystems[name].output(),
-                                           dtype=float).copy()
-            if tier2:
-                # fresh first-tier outputs flow downstream before tier 2 moves
-                _deliver(subsystems, links, outputs, inputs,
-                         only_sources=set(tier1))
-                for name in tier2:
-                    subsystems[name].set_input(inputs[name])
-                    subsystems[name].advance(schedule.h_macro)
-                    outputs[name] = np.asarray(subsystems[name].output(),
-                                               dtype=float).copy()
-        except (OverflowError, FloatingPointError) as exc:
-            log.diverged = True
-            log.failure = f"divergence at t={t + schedule.h_macro:.6g}: {exc}"
-            break
-        except Exception as exc:  # solver failure: truncate with cause
-            log.failure = f"sub-system failure at t={t + schedule.h_macro:.6g}: {exc}"
-            break
-        t = (i + 1) * schedule.h_macro
-        record(t)
-        if not all(np.all(np.isfinite(v)) for v in outputs.values()):
-            log.diverged = True
-            log.failure = f"non-finite interface value at t={t:.6g}"
-            break
-    return log
+                subsystems[name].advance(h)
+            sources = tier
+
+    def fire(ev):
+        subsystems[ev.target].apply_event(ev.action, ev.params)
+
+    return march(schedule, subsystems, step, fire, snapshot_channels)

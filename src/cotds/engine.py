@@ -1,14 +1,16 @@
 """Scenario semantics: wiring power models into the co-simulation core.
 
 A scenario names a transmission dataset, attaches distribution feeders to
-interface buses, and selects a coupling method and macro step.  Besides
-the two coupling schedules there is a monolithic reference mode that
-integrates the whole system as one DAE with a single trapezoidal solver.
-That DAE only stacks the blocks the co-simulation path solves: the
-transmission DAE, and each feeder's motor derivatives and KCL mismatch.
-Events act on the same component objects in both modes.  Both paths thus
-solve one model, and any disagreement between them is coupling error,
-not modeling error.
+interface buses, and selects a run method and macro step.  All three
+methods march the same initialised sub-systems with ``cosim.march``, so
+they log the same channels and report failures alike.  Parallel and
+series hand it ``run_cosimulation``'s exchange step.  Monolithic hands it
+one trapezoidal step of the whole system as one DAE, with no exchange.
+That DAE only stacks the blocks the co-simulation path solves (the
+transmission DAE, and each feeder's motor derivatives and KCL mismatch)
+and writes its state back into the same component objects, on which
+events act.  Both paths thus solve one model, and any disagreement
+between them is coupling error, not modeling error.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosim import (CouplingLink, CouplingMethod, CouplingSchedule, Event,
-                    TimeSeriesLog, run_cosimulation)
+                    TimeSeriesLog, march, run_cosimulation)
 from .feeder import (DistributionFeeder, DistributionSubSystem, FeederBranch,
                      MotorUnit)
 from .integrators import DaeSystem, NewtonConfig, trapezoidal_dae_step
@@ -330,22 +332,22 @@ class DeviationReport:
         return max(self.max_abs.values()) if self.max_abs else 0.0
 
 
-def compare_runs(a: RunResult, b: RunResult,
+def compare_runs(a: TimeSeriesLog, b: TimeSeriesLog,
                  channels: list[str] | None = None) -> DeviationReport:
     """Per-channel max-abs and RMS deviation, b resampled onto a's grid."""
     if channels is None:
-        channels = sorted(set(a.log.columns) & set(b.log.columns))
+        channels = sorted(set(a.columns) & set(b.columns))
     if not channels:
         raise EngineError("runs share no channels")
     missing = [c for c in channels
-               if c not in a.log.columns or c not in b.log.columns]
+               if c not in a.columns or c not in b.columns]
     if missing:
         raise EngineError(f"channels missing from a run: {missing}")
-    ta, tb = np.asarray(a.log.times), np.asarray(b.log.times)
+    ta, tb = np.asarray(a.times), np.asarray(b.times)
     max_abs, rms = {}, {}
     for c in channels:
-        xa = a.log.channel(c)
-        xb = np.interp(ta, tb, b.log.channel(c))
+        xa = a.channel(c)
+        xb = np.interp(ta, tb, b.channel(c))
         d = xa - xb
         max_abs[c] = float(np.max(np.abs(d)))
         rms[c] = float(np.sqrt(np.mean(d * d)))
@@ -440,11 +442,15 @@ class MonolithicDae(DaeSystem):
     # -- the shared component objects
 
     def scatter(self, x, y) -> None:
-        """Write (x, y) into the transmission, feeder and motor objects."""
+        """Write (x, y) into the component objects, and each feeder
+        sub-system's input and output (bus voltage, power drawn)."""
         tdae = self.tdae
         self.tsub.x, self.tsub.y = x[:tdae.n_x].copy(), y[:tdae.n_y].copy()
-        for d, e in zip(self.dsubs, self.tsub.output().reshape(-1, 2)):
+        u, _ = self.interface_power(x, y)
+        for d, e, s in zip(self.dsubs, self.tsub.output().reshape(-1, 2),
+                           u.reshape(-1, 2)):
             d.set_input(e)
+            d._output = s.copy()
         for fd, _, v, states in self._feeder_blocks(x, y):
             fd.v = v.copy()
             for mu, st in zip(fd.motors, states):
@@ -480,22 +486,21 @@ def _post_event_window(scenario: Scenario) -> tuple[float, float]:
 
 def run_scenario(scenario: Scenario) -> RunResult:
     t_start = time.perf_counter()
+    subsystems, links, interface_buses = build_subsystems(scenario)
+    tsub = subsystems["T"]
+    dsubs = {k: v for k, v in subsystems.items() if k != "T"}
+    iterative_td_powerflow_init(tsub, dsubs, interface_buses)
+    # the monolithic path reads only the step, the horizon and the events
+    method = (CouplingMethod.PARALLEL
+              if scenario.method is RunMethod.PARALLEL
+              else CouplingMethod.SERIES)
+    schedule = CouplingSchedule(
+        method=method, h_macro=scenario.h_macro, t_end=scenario.t_end,
+        series_order=["T"] + sorted(dsubs), events=tuple(scenario.events))
+    snaps = {name: sorted(sub.snapshot()) for name, sub in subsystems.items()}
     if scenario.method is RunMethod.MONOLITHIC:
-        log = _run_monolithic(scenario)
+        log = _run_monolithic(schedule, subsystems, interface_buses, snaps)
     else:
-        subsystems, links, interface_buses = build_subsystems(scenario)
-        tsub = subsystems["T"]
-        dsubs = {k: v for k, v in subsystems.items() if k != "T"}
-        iterative_td_powerflow_init(tsub, dsubs, interface_buses)
-        method = (CouplingMethod.PARALLEL
-                  if scenario.method is RunMethod.PARALLEL
-                  else CouplingMethod.SERIES)
-        schedule = CouplingSchedule(
-            method=method, h_macro=scenario.h_macro, t_end=scenario.t_end,
-            series_order=["T"] + sorted(dsubs),
-            events=tuple(scenario.events))
-        snaps = {name: sorted(sub.snapshot())
-                 for name, sub in subsystems.items()}
         log = run_cosimulation(schedule, subsystems, links,
                                snapshot_channels=snaps)
     verdict = detect_convergence(log, _post_event_window(scenario))
@@ -504,61 +509,22 @@ def run_scenario(scenario: Scenario) -> RunResult:
                      verdict=verdict, wall_time=time.perf_counter() - t_start)
 
 
-def _run_monolithic(scenario: Scenario) -> TimeSeriesLog:
-    subsystems, _, interface_buses = build_subsystems(scenario)
-    tsub = subsystems["T"]
+def _run_monolithic(schedule: CouplingSchedule, subsystems: dict,
+                    interface_buses: list[int], snaps: dict) -> TimeSeriesLog:
+    """March the stacked DAE; no interface data is exchanged."""
     dsubs = {k: v for k, v in subsystems.items() if k != "T"}
-    iterative_td_powerflow_init(tsub, dsubs, interface_buses)
-    mono = MonolithicDae(tsub, dsubs, interface_buses)
-    x, y = mono.gather()
-
-    columns = ["T.out[%d]" % i for i in range(2 * len(interface_buses))]
-    for bus in interface_buses:
-        columns += [f"D{bus}.out[0]", f"D{bus}.out[1]"]
-    snap_keys = sorted(tsub.snapshot())
-    columns += [f"T.{k}" for k in snap_keys]
-    for bus, d in zip(interface_buses, mono.dsubs):
-        columns += [f"D{bus}.{mu.name}.slip"
-                    for fd in d.feeders for mu in fd.motors]
-
-    pending = sorted(scenario.events, key=lambda e: e.time)
+    mono = MonolithicDae(subsystems["T"], dsubs, interface_buses)
+    # the first record holds the stacked model's own source power
+    mono.scatter(*mono.gather())
     newton = NewtonConfig()
-    h = scenario.h_macro
-    n_steps = int(round(scenario.t_end / h))
-    times, rows = [], []
-    diverged = False
-    failure = None
 
-    def record(t, x, y):
-        mono.scatter(x, y)
-        snap = tsub.snapshot()
-        times.append(t)
-        rows.append(list(tsub.output()) + list(mono.interface_power(x, y)[0])
-                    + [snap[k] for k in snap_keys]
-                    + [float(mu.state[2]) for mu in mono.motors])
-
-    t = 0.0
-    record(t, x, y)
-    for i in range(n_steps):
-        while pending and pending[0].time <= t + 1e-12:
-            ev = pending.pop(0)
-            if ev.target not in dsubs:
-                raise EngineError(f"no distribution sub-system {ev.target!r}")
-            mono.scatter(x, y)
-            dsubs[ev.target].switch(ev.action, ev.params)
-            x, y = mono.gather()
-        try:
-            x, y = trapezoidal_dae_step(mono, x, y, None, h, newton)
-        except (OverflowError, FloatingPointError):
-            diverged = True
-            break
-        except Exception as exc:  # solver failure: truncate and report
-            failure = str(exc)
-            break
+    def step(h):
+        x, y = trapezoidal_dae_step(mono, *mono.gather(), None, h, newton)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            diverged = True
-            break
-        t = (i + 1) * h
-        record(t, x, y)
-    return TimeSeriesLog(columns=columns, times=times, rows=rows,
-                         diverged=diverged, failure=failure)
+            raise OverflowError("monolithic state is non-finite")
+        mono.scatter(x, y)
+
+    def fire(ev):
+        dsubs[ev.target].switch(ev.action, ev.params)
+
+    return march(schedule, subsystems, step, fire, snaps)

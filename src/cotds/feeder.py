@@ -240,7 +240,9 @@ class DistributionSubSystem(SubSystem):
             for mu in fd.motors:
                 out[f"{mu.name}.slip"] = float(mu.state[2])
             for node in range(fd.n_nodes):
-                out[f"f{k}.v{node}"] = float(abs(fd.v[node]))
+                # a feeder switched off floats at the substation voltage
+                v = fd.v[node] if fd.active else self._v_sub()
+                out[f"f{k}.v{node}"] = float(abs(v))
         return out
 
     def apply_event(self, action: str, params) -> None:

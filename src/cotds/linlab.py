@@ -236,12 +236,6 @@ def _step_b_euler(p: LinearCoupledParams, cfg: StepConfig,
     return g * x_b + (u / p.lambda_b) * (g - 1.0)
 
 
-def _check_finite(v: StateVec2) -> StateVec2:
-    if not (math.isfinite(v.x_a) and math.isfinite(v.x_b)):
-        raise OverflowError("co-simulation step produced a non-finite state")
-    return v
-
-
 def step_cosim_parallel(p: LinearCoupledParams, cfg: StepConfig,
                         s: StateVec2) -> StateVec2:
     """One macro step with parallel coupling: both sides see old outputs."""

@@ -103,6 +103,33 @@ def _parse_feeder(d, where):
                       motors=motors, active=v["active"])
 
 
+# the distribution events, and the parameter each one takes
+_EVENT_PARAMS = {"connect_motor": ("name", str),
+                 "disconnect_motor": ("name", str),
+                 "connect_feeder": ("index", int),
+                 "disconnect_feeder": ("index", int)}
+
+
+def _parse_event(d, where, feeders):
+    """An event on ``D<bus>`` naming a motor or feeder index of that bus."""
+    ev = _require(d, where, dict(time=float, target=str, action=str),
+                  dict(params=(dict, {})))
+    target, action = ev["target"], ev["action"]
+    here = [fs for fs in feeders if f"D{fs.bus}" == target]
+    if not here:
+        raise SchemaError(f"{where}.target: no feeder on {target!r}")
+    if action not in _EVENT_PARAMS:
+        raise SchemaError(f"{where}.action: unknown action {action!r}")
+    key, typ = _EVENT_PARAMS[action]
+    params = _require(ev["params"], where + ".params", {key: typ})
+    known = ({m.name for fs in here for m in fs.motors} if key == "name"
+             else range(len(here)))
+    if params[key] not in known:
+        raise SchemaError(f"{where}.params.{key}: {params[key]!r} is not "
+                          f"one of {target}'s {sorted(known)}")
+    return Event(ev["time"], target, action, params)
+
+
 def parse_scenario(doc: dict) -> Scenario:
     v = _require(doc, "scenario",
                  dict(name=str, transmission=str, feeders=list,
@@ -119,15 +146,10 @@ def parse_scenario(doc: dict) -> Scenario:
     channels = outputs["channels"]
     if not all(isinstance(c, str) for c in channels):
         raise SchemaError("outputs.channels: expected strings")
-    events = []
-    for i, e in enumerate(v["events"]):
-        ev = _require(e, f"events[{i}]",
-                      dict(time=float, target=str, action=str),
-                      dict(params=(dict, {})))
-        events.append(Event(time=ev["time"], target=ev["target"],
-                            action=ev["action"], params=ev["params"]))
     feeders = [_parse_feeder(f, f"feeders[{i}]")
                for i, f in enumerate(v["feeders"])]
+    events = [_parse_event(e, f"events[{i}]", feeders)
+              for i, e in enumerate(v["events"])]
     return Scenario(name=v["name"], transmission=v["transmission"],
                     feeders=feeders, events=events, method=method,
                     h_macro=run["h_macro"], t_end=run["t_end"],

@@ -409,7 +409,7 @@ def test_criterion_7_cotds_verdict_matrix(testcase1_matrix, testcase1_radii):
     res_p37 = runs[(RunMethod.PARALLEL, 0.037)]
 
     vbus = bus_voltage_channels(res_s6.log.columns)
-    dev_ps = compare_runs(res_p6, res_s6, channels=vbus).worst
+    dev_ps = compare_runs(res_p6.log, res_s6.log, channels=vbus).worst
 
     v6 = res_s6.log.channel("T.bus6.vmag")
     t = res_s6.log.time_array
@@ -450,7 +450,7 @@ def test_criterion_8_coupling_error_isolation():
         mono = run_scenario(dataclasses.replace(
             scenario, method=RunMethod.MONOLITHIC, h_macro=h))
         vbus = bus_voltage_channels(ser.log.columns)
-        return compare_runs(ser, mono, channels=vbus).worst, ser
+        return compare_runs(ser.log, mono.log, channels=vbus).worst, ser
 
     tc1 = load_scenario(fixture_path("testcase1"))
     dev1_6, _ = dev_series_vs_mono(tc1, 0.006)

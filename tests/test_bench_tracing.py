@@ -2,12 +2,16 @@
 
 ``bench/tracing.py`` wraps functions and methods of the package by name;
 a rename there would only show when the benchmark's traced runs fail.
+The monolithic run also keeps the invariants ``bench/selftest.py``
+checks on ``tc1-mono``: it runs no macro-step exchange, and it sweeps
+feeders only during initialisation, even across a motor event.
 """
 
 import importlib.util
 import pathlib
 
 from cotds import engine
+from cotds.cosim import Event
 from cotds.engine import RunMethod
 from cotds.scenario_io import fixture_path, load_scenario
 
@@ -28,10 +32,26 @@ def test_instrumented_counts_and_restores():
                   in tracing._boundaries(tracer)]
     before = [getattr(owner, attr) for owner, attr in boundaries]
     s = load_scenario(fixture_path("testcase1"))
-    s.method, s.t_end, s.events = RunMethod.MONOLITHIC, 0.05, []
+    s.method, s.t_end = RunMethod.MONOLITHIC, 0.05
+    s.events = [Event(0.02, "D6", "connect_motor", {"name": "bus6_im2"})]
     with tracing.instrumented(tracer):
         engine.run_scenario(s)
     assert [getattr(owner, attr) for owner, attr in boundaries] == before
     metrics = tracing.layer_metrics(tracer)
     assert metrics["integrators.g_evals"] > 0
     assert metrics["engine.mono_residual.s"] > 0
+    assert metrics["cosim.macro_steps"] == 0
+
+    # (root, id, parent, name, ...) per recorded span
+    parent = {span[1]: span[2] for span in tracer.spans}
+    name = {span[1]: span[3] for span in tracer.spans}
+
+    def under_init(sid):
+        while sid:
+            sid = parent.get(sid, 0)
+            if name.get(sid) == "engine.init":
+                return True
+        return False
+
+    sweeps = [span[1] for span in tracer.spans if span[3] == "feeder.sweep"]
+    assert sweeps and all(under_init(sid) for sid in sweeps)

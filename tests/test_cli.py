@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from cotds.cli import main
+from cotds import transmission
+from cotds.cli import EXIT_NUMERIC, EXIT_SCHEMA, main
+from cotds.integrators import NewtonError
 from cotds.scenario_io import fixture_path, read_csv
 
 
@@ -114,3 +116,53 @@ class TestRunAndCompare:
                      "--out-dir", str(tmp_path / "flag_out"))
         assert rc == 0
         assert os.path.isfile(os.path.join(env_dir, "run.csv"))
+
+    def test_truncated_run_exits_numeric(self, tmp_path, monkeypatch, capsys):
+        advance = transmission.TransmissionSubSystem.advance
+        calls = []
+
+        def failing_advance(self, h):
+            calls.append(h)
+            if len(calls) == 5:
+                raise NewtonError("Newton did not converge", 1.0)
+            advance(self, h)
+
+        monkeypatch.setattr(transmission.TransmissionSubSystem, "advance",
+                            failing_advance)
+        out = str(tmp_path / "run")
+        rc = run_cli("cotds", "run", fixture_path("testcase1"),
+                     "--h", "0.01", "--t-end", "0.1", "--out-dir", out)
+        assert rc == EXIT_NUMERIC
+        # the truncated log and its cause are still written
+        assert len(read_csv(os.path.join(out, "run.csv")).times) == 5
+        with open(os.path.join(out, "summary.txt")) as fh:
+            text = fh.read()
+        assert "verdict: Diverged" in text
+        assert "failure: sub-system failure at t=0.05" in text
+        assert "sub-system failure at t=0.05" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("event", [
+    {"target": "D9", "action": "connect_feeder", "params": {"index": 1}},
+    {"target": "T", "action": "connect_feeder", "params": {"index": 1}},
+    {"target": "D2", "action": "trip", "params": {}},
+    {"target": "D2", "action": "connect_motor", "params": {"name": "nope"}},
+    {"target": "D2", "action": "disconnect_motor", "params": {"index": 0}},
+    {"target": "D2", "action": "connect_feeder", "params": {"index": 2}},
+    {"target": "D2", "action": "disconnect_feeder",
+     "params": {"index": 0, "name": "f1_im"}},
+], ids=["unknown_bus", "transmission", "unknown_action", "unknown_motor",
+        "wrong_param", "feeder_index", "extra_param"])
+@pytest.mark.parametrize("method", ["series", "monolithic"])
+def test_bad_event_is_schema_error(tmp_path, event, method):
+    with open(fixture_path("testcase2")) as fh:
+        doc = json.load(fh)
+    doc["events"] = [dict(event, time=0.02)]
+    path = str(tmp_path / "bad_event.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "out")
+    rc = run_cli("cotds", "run", path, "--method", method,
+                 "--t-end", "0.05", "--out-dir", out)
+    assert rc == EXIT_SCHEMA
+    assert not os.path.exists(out)  # rejected before any numerics ran

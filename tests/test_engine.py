@@ -3,18 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from cotds import engine, transmission
 from cotds.cosim import (CouplingMethod, CouplingSchedule, Event,
                          TimeSeriesLog, run_cosimulation)
 from cotds.engine import (
     EngineError,
     RunMethod,
-    RunResult,
     Verdict,
     compare_runs,
     detect_convergence,
     run_scenario,
 )
-from cotds.integrators import NewtonError
+from cotds.integrators import NewtonError, trapezoidal_dae_step
 from cotds.linear_subsystems import make_linear_pair
 from cotds.linlab import LinearCoupledParams, StateVec2
 from cotds.scenario_io import fixture_path, load_scenario, parse_scenario
@@ -154,19 +154,15 @@ class TestDetector:
 
 
 class TestCompareRuns:
-    def wrap(self, log):
-        return RunResult("s", RunMethod.SERIES, 0.01, log,
-                         Verdict.CONVERGED, 0.0)
-
     def test_identical_runs_zero_deviation(self):
         a = make_log(np.sin(np.arange(40)))
-        rep = compare_runs(self.wrap(a), self.wrap(a))
+        rep = compare_runs(a, a)
         assert rep.worst == 0.0
 
     def test_known_offset(self):
         a = make_log(np.ones(40))
         b = make_log(np.ones(40) + 0.25)
-        rep = compare_runs(self.wrap(a), self.wrap(b))
+        rep = compare_runs(a, b)
         assert rep.worst == pytest.approx(0.25)
         assert rep.rms["x"] == pytest.approx(0.25)
 
@@ -176,18 +172,19 @@ class TestCompareRuns:
         b = TimeSeriesLog(columns=["x"])
         for t in np.linspace(0.0, 0.39, 14):
             b.append(t, np.array([0.5 * (t / 0.01)]))
-        rep = compare_runs(self.wrap(a), self.wrap(b))
+        rep = compare_runs(a, b)
         assert rep.worst < 20.0  # linear signal resamples almost exactly
 
     def test_disjoint_channels_raise(self):
         a = make_log(np.ones(10), columns=["x"])
         b = make_log(np.ones(10), columns=["y"])
         with pytest.raises(EngineError):
-            compare_runs(self.wrap(a), self.wrap(b))
+            compare_runs(a, b)
 
 
-def quick_scenario(method=RunMethod.SERIES, h=0.01, t_end=0.5, events=False):
-    s = load_scenario(fixture_path("testcase1"))
+def quick_scenario(method=RunMethod.SERIES, h=0.01, t_end=0.5, events=False,
+                   fixture="testcase1"):
+    s = load_scenario(fixture_path(fixture))
     s.method = method
     s.h_macro = h
     s.t_end = t_end
@@ -200,20 +197,18 @@ def quick_scenario(method=RunMethod.SERIES, h=0.01, t_end=0.5, events=False):
 
 class TestRunScenario:
     def test_equilibrium_all_methods_agree(self):
-        logs = {}
-        for m in (RunMethod.PARALLEL, RunMethod.SERIES,
-                  RunMethod.MONOLITHIC):
-            r = run_scenario(quick_scenario(method=m))
-            assert r.verdict is Verdict.CONVERGED
-            logs[m] = r
-        shared = [c for c in logs[RunMethod.SERIES].log.columns
-                  if c in logs[RunMethod.MONOLITHIC].log.columns]
-        rep = compare_runs(logs[RunMethod.SERIES],
-                           logs[RunMethod.MONOLITHIC], shared)
-        assert rep.worst < 1e-7
-        rep = compare_runs(logs[RunMethod.SERIES],
-                           logs[RunMethod.PARALLEL], shared)
-        assert rep.worst < 1e-7
+        # testcase2 starts with a feeder switched off
+        for fixture in ("testcase1", "testcase2"):
+            logs = {}
+            for m in RunMethod:
+                r = run_scenario(quick_scenario(method=m, fixture=fixture))
+                assert r.verdict is Verdict.CONVERGED
+                logs[m] = r.log
+            # every method logs the same channels, and all are compared
+            for m in (RunMethod.MONOLITHIC, RunMethod.PARALLEL):
+                assert logs[m].columns == logs[RunMethod.SERIES].columns
+                rep = compare_runs(logs[RunMethod.SERIES], logs[m])
+                assert rep.worst < 1e-7, (fixture, m)
 
     def test_equilibrium_is_flat(self):
         r = run_scenario(quick_scenario())
@@ -253,10 +248,40 @@ class TestRunScenario:
             assert r.log.failure is None
             assert r.verdict is Verdict.CONVERGED
             runs[m] = r
-        rep = compare_runs(runs[RunMethod.SERIES], runs[RunMethod.MONOLITHIC],
-                           ["T.bus2.vmag"])
+        rep = compare_runs(runs[RunMethod.SERIES].log,
+                           runs[RunMethod.MONOLITHIC].log, ["T.bus2.vmag"])
         # criterion 8's bound on the coupling error
         assert rep.worst < 0.01
+
+    @pytest.mark.parametrize("fixture", ["testcase1", "testcase2"])
+    def test_failure_mid_run_same_under_all_methods(self, fixture,
+                                                    monkeypatch):
+        # every method takes one trapezoidal step per macro step; the
+        # fifth one, from t = 0.04 s to 0.05 s, fails
+        calls = []
+
+        def failing_step(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise NewtonError("Newton did not converge", 1.0)
+            return trapezoidal_dae_step(*args)
+
+        monkeypatch.setattr(transmission, "trapezoidal_dae_step",
+                            failing_step)
+        monkeypatch.setattr(engine, "trapezoidal_dae_step", failing_step)
+        logs = {}
+        for m in RunMethod:
+            calls.clear()
+            r = run_scenario(quick_scenario(method=m, fixture=fixture))
+            assert len(r.log.times) == 5, m
+            assert r.log.failure.startswith(
+                "sub-system failure at t=0.05: Newton did not converge"), m
+            assert not r.log.diverged
+            assert r.verdict is Verdict.DIVERGED
+            logs[m] = r.log
+        assert (logs[RunMethod.SERIES].columns
+                == logs[RunMethod.PARALLEL].columns
+                == logs[RunMethod.MONOLITHIC].columns)
 
     def test_channels_present(self):
         s = quick_scenario()
