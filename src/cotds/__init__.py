@@ -7,7 +7,7 @@ Sub-modules:
   the parallel and series coupling schedules, and its two halves as
   sub-systems.
 - ``cosim``: the macro-step loop every run shares, and the parallel and
-  series exchange schedules.
+  series exchange between a hub sub-system and its spokes.
 - ``integrators``: trapezoidal DAE stepping and an adaptive explicit
   Runge-Kutta kernel.
 - ``power_network``, ``machines``, ``transmission``, ``loads``,

@@ -23,9 +23,7 @@ import numpy as np
 
 from . import linlab
 from .engine import (EngineError, RunMethod, compare_runs, run_scenario)
-from .integrators import NewtonError, StiffnessError
-from .power_network import PowerFlowError
-from .feeder import FeederError
+from .integrators import NumericFailure
 from .scenario_io import (SchemaError, load_scenario, read_csv, write_csv)
 
 EXIT_USAGE = 1
@@ -279,8 +277,8 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (PowerFlowError, NewtonError, StiffnessError, FeederError,
-            EngineError, OverflowError, FloatingPointError) as exc:
+    except (NumericFailure, EngineError, OverflowError,
+            FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

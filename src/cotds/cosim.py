@@ -1,15 +1,18 @@
-"""Generic macro-step co-simulation orchestrator.
+"""Macro-step co-simulation of one hub and its spokes.
 
 Every run, co-simulated or monolithic, goes through one loop, ``march``,
 and differs only in the step and the event function it hands the march.
-``run_cosimulation`` supplies the two exchange schedules:
+``exchange_step`` supplies the co-simulation step.  Its sub-systems form
+a star: the first is the hub (the transmission system, or the A half of
+the linear test system), the others are its spokes, in order.  The hub's
+output is the spokes' inputs laid end to end, each slice as long as that
+spoke's ``current_input``; the hub's input is the spokes' outputs laid
+end to end.  In one macro step the hub advances on the spokes'
+start-of-step outputs, then each spoke advances on its slice of the
+hub's output:
 
-- parallel: every sub-system advances using the other sub-systems'
-  start-of-step outputs (Jacobi exchange);
-- series: first-tier sub-systems advance first, their fresh outputs are
-  delivered downstream, then the remaining sub-systems advance
-  (Gauss-Seidel exchange).  Links pointing against the tier order are
-  "stale" and always carry the previous step's value.
+- parallel (Jacobi exchange): the hub's start-of-step output;
+- series (Gauss-Seidel exchange): the hub's output after its step.
 
 Timed events snap to the first macro boundary at or after their time and
 are applied before that boundary's step.
@@ -23,19 +26,24 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .integrators import NumericFailure
+
 __all__ = [
     "SubSystem",
-    "CouplingLink",
     "CouplingMethod",
     "CouplingSchedule",
     "Event",
     "TimeSeriesLog",
-    "ConsistencyReport",
+    "INIT_TOL",
+    "interface_mismatch",
+    "exchange_step",
     "march",
     "run_cosimulation",
-    "verify_initial_consistency",
     "CosimError",
 ]
+
+# worst initial interface gap a co-simulation may start from
+INIT_TOL = 1e-6
 
 
 class CosimError(RuntimeError):
@@ -45,10 +53,14 @@ class CosimError(RuntimeError):
 class SubSystem:
     """Stateful solver unit: set inputs, advance a macro step, read outputs.
 
+    ``current_input`` is the input the sub-system last took, through
+    ``initialize`` or ``set_input``; its size is the size of the input.
     ``advance`` must be deterministic given prior state and input, and
     ``output()`` right after ``initialize`` must be the steady-state output
     consistent with the initial input.
     """
+
+    current_input: np.ndarray
 
     def initialize(self, inputs: np.ndarray) -> None:
         raise NotImplementedError
@@ -69,21 +81,6 @@ class SubSystem:
         raise CosimError(f"{type(self).__name__} does not handle event {action!r}")
 
 
-@dataclass(frozen=True)
-class CouplingLink:
-    """Connects a slice of one sub-system's output to a slice of another's input."""
-
-    source: str
-    source_range: tuple[int, int]  # [start, stop)
-    sink: str
-    sink_range: tuple[int, int]
-
-    def __post_init__(self):
-        if (self.source_range[1] - self.source_range[0]
-                != self.sink_range[1] - self.sink_range[0]):
-            raise ValueError("source and sink index ranges must have equal length")
-
-
 class CouplingMethod(enum.Enum):
     PARALLEL = "parallel"
     SERIES = "series"
@@ -99,10 +96,8 @@ class Event:
 
 @dataclass
 class CouplingSchedule:
-    method: CouplingMethod
     h_macro: float
     t_end: float
-    series_order: Sequence[str] = ()  # first tier, then dependents
     events: Sequence[Event] = ()
 
     def __post_init__(self):
@@ -140,81 +135,31 @@ class TimeSeriesLog:
         return np.asarray(self.times)
 
 
-@dataclass
-class ConsistencyReport:
-    mismatches: dict  # link -> worst absolute mismatch
-    tol: float
-
-    @property
-    def worst(self) -> float:
-        return max(self.mismatches.values()) if self.mismatches else 0.0
-
-    @property
-    def consistent(self) -> bool:
-        return self.worst <= self.tol
-
-    def flagged(self) -> list:
-        return [k for k, v in self.mismatches.items() if v > self.tol]
+def _slices(sizes: Sequence[int]) -> list[slice]:
+    """Consecutive slices of the given sizes, laid end to end from 0."""
+    ends = np.cumsum(sizes)
+    return [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
 
 
-def _input_sizes(subsystems: Mapping[str, SubSystem],
-                 links: Sequence[CouplingLink]) -> dict[str, int]:
-    sizes = {name: 0 for name in subsystems}
-    for lk in links:
-        sizes[lk.sink] = max(sizes[lk.sink], lk.sink_range[1])
-    return sizes
+def interface_mismatch(subsystems: Mapping[str, SubSystem]
+                       ) -> dict[str, float]:
+    """Each spoke's worst gap between an output and the input it feeds.
 
-
-def _validate_links(subsystems, links):
-    fed: set[tuple[str, int]] = set()
-    for lk in links:
-        if lk.source not in subsystems or lk.sink not in subsystems:
-            raise CosimError(f"link references unknown sub-system: {lk}")
-        for idx in range(*lk.sink_range):
-            if (lk.sink, idx) in fed:
-                raise CosimError(
-                    f"input index {idx} of {lk.sink!r} fed by two links")
-            fed.add((lk.sink, idx))
-
-
-def _tiers(subsystems, links, series_order):
-    """The non-empty of (first tier, second tier); there are no others."""
-    order = list(series_order)
-    if not order or set(order) != set(subsystems):
-        raise CosimError("series_order must list every sub-system exactly once")
-    pos = {name: i for i, name in enumerate(order)}
-    # a sub-system is second-tier if any forward (non-stale) link feeds it
-    downstream = {lk.sink for lk in links if pos[lk.source] < pos[lk.sink]}
-    tier1 = [n for n in order if n not in downstream]
-    tier2 = [n for n in order if n in downstream]
-    for lk in links:
-        if lk.source in downstream and lk.sink in downstream:
-            raise CosimError("series schedule supports exactly two tiers; "
-                             f"link {lk.source}->{lk.sink} is tier-2 to tier-2")
-    return [tier for tier in (tier1, tier2) if tier]
-
-
-def verify_initial_consistency(subsystems: Mapping[str, SubSystem],
-                               links: Sequence[CouplingLink],
-                               tol: float) -> ConsistencyReport:
-    """Compare every link's source output with its sink's assumed input."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    mismatches = {}
-    inputs = {name: _assumed_input(sub) for name, sub in subsystems.items()}
-    for lk in links:
-        src = np.asarray(subsystems[lk.source].output())[slice(*lk.source_range)]
-        snk = inputs[lk.sink][slice(*lk.sink_range)]
-        key = (lk.source, lk.sink, lk.sink_range)
-        mismatches[key] = float(np.max(np.abs(src - snk))) if src.size else 0.0
-    return ConsistencyReport(mismatches, tol)
-
-
-def _assumed_input(sub: SubSystem) -> np.ndarray:
-    u = getattr(sub, "current_input", None)
-    if u is None:
-        raise CosimError(f"{type(sub).__name__} does not expose current_input")
-    return np.asarray(u, dtype=float)
+    Both directions count: the hub's output against the spoke's
+    ``current_input``, and the spoke's output against its slice of the
+    hub's ``current_input``.
+    """
+    hub, *spokes = subsystems.values()
+    y_hub, u_hub = hub.output(), hub.current_input
+    outputs = [sp.output() for sp in spokes]
+    to_spoke = _slices([sp.current_input.size for sp in spokes])
+    to_hub = _slices([y.size for y in outputs])
+    gaps = {}
+    for name, sp, y, into, back in zip(list(subsystems)[1:], spokes, outputs,
+                                       to_spoke, to_hub):
+        gap = np.concatenate([y_hub[into] - sp.current_input, u_hub[back] - y])
+        gaps[name] = float(np.max(np.abs(gap)))
+    return gaps
 
 
 def march(schedule: CouplingSchedule,
@@ -227,8 +172,9 @@ def march(schedule: CouplingSchedule,
 
     A record holds each sub-system's ``output()`` and snapshot channels,
     at t = 0 and after every step.  OverflowError, FloatingPointError or
-    a non-finite record is a divergence, any other exception from a step
+    a non-finite record is a divergence, a ``NumericFailure`` from a step
     a sub-system failure; either truncates the log with time and cause.
+    Any other exception is a programming error and propagates.
     """
     snapshot_channels = snapshot_channels or {}
     columns = []
@@ -261,7 +207,7 @@ def march(schedule: CouplingSchedule,
             log.diverged = True
             log.failure = f"divergence at t={t + h:.6g}: {exc}"
             break
-        except Exception as exc:  # solver failure: truncate with cause
+        except NumericFailure as exc:
             log.failure = f"sub-system failure at t={t + h:.6g}: {exc}"
             break
         t = (i + 1) * h
@@ -273,48 +219,46 @@ def march(schedule: CouplingSchedule,
     return log
 
 
-def run_cosimulation(schedule: CouplingSchedule,
-                     subsystems: Mapping[str, SubSystem],
-                     links: Sequence[CouplingLink],
-                     init_tol: float = 1e-6,
-                     snapshot_channels: Mapping[str, Sequence[str]] | None = None,
-                     ) -> TimeSeriesLog:
-    """March to t_end, exchanging interface data per schedule each step.
+def exchange_step(subsystems: Mapping[str, SubSystem],
+                  method: CouplingMethod) -> Callable[[float], None]:
+    """One macro step of the hub and its spokes: ``step(h)``.
 
-    Inputs are held constant within a macro step.  Refuses to start when
-    the initial interface values are inconsistent beyond init_tol.
+    Inputs are held constant within the step.
     """
-    _validate_links(subsystems, links)
-    report = verify_initial_consistency(subsystems, links, init_tol)
-    if not report.consistent:
-        raise CosimError(
-            f"inconsistent initialization: worst interface mismatch "
-            f"{report.worst:.3e} exceeds {init_tol:.3e} on {report.flagged()}")
-
-    tiers = ([list(subsystems)] if schedule.method is CouplingMethod.PARALLEL
-             else _tiers(subsystems, links,
-                         schedule.series_order or list(subsystems)))
-    inputs = {name: _assumed_input(sub).copy()
-              for name, sub in subsystems.items()}
+    hub, *spokes = subsystems.values()
+    slices = _slices([sp.current_input.size for sp in spokes])
 
     def step(h):
-        # stale exchange: everyone sees start-of-step outputs first; in
-        # series, fresh first-tier outputs then flow downstream before
-        # tier 2 moves
-        sources = list(subsystems)
-        for tier in tiers:
-            outputs = {name: np.asarray(subsystems[name].output(), dtype=float)
-                       for name in sources}
-            for lk in links:
-                if lk.source in outputs:
-                    inputs[lk.sink][slice(*lk.sink_range)] = \
-                        outputs[lk.source][slice(*lk.source_range)]
-            for name in tier:
-                subsystems[name].set_input(inputs[name])
-                subsystems[name].advance(h)
-            sources = tier
+        if method is CouplingMethod.PARALLEL:
+            y_hub = hub.output()
+        hub.set_input(np.concatenate([sp.output() for sp in spokes]))
+        hub.advance(h)
+        if method is CouplingMethod.SERIES:
+            y_hub = hub.output()
+        for sp, sl in zip(spokes, slices):
+            sp.set_input(y_hub[sl])
+            sp.advance(h)
+
+    return step
+
+
+def run_cosimulation(schedule: CouplingSchedule,
+                     subsystems: Mapping[str, SubSystem],
+                     method: CouplingMethod,
+                     snapshot_channels: Mapping[str, Sequence[str]] | None = None,
+                     ) -> TimeSeriesLog:
+    """March the hub and its spokes to t_end, exchanging per ``method``.
+
+    Refuses to start when an initial interface gap exceeds ``INIT_TOL``.
+    """
+    gaps = {name: gap for name, gap in interface_mismatch(subsystems).items()
+            if gap > INIT_TOL}
+    if gaps:
+        raise CosimError(f"inconsistent initialization: interface gaps "
+                         f"{gaps} exceed {INIT_TOL:.0e}")
 
     def fire(ev):
         subsystems[ev.target].apply_event(ev.action, ev.params)
 
-    return march(schedule, subsystems, step, fire, snapshot_channels)
+    return march(schedule, subsystems, exchange_step(subsystems, method),
+                 fire, snapshot_channels)

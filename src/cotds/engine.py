@@ -4,13 +4,15 @@ A scenario names a transmission dataset, attaches distribution feeders to
 interface buses, and selects a run method and macro step.  All three
 methods march the same initialised sub-systems with ``cosim.march``, so
 they log the same channels and report failures alike.  Parallel and
-series hand it ``run_cosimulation``'s exchange step.  Monolithic hands it
-one trapezoidal step of the whole system as one DAE, with no exchange.
-That DAE only stacks the blocks the co-simulation path solves (the
-transmission DAE, and each feeder's motor derivatives and KCL mismatch)
-and writes its state back into the same component objects, on which
-events act.  Both paths thus solve one model, and any disagreement
-between them is coupling error, not modeling error.
+series hand it ``cosim.exchange_step``, with the transmission sub-system
+as the hub and one distribution sub-system per interface bus as its
+spokes.  Monolithic hands it one trapezoidal step of the whole system as
+one DAE, with no exchange.  That DAE only stacks the blocks the
+co-simulation path solves (the transmission DAE, and each feeder's motor
+derivatives and KCL mismatch) and writes its state back into the same
+component objects, on which events act.  Both paths thus solve one
+model, and any disagreement between them is coupling error, not
+modeling error.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cosim import (CouplingLink, CouplingMethod, CouplingSchedule, Event,
-                    TimeSeriesLog, march, run_cosimulation)
+from .cosim import (CouplingMethod, CouplingSchedule, Event, TimeSeriesLog,
+                    march, run_cosimulation)
 from .feeder import (DistributionFeeder, DistributionSubSystem, FeederBranch,
                      MotorUnit)
 from .integrators import DaeSystem, NewtonConfig, trapezoidal_dae_step
@@ -34,8 +36,9 @@ from .transmission import TransmissionDae, TransmissionSubSystem
 
 __all__ = [
     "RunMethod", "MotorSpec", "FeederSpec", "Scenario", "RunResult",
-    "Verdict", "build_subsystems", "iterative_td_powerflow_init",
-    "run_scenario", "detect_convergence", "compare_runs", "EngineError",
+    "Verdict", "check_event", "build_subsystems",
+    "iterative_td_powerflow_init", "run_scenario", "detect_convergence",
+    "compare_runs", "EngineError",
 ]
 
 
@@ -109,12 +112,6 @@ class Scenario:
             if fs.bus not in net.bus_ids:
                 raise EngineError(f"feeder bound to unknown bus {fs.bus}")
 
-    def without_events(self) -> "Scenario":
-        s = Scenario.__new__(Scenario)
-        s.__dict__.update(self.__dict__)
-        s.events = []
-        return s
-
 
 @dataclass
 class RunResult:
@@ -124,6 +121,36 @@ class RunResult:
     log: TimeSeriesLog
     verdict: Verdict
     wall_time: float
+
+
+# the distribution events, and the parameter each one takes
+_EVENT_PARAMS = {"connect_motor": ("name", str),
+                 "disconnect_motor": ("name", str),
+                 "connect_feeder": ("index", int),
+                 "disconnect_feeder": ("index", int)}
+
+
+def check_event(feeders: list[FeederSpec], ev: Event) -> None:
+    """Raise ValueError unless ``ev`` is an event the scenario can apply.
+
+    Its target must be ``D<bus>`` of a feeder bus, its action one of the
+    four distribution actions, and its params exactly the one parameter
+    of that action: a motor on that bus or an index of its feeders.
+    """
+    here = [fs for fs in feeders if f"D{fs.bus}" == ev.target]
+    if not here:
+        raise ValueError(f"target: no feeder on {ev.target!r}")
+    if ev.action not in _EVENT_PARAMS:
+        raise ValueError(f"action: unknown action {ev.action!r}")
+    key, typ = _EVENT_PARAMS[ev.action]
+    if set(ev.params) != {key} or type(ev.params[key]) is not typ:
+        raise ValueError(f"params: expected exactly {{{key!r}: "
+                         f"{typ.__name__}}}, got {dict(ev.params)!r}")
+    known = ({m.name for fs in here for m in fs.motors} if key == "name"
+             else range(len(here)))
+    if ev.params[key] not in known:
+        raise ValueError(f"params.{key}: {ev.params[key]!r} is not one of "
+                         f"{ev.target}'s {sorted(known)}")
 
 
 # -- construction -----------------------------------------------------------
@@ -148,7 +175,11 @@ def _build_feeder(fs: FeederSpec, omega_s: float) -> DistributionFeeder:
 
 
 def build_subsystems(scenario: Scenario):
-    """Returns (subsystems dict, links, interface bus order)."""
+    """(sub-systems, D sub-systems, interface buses), in interface-bus order.
+
+    The sub-systems are the hub ``T`` and its spokes, one ``D<bus>`` per
+    interface bus; the second element holds the spokes alone.
+    """
     net = load_network(scenario.transmission)
     bank = GeneratorBank.from_params(net.gen_params, net.omega_s)
 
@@ -163,16 +194,11 @@ def build_subsystems(scenario: Scenario):
               for bus, s in net.loads.items() if bus not in by_bus}
 
     dae = TransmissionDae(net, bank, static, interface_buses)
-    tsub = TransmissionSubSystem("T", dae)
-    subsystems = {"T": tsub}
-    links = []
-    for k, bus in enumerate(interface_buses):
-        name = f"D{bus}"
-        subsystems[name] = DistributionSubSystem(
-            name, by_bus[bus], rk_tol=scenario.rk_tol)
-        links.append(CouplingLink("T", (2 * k, 2 * k + 2), name, (0, 2)))
-        links.append(CouplingLink(name, (0, 2), "T", (2 * k, 2 * k + 2)))
-    return subsystems, links, interface_buses
+    dsubs = {f"D{bus}": DistributionSubSystem(f"D{bus}", by_bus[bus],
+                                              rk_tol=scenario.rk_tol)
+             for bus in interface_buses}
+    subsystems = {"T": TransmissionSubSystem("T", dae), **dsubs}
+    return subsystems, dsubs, interface_buses
 
 
 def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
@@ -226,15 +252,14 @@ def _feeder_nominal(fd: DistributionFeeder):
 
 
 def detect_convergence(log: TimeSeriesLog,
-                       window: tuple[float, float] | None = None,
-                       channel: str | None = None) -> Verdict:
+                       window: tuple[float, float] | None = None) -> Verdict:
     """Classify a run as Converged / Oscillatory / Diverged.
 
     Diverged: the log was cut short (by divergence or by any sub-system
     failure) or contains non-finite samples.  Oscillatory: some channel
-    with meaningful variation in the window (or the given channel) is
-    still oscillating at the end of the window with an envelope that has
-    not decayed, whatever the oscillation's period; see ``_oscillatory``.
+    with meaningful variation in the window is still oscillating at the
+    end of the window with an envelope that has not decayed, whatever the
+    oscillation's period; see ``_oscillatory``.
     Otherwise Converged.
     """
     arr = log.as_array()
@@ -246,14 +271,10 @@ def detect_convergence(log: TimeSeriesLog,
     mask = (t >= lo) & (t <= hi)
     if np.count_nonzero(mask) < 4:
         return Verdict.CONVERGED
-    if channel is not None:
-        cols = [log.columns.index(channel)]
-    else:
-        cols = list(range(len(log.columns)))
     sub = arr[mask]
     spans = sub.max(axis=0) - sub.min(axis=0)
     # channels with no meaningful variation carry only float jitter
-    cols = [c for c in cols if spans[c] > 1e-8]
+    cols = [c for c in range(len(log.columns)) if spans[c] > 1e-8]
     for c in sorted(cols, key=lambda c: -spans[c]):
         if _oscillatory(sub[:, c]):
             return Verdict.OSCILLATORY
@@ -373,19 +394,19 @@ class MonolithicDae(DaeSystem):
     """
 
     def __init__(self, tsub: TransmissionSubSystem,
-                 dsubs: dict[str, DistributionSubSystem],
-                 interface_buses: list[int]):
+                 dsubs: dict[str, DistributionSubSystem]):
+        """``dsubs`` in the order of the transmission's interface buses."""
         self.tsub = tsub
         self.tdae = tdae = tsub.dae
-        self.dsubs = [dsubs[f"D{bus}"] for bus in interface_buses]
-        self.n_if = len(interface_buses)
+        self.dsubs = list(dsubs.values())
+        self.n_if = len(self.dsubs)
         # per feeder: the feeder, its interface index, the slice of x
         # holding its motor states, the slice of the stacked node voltages
         # holding its nodes 0..N, and where its node voltages start in y
         self._blocks = []
         re_idx, im_idx = [], []
         nx, ny = tdae.n_x, tdae.n_y
-        for k, bus in enumerate(interface_buses):
+        for k, bus in enumerate(tdae.interface_buses):
             bus_i = tdae.net.idx(bus)
             for fd in self.dsubs[k].feeders:
                 m, n_states = fd.n_nodes - 1, 3 * len(fd.motors)
@@ -486,23 +507,18 @@ def _post_event_window(scenario: Scenario) -> tuple[float, float]:
 
 def run_scenario(scenario: Scenario) -> RunResult:
     t_start = time.perf_counter()
-    subsystems, links, interface_buses = build_subsystems(scenario)
-    tsub = subsystems["T"]
-    dsubs = {k: v for k, v in subsystems.items() if k != "T"}
-    iterative_td_powerflow_init(tsub, dsubs, interface_buses)
-    # the monolithic path reads only the step, the horizon and the events
-    method = (CouplingMethod.PARALLEL
-              if scenario.method is RunMethod.PARALLEL
-              else CouplingMethod.SERIES)
-    schedule = CouplingSchedule(
-        method=method, h_macro=scenario.h_macro, t_end=scenario.t_end,
-        series_order=["T"] + sorted(dsubs), events=tuple(scenario.events))
+    for ev in scenario.events:
+        check_event(scenario.feeders, ev)
+    subsystems, dsubs, interface_buses = build_subsystems(scenario)
+    iterative_td_powerflow_init(subsystems["T"], dsubs, interface_buses)
+    schedule = CouplingSchedule(scenario.h_macro, scenario.t_end,
+                                tuple(scenario.events))
     snaps = {name: sorted(sub.snapshot()) for name, sub in subsystems.items()}
     if scenario.method is RunMethod.MONOLITHIC:
-        log = _run_monolithic(schedule, subsystems, interface_buses, snaps)
+        log = _run_monolithic(schedule, subsystems, dsubs, snaps)
     else:
-        log = run_cosimulation(schedule, subsystems, links,
-                               snapshot_channels=snaps)
+        log = run_cosimulation(schedule, subsystems,
+                               CouplingMethod(scenario.method.value), snaps)
     verdict = detect_convergence(log, _post_event_window(scenario))
     return RunResult(scenario=scenario.name, method=scenario.method,
                      h_macro=scenario.h_macro, log=log,
@@ -510,10 +526,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
 
 def _run_monolithic(schedule: CouplingSchedule, subsystems: dict,
-                    interface_buses: list[int], snaps: dict) -> TimeSeriesLog:
+                    dsubs: dict, snaps: dict) -> TimeSeriesLog:
     """March the stacked DAE; no interface data is exchanged."""
-    dsubs = {k: v for k, v in subsystems.items() if k != "T"}
-    mono = MonolithicDae(subsystems["T"], dsubs, interface_buses)
+    mono = MonolithicDae(subsystems["T"], dsubs)
     # the first record holds the stacked model's own source power
     mono.scatter(*mono.gather())
     newton = NewtonConfig()

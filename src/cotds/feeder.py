@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosim import CosimError, SubSystem
-from .integrators import rk_component_step
+from .integrators import NumericFailure, rk_component_step
 from .loads import InductionMotor, ZipLoadParams, zip_power
 
 __all__ = ["FeederBranch", "MotorUnit", "DistributionFeeder",
            "DistributionSubSystem", "FeederError"]
 
 
-class FeederError(RuntimeError):
+class FeederError(NumericFailure):
     pass
 
 

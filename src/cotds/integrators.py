@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "DaeSystem",
     "NewtonConfig",
+    "NumericFailure",
     "NewtonError",
     "StiffnessError",
     "trapezoidal_dae_step",
@@ -24,7 +25,11 @@ __all__ = [
 ]
 
 
-class NewtonError(RuntimeError):
+class NumericFailure(RuntimeError):
+    """A solver could not produce a result; the run's numerics failed."""
+
+
+class NewtonError(NumericFailure):
     """Newton iteration failed; carries the final residual norm."""
 
     def __init__(self, message, residual_norm):
@@ -32,7 +37,7 @@ class NewtonError(RuntimeError):
         self.residual_norm = residual_norm
 
 
-class StiffnessError(RuntimeError):
+class StiffnessError(NumericFailure):
     """Adaptive step size underflowed; the problem is too stiff."""
 
 

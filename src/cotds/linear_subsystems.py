@@ -1,18 +1,19 @@
-"""Half-system adapters wrapping the linear test system for the orchestrator.
+"""Half-system adapters wrapping the linear test system for ``cosim``.
 
 Splitting the coupled linear system into its A half (implicit trapezoidal
-over the macro step) and B half (n explicit Euler micro steps) and wiring
-them through ``cosim.run_cosimulation`` must reproduce the monolithic
-``linlab`` co-simulation steppers exactly: same arithmetic, same exchange
-schedule.
+over the macro step) and B half (n explicit Euler micro steps) and running
+them through ``cosim.run_cosimulation``, A as the hub and B as its one
+spoke, must reproduce the monolithic ``linlab`` co-simulation steppers
+exactly: both call the same half steps under the same exchange schedule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cosim import CouplingLink, SubSystem
-from .linlab import LinearCoupledParams, StateVec2
+from .cosim import SubSystem
+from .linlab import (LinearCoupledParams, StateVec2, euler_half_step,
+                     trapezoidal_half_step)
 
 __all__ = ["LinearHalfA", "LinearHalfB", "make_linear_pair"]
 
@@ -34,9 +35,8 @@ class LinearHalfA(SubSystem):
         self.current_input = np.asarray(u, dtype=float).copy()
 
     def advance(self, h):
-        u = self.current_input[0]
-        self.x = ((1.0 + 0.5 * self.lam * h) * self.x + h * u) \
-            / (1.0 - 0.5 * self.lam * h)
+        self.x = trapezoidal_half_step(self.lam, h, self.x,
+                                       self.current_input[0])
 
     def output(self):
         return np.array([self.k_out * self.x])
@@ -64,9 +64,8 @@ class LinearHalfB(SubSystem):
         self.current_input = np.asarray(u, dtype=float).copy()
 
     def advance(self, h):
-        u = self.current_input[0]
-        g = (1.0 + (h / self.n_micro) * self.lam) ** self.n_micro
-        self.x = g * self.x + (u / self.lam) * (g - 1.0)
+        self.x = euler_half_step(self.lam, h, self.n_micro, self.x,
+                                 self.current_input[0])
         if not np.isfinite(self.x):
             raise OverflowError("B half-system state overflowed")
 
@@ -78,18 +77,13 @@ class LinearHalfB(SubSystem):
 
 
 def make_linear_pair(p: LinearCoupledParams, x0: StateVec2, n_micro: int = 100):
-    """Sub-systems and links realizing the coupled test system.
+    """The hub A and its spoke B realizing the coupled test system.
 
-    A outputs y_a = k_b*x_a feeding B's input; B outputs y_b = -k_a*x_b
-    feeding A's input.  Initial inputs match the initial outputs, so the
-    pair starts interface-consistent at any x0.
+    A outputs y_a = k_b*x_a, B's input; B outputs y_b = -k_a*x_b, A's
+    input.  Initial inputs match the initial outputs, so the pair starts
+    interface-consistent at any x0.
     """
     a = LinearHalfA(p.lambda_a, p.k_b, x0.x_a, u0=-(p.k_a * x0.x_b))
     b = LinearHalfB(p.lambda_b, -p.k_a, x0.x_b, u0=p.k_b * x0.x_a,
                     n_micro=n_micro)
-    subsystems = {"A": a, "B": b}
-    links = [
-        CouplingLink("A", (0, 1), "B", (0, 1)),
-        CouplingLink("B", (0, 1), "A", (0, 1)),
-    ]
-    return subsystems, links
+    return {"A": a, "B": b}

@@ -31,6 +31,8 @@ __all__ = [
     "step_total_trapezoidal",
     "step_cosim_parallel",
     "step_cosim_series",
+    "trapezoidal_half_step",
+    "euler_half_step",
     "build_M_total",
     "build_M_cosim_parallel",
     "build_M_cosim_series",
@@ -218,29 +220,29 @@ def step_total_trapezoidal(p: LinearCoupledParams, h_macro: float,
     return StateVec2.from_array(np.linalg.solve(lhs, rhs))
 
 
-def _step_a_trapezoidal(p: LinearCoupledParams, h: float,
-                        x_a: float, x_b_frozen: float) -> float:
-    # (1 - 0.5*la*h) x_a+ = (1 + 0.5*la*h) x_a + h*u with u = -k_a*x_b frozen
-    # in both trapezoidal halves; arithmetic order shared with LinearHalfA
-    u = -(p.k_a * x_b_frozen)
-    return ((1.0 + 0.5 * p.lambda_a * h) * x_a + h * u) \
-        / (1.0 - 0.5 * p.lambda_a * h)
+def trapezoidal_half_step(lam: float, h: float, x: float, u: float) -> float:
+    """x' = lam*x + u over h by one implicit trapezoidal step, u frozen.
+
+    The A half's step: (1 - 0.5*lam*h) x+ = (1 + 0.5*lam*h) x + h*u.
+    """
+    return ((1.0 + 0.5 * lam * h) * x + h * u) / (1.0 - 0.5 * lam * h)
 
 
-def _step_b_euler(p: LinearCoupledParams, cfg: StepConfig,
-                  x_b: float, x_a_frozen: float) -> float:
-    # exact closed form of n Euler micro steps with constant input u = k_b*x_a;
-    # arithmetic order shared with LinearHalfB
-    u = p.k_b * x_a_frozen
-    g = _euler_growth(p, cfg)
-    return g * x_b + (u / p.lambda_b) * (g - 1.0)
+def euler_half_step(lam: float, h: float, n: int, x: float, u: float) -> float:
+    """x' = lam*x + u over h by n explicit Euler micro steps, u frozen.
+
+    The B half's step, in exact closed form.
+    """
+    g = (1.0 + (h / n) * lam) ** n
+    return g * x + (u / lam) * (g - 1.0)
 
 
 def step_cosim_parallel(p: LinearCoupledParams, cfg: StepConfig,
                         s: StateVec2) -> StateVec2:
     """One macro step with parallel coupling: both sides see old outputs."""
-    x_a1 = _step_a_trapezoidal(p, cfg.h_macro, s.x_a, s.x_b)
-    x_b1 = _step_b_euler(p, cfg, s.x_b, s.x_a)
+    h, n = cfg.h_macro, cfg.n_micro
+    x_a1 = trapezoidal_half_step(p.lambda_a, h, s.x_a, -(p.k_a * s.x_b))
+    x_b1 = euler_half_step(p.lambda_b, h, n, s.x_b, p.k_b * s.x_a)
     if not (math.isfinite(x_a1) and math.isfinite(x_b1)):
         raise OverflowError("co-simulation step produced a non-finite state")
     return StateVec2(x_a1, x_b1)
@@ -249,8 +251,9 @@ def step_cosim_parallel(p: LinearCoupledParams, cfg: StepConfig,
 def step_cosim_series(p: LinearCoupledParams, cfg: StepConfig,
                       s: StateVec2) -> StateVec2:
     """One macro step with series coupling: B sees the fresh A output."""
-    x_a1 = _step_a_trapezoidal(p, cfg.h_macro, s.x_a, s.x_b)
-    x_b1 = _step_b_euler(p, cfg, s.x_b, x_a1)
+    h, n = cfg.h_macro, cfg.n_micro
+    x_a1 = trapezoidal_half_step(p.lambda_a, h, s.x_a, -(p.k_a * s.x_b))
+    x_b1 = euler_half_step(p.lambda_b, h, n, s.x_b, p.k_b * x_a1)
     if not (math.isfinite(x_a1) and math.isfinite(x_b1)):
         raise OverflowError("co-simulation step produced a non-finite state")
     return StateVec2(x_a1, x_b1)

@@ -14,6 +14,8 @@ from importlib import resources
 
 import numpy as np
 
+from .integrators import NumericFailure
+
 __all__ = [
     "TransmissionNetwork",
     "PowerFlowResult",
@@ -23,7 +25,7 @@ __all__ = [
 ]
 
 
-class PowerFlowError(RuntimeError):
+class PowerFlowError(NumericFailure):
     pass
 
 

@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .cosim import Event, TimeSeriesLog
-from .engine import FeederSpec, MotorSpec, RunMethod, Scenario
+from .engine import FeederSpec, MotorSpec, RunMethod, Scenario, check_event
 from .feeder import FeederBranch
 from .loads import InductionMotorParams
 
@@ -103,31 +103,16 @@ def _parse_feeder(d, where):
                       motors=motors, active=v["active"])
 
 
-# the distribution events, and the parameter each one takes
-_EVENT_PARAMS = {"connect_motor": ("name", str),
-                 "disconnect_motor": ("name", str),
-                 "connect_feeder": ("index", int),
-                 "disconnect_feeder": ("index", int)}
-
-
 def _parse_event(d, where, feeders):
     """An event on ``D<bus>`` naming a motor or feeder index of that bus."""
     ev = _require(d, where, dict(time=float, target=str, action=str),
                   dict(params=(dict, {})))
-    target, action = ev["target"], ev["action"]
-    here = [fs for fs in feeders if f"D{fs.bus}" == target]
-    if not here:
-        raise SchemaError(f"{where}.target: no feeder on {target!r}")
-    if action not in _EVENT_PARAMS:
-        raise SchemaError(f"{where}.action: unknown action {action!r}")
-    key, typ = _EVENT_PARAMS[action]
-    params = _require(ev["params"], where + ".params", {key: typ})
-    known = ({m.name for fs in here for m in fs.motors} if key == "name"
-             else range(len(here)))
-    if params[key] not in known:
-        raise SchemaError(f"{where}.params.{key}: {params[key]!r} is not "
-                          f"one of {target}'s {sorted(known)}")
-    return Event(ev["time"], target, action, params)
+    event = Event(ev["time"], ev["target"], ev["action"], ev["params"])
+    try:
+        check_event(feeders, event)
+    except ValueError as exc:
+        raise SchemaError(f"{where}.{exc}") from None
+    return event
 
 
 def parse_scenario(doc: dict) -> Scenario:

@@ -3,13 +3,12 @@ import pytest
 
 from cotds.cosim import (
     CosimError,
-    CouplingLink,
     CouplingMethod,
     CouplingSchedule,
     Event,
     SubSystem,
+    interface_mismatch,
     run_cosimulation,
-    verify_initial_consistency,
 )
 from cotds.linear_subsystems import LinearHalfA, LinearHalfB, make_linear_pair
 from cotds.linlab import (
@@ -47,9 +46,12 @@ class Recorder(SubSystem):
             super().apply_event(action, params)
 
 
-def linear_schedule(method, h, t_end, events=()):
-    return CouplingSchedule(method=method, h_macro=h, t_end=t_end,
-                            series_order=["A", "B"], events=events)
+class Hub(Recorder):
+    """A recorder whose every output grows by 10 in each step."""
+
+    def advance(self, h):
+        super().advance(h)
+        self.out_value = self.out_value + 10.0
 
 
 class TestAgainstLinlabSteppers:
@@ -60,9 +62,9 @@ class TestAgainstLinlabSteppers:
     ])
     def test_reproduces_monolithic_stepper(self, p, method, scheme):
         x0 = StateVec2(0.7, -0.4)
-        subsystems, links = make_linear_pair(p, x0, n_micro=50)
-        log = run_cosimulation(linear_schedule(method, 0.2, 4.0), subsystems,
-                               links, snapshot_channels={"A": ["x"], "B": ["x"]})
+        subsystems = make_linear_pair(p, x0, n_micro=50)
+        log = run_cosimulation(CouplingSchedule(0.2, 4.0), subsystems, method,
+                               snapshot_channels={"A": ["x"], "B": ["x"]})
         ref = simulate_linear(p, x0, 0.2, 50, 4.0, scheme)
         xa = log.channel("A.x")
         xb = log.channel("B.x")
@@ -70,27 +72,16 @@ class TestAgainstLinlabSteppers:
         assert np.array_equal(xa, ref.states[:, 0])
         assert np.array_equal(xb, ref.states[:, 1])
 
-    def test_zero_links_standalone_evolution(self):
-        x0 = StateVec2(1.0, 1.0)
-        subsystems, _ = make_linear_pair(P2, x0)
-        # B's input is frozen at its initial value; A's likewise
-        log = run_cosimulation(linear_schedule(CouplingMethod.PARALLEL, 0.1, 1.0),
-                               subsystems, [], snapshot_channels={"A": ["x"]})
-        x = 1.0
-        for _ in range(10):
-            x = ((1 - 0.05) * x + 0.1 * (-2.0)) / (1 + 0.05)
-        assert log.channel("A.x")[-1] == pytest.approx(x, abs=1e-12)
-
     def test_t_end_zero_single_record(self):
-        subsystems, links = make_linear_pair(P1, StateVec2(1, 1))
-        log = run_cosimulation(linear_schedule(CouplingMethod.SERIES, 0.1, 0.0),
-                               subsystems, links)
+        log = run_cosimulation(CouplingSchedule(0.1, 0.0),
+                               make_linear_pair(P1, StateVec2(1, 1)),
+                               CouplingMethod.SERIES)
         assert len(log.times) == 1 and log.times[0] == 0.0
 
     def test_divergence_truncates_with_flag(self):
-        subsystems, links = make_linear_pair(P2, StateVec2(1, 1), n_micro=100)
-        log = run_cosimulation(linear_schedule(CouplingMethod.PARALLEL, 5.0, 2e4),
-                               subsystems, links)
+        subsystems = make_linear_pair(P2, StateVec2(1, 1), n_micro=100)
+        log = run_cosimulation(CouplingSchedule(5.0, 2e4), subsystems,
+                               CouplingMethod.PARALLEL)
         assert log.diverged
         assert log.failure is not None
         assert len(log.times) < 4001
@@ -100,14 +91,11 @@ class TestExchangeSemantics:
     def test_parallel_uses_start_of_step_outputs(self):
         a = Recorder(out_value=1.0)
         b = Recorder(out_value=10.0)
-        links = [CouplingLink("A", (0, 1), "B", (0, 1)),
-                 CouplingLink("B", (0, 1), "A", (0, 1))]
         a.current_input = np.array([10.0])
         b.current_input = np.array([1.0])
-        sched = CouplingSchedule(CouplingMethod.PARALLEL, 1.0, 2.0,
-                                 events=[Event(1.0, "A", "set_output",
-                                               {"value": 5.0})])
-        run_cosimulation(sched, {"A": a, "B": b}, links)
+        sched = CouplingSchedule(1.0, 2.0, events=[
+            Event(1.0, "A", "set_output", {"value": 5.0})])
+        run_cosimulation(sched, {"A": a, "B": b}, CouplingMethod.PARALLEL)
         # step at t in [1,2): A's output changed to 5 at the boundary, B sees it
         assert b.seen[0][0] == 1.0
         assert b.seen[1][0] == 5.0
@@ -129,89 +117,64 @@ class TestExchangeSemantics:
 
         src = Counter()
         sink = Recorder(out_value=0.0)
-        links = [CouplingLink("SRC", (0, 1), "SINK", (0, 1))]
-        sched = CouplingSchedule(CouplingMethod.SERIES, 1.0, 3.0,
-                                 series_order=["SRC", "SINK"])
-        run_cosimulation(sched, {"SRC": src, "SINK": sink}, links)
+        run_cosimulation(CouplingSchedule(1.0, 3.0),
+                         {"SRC": src, "SINK": sink}, CouplingMethod.SERIES)
         # sink's step-i input equals source's step-(i+1) output
         assert [u[0] for u in sink.seen] == [1.0, 2.0, 3.0]
-
-    def test_series_same_tier_order_permutation(self):
-        def build():
-            src = Recorder(out_value=3.0)
-            d1, d2 = Recorder(out_value=0.0), Recorder(out_value=0.0)
-            d1.current_input = np.array([3.0])
-            d2.current_input = np.array([3.0])
-            links = [CouplingLink("T", (0, 1), "D1", (0, 1)),
-                     CouplingLink("T", (0, 1), "D2", (0, 1))]
-            return src, d1, d2, links
-
-        seen = []
-        for order in (["T", "D1", "D2"], ["T", "D2", "D1"]):
-            src, d1, d2, links = build()
-            sched = CouplingSchedule(CouplingMethod.SERIES, 1.0, 2.0,
-                                     series_order=order)
-            run_cosimulation(sched, {"T": src, "D1": d1, "D2": d2}, links)
-            seen.append((d1.seen, d2.seen))
-        assert seen[0] == seen[1]
 
     def test_determinism(self):
         logs = []
         for _ in range(2):
-            subsystems, links = make_linear_pair(P2, StateVec2(1, 1))
-            sched = linear_schedule(CouplingMethod.SERIES, 0.25, 5.0,
-                                    events=[Event(2.0, "B", "noop_unknown")])
+            sched = CouplingSchedule(0.25, 5.0,
+                                     events=[Event(2.0, "B", "noop_unknown")])
             with pytest.raises(CosimError):
-                run_cosimulation(sched, subsystems, links)
-            subsystems, links = make_linear_pair(P2, StateVec2(1, 1))
-            sched = linear_schedule(CouplingMethod.SERIES, 0.25, 5.0)
-            logs.append(run_cosimulation(sched, subsystems, links).as_array())
+                run_cosimulation(sched, make_linear_pair(P2, StateVec2(1, 1)),
+                                 CouplingMethod.SERIES)
+            logs.append(run_cosimulation(
+                CouplingSchedule(0.25, 5.0),
+                make_linear_pair(P2, StateVec2(1, 1)),
+                CouplingMethod.SERIES).as_array())
         assert np.array_equal(logs[0], logs[1])
 
-    def test_three_tier_rejected(self):
-        a, b, c = Recorder(1.0), Recorder(2.0), Recorder(3.0)
-        b.current_input = np.array([1.0])
-        c.current_input = np.array([2.0])
-        links = [CouplingLink("A", (0, 1), "B", (0, 1)),
-                 CouplingLink("B", (0, 1), "C", (0, 1))]
-        sched = CouplingSchedule(CouplingMethod.SERIES, 1.0, 1.0,
-                                 series_order=["A", "B", "C"])
-        with pytest.raises(CosimError, match="two tiers"):
-            run_cosimulation(sched, {"A": a, "B": b, "C": c}, links)
-
-    def test_duplicate_sink_index_rejected(self):
-        a, b = Recorder(1.0), Recorder(2.0)
-        links = [CouplingLink("A", (0, 1), "B", (0, 1)),
-                 CouplingLink("A", (0, 1), "B", (0, 1))]
-        with pytest.raises(CosimError, match="fed by two links"):
-            run_cosimulation(CouplingSchedule(CouplingMethod.PARALLEL, 1.0, 1.0),
-                             {"A": a, "B": b}, links)
+    @pytest.mark.parametrize("method,shift", [
+        (CouplingMethod.PARALLEL, 0.0), (CouplingMethod.SERIES, 10.0)])
+    def test_hub_output_sliced_to_spokes(self, method, shift):
+        hub = Hub(out_value=[1.0, 2.0, 3.0], n_in=3)
+        hub.current_input = np.array([4.0, 5.0, 6.0])
+        s1 = Recorder(out_value=[4.0, 5.0])
+        s1.current_input = np.array([1.0])
+        s2 = Recorder(out_value=6.0, n_in=2)
+        s2.current_input = np.array([2.0, 3.0])
+        run_cosimulation(CouplingSchedule(1.0, 2.0),
+                         {"H": hub, "S1": s1, "S2": s2}, method)
+        # each spoke's slice is as long as its input, whatever its output;
+        # series hands the spokes the hub's output after its step
+        assert [list(u) for u in s1.seen] == [[1.0 + shift], [11.0 + shift]]
+        assert [list(u) for u in s2.seen] == [[2.0 + shift, 3.0 + shift],
+                                              [12.0 + shift, 13.0 + shift]]
+        assert [list(u) for u in hub.seen] == [[4.0, 5.0, 6.0]] * 2
 
 
 class TestInitialConsistency:
     def test_steady_pair_consistent(self):
-        subsystems, links = make_linear_pair(P1, StateVec2(0.3, 0.9))
-        report = verify_initial_consistency(subsystems, links, 1e-9)
-        assert report.consistent
-        assert report.worst <= 1e-9
+        gaps = interface_mismatch(make_linear_pair(P1, StateVec2(0.3, 0.9)))
+        assert list(gaps) == ["B"]
+        assert gaps["B"] <= 1e-9
 
     def test_perturbed_input_flagged(self):
-        subsystems, links = make_linear_pair(P1, StateVec2(0.3, 0.9))
+        subsystems = make_linear_pair(P1, StateVec2(0.3, 0.9))
         subsystems["B"].current_input = subsystems["B"].current_input + 0.1
-        report = verify_initial_consistency(subsystems, links, 1e-9)
-        flagged = report.flagged()
-        assert len(flagged) == 1
-        assert flagged[0][1] == "B"
-        assert report.mismatches[flagged[0]] == pytest.approx(0.1, abs=1e-12)
+        gaps = interface_mismatch(subsystems)
+        assert list(gaps) == ["B"]
+        assert gaps["B"] == pytest.approx(0.1, abs=1e-12)
 
     def test_run_refuses_inconsistent_start(self):
-        subsystems, links = make_linear_pair(P1, StateVec2(0.3, 0.9))
+        subsystems = make_linear_pair(P1, StateVec2(0.3, 0.9))
         subsystems["B"].current_input = subsystems["B"].current_input + 0.5
         with pytest.raises(CosimError, match="inconsistent initialization"):
-            run_cosimulation(linear_schedule(CouplingMethod.PARALLEL, 0.1, 1.0),
-                             subsystems, links)
+            run_cosimulation(CouplingSchedule(0.1, 1.0), subsystems,
+                             CouplingMethod.PARALLEL)
 
     def test_event_outside_horizon_rejected(self):
         with pytest.raises(ValueError):
-            CouplingSchedule(CouplingMethod.PARALLEL, 0.1, 1.0,
-                             events=[Event(2.0, "A", "x")])
+            CouplingSchedule(0.1, 1.0, events=[Event(2.0, "A", "x")])

@@ -132,7 +132,7 @@ class TestDetector:
 
     def test_subsystem_failure_mid_run_not_converged(self, monkeypatch):
         p = LinearCoupledParams(-1.0, -2.0, 2.0, 2.0)
-        subsystems, links = make_linear_pair(p, StateVec2(1.0, 1.0))
+        subsystems = make_linear_pair(p, StateVec2(1.0, 1.0))
         a = subsystems["A"]
         advance = a.advance
         calls = []
@@ -144,9 +144,8 @@ class TestDetector:
             advance(h)
 
         monkeypatch.setattr(a, "advance", failing_advance)
-        schedule = CouplingSchedule(CouplingMethod.SERIES, 0.1, 10.0,
-                                    series_order=["A", "B"])
-        log = run_cosimulation(schedule, subsystems, links)
+        log = run_cosimulation(CouplingSchedule(0.1, 10.0), subsystems,
+                               CouplingMethod.SERIES)
         # the step to t = 2.1 s of 10 s fails; no divergence flag is set
         assert log.failure is not None and not log.diverged
         assert len(log.times) == 21
@@ -282,6 +281,35 @@ class TestRunScenario:
         assert (logs[RunMethod.SERIES].columns
                 == logs[RunMethod.PARALLEL].columns
                 == logs[RunMethod.MONOLITHIC].columns)
+
+    @pytest.mark.parametrize("method", list(RunMethod))
+    def test_programming_error_propagates(self, method, monkeypatch):
+        # a TypeError is a bug, not a numeric failure: it must not be
+        # logged as a truncated run
+        calls = []
+
+        def buggy_step(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise TypeError("bug")
+            return trapezoidal_dae_step(*args)
+
+        monkeypatch.setattr(transmission, "trapezoidal_dae_step", buggy_step)
+        monkeypatch.setattr(engine, "trapezoidal_dae_step", buggy_step)
+        with pytest.raises(TypeError, match="bug"):
+            run_scenario(quick_scenario(method=method, t_end=0.1))
+
+    @pytest.mark.parametrize("method", [RunMethod.SERIES,
+                                        RunMethod.MONOLITHIC])
+    def test_bad_event_rejected_before_building(self, method, monkeypatch):
+        def build(scenario):
+            raise AssertionError("built before the events were checked")
+
+        monkeypatch.setattr(engine, "build_subsystems", build)
+        s = quick_scenario(method=method, fixture="testcase2")
+        s.events = [Event(0.02, "D9", "connect_feeder", {"index": 1})]
+        with pytest.raises(ValueError, match="no feeder on 'D9'"):
+            run_scenario(s)
 
     def test_channels_present(self):
         s = quick_scenario()

@@ -103,11 +103,6 @@ class TestParse:
         with pytest.raises((SchemaError, ValueError)):
             parse_scenario(doc)
 
-    def test_without_events(self):
-        s = parse_scenario(fixture_doc())
-        bare = s.without_events()
-        assert bare.events == [] and s.events
-
 
 class TestCsv:
     def make_log(self):
