@@ -168,6 +168,9 @@ def cmd_cotds_run(args) -> int:
                  f"steps: {len(result.log.times)}\n")
         if result.log.failure:
             fh.write(f"failure: {result.log.failure}\n")
+        for owner, counters in result.newton.items():
+            for name, n in counters.items():
+                fh.write(f"newton.{owner}.{name}: {n}\n")
     print(f"{result.verdict.value} ({summary})")
     if result.log.failure:
         print(f"numeric error: {result.log.failure}", file=sys.stderr)

@@ -27,7 +27,8 @@ from .cosim import (CouplingMethod, CouplingSchedule, Event, TimeSeriesLog,
                     march, run_cosimulation)
 from .feeder import (DistributionFeeder, DistributionSubSystem, FeederBranch,
                      MotorUnit)
-from .integrators import DaeSystem, NewtonConfig, trapezoidal_dae_step
+from .integrators import (DaeSystem, JacobianCache, NewtonConfig,
+                          trapezoidal_dae_step)
 from .loads import InductionMotor, InductionMotorParams, ZipLoadParams
 from .loads import zip_power  # noqa: F401  (bench/tracing.py patches it here)
 from .machines import GeneratorBank
@@ -115,12 +116,21 @@ class Scenario:
 
 @dataclass
 class RunResult:
+    """One run's log, verdict and cost.
+
+    ``newton`` maps the owner of each trapezoidal Newton solve (``T`` in
+    co-simulation, ``monolithic`` for the stacked DAE) to its counters:
+    Jacobian builds, residual evaluations, steps solved with a reused
+    Jacobian, and fallbacks to the full Newton.
+    """
+
     scenario: str
     method: RunMethod
     h_macro: float
     log: TimeSeriesLog
     verdict: Verdict
     wall_time: float
+    newton: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
 # the distribution events, and the parameter each one takes
@@ -507,6 +517,9 @@ def _post_event_window(scenario: Scenario) -> tuple[float, float]:
 
 def run_scenario(scenario: Scenario) -> RunResult:
     t_start = time.perf_counter()
+    if not scenario.feeders:
+        raise ValueError("scenario has no feeders: a T-D run needs at "
+                         "least one")
     for ev in scenario.events:
         check_event(scenario.feeders, ev)
     subsystems, dsubs, interface_buses = build_subsystems(scenario)
@@ -515,31 +528,41 @@ def run_scenario(scenario: Scenario) -> RunResult:
                                 tuple(scenario.events))
     snaps = {name: sorted(sub.snapshot()) for name, sub in subsystems.items()}
     if scenario.method is RunMethod.MONOLITHIC:
-        log = _run_monolithic(schedule, subsystems, dsubs, snaps)
+        log, cache = _run_monolithic(schedule, subsystems, dsubs, snaps)
+        newton = {"monolithic": cache.counters()}
     else:
         log = run_cosimulation(schedule, subsystems,
                                CouplingMethod(scenario.method.value), snaps)
+        newton = {"T": subsystems["T"].newton_cache.counters()}
     verdict = detect_convergence(log, _post_event_window(scenario))
     return RunResult(scenario=scenario.name, method=scenario.method,
                      h_macro=scenario.h_macro, log=log,
-                     verdict=verdict, wall_time=time.perf_counter() - t_start)
+                     verdict=verdict, wall_time=time.perf_counter() - t_start,
+                     newton=newton)
 
 
 def _run_monolithic(schedule: CouplingSchedule, subsystems: dict,
-                    dsubs: dict, snaps: dict) -> TimeSeriesLog:
-    """March the stacked DAE; no interface data is exchanged."""
+                    dsubs: dict, snaps: dict
+                    ) -> tuple[TimeSeriesLog, JacobianCache]:
+    """March the stacked DAE; no interface data is exchanged.
+
+    Returns the log and the stacked DAE's Jacobian cache, which every
+    event clears: an event changes which feeders the DAE holds.
+    """
     mono = MonolithicDae(subsystems["T"], dsubs)
     # the first record holds the stacked model's own source power
     mono.scatter(*mono.gather())
-    newton = NewtonConfig()
+    newton, cache = NewtonConfig(), JacobianCache()
 
     def step(h):
-        x, y = trapezoidal_dae_step(mono, *mono.gather(), None, h, newton)
+        x, y = trapezoidal_dae_step(mono, *mono.gather(), None, h, newton,
+                                    cache)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise OverflowError("monolithic state is non-finite")
         mono.scatter(x, y)
 
     def fire(ev):
         dsubs[ev.target].switch(ev.action, ev.params)
+        cache.clear()
 
-    return march(schedule, subsystems, step, fire, snaps)
+    return march(schedule, subsystems, step, fire, snaps), cache

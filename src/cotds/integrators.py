@@ -5,6 +5,16 @@ Two kernels: an implicit trapezoidal step for small dense DAE systems
 an adaptive embedded Runge-Kutta 4(5) (Dormand-Prince) integrator for
 node-level component dynamics.  All systems here are small and dense; no
 sparsity is exploited.
+
+A trapezoidal step handed a ``JacobianCache`` first tries the simplified
+(modified) Newton of DASSL and of Hairer & Wanner: it iterates from the
+predictor with the cached Jacobian, and keeps each update only while the
+residual norm stays finite and falls to at most ``CONTRACTION`` times the
+previous one.  At the first update that does not, or on a singular
+solve, it drops the attempt and solves the step again from the predictor
+with the full damped Newton (a fresh Jacobian every iteration), whose
+last Jacobian it caches.  Only that full Newton raises ``NewtonError``.
+A step of another ``h`` drops the cached Jacobian.
 """
 
 from __future__ import annotations
@@ -17,6 +27,8 @@ import numpy as np
 __all__ = [
     "DaeSystem",
     "NewtonConfig",
+    "JacobianCache",
+    "CONTRACTION",
     "NumericFailure",
     "NewtonError",
     "StiffnessError",
@@ -84,9 +96,85 @@ def _fd_jacobian(res: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
     return jac
 
 
+# a reused Jacobian is kept while every update shrinks the residual norm
+# to at most this fraction of the one before
+CONTRACTION = 0.5
+
+
+class JacobianCache:
+    """The last FD Jacobian of one DAE's trapezoidal residual, for reuse.
+
+    ``h`` is the step the Jacobian was built for.  The counters add up
+    over every step solved through the cache: Jacobian builds, residual
+    evaluations, steps solved with the cached Jacobian, and fallbacks to
+    the full Newton after a reuse attempt was dropped.
+    """
+
+    def __init__(self):
+        self.jac: np.ndarray | None = None
+        self.h: float | None = None
+        self.jacobian_builds = 0
+        self.residual_evals = 0
+        self.reused_steps = 0
+        self.fallbacks = 0
+
+    def clear(self) -> None:
+        """Drop the Jacobian; the next step builds a fresh one."""
+        self.jac = None
+
+    def counters(self) -> dict[str, int]:
+        return {"jacobian_builds": self.jacobian_builds,
+                "residual_evals": self.residual_evals,
+                "reused_steps": self.reused_steps,
+                "fallbacks": self.fallbacks}
+
+    def solve(self, res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
+              h: float, cfg: NewtonConfig) -> np.ndarray:
+        """res(z) = 0 from z0: reuse the Jacobian, else the full Newton."""
+        def counted(z):
+            self.residual_evals += 1
+            return res(z)
+
+        if h != self.h:
+            self.jac, self.h = None, h
+        if self.jac is not None:
+            z = _reuse_solve(counted, z0, self.jac, cfg)
+            if z is not None:
+                self.reused_steps += 1
+                return z
+            self.fallbacks += 1
+        return _newton_solve(counted, z0, cfg, self)
+
+
+def _reuse_solve(res, z0, jac, cfg):
+    """Simplified Newton with a fixed Jacobian, or None once an update
+    is singular or fails to contract, or the iterations run out."""
+    z = z0.copy()
+    r = res(z)
+    rnorm = np.linalg.norm(r)
+    for _ in range(cfg.max_iterations):
+        if rnorm <= cfg.residual_tolerance:
+            return z
+        try:
+            z = z + np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            return None
+        r = res(z)
+        rnorm_new = np.linalg.norm(r)
+        if not (np.isfinite(rnorm_new) and rnorm_new <= CONTRACTION * rnorm):
+            return None
+        rnorm = rnorm_new
+    return z if rnorm <= cfg.residual_tolerance else None
+
+
 def _newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
-                  cfg: NewtonConfig) -> np.ndarray:
-    """Damped Newton on res(z) = 0 starting from z0."""
+                  cfg: NewtonConfig,
+                  cache: JacobianCache | None = None) -> np.ndarray:
+    """Damped Newton on res(z) = 0 starting from z0.
+
+    ``cache``, when given, keeps every Jacobian built, the last one
+    winning, and counts the builds.
+    """
     z = z0.copy()
     r = res(z)
     rnorm = np.linalg.norm(r)
@@ -94,6 +182,9 @@ def _newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
         if rnorm <= cfg.residual_tolerance:
             return z
         jac = _fd_jacobian(res, z, r, cfg.fd_epsilon)
+        if cache is not None:
+            cache.jac = jac
+            cache.jacobian_builds += 1
         try:
             dz = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -115,11 +206,18 @@ def _newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
 
 def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
                          h: float, cfg: NewtonConfig | None = None,
+                         cache: JacobianCache | None = None,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """One implicit trapezoidal step of the DAE, input u held constant.
 
     Solves x1 = x + h/2 (f(x,y,u) + f(x1,y1,u)) together with
-    g(x1,y1,u) = 0 by damped Newton on the stacked residual.
+    g(x1,y1,u) = 0 on the stacked residual, from the explicit Euler
+    predictor.  Without ``cache`` every step runs the damped Newton with
+    a fresh FD Jacobian each iteration.  With one it first iterates with
+    the cached Jacobian and falls back to that full Newton when an update
+    leaves the residual norm above ``CONTRACTION`` times the previous one
+    (see the module docstring).  Either way the root meets the same residual
+    tolerance.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -136,7 +234,10 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
         return rx
 
     z0 = np.concatenate([x + h * f0, y]) if ny else x + h * f0
-    z = _newton_solve(residual, z0, cfg)
+    if cache is None:
+        z = _newton_solve(residual, z0, cfg)
+    else:
+        z = cache.solve(residual, z0, h, cfg)
     return z[:nx].copy(), z[nx:].copy()
 
 

@@ -131,6 +131,8 @@ def parse_scenario(doc: dict) -> Scenario:
     channels = outputs["channels"]
     if not all(isinstance(c, str) for c in channels):
         raise SchemaError("outputs.channels: expected strings")
+    if not v["feeders"]:
+        raise SchemaError("feeders: a T-D scenario needs at least one feeder")
     feeders = [_parse_feeder(f, f"feeders[{i}]")
                for i, f in enumerate(v["feeders"])]
     events = [_parse_event(e, f"events[{i}]", feeders)

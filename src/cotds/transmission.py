@@ -11,10 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .cosim import CosimError, SubSystem
-from .integrators import DaeSystem, NewtonConfig, trapezoidal_dae_step
+from .integrators import (DaeSystem, JacobianCache, NewtonConfig,
+                          trapezoidal_dae_step)
 from .loads import ZipLoadParams, zip_power
 from .machines import N_GEN_STATES, GeneratorBank
-from .power_network import TransmissionNetwork, newton_power_flow
+from .power_network import (PowerFlowError, TransmissionNetwork,
+                            newton_power_flow)
 
 __all__ = ["TransmissionDae", "TransmissionSubSystem"]
 
@@ -72,13 +74,18 @@ class TransmissionDae(DaeSystem):
 
 
 class TransmissionSubSystem(SubSystem):
-    """Input: consumed [P, Q] per interface bus.  Output: [e, f] per bus."""
+    """Input: consumed [P, Q] per interface bus.  Output: [e, f] per bus.
+
+    ``newton_cache`` carries the trapezoidal Jacobian from one macro step
+    to the next, and the step's Newton counters.
+    """
 
     def __init__(self, name: str, dae: TransmissionDae,
                  newton: NewtonConfig | None = None):
         self.name = name
         self.dae = dae
         self.newton = newton or NewtonConfig()
+        self.newton_cache = JacobianCache()
         self.current_input = np.zeros(2 * len(dae.interface_buses))
         self.x = np.zeros(dae.n_x)
         self.y = np.zeros(dae.n_y)
@@ -87,14 +94,15 @@ class TransmissionSubSystem(SubSystem):
         """Power-flow start: interface powers become constant-P loads.
 
         Voltage-dependent ZIP loads are handled by a small fixed-point
-        loop around the constant-power solver.
+        loop around the constant-power solver; it raises
+        ``PowerFlowError`` when 50 passes leave the load-bus voltage
+        magnitudes still moving.
         """
         self.current_input = np.asarray(inputs, dtype=float).copy()
         dae = self.dae
         s_if = {bus: complex(inputs[2 * k], inputs[2 * k + 1])
                 for k, bus in enumerate(dae.interface_buses)}
         vmag = {bus: 1.0 for bus in dae.static_loads}
-        pf = None
         for _ in range(50):
             loads = {bus: zip_power(zl, vmag[bus])
                      for bus, zl in dae.static_loads.items()}
@@ -107,6 +115,9 @@ class TransmissionSubSystem(SubSystem):
             vmag = new_vmag
             if worst < 1e-13:
                 break
+        else:
+            raise PowerFlowError("ZIP load fixed point did not converge "
+                                 f"(last voltage change {worst:.3e})")
         vg = pf.v[dae._gen_idx]
         self.x = dae.bank.initialize(vg, pf.s_gen)
         self.y = dae.pack_voltages(pf.v)
@@ -116,7 +127,8 @@ class TransmissionSubSystem(SubSystem):
 
     def advance(self, h: float) -> None:
         self.x, self.y = trapezoidal_dae_step(
-            self.dae, self.x, self.y, self.current_input, h, self.newton)
+            self.dae, self.x, self.y, self.current_input, h, self.newton,
+            self.newton_cache)
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise OverflowError("transmission state is non-finite")
 

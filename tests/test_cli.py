@@ -4,10 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from cotds import transmission
-from cotds.cli import EXIT_NUMERIC, EXIT_SCHEMA, main
+from cotds import cli, transmission
+from cotds.cli import EXIT_NUMERIC, EXIT_SCHEMA, EXIT_USAGE, main
 from cotds.integrators import NewtonError
-from cotds.scenario_io import fixture_path, read_csv
+from cotds.scenario_io import fixture_path, load_scenario, read_csv
 
 
 def run_cli(*argv):
@@ -116,6 +116,50 @@ class TestRunAndCompare:
                      "--out-dir", str(tmp_path / "flag_out"))
         assert rc == 0
         assert os.path.isfile(os.path.join(env_dir, "run.csv"))
+
+    def test_summary_reports_newton_counters(self, tmp_path):
+        # the full testcase1 series run: 2500 trapezoidal steps of T
+        out = str(tmp_path / "run")
+        assert run_cli("cotds", "run", fixture_path("testcase1"),
+                       "--method", "series", "--out-dir", out) == 0
+        with open(os.path.join(out, "summary.txt")) as fh:
+            summary = dict(line.rstrip("\n").split(": ", 1) for line in fh)
+        assert summary["verdict"] == "Converged"
+        assert summary["steps"] == "2501"
+        counts = {k.split(".")[-1]: int(v) for k, v in summary.items()
+                  if k.startswith("newton.T.")}
+        assert set(counts) == {"jacobian_builds", "residual_evals",
+                               "reused_steps", "fallbacks"}
+        # one residual evaluation per step at least; a full Newton with a
+        # fresh 36-column Jacobian per iteration took 51 784
+        assert 2500 <= counts["residual_evals"] <= 3 * 2500
+        # a Jacobian build per iterating step would be over a thousand
+        assert counts["jacobian_builds"] <= 25
+        assert counts["reused_steps"] >= 500
+
+    def test_no_feeders_is_schema_error(self, tmp_path):
+        with open(fixture_path("testcase1")) as fh:
+            doc = json.load(fh)
+        doc["feeders"], doc["events"] = [], []
+        path = str(tmp_path / "empty.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert run_cli("cotds", "run", path) == EXIT_SCHEMA
+
+    def test_no_feeders_built_in_code_is_usage_error(self, tmp_path,
+                                                     monkeypatch, capsys):
+        def load(path):
+            s = load_scenario(path)
+            s.feeders, s.events = [], []
+            return s
+
+        monkeypatch.setattr(cli, "load_scenario", load)
+        out = str(tmp_path / "out")
+        rc = run_cli("cotds", "run", fixture_path("testcase1"),
+                     "--out-dir", out)
+        assert rc == EXIT_USAGE
+        assert "no feeders" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_truncated_run_exits_numeric(self, tmp_path, monkeypatch, capsys):
         advance = transmission.TransmissionSubSystem.advance

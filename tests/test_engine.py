@@ -320,3 +320,57 @@ class TestRunScenario:
     def test_wall_time_recorded(self):
         r = run_scenario(quick_scenario(t_end=0.1))
         assert r.wall_time > 0.0
+
+    @pytest.mark.parametrize("method", list(RunMethod))
+    def test_newton_counters_per_owner(self, method):
+        r = run_scenario(quick_scenario(method=method, t_end=0.3,
+                                        events=True))
+        owner = "monolithic" if method is RunMethod.MONOLITHIC else "T"
+        assert set(r.newton) == {owner}
+        counts = r.newton[owner]
+        # one residual evaluation at least per trapezoidal step; the
+        # motor start makes the steps after it iterate
+        assert counts["residual_evals"] >= 30
+        assert 1 <= counts["jacobian_builds"] < 30
+        assert counts["reused_steps"] > 0
+
+    @pytest.mark.parametrize("method", [RunMethod.SERIES,
+                                        RunMethod.MONOLITHIC])
+    def test_no_feeders_rejected_before_building(self, method, monkeypatch):
+        def build(scenario):
+            raise AssertionError("built a scenario with no feeders")
+
+        monkeypatch.setattr(engine, "build_subsystems", build)
+        s = quick_scenario(method=method)
+        s.feeders = []
+        with pytest.raises(ValueError, match="no feeders"):
+            run_scenario(s)
+
+
+class TestLongHorizon:
+    """testcase1 at H = 0.6 over 60 s: series stays stable, parallel not.
+
+    The spectral radius of the linearised macro step about the
+    post-event state is 0.9985 (parallel) and 0.9846 (series) at H = 0.5,
+    and 1.305 and 1.166 at H = 1.0: both stability limits lie between,
+    parallel's the lower.  The fixture's 15 s horizon is too short to
+    tell at H = 0.6.  Over 60 s the parallel run grows until the
+    transmission Newton fails at t = 30.6 s, and the series run settles.
+    """
+
+    def run(self, method):
+        s = load_scenario(fixture_path("testcase1"))
+        s.method, s.h_macro, s.t_end = method, 0.6, 60.0
+        return run_scenario(s)
+
+    def test_parallel_fails(self):
+        r = self.run(RunMethod.PARALLEL)
+        assert r.verdict is Verdict.DIVERGED
+        assert r.log.failure.startswith(
+            "sub-system failure at t=30.6: Newton did not converge")
+
+    def test_series_converges(self):
+        r = self.run(RunMethod.SERIES)
+        assert r.log.failure is None
+        assert r.verdict is Verdict.CONVERGED
+        assert r.log.times[-1] == pytest.approx(60.0)

@@ -5,6 +5,7 @@ import pytest
 
 from cotds.integrators import (
     DaeSystem,
+    JacobianCache,
     NewtonConfig,
     NewtonError,
     rk_component_step,
@@ -52,6 +53,29 @@ class WithAlgebraic(DaeSystem):
         return y - 0.5 * x
 
 
+class Pendulum(DaeSystem):
+    """Nonlinear pendulum with its restoring force as an algebraic unknown:
+    x0' = x1, x1' = -y, 0 = y - sin(x0)."""
+
+    n_x, n_y = 2, 1
+
+    def f(self, x, y, u):
+        return np.array([x[1], -y[0]])
+
+    def g(self, x, y, u):
+        return np.array([y[0] - math.sin(x[0])])
+
+
+class NoRoot(DaeSystem):
+    n_x, n_y = 1, 1
+
+    def f(self, x, y, u):
+        return -x
+
+    def g(self, x, y, u):
+        return y * y + 1.0  # no real root
+
+
 class TestTrapezoidalDae:
     def test_scalar_closed_form(self):
         x1, _ = trapezoidal_dae_step(ScalarDecay(-1.0), [1.0], [], None, 0.1)
@@ -86,15 +110,6 @@ class TestTrapezoidalDae:
         assert calls["n"] <= 1 + 2 * 3
 
     def test_nonconvergence_raises(self):
-        class NoRoot(DaeSystem):
-            n_x, n_y = 1, 1
-
-            def f(self, x, y, u):
-                return -x
-
-            def g(self, x, y, u):
-                return y * y + 1.0  # no real root
-
         with pytest.raises(NewtonError):
             trapezoidal_dae_step(NoRoot(), [1.0], [0.0], None, 0.1,
                                  NewtonConfig(max_iterations=8))
@@ -104,6 +119,72 @@ class TestTrapezoidalDae:
             NewtonConfig(max_iterations=0)
         with pytest.raises(ValueError):
             NewtonConfig(residual_tolerance=0.0)
+
+
+class TestJacobianReuse:
+    TIGHT = NewtonConfig(residual_tolerance=1e-12)
+
+    def march(self, h, n, cache=None, x=(1.2, 0.0)):
+        x, y = np.array(x), np.array([math.sin(x[0])])
+        for _ in range(n):
+            x, y = trapezoidal_dae_step(Pendulum(), x, y, None, h,
+                                        self.TIGHT, cache)
+        return x, y
+
+    def test_cached_matches_uncached(self):
+        cache = JacobianCache()
+        x_c, y_c = self.march(0.05, 50, cache)
+        x_u, y_u = self.march(0.05, 50)
+        assert np.max(np.abs(x_c - x_u)) <= 1e-8
+        assert np.max(np.abs(y_c - y_u)) <= 1e-8
+        # the pendulum swings through half a period: a few rebuilds at most
+        assert cache.jacobian_builds <= 5
+        assert cache.reused_steps >= 40
+        assert cache.residual_evals >= 50
+
+    def test_step_change_rebuilds(self):
+        cache = JacobianCache()
+        self.march(0.05, 3, cache)
+        builds = cache.jacobian_builds
+        self.march(0.02, 1, cache)
+        assert cache.jacobian_builds > builds
+        assert cache.fallbacks == 0
+        assert cache.h == 0.02
+
+    def test_poisoned_cache_falls_back(self):
+        cache = JacobianCache()
+        cache.jac, cache.h = -np.eye(3), 0.05  # wrong sign and scale
+        x_c, y_c = self.march(0.05, 1, cache)
+        x_u, y_u = self.march(0.05, 1)
+        assert cache.fallbacks == 1
+        assert np.max(np.abs(x_c - x_u)) == 0.0
+        assert np.max(np.abs(y_c - y_u)) == 0.0
+        # the full Newton's Jacobian replaced the poisoned one
+        assert not np.array_equal(cache.jac, -np.eye(3))
+
+    def test_singular_cached_jacobian_falls_back(self):
+        cache = JacobianCache()
+        cache.jac, cache.h = np.zeros((3, 3)), 0.05
+        x_c, _ = self.march(0.05, 1, cache)
+        assert cache.fallbacks == 1
+        assert np.array_equal(x_c, self.march(0.05, 1)[0])
+
+    def test_nonconvergence_with_cache_raises(self):
+        cache = JacobianCache()
+        cache.jac, cache.h = np.eye(2), 0.1
+        with pytest.raises(NewtonError):
+            trapezoidal_dae_step(NoRoot(), [1.0], [0.0], None, 0.1,
+                                 NewtonConfig(max_iterations=8), cache)
+        assert cache.fallbacks == 1
+
+    def test_clear_forces_rebuild(self):
+        cache = JacobianCache()
+        self.march(0.05, 3, cache)
+        builds = cache.jacobian_builds
+        cache.clear()
+        self.march(0.05, 1, cache)
+        assert cache.jacobian_builds > builds
+        assert cache.fallbacks == 0
 
 
 class TestRkComponentStep:

@@ -97,6 +97,12 @@ class TestParse:
         with pytest.raises((SchemaError, ValueError)):
             parse_scenario(doc)
 
+    def test_no_feeders_rejected(self):
+        doc = fixture_doc()
+        doc["feeders"], doc["events"] = [], []
+        with pytest.raises(SchemaError, match="at least one feeder"):
+            parse_scenario(doc)
+
     def test_zip_fractions_validated(self):
         doc = fixture_doc()
         doc["feeders"][0]["composition"]["zip_fractions"] = [0.5, 0.5, 0.5]

@@ -3,7 +3,9 @@ import pytest
 
 from cotds.loads import ZipLoadParams
 from cotds.machines import GeneratorBank
-from cotds.power_network import load_network, newton_power_flow
+from cotds import transmission
+from cotds.power_network import (PowerFlowError, load_network,
+                                 newton_power_flow)
 from cotds.transmission import TransmissionDae, TransmissionSubSystem
 
 
@@ -44,6 +46,23 @@ class TestInitialize:
         pf = newton_power_flow(net)
         v = dae.bus_voltages(sub.y)
         assert np.max(np.abs(v - pf.v)) < 1e-9
+
+    def test_zip_fixed_point_that_does_not_settle_raises(self, monkeypatch):
+        # every other power flow returns its voltages 1% high, so the ZIP
+        # loads' voltage magnitudes never stop moving
+        calls = []
+
+        def alternating(net, loads):
+            pf = newton_power_flow(net, loads)
+            calls.append(1)
+            if len(calls) % 2:
+                pf.v = 1.01 * pf.v
+            return pf
+
+        monkeypatch.setattr(transmission, "newton_power_flow", alternating)
+        with pytest.raises(PowerFlowError, match="did not converge"):
+            make_sub()
+        assert len(calls) == 50
 
     def test_output_is_interface_voltage(self):
         net, dae, sub = make_sub()
