@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import linlab
-from .engine import (EngineError, RunMethod, compare_runs, run_scenario)
+from .engine import RunMethod, compare_runs, run_scenario
 from .integrators import NumericFailure
 from .scenario_io import (SchemaError, load_scenario, read_csv, write_csv)
 
@@ -191,7 +191,7 @@ def cmd_compare(args) -> int:
         raise CliError("time grids differ; pass --resample", EXIT_USAGE)
     try:
         rep = compare_runs(log_a, log_b, channels)
-    except EngineError as exc:
+    except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     out = _out_dir(args.out_dir)
     os.makedirs(out, exist_ok=True)
@@ -280,8 +280,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (NumericFailure, EngineError, OverflowError,
-            FloatingPointError) as exc:
+    except (NumericFailure, OverflowError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

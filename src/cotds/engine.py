@@ -32,19 +32,15 @@ from .integrators import (DaeSystem, JacobianCache, NewtonConfig,
 from .loads import InductionMotor, InductionMotorParams, ZipLoadParams
 from .loads import zip_power  # noqa: F401  (bench/tracing.py patches it here)
 from .machines import GeneratorBank
-from .power_network import load_network
+from .power_network import PowerFlowError, load_network
 from .transmission import TransmissionDae, TransmissionSubSystem
 
 __all__ = [
     "RunMethod", "MotorSpec", "FeederSpec", "Scenario", "RunResult",
     "Verdict", "check_event", "build_subsystems",
     "iterative_td_powerflow_init", "run_scenario", "detect_convergence",
-    "compare_runs", "EngineError",
+    "compare_runs",
 ]
-
-
-class EngineError(RuntimeError):
-    pass
 
 
 class RunMethod(enum.Enum):
@@ -108,10 +104,14 @@ class Scenario:
     channels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        net = load_network(self.transmission)
+        try:
+            net = load_network(self.transmission)
+        except OSError as exc:
+            raise ValueError(f"transmission {self.transmission!r}: "
+                             f"{exc.strerror or exc}") from None
         for fs in self.feeders:
             if fs.bus not in net.bus_ids:
-                raise EngineError(f"feeder bound to unknown bus {fs.bus}")
+                raise ValueError(f"feeder bound to unknown bus {fs.bus}")
 
 
 @dataclass
@@ -211,11 +211,13 @@ def build_subsystems(scenario: Scenario):
     return subsystems, dsubs, interface_buses
 
 
+_TD_INIT_TOL = 1e-8  # largest interface-power change at the fixed point
+_TD_INIT_PASSES = 50
+
+
 def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
                                 dsubs: dict[str, DistributionSubSystem],
-                                interface_buses: list[int],
-                                tol: float = 1e-8,
-                                max_outer: int = 50) -> None:
+                                interface_buses: list[int]) -> None:
     """Alternate transmission and feeder power flows to a fixed point.
 
     On return every sub-system's output is consistent with every other's
@@ -228,7 +230,7 @@ def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
                 for _, p, q in _feeder_nominal(fd))
         u_t[2 * k], u_t[2 * k + 1] = s.real, s.imag
 
-    for _ in range(max_outer):
+    for _ in range(_TD_INIT_PASSES):
         tsub.initialize(u_t)
         v_if = tsub.output()
         u_new = np.empty_like(u_t)
@@ -236,7 +238,7 @@ def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
             d = dsubs[f"D{bus}"]
             d.initialize(v_if[2 * k:2 * k + 2])
             u_new[2 * k:2 * k + 2] = d.output()
-        if np.max(np.abs(u_new - u_t)) <= tol:
+        if np.max(np.abs(u_new - u_t)) <= _TD_INIT_TOL:
             tsub.set_input(u_new)
             tsub.initialize(u_new)
             v_if = tsub.output()
@@ -244,7 +246,7 @@ def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
                 dsubs[f"D{bus}"].initialize(v_if[2 * k:2 * k + 2])
             return
         u_t = u_new
-    raise EngineError("T-D power flow initialisation did not converge")
+    raise PowerFlowError("T-D power flow initialisation did not converge")
 
 
 def _feeder_nominal(fd: DistributionFeeder):
@@ -369,11 +371,11 @@ def compare_runs(a: TimeSeriesLog, b: TimeSeriesLog,
     if channels is None:
         channels = sorted(set(a.columns) & set(b.columns))
     if not channels:
-        raise EngineError("runs share no channels")
+        raise ValueError("runs share no channels")
     missing = [c for c in channels
                if c not in a.columns or c not in b.columns]
     if missing:
-        raise EngineError(f"channels missing from a run: {missing}")
+        raise ValueError(f"channels missing from a run: {missing}")
     ta, tb = np.asarray(a.times), np.asarray(b.times)
     max_abs, rms = {}, {}
     for c in channels:

@@ -1,7 +1,9 @@
 """Numerical kernels for sub-system solvers.
 
-Two kernels: an implicit trapezoidal step for small dense DAE systems
-(damped Newton on the stacked residual, finite-difference Jacobian), and
+``newton_solve`` is the package's damped Newton, with a
+finite-difference Jacobian.  It solves the steady-state power flow
+(``power_network.newton_power_flow``) and each implicit trapezoidal step
+of a small dense DAE, on the stacked residual.  ``rk_component_step`` is
 an adaptive embedded Runge-Kutta 4(5) (Dormand-Prince) integrator for
 node-level component dynamics.  All systems here are small and dense; no
 sparsity is exploited.
@@ -32,6 +34,7 @@ __all__ = [
     "NumericFailure",
     "NewtonError",
     "StiffnessError",
+    "newton_solve",
     "trapezoidal_dae_step",
     "rk_component_step",
 ]
@@ -143,7 +146,7 @@ class JacobianCache:
                 self.reused_steps += 1
                 return z
             self.fallbacks += 1
-        return _newton_solve(counted, z0, cfg, self)
+        return newton_solve(counted, z0, cfg, self)
 
 
 def _reuse_solve(res, z0, jac, cfg):
@@ -167,9 +170,9 @@ def _reuse_solve(res, z0, jac, cfg):
     return z if rnorm <= cfg.residual_tolerance else None
 
 
-def _newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
-                  cfg: NewtonConfig,
-                  cache: JacobianCache | None = None) -> np.ndarray:
+def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
+                 cfg: NewtonConfig,
+                 cache: JacobianCache | None = None) -> np.ndarray:
     """Damped Newton on res(z) = 0 starting from z0.
 
     ``cache``, when given, keeps every Jacobian built, the last one
@@ -235,7 +238,7 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
 
     z0 = np.concatenate([x + h * f0, y]) if ny else x + h * f0
     if cache is None:
-        z = _newton_solve(residual, z0, cfg)
+        z = newton_solve(residual, z0, cfg)
     else:
         z = cache.solve(residual, z0, h, cfg)
     return z[:nx].copy(), z[nx:].copy()

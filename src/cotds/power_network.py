@@ -1,9 +1,11 @@
 """Transmission network data, admittance matrix and steady-state power flow.
 
 Networks are balanced positive-sequence equivalents in per unit on the
-system MVA base.  Loads live outside the admittance matrix and appear as
-constant-power injections in the power flow and as interface inputs in
-the dynamic model.
+system MVA base.  Loads live outside the admittance matrix.  In the power
+flow a load is either constant-power or a ZIP load evaluated at its bus's
+voltage magnitude; the mismatch equations are solved with the
+integrators' damped Newton.  In the dynamic model loads are interface
+inputs or static ZIP loads.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from importlib import resources
 
 import numpy as np
 
-from .integrators import NumericFailure
+from .integrators import (NewtonConfig, NewtonError, NumericFailure,
+                          newton_solve)
+from .loads import ZipLoadParams, zip_power
 
 __all__ = [
     "TransmissionNetwork",
@@ -27,6 +31,11 @@ __all__ = [
 
 class PowerFlowError(NumericFailure):
     pass
+
+
+# every run starts from the power flow, so it is solved tighter than a
+# trapezoidal step
+_NEWTON = NewtonConfig(max_iterations=30, residual_tolerance=1e-10)
 
 
 @dataclass
@@ -76,46 +85,54 @@ def _build_ybus(bus_ids, branches):
 
 
 def load_network(name_or_path: str) -> TransmissionNetwork:
-    """Load a shipped dataset by name ('wscc9', 'twobus') or a JSON path."""
+    """Load a shipped dataset by name ('wscc9', 'twobus') or a JSON path.
+
+    A file missing a section or field raises ``ValueError``.
+    """
     if name_or_path in ("wscc9", "twobus"):
         text = (resources.files("cotds.data") / f"{name_or_path}.json").read_text()
     else:
         with open(name_or_path) as fh:
             text = fh.read()
     raw = json.loads(text)
-    ybus = _build_ybus(raw["buses"], raw["branches"])
-    return TransmissionNetwork(
-        name=raw["name"],
-        base_mva=raw["base_mva"],
-        f_hz=raw["f_hz"],
-        bus_ids=list(raw["buses"]),
-        slack_bus=raw["slack"],
-        ybus=ybus,
-        gen_buses=[g["bus"] for g in raw["generators"]],
-        gen_params=raw["generators"],
-        loads={int(k): complex(v[0], v[1]) for k, v in raw["loads"].items()},
-    )
+    try:
+        return TransmissionNetwork(
+            name=raw["name"],
+            base_mva=raw["base_mva"],
+            f_hz=raw["f_hz"],
+            bus_ids=list(raw["buses"]),
+            slack_bus=raw["slack"],
+            ybus=_build_ybus(raw["buses"], raw["branches"]),
+            gen_buses=[g["bus"] for g in raw["generators"]],
+            gen_params=raw["generators"],
+            loads={int(k): complex(v[0], v[1])
+                   for k, v in raw["loads"].items()},
+        )
+    except KeyError as exc:
+        raise ValueError(f"network {name_or_path!r} has no {exc}") from None
 
 
 @dataclass
 class PowerFlowResult:
     v: np.ndarray  # complex bus voltages
     s_gen: np.ndarray  # complex generated power per generator
-    iterations: int
     mismatch: float
 
 
 def newton_power_flow(net: TransmissionNetwork,
                       loads: dict[int, complex] | None = None,
-                      tol: float = 1e-10,
-                      max_iter: int = 30) -> PowerFlowResult:
+                      zip_loads: dict[int, ZipLoadParams] | None = None,
+                      ) -> PowerFlowResult:
     """Slack / PV / PQ Newton power flow on the polar mismatch equations.
 
-    ``loads`` overrides the network's nominal consumed powers (consumed
-    P + jQ per bus id).  The Jacobian is finite-difference; the systems
-    here are small and dense.
+    ``loads`` overrides the network's nominal consumed powers (constant
+    P + jQ per bus id).  ``zip_loads`` adds voltage-dependent loads per bus
+    id, evaluated at the bus's voltage magnitude in every iterate.  The
+    solver is ``integrators.newton_solve``; its ``NewtonError`` is raised
+    as ``PowerFlowError``.
     """
-    loads = dict(net.loads if loads is None else loads)
+    loads = net.loads if loads is None else loads
+    zips = [(net.idx(bus), zl) for bus, zl in (zip_loads or {}).items()]
     n = net.n_bus
     s_load = np.zeros(n, dtype=complex)
     for bus, s in loads.items():
@@ -126,19 +143,14 @@ def newton_power_flow(net: TransmissionNetwork,
           if g["bus"] != net.slack_bus]
     pq = [i for i in range(n) if i != slack and i not in pv]
 
-    vset = np.ones(n)
-    p_inj = -s_load.real
-    q_inj = -s_load.imag
+    s_inj = -s_load
+    theta = np.zeros(n)
+    vmag = np.ones(n)
     for g in net.gen_params:
         i = net.idx(g["bus"])
-        vset[i] = g["v_set"]
+        vmag[i] = g["v_set"]
         if g["bus"] != net.slack_bus:
-            p_inj[i] += g["p_set"]
-
-    theta = np.zeros(n)
-    vmag = vset.copy()
-    for i in pq:
-        vmag[i] = 1.0
+            s_inj[i] += g["p_set"]
 
     var_theta = [i for i in range(n) if i != slack]
     nv = len(var_theta)
@@ -150,32 +162,24 @@ def newton_power_flow(net: TransmissionNetwork,
         vm[pq] = z[nv:]
         v = vm * np.exp(1j * th)
         s_calc = v * np.conj(net.ybus @ v)
-        dp = s_calc.real - p_inj
-        dq = s_calc.imag - q_inj
-        return np.concatenate([dp[var_theta], dq[pq]])
+        for i, zl in zips:
+            s_calc[i] += zip_power(zl, vm[i])
+        mis = s_calc - s_inj
+        return np.concatenate([mis.real[var_theta], mis.imag[pq]])
 
     z = np.concatenate([theta[var_theta], vmag[pq]])
-    m = mismatch(z)
-    it = 0
-    while np.max(np.abs(m)) > tol:
-        if it >= max_iter:
-            raise PowerFlowError(
-                f"power flow did not converge (mismatch {np.max(np.abs(m)):.3e})")
-        jac = np.empty((m.size, z.size))
-        for k in range(z.size):
-            dz = 1e-7 * max(1.0, abs(z[k]))
-            zp = z.copy()
-            zp[k] += dz
-            jac[:, k] = (mismatch(zp) - m) / dz
-        z = z + np.linalg.solve(jac, -m)
-        m = mismatch(z)
-        it += 1
+    try:
+        z = newton_solve(mismatch, z, _NEWTON)
+    except NewtonError as exc:
+        raise PowerFlowError(f"power flow: {exc}") from exc
 
     theta[var_theta] = z[:nv]
     vmag[pq] = z[nv:]
     v = vmag * np.exp(1j * theta)
+    for i, zl in zips:
+        s_load[i] += zip_power(zl, vmag[i])
     s_calc = v * np.conj(net.ybus @ v)
     s_gen = np.array([s_calc[net.idx(b)] + s_load[net.idx(b)]
                       for b in net.gen_buses])
-    return PowerFlowResult(v=v, s_gen=s_gen, iterations=it,
-                           mismatch=float(np.max(np.abs(m))))
+    return PowerFlowResult(v=v, s_gen=s_gen,
+                           mismatch=float(np.max(np.abs(mismatch(z)))))

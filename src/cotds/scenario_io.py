@@ -96,11 +96,14 @@ def _parse_feeder(d, where):
                           "expected three numbers")
     motors = tuple(_parse_motor(m, f"{where}.composition.motors[{i}]")
                    for i, m in enumerate(comp["motors"]))
-    return FeederSpec(bus=v["bus"], branches=tuple(branches),
-                      loads=tuple(loads),
-                      static_fraction=comp["static_fraction"],
-                      zip_fractions=tuple(float(z) for z in zf),
-                      motors=motors, active=v["active"])
+    try:
+        return FeederSpec(bus=v["bus"], branches=tuple(branches),
+                          loads=tuple(loads),
+                          static_fraction=comp["static_fraction"],
+                          zip_fractions=tuple(float(z) for z in zf),
+                          motors=motors, active=v["active"])
+    except ValueError as exc:
+        raise SchemaError(f"{where}.composition: {exc}") from None
 
 
 def _parse_event(d, where, feeders):
@@ -137,10 +140,13 @@ def parse_scenario(doc: dict) -> Scenario:
                for i, f in enumerate(v["feeders"])]
     events = [_parse_event(e, f"events[{i}]", feeders)
               for i, e in enumerate(v["events"])]
-    return Scenario(name=v["name"], transmission=v["transmission"],
-                    feeders=feeders, events=events, method=method,
-                    h_macro=run["h_macro"], t_end=run["t_end"],
-                    rk_tol=run["rk_tol"], channels=list(channels))
+    try:
+        return Scenario(name=v["name"], transmission=v["transmission"],
+                        feeders=feeders, events=events, method=method,
+                        h_macro=run["h_macro"], t_end=run["t_end"],
+                        rk_tol=run["rk_tol"], channels=list(channels))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def load_scenario(path: str) -> Scenario:

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cosim import CosimError, SubSystem
+from .cosim import SubSystem
 from .integrators import (DaeSystem, JacobianCache, NewtonConfig,
                           trapezoidal_dae_step)
 from .loads import ZipLoadParams, zip_power
 from .machines import N_GEN_STATES, GeneratorBank
-from .power_network import (PowerFlowError, TransmissionNetwork,
-                            newton_power_flow)
+from .power_network import TransmissionNetwork, newton_power_flow
 
 __all__ = ["TransmissionDae", "TransmissionSubSystem"]
+
+_NEWTON = NewtonConfig()
 
 
 class TransmissionDae(DaeSystem):
@@ -80,44 +81,26 @@ class TransmissionSubSystem(SubSystem):
     to the next, and the step's Newton counters.
     """
 
-    def __init__(self, name: str, dae: TransmissionDae,
-                 newton: NewtonConfig | None = None):
+    def __init__(self, name: str, dae: TransmissionDae):
         self.name = name
         self.dae = dae
-        self.newton = newton or NewtonConfig()
         self.newton_cache = JacobianCache()
         self.current_input = np.zeros(2 * len(dae.interface_buses))
         self.x = np.zeros(dae.n_x)
         self.y = np.zeros(dae.n_y)
 
     def initialize(self, inputs: np.ndarray) -> None:
-        """Power-flow start: interface powers become constant-P loads.
+        """Power-flow start: interface powers are constant-power loads.
 
-        Voltage-dependent ZIP loads are handled by a small fixed-point
-        loop around the constant-power solver; it raises
-        ``PowerFlowError`` when 50 passes leave the load-bus voltage
-        magnitudes still moving.
+        The static ZIP loads enter the power flow at each iterate's bus
+        voltage magnitude, so one solve gives the steady state; it raises
+        ``PowerFlowError`` when it does not converge.
         """
         self.current_input = np.asarray(inputs, dtype=float).copy()
         dae = self.dae
         s_if = {bus: complex(inputs[2 * k], inputs[2 * k + 1])
                 for k, bus in enumerate(dae.interface_buses)}
-        vmag = {bus: 1.0 for bus in dae.static_loads}
-        for _ in range(50):
-            loads = {bus: zip_power(zl, vmag[bus])
-                     for bus, zl in dae.static_loads.items()}
-            for bus, s in s_if.items():
-                loads[bus] = loads.get(bus, 0j) + s
-            pf = newton_power_flow(dae.net, loads)
-            new_vmag = {bus: abs(pf.v[dae.net.idx(bus)])
-                        for bus in dae.static_loads}
-            worst = max((abs(new_vmag[b] - vmag[b]) for b in vmag), default=0.0)
-            vmag = new_vmag
-            if worst < 1e-13:
-                break
-        else:
-            raise PowerFlowError("ZIP load fixed point did not converge "
-                                 f"(last voltage change {worst:.3e})")
+        pf = newton_power_flow(dae.net, s_if, dae.static_loads)
         vg = pf.v[dae._gen_idx]
         self.x = dae.bank.initialize(vg, pf.s_gen)
         self.y = dae.pack_voltages(pf.v)
@@ -127,7 +110,7 @@ class TransmissionSubSystem(SubSystem):
 
     def advance(self, h: float) -> None:
         self.x, self.y = trapezoidal_dae_step(
-            self.dae, self.x, self.y, self.current_input, h, self.newton,
+            self.dae, self.x, self.y, self.current_input, h, _NEWTON,
             self.newton_cache)
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise OverflowError("transmission state is non-finite")
@@ -150,6 +133,3 @@ class TransmissionSubSystem(SubSystem):
         for i, bus in enumerate(self.dae.net.bus_ids):
             out[f"bus{bus}.vmag"] = float(abs(v[i]))
         return out
-
-    def apply_event(self, action: str, params) -> None:
-        raise CosimError(f"unknown transmission event {action!r}")

@@ -1,5 +1,6 @@
 import json
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -210,3 +211,42 @@ def test_bad_event_is_schema_error(tmp_path, event, method):
                  "--t-end", "0.05", "--out-dir", out)
     assert rc == EXIT_SCHEMA
     assert not os.path.exists(out)  # rejected before any numerics ran
+
+
+def _network_without_branches(tmp_path):
+    with open(fixture_path("testcase2")) as fh:
+        name = json.load(fh)["transmission"]
+    net = json.loads((resources.files("cotds.data") / f"{name}.json")
+                     .read_text())
+    del net["branches"]
+    path = str(tmp_path / "net.json")
+    with open(path, "w") as fh:
+        json.dump(net, fh)
+    return path
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc, tmp: doc["feeders"][1].update(bus=99),
+     "feeder bound to unknown bus 99"),
+    (lambda doc, tmp: doc.update(transmission="no_such_network"),
+     "transmission 'no_such_network': No such file or directory"),
+    (lambda doc, tmp: doc.update(transmission=str(tmp)),
+     "Is a directory"),
+    (lambda doc, tmp: doc.update(transmission=_network_without_branches(tmp)),
+     "has no 'branches'"),
+    (lambda doc, tmp: doc["feeders"][0]["composition"].update(
+        static_fraction=1.5), "feeders[0].composition: static_fraction"),
+], ids=["unknown_bus", "unknown_network", "network_is_directory",
+        "network_without_branches", "static_fraction"])
+def test_bad_scenario_is_schema_error(tmp_path, capsys, edit, message):
+    with open(fixture_path("testcase2")) as fh:
+        doc = json.load(fh)
+    doc["events"] = []
+    edit(doc, tmp_path)
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "out")
+    assert run_cli("cotds", "run", path, "--out-dir", out) == EXIT_SCHEMA
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)

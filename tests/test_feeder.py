@@ -102,6 +102,43 @@ class TestSweep:
         assert s_src.real - drawn < 0.01
 
 
+def current_sensitivity(feeder, states, h=1e-6):
+    """Largest move of a node's component current per unit move of its
+    voltage, in any direction.  A node's current depends on its own
+    voltage only, so every node is moved at once."""
+    i0 = feeder.node_currents(feeder.v, states)
+    moves = [np.abs(feeder.node_currents(feeder.v + dv, states) - i0) / h
+             for dv in (h, 1j * h)]
+    return float(np.max(moves[0] + moves[1]))
+
+
+class TestKcl:
+    """``kcl`` states the sweep's equations for the monolithic DAE."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_vanishes_at_sweep_fixed_point(self, tol):
+        f = example_feeder()
+        f.initialize(1.0 + 0.0j)
+        i_src = f.sweep(1.02 * np.exp(1j * 0.05), tol=tol)
+        states = [mu.state for mu in f.motors]
+        i_kcl, mismatch = f.kcl(f.v, states)
+        # the sweep stops after a voltage update that moved no node by tol;
+        # a node's mismatch is its current's change over that update
+        assert np.max(np.abs(mismatch)) <= current_sensitivity(f, states) * tol
+        # node 0 draws nothing, so only rounding separates the two
+        assert abs(i_kcl - i_src) <= 1e-12
+
+    def test_switched_off_feeder_floats(self):
+        f = example_feeder()
+        f.initialize(1.0 + 0.0j)
+        f.active = False
+        v = f.v.copy()
+        v[2] = 0.9
+        i_src, mismatch = f.kcl(v, [mu.state for mu in f.motors])
+        assert i_src == 0
+        assert np.array_equal(mismatch, v[1:] - v[0])
+
+
 class TestValidation:
     def test_orphan_branch_rejected(self):
         with pytest.raises(FeederError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cotds.loads import ZipLoadParams, zip_power
 from cotds.power_network import (
     PowerFlowError,
     load_network,
@@ -101,3 +102,27 @@ class TestNewtonPowerFlow:
         net = load_network("twobus")
         with pytest.raises(PowerFlowError):
             newton_power_flow(net, loads={2: 60.0 + 20.0j})
+
+    def test_zip_loads_drawn_at_solved_voltage(self):
+        # ZIP loads on PQ, PV and slack buses are drawn at the solved
+        # voltage magnitudes: as constant-power loads of those values they
+        # give the same solution
+        net = load_network("wscc9")
+        zips = {bus: ZipLoadParams(p0=s.real, q0=s.imag, z_frac=0.4,
+                                   i_frac=0.3, p_frac=0.3)
+                for bus, s in {**net.loads, 1: 0.2 + 0.1j,
+                               2: 0.3 + 0.1j}.items()}
+        pf = newton_power_flow(net, {}, zips)
+        drawn = {bus: zip_power(zl, abs(pf.v[net.idx(bus)]))
+                 for bus, zl in zips.items()}
+        pf_const = newton_power_flow(net, drawn)
+        assert pf.mismatch < 1e-10
+        assert np.max(np.abs(pf.v - pf_const.v)) < 1e-9
+        assert np.max(np.abs(pf.s_gen - pf_const.s_gen)) < 1e-9
+
+    def test_unservable_zip_loads_raise(self):
+        net = load_network("twobus")
+        zl = ZipLoadParams(p0=10.0, q0=3.3, z_frac=0.4, i_frac=0.3,
+                           p_frac=0.3)
+        with pytest.raises(PowerFlowError, match="did not converge"):
+            newton_power_flow(net, {}, {2: zl})
