@@ -67,10 +67,8 @@ def _add_param_flags(p):
 
 def _write_table(path, header, rows):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("%.12e" % v for v in row) + "\n")
+    np.savetxt(path, rows, delimiter=",", header=",".join(header),
+               comments="", fmt="%.12e")
 
 
 def cmd_linlab_simulate(args) -> int:

@@ -66,7 +66,7 @@ class SubSystem:
         raise NotImplementedError
 
     def set_input(self, u: np.ndarray) -> None:
-        raise NotImplementedError
+        self.current_input = np.asarray(u, dtype=float).copy()
 
     def advance(self, h: float) -> None:
         raise NotImplementedError

@@ -121,7 +121,8 @@ class RunResult:
     ``newton`` maps the owner of each trapezoidal Newton solve (``T`` in
     co-simulation, ``monolithic`` for the stacked DAE) to its counters:
     Jacobian builds, residual evaluations, steps solved with a reused
-    Jacobian, and fallbacks to the full Newton.
+    Jacobian, and steps whose reused-Jacobian update was dropped for the
+    damped Newton.
     """
 
     scenario: str

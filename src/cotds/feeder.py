@@ -209,16 +209,13 @@ class DistributionSubSystem(SubSystem):
         return s
 
     def initialize(self, inputs: np.ndarray) -> None:
-        self.current_input = np.asarray(inputs, dtype=float).copy()
+        self.set_input(inputs)
         v = self._v_sub()
         for fd in self.feeders:
             if fd.active:
                 fd.initialize(v)
         s = self._total_power()
         self._output = np.array([s.real, s.imag])
-
-    def set_input(self, u: np.ndarray) -> None:
-        self.current_input = np.asarray(u, dtype=float).copy()
 
     def advance(self, h: float) -> None:
         v = self._v_sub()

@@ -1,22 +1,25 @@
 """Numerical kernels for sub-system solvers.
 
-``newton_solve`` is the package's damped Newton, with a
-finite-difference Jacobian.  It solves the steady-state power flow
+``newton_solve`` is the package's Newton, with a finite-difference
+Jacobian.  It solves the steady-state power flow
 (``power_network.newton_power_flow``) and each implicit trapezoidal step
 of a small dense DAE, on the stacked residual.  ``rk_component_step`` is
 an adaptive embedded Runge-Kutta 4(5) (Dormand-Prince) integrator for
 node-level component dynamics.  All systems here are small and dense; no
 sparsity is exploited.
 
-A trapezoidal step handed a ``JacobianCache`` first tries the simplified
-(modified) Newton of DASSL and of Hairer & Wanner: it iterates from the
-predictor with the cached Jacobian, and keeps each update only while the
-residual norm stays finite and falls to at most ``CONTRACTION`` times the
-previous one.  At the first update that does not, or on a singular
-solve, it drops the attempt and solves the step again from the predictor
-with the full damped Newton (a fresh Jacobian every iteration), whose
-last Jacobian it caches.  Only that full Newton raises ``NewtonError``.
-A step of another ``h`` drops the cached Jacobian.
+``newton_solve`` is the simplified (modified) Newton of DASSL and of
+Hairer & Wanner, refreshing its Jacobian where it stands.  While it
+still holds the Jacobian a ``JacobianCache`` kept from an earlier solve,
+it takes undamped updates and keeps each only while the residual norm
+stays finite and falls to at most ``CONTRACTION`` times the previous
+one.  At the first update that does not, or on a singular solve, it
+drops that update and goes on from the last kept iterate with the damped
+Newton: a fresh Jacobian every iteration, the last of which the cache
+keeps.  It goes on the same way when the kept Jacobian's iterations run
+out.  Each phase has ``cfg.max_iterations`` iterations; only the damped
+one raises ``NewtonError``.  A trapezoidal step of another ``h`` drops
+the kept Jacobian.
 """
 
 from __future__ import annotations
@@ -77,40 +80,42 @@ class DaeSystem:
 class NewtonConfig:
     max_iterations: int = 20
     residual_tolerance: float = 1e-8
-    fd_epsilon: float = 1e-7
-    max_damping_halvings: int = 6
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.residual_tolerance <= 0 or self.fd_epsilon <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.residual_tolerance <= 0:
+            raise ValueError("residual_tolerance must be positive")
+
+
+# relative step of the forward-difference Jacobian
+_FD_EPSILON = 1e-7
+# a damped update is halved at most this many times
+_MAX_DAMPING_HALVINGS = 6
+# a kept Jacobian's update must shrink the residual norm to at most this
+# fraction of the one before
+CONTRACTION = 0.5
 
 
 def _fd_jacobian(res: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
-                 r0: np.ndarray, eps: float) -> np.ndarray:
+                 r0: np.ndarray) -> np.ndarray:
     n = z.size
     jac = np.empty((r0.size, n))
     for k in range(n):
-        dz = eps * max(1.0, abs(z[k]))
+        dz = _FD_EPSILON * max(1.0, abs(z[k]))
         zp = z.copy()
         zp[k] += dz
         jac[:, k] = (res(zp) - r0) / dz
     return jac
 
 
-# a reused Jacobian is kept while every update shrinks the residual norm
-# to at most this fraction of the one before
-CONTRACTION = 0.5
-
-
 class JacobianCache:
-    """The last FD Jacobian of one DAE's trapezoidal residual, for reuse.
+    """The last FD Jacobian of one residual, kept for the next solve.
 
-    ``h`` is the step the Jacobian was built for.  The counters add up
-    over every step solved through the cache: Jacobian builds, residual
-    evaluations, steps solved with the cached Jacobian, and fallbacks to
-    the full Newton after a reuse attempt was dropped.
+    ``h`` is the trapezoidal step the Jacobian was built for.  The
+    counters add up over every solve handed the cache: Jacobian builds,
+    residual evaluations, solves that started with a kept Jacobian and
+    built none, and solves whose kept-Jacobian update was dropped.
     """
 
     def __init__(self):
@@ -122,7 +127,7 @@ class JacobianCache:
         self.fallbacks = 0
 
     def clear(self) -> None:
-        """Drop the Jacobian; the next step builds a fresh one."""
+        """Drop the Jacobian; the next solve builds a fresh one."""
         self.jac = None
 
     def counters(self) -> dict[str, int]:
@@ -131,80 +136,68 @@ class JacobianCache:
                 "reused_steps": self.reused_steps,
                 "fallbacks": self.fallbacks}
 
-    def solve(self, res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
-              h: float, cfg: NewtonConfig) -> np.ndarray:
-        """res(z) = 0 from z0: reuse the Jacobian, else the full Newton."""
-        def counted(z):
-            self.residual_evals += 1
-            return res(z)
-
-        if h != self.h:
-            self.jac, self.h = None, h
-        if self.jac is not None:
-            z = _reuse_solve(counted, z0, self.jac, cfg)
-            if z is not None:
-                self.reused_steps += 1
-                return z
-            self.fallbacks += 1
-        return newton_solve(counted, z0, cfg, self)
-
-
-def _reuse_solve(res, z0, jac, cfg):
-    """Simplified Newton with a fixed Jacobian, or None once an update
-    is singular or fails to contract, or the iterations run out."""
-    z = z0.copy()
-    r = res(z)
-    rnorm = np.linalg.norm(r)
-    for _ in range(cfg.max_iterations):
-        if rnorm <= cfg.residual_tolerance:
-            return z
-        try:
-            z = z + np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None
-        r = res(z)
-        rnorm_new = np.linalg.norm(r)
-        if not (np.isfinite(rnorm_new) and rnorm_new <= CONTRACTION * rnorm):
-            return None
-        rnorm = rnorm_new
-    return z if rnorm <= cfg.residual_tolerance else None
-
 
 def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
                  cfg: NewtonConfig,
                  cache: JacobianCache | None = None) -> np.ndarray:
-    """Damped Newton on res(z) = 0 starting from z0.
+    """Newton on res(z) = 0 starting from z0; see the module docstring.
 
-    ``cache``, when given, keeps every Jacobian built, the last one
-    winning, and counts the builds.
+    ``cache`` holds the Jacobian the solve starts with, keeps the last
+    one it builds, and counts the work.  Without one the solve starts
+    with no Jacobian: the damped Newton alone.
     """
+    if cache is None:
+        cache = JacobianCache()
+
+    def counted(z):
+        cache.residual_evals += 1
+        return res(z)
+
     z = z0.copy()
-    r = res(z)
+    r = counted(z)
     rnorm = np.linalg.norm(r)
-    for _ in range(cfg.max_iterations):
-        if rnorm <= cfg.residual_tolerance:
-            return z
-        jac = _fd_jacobian(res, z, r, cfg.fd_epsilon)
-        if cache is not None:
-            cache.jac = jac
+    kept = cache.jac is not None  # on the Jacobian the solve started with
+    left = cfg.max_iterations
+    while not rnorm <= cfg.residual_tolerance:  # a nan norm goes on
+        if kept and not left:
+            # the kept Jacobian failed or ran out: damped Newton from here
+            kept, left = False, cfg.max_iterations
+            cache.fallbacks += 1
+        if not left:
+            raise NewtonError("Newton did not converge", rnorm)
+        left -= 1
+        if not kept:
+            cache.jac = _fd_jacobian(counted, z, r)
             cache.jacobian_builds += 1
         try:
-            dz = np.linalg.solve(jac, -r)
+            dz = np.linalg.solve(cache.jac, -r)
         except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular Jacobian: {exc}", rnorm) from exc
-        # halve the update while the residual norm fails to decrease
-        step = 1.0
-        for _ in range(cfg.max_damping_halvings + 1):
-            z_new = z + step * dz
-            r_new = res(z_new)
+            if not kept:
+                raise NewtonError(f"singular Jacobian: {exc}", rnorm) from exc
+            left = 0
+            continue
+        if kept:
+            z_new = z + dz
+            r_new = counted(z_new)
             rnorm_new = np.linalg.norm(r_new)
-            if np.isfinite(rnorm_new) and rnorm_new < rnorm:
-                break
-            step *= 0.5
+            if not (np.isfinite(rnorm_new)
+                    and rnorm_new <= CONTRACTION * rnorm):
+                left = 0
+                continue
+        else:
+            # halve the update while the residual norm fails to decrease
+            step = 1.0
+            for _ in range(_MAX_DAMPING_HALVINGS + 1):
+                z_new = z + step * dz
+                r_new = counted(z_new)
+                rnorm_new = np.linalg.norm(r_new)
+                if np.isfinite(rnorm_new) and rnorm_new < rnorm:
+                    break
+                step *= 0.5
         z, r, rnorm = z_new, r_new, rnorm_new
-    if rnorm <= cfg.residual_tolerance:
-        return z
-    raise NewtonError("Newton did not converge", rnorm)
+    if kept:
+        cache.reused_steps += 1
+    return z
 
 
 def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
@@ -214,16 +207,16 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
     """One implicit trapezoidal step of the DAE, input u held constant.
 
     Solves x1 = x + h/2 (f(x,y,u) + f(x1,y1,u)) together with
-    g(x1,y1,u) = 0 on the stacked residual, from the explicit Euler
-    predictor.  Without ``cache`` every step runs the damped Newton with
-    a fresh FD Jacobian each iteration.  With one it first iterates with
-    the cached Jacobian and falls back to that full Newton when an update
-    leaves the residual norm above ``CONTRACTION`` times the previous one
-    (see the module docstring).  Either way the root meets the same residual
-    tolerance.
+    g(x1,y1,u) = 0 on the stacked residual with ``newton_solve``, from
+    the explicit Euler predictor.  ``cache`` carries the Jacobian from
+    one step to the next; a step of another ``h`` drops it.  Without a
+    cache every step runs the damped Newton with a fresh FD Jacobian each
+    iteration.  Either way the root meets the same residual tolerance.
     """
     if cfg is None:
         cfg = NewtonConfig()
+    if cache is not None and h != cache.h:
+        cache.jac, cache.h = None, h
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     f0 = sys.f(x, y, u)
@@ -237,10 +230,7 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
         return rx
 
     z0 = np.concatenate([x + h * f0, y]) if ny else x + h * f0
-    if cache is None:
-        z = newton_solve(residual, z0, cfg)
-    else:
-        z = cache.solve(residual, z0, h, cfg)
+    z = newton_solve(residual, z0, cfg, cache)
     return z[:nx].copy(), z[nx:].copy()
 
 

@@ -28,11 +28,8 @@ class LinearHalfA(SubSystem):
         self.current_input = np.array([u0])
 
     def initialize(self, inputs):
-        self.current_input = np.asarray(inputs, dtype=float).copy()
+        self.set_input(inputs)
         self.x = -self.current_input[0] / self.lam  # steady state for this input
-
-    def set_input(self, u):
-        self.current_input = np.asarray(u, dtype=float).copy()
 
     def advance(self, h):
         self.x = trapezoidal_half_step(self.lam, h, self.x,
@@ -57,11 +54,8 @@ class LinearHalfB(SubSystem):
         self.current_input = np.array([u0])
 
     def initialize(self, inputs):
-        self.current_input = np.asarray(inputs, dtype=float).copy()
+        self.set_input(inputs)
         self.x = -self.current_input[0] / self.lam
-
-    def set_input(self, u):
-        self.current_input = np.asarray(u, dtype=float).copy()
 
     def advance(self, h):
         self.x = euler_half_step(self.lam, h, self.n_micro, self.x,

@@ -134,9 +134,7 @@ def analytic_solution(p: LinearCoupledParams, x0: StateVec2, t: float) -> StateV
         c, s = math.cosh(q * t), math.sinh(q * t) / q
     elif disc < 0:
         q = math.sqrt(-disc)
-        c, s = math.cos(q * t), (math.sin(q * t) / q if q * t != 0 else t)
-        if q != 0:
-            s = math.sin(q * t) / q
+        c, s = math.cos(q * t), math.sin(q * t) / q
     else:
         c, s = 1.0, t
     e = math.exp(m * t) * (c * np.eye(2) + s * n)

@@ -74,15 +74,21 @@ class GeneratorBank:
 
     # -- stator / network interface -------------------------------------
 
-    def injected_current(self, x: np.ndarray, v_bus: np.ndarray) -> np.ndarray:
-        """Network-frame current phasor injected by each machine."""
-        b = x.reshape(self.n_machines, N_GEN_STATES)
+    def _stator(self, b: np.ndarray, v_bus: np.ndarray):
+        """Rotor angle sin/cos and dq stator currents of state blocks b."""
         eq_p, ed_p, delta = b[:, 0], b[:, 1], b[:, 2]
+        # rotate terminal phasors into rotor frames (sin/cos, no complex exp)
         sd, cd = np.sin(delta), np.cos(delta)
         vd = v_bus.real * sd - v_bus.imag * cd
         vq = v_bus.real * cd + v_bus.imag * sd
         i_d = (eq_p - vq) / self.xd_p
         i_q = (vd - ed_p) / self.xq_p
+        return sd, cd, i_d, i_q
+
+    def injected_current(self, x: np.ndarray, v_bus: np.ndarray) -> np.ndarray:
+        """Network-frame current phasor injected by each machine."""
+        sd, cd, i_d, i_q = self._stator(
+            x.reshape(self.n_machines, N_GEN_STATES), v_bus)
         return (i_d * sd + i_q * cd) + 1j * (i_q * sd - i_d * cd)
 
     def electrical_power(self, eq_p, ed_p, i_d, i_q):
@@ -92,16 +98,10 @@ class GeneratorBank:
 
     def derivatives(self, x: np.ndarray, v_bus: np.ndarray) -> np.ndarray:
         b = x.reshape(self.n_machines, N_GEN_STATES)
-        eq_p, ed_p = b[:, 0], b[:, 1]
-        delta, domega = b[:, 2], b[:, 3]
+        eq_p, ed_p, domega = b[:, 0], b[:, 1], b[:, 3]
         efd, pm = b[:, 4], b[:, 5]
-        # rotate terminal phasors into rotor frames (sin/cos, no complex exp)
-        sd, cd = np.sin(delta), np.cos(delta)
-        vd = v_bus.real * sd - v_bus.imag * cd
-        vq = v_bus.real * cd + v_bus.imag * sd
-        i_d = (eq_p - vq) / self.xd_p
-        i_q = (vd - ed_p) / self.xq_p
-        pe = ed_p * i_d + eq_p * i_q + (self.xq_p - self.xd_p) * i_d * i_q
+        _, _, i_d, i_q = self._stator(b, v_bus)
+        pe = self.electrical_power(eq_p, ed_p, i_d, i_q)
         vmag = np.abs(v_bus)
 
         out = np.empty_like(b)

@@ -212,8 +212,8 @@ def write_csv(path: str, log: TimeSeriesLog,
     missing = [c for c in cols if c not in log.columns]
     if missing:
         raise SchemaError(f"unknown channels {missing}")
-    arr = np.column_stack([np.asarray(log.times)]
-                          + [log.channel(c) for c in cols])
+    picked = log.as_array()[:, [log.columns.index(c) for c in cols]]
+    arr = np.column_stack([log.time_array, picked])
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     header = ",".join(["t"] + cols)
     np.savetxt(path, arr, delimiter=",", header=header, comments="",

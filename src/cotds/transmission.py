@@ -96,7 +96,7 @@ class TransmissionSubSystem(SubSystem):
         voltage magnitude, so one solve gives the steady state; it raises
         ``PowerFlowError`` when it does not converge.
         """
-        self.current_input = np.asarray(inputs, dtype=float).copy()
+        self.set_input(inputs)
         dae = self.dae
         s_if = {bus: complex(inputs[2 * k], inputs[2 * k + 1])
                 for k, bus in enumerate(dae.interface_buses)}
@@ -104,9 +104,6 @@ class TransmissionSubSystem(SubSystem):
         vg = pf.v[dae._gen_idx]
         self.x = dae.bank.initialize(vg, pf.s_gen)
         self.y = dae.pack_voltages(pf.v)
-
-    def set_input(self, u: np.ndarray) -> None:
-        self.current_input = np.asarray(u, dtype=float).copy()
 
     def advance(self, h: float) -> None:
         self.x, self.y = trapezoidal_dae_step(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cotds import integrators
 from cotds.integrators import (
     DaeSystem,
     JacobianCache,
@@ -64,6 +65,17 @@ class Pendulum(DaeSystem):
 
     def g(self, x, y, u):
         return np.array([y[0] - math.sin(x[0])])
+
+
+class Cubic(DaeSystem):
+    """x' = -x^3.  A trapezoidal step of h = 0.5 from x = 2 has the
+    residual z + z^3/4: its predictor is -2, its root 0, and its slope 4
+    at the predictor and 1 at the root."""
+
+    n_x, n_y = 1, 0
+
+    def f(self, x, y, u):
+        return -x ** 3
 
 
 class NoRoot(DaeSystem):
@@ -176,6 +188,32 @@ class TestJacobianReuse:
             trapezoidal_dae_step(NoRoot(), [1.0], [0.0], None, 0.1,
                                  NewtonConfig(max_iterations=8), cache)
         assert cache.fallbacks == 1
+
+    def test_dropped_reuse_goes_on_from_last_kept_iterate(self, monkeypatch):
+        # with the kept slope 3 the first update contracts (z -2 -> -2/3,
+        # |r| 4 -> 20/27) and the second does not (|r| -> 0.44)
+        evaluated, built = [], []
+
+        class Recorded(Cubic):
+            def f(self, x, y, u):
+                evaluated.append(float(x[0]))
+                return super().f(x, y, u)
+
+        fd_jacobian = integrators._fd_jacobian
+
+        def spy(res, z, *rest):
+            built.append(float(z[0]))
+            return fd_jacobian(res, z, *rest)
+
+        monkeypatch.setattr(integrators, "_fd_jacobian", spy)
+        cache = JacobianCache()
+        cache.jac, cache.h = np.array([[3.0]]), 0.5
+        x1, _ = trapezoidal_dae_step(Recorded(), [2.0], [], None, 0.5,
+                                     self.TIGHT, cache)
+        assert evaluated.count(-2.0) == 1  # the predictor, once
+        assert built[0] == pytest.approx(-2.0 / 3.0, abs=1e-15)
+        assert cache.fallbacks == 1 and cache.reused_steps == 0
+        assert abs(x1[0] + x1[0] ** 3 / 4) <= self.TIGHT.residual_tolerance
 
     def test_clear_forces_rebuild(self):
         cache = JacobianCache()
