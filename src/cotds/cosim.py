@@ -172,9 +172,10 @@ def march(schedule: CouplingSchedule,
 
     A record holds each sub-system's ``output()`` and snapshot channels,
     at t = 0 and after every step.  OverflowError, FloatingPointError or
-    a non-finite record is a divergence, a ``NumericFailure`` from a step
-    a sub-system failure; either truncates the log with time and cause.
-    Any other exception is a programming error and propagates.
+    a non-finite record is a divergence, a ``NumericFailure`` from an
+    event or a step a sub-system failure; either truncates the log with
+    time and cause, keeping the records made so far.  Any other
+    exception is a programming error and propagates.
     """
     snapshot_channels = snapshot_channels or {}
     columns = []
@@ -198,17 +199,20 @@ def march(schedule: CouplingSchedule,
     h = schedule.h_macro
     t = 0.0
     for i in range(int(round(schedule.t_end / h))):
-        while next_event < len(events) and events[next_event].time <= t + 1e-12:
-            fire(events[next_event])
-            next_event += 1
+        at = t  # an event fails at its boundary, a step at the step's end
         try:
+            while (next_event < len(events)
+                   and events[next_event].time <= t + 1e-12):
+                fire(events[next_event])
+                next_event += 1
+            at = t + h
             step(h)
         except (OverflowError, FloatingPointError) as exc:
             log.diverged = True
-            log.failure = f"divergence at t={t + h:.6g}: {exc}"
+            log.failure = f"divergence at t={at:.6g}: {exc}"
             break
         except NumericFailure as exc:
-            log.failure = f"sub-system failure at t={t + h:.6g}: {exc}"
+            log.failure = f"sub-system failure at t={at:.6g}: {exc}"
             break
         t = (i + 1) * h
         record(t)

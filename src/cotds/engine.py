@@ -378,10 +378,11 @@ def compare_runs(a: TimeSeriesLog, b: TimeSeriesLog,
     if missing:
         raise ValueError(f"channels missing from a run: {missing}")
     ta, tb = np.asarray(a.times), np.asarray(b.times)
+    rows_a, rows_b = a.as_array(), b.as_array()
     max_abs, rms = {}, {}
     for c in channels:
-        xa = a.channel(c)
-        xb = np.interp(ta, tb, b.channel(c))
+        xa = rows_a[:, a.columns.index(c)]
+        xb = np.interp(ta, tb, rows_b[:, b.columns.index(c)])
         d = xa - xb
         max_abs[c] = float(np.max(np.abs(d)))
         rms[c] = float(np.sqrt(np.mean(d * d)))

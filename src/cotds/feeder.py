@@ -58,6 +58,19 @@ class MotorUnit:
     state: np.ndarray = field(default_factory=lambda: np.zeros(3))
     active: bool = True
 
+    def equilibrium(self, v: complex) -> np.ndarray:
+        """The motor's running state drawing ``p_target`` at voltage ``v``.
+
+        Raises ``FeederError`` when no stable running state draws that
+        power.
+        """
+        try:
+            return self.motor.initialize(v, self.p_target)
+        except ValueError as exc:
+            raise FeederError(
+                f"motor {self.name}: no stable running state draws p_target "
+                f"{self.p_target:.6g} at |V| {abs(v):.6g}") from exc
+
 
 class DistributionFeeder:
     """Radial tree with node 0 as the substation."""
@@ -92,16 +105,18 @@ class DistributionFeeder:
         """
         if v is None:
             v = self.v
+        # the voltages stay numpy scalars: Python rounds complex division
+        # differently, which moves the T Newton's stopping decisions
         i = np.zeros(self.n_nodes, dtype=complex)
         for node, zl in self.zip_loads.items():
-            s = zip_power(zl, abs(v[node]))
-            i[node] += np.conj(s / v[node])
+            vn = v[node]
+            i[node] += np.conj(zip_power(zl, abs(vn)) / vn)
         for k, mu in enumerate(self.motors):
             if not mu.active:
                 continue
             x = mu.state if states is None else states[k]
-            s = mu.motor.terminal_power(x, v[mu.node])
-            i[mu.node] += np.conj(s / v[mu.node])
+            vn = v[mu.node]
+            i[mu.node] += np.conj(mu.motor.terminal_power(x, vn) / vn)
         return i
 
     def kcl(self, v: np.ndarray, states) -> tuple[complex, np.ndarray]:
@@ -150,7 +165,7 @@ class DistributionFeeder:
             v_new[0] = v_sub
             for k, br in enumerate(self.branches):
                 v_new[br.child] = v_new[br.parent] - br.z * ibr[k]
-            delta = np.max(np.abs(v_new - self.v))
+            delta = np.abs(v_new - self.v).max()
             self.v = v_new
             i_src = acc[0]
             if delta < tol:
@@ -178,8 +193,7 @@ class DistributionFeeder:
             v_old = self.v.copy()
             for mu in self.motors:
                 if mu.active:
-                    mu.state = mu.motor.initialize(
-                        complex(self.v[mu.node]), mu.p_target)
+                    mu.state = mu.equilibrium(complex(self.v[mu.node]))
             self.sweep(v_sub)
             if np.max(np.abs(self.v - v_old)) < 1e-12:
                 return
@@ -253,7 +267,7 @@ class DistributionSubSystem(SubSystem):
         if action == "connect_motor":
             mu = self._find_motor(params["name"])
             # load torque referenced to rated consumption at nominal volts
-            mu.motor.initialize(1.0 + 0.0j, mu.p_target)
+            mu.equilibrium(1.0 + 0.0j)
             mu.state = mu.motor.standstill_state()
             mu.active = True
         elif action == "disconnect_motor":

@@ -5,8 +5,10 @@ Jacobian.  It solves the steady-state power flow
 (``power_network.newton_power_flow``) and each implicit trapezoidal step
 of a small dense DAE, on the stacked residual.  ``rk_component_step`` is
 an adaptive embedded Runge-Kutta 4(5) (Dormand-Prince) integrator for
-node-level component dynamics.  All systems here are small and dense; no
-sparsity is exploited.
+node-level component dynamics, one small state at a time.  Its tableau is
+kept once as a lower-triangular stage matrix, and its seven stages in one
+preallocated array: each stage input is ``x + dt * (A[i, :i] @ k[:i])``.
+All systems here are small and dense; no sparsity is exploited.
 
 ``newton_solve`` is the simplified (modified) Newton of DASSL and of
 Hairer & Wanner, refreshing its Jacobian where it stands.  While it
@@ -24,6 +26,7 @@ the kept Jacobian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -234,32 +237,31 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
     return z[:nx].copy(), z[nx:].copy()
 
 
-# Dormand-Prince 4(5) coefficients
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+# Dormand-Prince 4(5) tableau: the stage matrix (strictly lower
+# triangular), whose last row is the 5th order weights, and the error
+# weights (5th less the embedded 4th order weights)
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0,
+     0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_B5 = _DP_A[6]
+_DP_E = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                           -92097 / 339200, 187 / 2100, 1 / 40])
 
 
 def _dp_step(deriv, x, u, dt):
     """One Dormand-Prince step; returns (5th order result, error estimate)."""
-    k = [np.asarray(deriv(x, u), dtype=float)]
+    k = np.empty((7, x.size))
+    k[0] = deriv(x, u)
     for i in range(1, 7):
-        xi = x + dt * sum(a * kj for a, kj in zip(_DP_A[i], k))
-        k.append(np.asarray(deriv(xi, u), dtype=float))
-    k = np.array(k)
-    x5 = x + dt * (_DP_B5 @ k)
-    err = dt * ((_DP_B5 - _DP_B4) @ k)
-    return x5, err
+        k[i] = deriv(x + dt * (_DP_A[i, :i] @ k[:i]), u)
+    return x + dt * (_DP_B5 @ k), dt * (_DP_E @ k)
 
 
 def rk_component_step(deriv: Callable, x: np.ndarray, u, h: float,
@@ -267,9 +269,10 @@ def rk_component_step(deriv: Callable, x: np.ndarray, u, h: float,
                       fixed_step: float | None = None) -> np.ndarray:
     """Integrate x' = deriv(x, u) from 0 to h, input u held constant.
 
-    Adaptive Dormand-Prince 4(5) with proportional step control keeping the
-    local error per step below tol.  A fixed internal step size can be
-    forced (used for order verification); error control is then disabled.
+    Adaptive Dormand-Prince 4(5) with proportional step control keeping
+    the local error, scaled by tol * max(1, |x|), at most one in RMS over
+    the components of x.  A fixed internal step size can be forced (used
+    for order verification); error control is then disabled.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -285,8 +288,8 @@ def rk_component_step(deriv: Callable, x: np.ndarray, u, h: float,
     while t < h - 1e-15 * h:
         dt = min(dt, h - t)
         x_new, err = _dp_step(deriv, x, u, dt)
-        scale = tol * np.maximum(1.0, np.abs(x))
-        enorm = np.sqrt(np.mean((err / scale) ** 2)) if x.size else 0.0
+        q = err / (tol * np.maximum(1.0, np.abs(x)))
+        enorm = math.sqrt(q @ q / x.size) if x.size else 0.0
         if enorm <= 1.0 or dt <= h * 1e-12:
             if dt <= h * 1e-12 and enorm > 1.0:
                 raise StiffnessError("step size underflow in RK integrator")

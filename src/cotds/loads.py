@@ -5,6 +5,13 @@ neglected, rotor flux kept as a complex EMF behind transient reactance,
 slip governed by the swing equation with a quadratic mechanical torque
 characteristic.  Parameters are given on the machine MVA base and scaled
 to the system base through ``mva_scale``.
+
+``InductionMotor.derivatives`` and ``terminal_power`` run at every
+Runge-Kutta stage and every sweep iteration, on one motor and one
+terminal voltage at a time.  At that size numpy's per-call overhead
+outweighs the arithmetic, so the motor's circuit constants (``rs + j x'``,
+``x0 - x'``, ``T0'``) are computed once when it is built, and the stator
+current is a Python complex scalar.
 """
 
 from __future__ import annotations
@@ -80,22 +87,28 @@ class InductionMotor:
         self.omega_s = omega_s
         self.tm0 = 0.0
         self.s0 = 0.0
+        # the parameters are frozen, so the circuit constants are fixed:
+        # stator impedance rs + j x', x0 - x', and T0'
+        self._zs = complex(params.rs, params.x_p)
+        self._dx = params.x_0 - params.x_p
+        self._t0 = params.t0_p(omega_s)
 
     # -- electrical interface (machine base internally) -----------------
 
     def _stator_current(self, e_p: complex, v: complex) -> complex:
-        return (v - e_p) / complex(self.p.rs, self.p.x_p)
+        return (v - e_p) / self._zs
 
     def terminal_power(self, x: np.ndarray, v: complex) -> complex:
         """Consumed P + jQ on the *system* base."""
         e_p = complex(x[0], x[1])
-        i = self._stator_current(e_p, v)
-        return v * np.conj(i) * self.p.mva_scale
+        # a Python complex conjugates faster than a numpy scalar ``v``'s
+        i = complex(self._stator_current(e_p, v))
+        return v * i.conjugate() * self.p.mva_scale
 
     def electrical_torque(self, x: np.ndarray, v: complex) -> float:
         e_p = complex(x[0], x[1])
         i = self._stator_current(e_p, v)
-        return (e_p * np.conj(i)).real
+        return (e_p * i.conjugate()).real
 
     def mech_torque(self, slip: float) -> float:
         speed = 1.0 - slip
@@ -103,31 +116,27 @@ class InductionMotor:
         return self.tm0 * (speed / ref) ** 2
 
     def derivatives(self, x: np.ndarray, v: complex) -> np.ndarray:
-        p = self.p
-        t0 = p.t0_p(self.omega_s)
         e_p = complex(x[0], x[1])
-        slip = x[2]
+        slip = float(x[2])
         i = self._stator_current(e_p, v)
         de = (-1j * slip * self.omega_s * e_p
-              - (e_p - 1j * (p.x_0 - p.x_p) * i) / t0)
-        te = (e_p * np.conj(i)).real
-        ds = (self.mech_torque(slip) - te) / (2.0 * p.h_m)
+              - (e_p - 1j * self._dx * i) / self._t0)
+        te = (e_p * i.conjugate()).real
+        ds = (self.mech_torque(slip) - te) / (2.0 * self.p.h_m)
         return np.array([de.real, de.imag, ds])
 
     # -- initialisation --------------------------------------------------
 
     def _steady_emf(self, slip: float, v: complex) -> complex:
-        p = self.p
-        t0 = p.t0_p(self.omega_s)
-        zs = complex(p.rs, p.x_p)
-        num = 1j * (p.x_0 - p.x_p) * v / (t0 * zs)
-        den = 1j * slip * self.omega_s + 1.0 / t0 + 1j * (p.x_0 - p.x_p) / (t0 * zs)
+        t0, zs = self._t0, self._zs
+        num = 1j * self._dx * v / (t0 * zs)
+        den = 1j * slip * self.omega_s + 1.0 / t0 + 1j * self._dx / (t0 * zs)
         return num / den
 
     def steady_torque(self, slip: float, v: complex) -> float:
         e_p = self._steady_emf(slip, v)
         i = self._stator_current(e_p, v)
-        return (e_p * np.conj(i)).real
+        return (e_p * i.conjugate()).real
 
     def initialize(self, v: complex, p_target: float) -> np.ndarray:
         """Solve the running equilibrium drawing ``p_target`` (system base).
@@ -141,7 +150,7 @@ class InductionMotor:
         def active(slip):
             e_p = self._steady_emf(slip, v)
             i = self._stator_current(e_p, v)
-            return (v * np.conj(i)).real - p_mach
+            return (v * i.conjugate()).real - p_mach
 
         # stable branch lies below the pull-out slip; bracket from zero
         s_hi = 0.5

@@ -4,7 +4,10 @@
 a rename there would only show when the benchmark's traced runs fail.
 The monolithic run also keeps the invariants ``bench/selftest.py``
 checks on ``tc1-mono``: it runs no macro-step exchange, and it sweeps
-feeders only during initialisation, even across a motor event.
+feeders only during initialisation, even across a motor event.  A
+co-simulation run must pass through the distribution-side boundaries,
+so a feeder kernel that goes around them fails here, not only in the
+benchmark's counts.
 """
 
 import importlib.util
@@ -55,3 +58,20 @@ def test_instrumented_counts_and_restores():
 
     sweeps = [span[1] for span in tracer.spans if span[3] == "feeder.sweep"]
     assert sweeps and all(under_init(sid) for sid in sweeps)
+
+
+def test_cosim_passes_the_traced_distribution_path():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    s = load_scenario(fixture_path("testcase1"))
+    s.method, s.h_macro, s.t_end = RunMethod.SERIES, 0.01, 0.05
+    s.events = [Event(0.02, "D6", "connect_motor", {"name": "bus6_im2"})]
+    with tracing.instrumented(tracer):
+        engine.run_scenario(s)
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["cosim.macro_steps"] == 5
+    assert metrics["integrators.rk_step.calls"] > 0
+    assert metrics["loads.motor_derivatives.calls"] > 0
+    assert metrics["feeder.sweep_iters"] > 0
+    # a Dormand-Prince step takes seven derivative evaluations
+    assert metrics["integrators.rk_derivs_per_call"] >= 7

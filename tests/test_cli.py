@@ -187,6 +187,48 @@ class TestRunAndCompare:
         assert "sub-system failure at t=0.05" in capsys.readouterr().err
 
 
+def infeasible_testcase1(tmp_path, motor, mva_scale, event_time=None):
+    """testcase1 as a file, one motor rescaled past what it can carry."""
+    with open(fixture_path("testcase1")) as fh:
+        doc = json.load(fh)
+    for fd in doc["feeders"]:
+        for m in fd["composition"]["motors"]:
+            if m["name"] == motor:
+                m["machine"]["mva_scale"] = mva_scale
+    if event_time is not None:
+        doc["events"][0]["time"] = event_time
+    path = str(tmp_path / "infeasible.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+class TestInfeasibleMotor:
+    def test_at_start_exits_numeric(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        rc = run_cli("cotds", "run",
+                     infeasible_testcase1(tmp_path, "bus5_im1", 0.01),
+                     "--h", "0.01", "--t-end", "0.05", "--out-dir", out)
+        assert rc == EXIT_NUMERIC
+        assert "motor bus5_im1: " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_at_connect_event_truncates(self, tmp_path, capsys):
+        # testcase1's one event connects bus6_im2, here at t = 0.02 s
+        out = str(tmp_path / "run")
+        rc = run_cli("cotds", "run",
+                     infeasible_testcase1(tmp_path, "bus6_im2", 1e-4, 0.02),
+                     "--h", "0.01", "--t-end", "0.05", "--out-dir", out)
+        assert rc == EXIT_NUMERIC
+        assert len(read_csv(os.path.join(out, "run.csv")).times) == 3
+        with open(os.path.join(out, "summary.txt")) as fh:
+            text = fh.read()
+        assert "verdict: Diverged" in text
+        assert ("failure: sub-system failure at t=0.02: motor bus6_im2: "
+                in text)
+        assert "motor bus6_im2: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("event", [
     {"target": "D9", "action": "connect_feeder", "params": {"index": 1}},
     {"target": "T", "action": "connect_feeder", "params": {"index": 1}},

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from cotds.engine import (
     detect_convergence,
     run_scenario,
 )
+from cotds.feeder import FeederError
 from cotds.integrators import NewtonError, trapezoidal_dae_step
 from cotds.linear_subsystems import make_linear_pair
 from cotds.linlab import LinearCoupledParams, StateVec2
@@ -193,6 +195,19 @@ def quick_scenario(method=RunMethod.SERIES, h=0.01, t_end=0.5, events=False,
     return s
 
 
+def with_mva_scale(s, motor, mva_scale):
+    """``s`` with one motor rescaled; a small scale makes its load infeasible."""
+    def rescale(ms):
+        if ms.name != motor:
+            return ms
+        return dataclasses.replace(ms, machine=dataclasses.replace(
+            ms.machine, mva_scale=mva_scale))
+
+    s.feeders = [dataclasses.replace(fs, motors=tuple(map(rescale, fs.motors)))
+                 for fs in s.feeders]
+    return s
+
+
 class TestRunScenario:
     def test_equilibrium_all_methods_agree(self):
         # testcase2 starts with a feeder switched off
@@ -280,6 +295,25 @@ class TestRunScenario:
         assert (logs[RunMethod.SERIES].columns
                 == logs[RunMethod.PARALLEL].columns
                 == logs[RunMethod.MONOLITHIC].columns)
+
+    @pytest.mark.parametrize("method", list(RunMethod))
+    def test_failed_event_truncates(self, method):
+        # bus6_im2 connects at t = 0.02 s to a load it cannot carry; the
+        # records made before the event are kept
+        s = with_mva_scale(quick_scenario(method=method, t_end=0.05),
+                           "bus6_im2", 1e-4)
+        s.events = [Event(0.02, "D6", "connect_motor", {"name": "bus6_im2"})]
+        r = run_scenario(s)
+        assert r.log.times == pytest.approx([0.0, 0.01, 0.02])
+        assert r.log.failure.startswith(
+            "sub-system failure at t=0.02: motor bus6_im2: "), r.log.failure
+        assert not r.log.diverged
+        assert r.verdict is Verdict.DIVERGED
+
+    def test_infeasible_motor_fails_at_start(self):
+        s = with_mva_scale(quick_scenario(), "bus5_im1", 0.01)
+        with pytest.raises(FeederError, match="motor bus5_im1: .* p_target"):
+            run_scenario(s)
 
     @pytest.mark.parametrize("method", list(RunMethod))
     def test_programming_error_propagates(self, method, monkeypatch):

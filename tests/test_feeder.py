@@ -160,6 +160,13 @@ class TestInitialize:
         s = mu.motor.terminal_power(mu.state, f.v[mu.node])
         assert s.real == pytest.approx(0.20, abs=1e-9)
 
+    def test_infeasible_motor_is_feeder_error(self):
+        f = example_feeder()
+        f.motors[0].p_target = 50.0  # far beyond the machine's pull-out
+        with pytest.raises(FeederError, match=r"motor m1: .* p_target 50 "
+                                              r"at \|V\| 1\.01\b"):
+            f.initialize(1.01 + 0.0j)
+
     def test_step_motors_holds_equilibrium(self):
         f = example_feeder()
         f.initialize(1.0 + 0.0j)
@@ -206,6 +213,13 @@ class TestSubSystem:
         sub.apply_event("connect_motor", {"name": "m1"})
         _, q_on = sub.output()
         assert q_on > q_off + 0.5  # locked-rotor reactive inrush
+
+    def test_infeasible_motor_connect_is_feeder_error(self):
+        sub = self.make_sub()
+        sub.apply_event("disconnect_motor", {"name": "m1"})
+        sub.feeders[0].motors[0].p_target = 50.0
+        with pytest.raises(FeederError, match="motor m1: .* p_target 50 "):
+            sub.apply_event("connect_motor", {"name": "m1"})
 
     def test_snapshot_keys(self):
         sub = self.make_sub()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
@@ -268,3 +269,56 @@ class TestRkComponentStep:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             rk_component_step(lambda x, u: -x, np.array([1.0]), None, 1.0, 0.0)
+
+
+# Dormand & Prince (1980), typed here independently of the module: stage
+# matrix, 5th order weights, embedded 4th order weights
+DP_A = [
+    [],
+    [Fr(1, 5)],
+    [Fr(3, 40), Fr(9, 40)],
+    [Fr(44, 45), Fr(-56, 15), Fr(32, 9)],
+    [Fr(19372, 6561), Fr(-25360, 2187), Fr(64448, 6561), Fr(-212, 729)],
+    [Fr(9017, 3168), Fr(-355, 33), Fr(46732, 5247), Fr(49, 176),
+     Fr(-5103, 18656)],
+    [Fr(35, 384), Fr(0), Fr(500, 1113), Fr(125, 192), Fr(-2187, 6784),
+     Fr(11, 84)],
+]
+DP_B5 = [Fr(35, 384), Fr(0), Fr(500, 1113), Fr(125, 192), Fr(-2187, 6784),
+         Fr(11, 84), Fr(0)]
+DP_B4 = [Fr(5179, 57600), Fr(0), Fr(7571, 16695), Fr(393, 640),
+         Fr(-92097, 339200), Fr(187, 2100), Fr(1, 40)]
+
+
+def exact_dp_step(z):
+    """One exact DP step of x' = z x from x = 1 with dt = 1: (x5, err).
+
+    The stages are k = z (I - zA)^-1 1, by forward substitution since A
+    is strictly lower triangular; x5 = 1 + b5.k, err = (b5 - b4).k.
+    """
+    k = []
+    for row in DP_A:
+        k.append(z * (1 + sum(a * kj for a, kj in zip(row, k))))
+    x5 = 1 + sum(b * kj for b, kj in zip(DP_B5, k))
+    err = sum((b5 - b4) * kj for b5, b4, kj in zip(DP_B5, DP_B4, k))
+    return x5, err
+
+
+class TestDormandPrinceTableau:
+    Z = [Fr(-3, 2), Fr(-1), Fr(-1, 2), Fr(-1, 10), Fr(1, 4), Fr(3, 4)]
+
+    def test_typed_tableau_has_the_dp5_stability_polynomial(self):
+        # the independent coefficients themselves: R(z) = sum_{j<=5}
+        # z^j/j! + z^6/600, exactly
+        for z in self.Z:
+            x5, _ = exact_dp_step(z)
+            taylor = sum(z ** j / math.factorial(j) for j in range(6))
+            assert x5 == taylor + z ** 6 / 600
+
+    @pytest.mark.parametrize("z", Z)
+    def test_one_step_matches_exact_tableau(self, z):
+        x5, err = integrators._dp_step(lambda x, u: float(z) * x,
+                                       np.array([1.0]), None, 1.0)
+        want_x5, want_err = exact_dp_step(z)
+        assert abs(x5[0] - float(want_x5)) <= 1e-14
+        assert abs(err[0] - float(want_err)) <= 1e-14

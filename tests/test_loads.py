@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotds.loads import (
     InductionMotor,
@@ -112,3 +116,62 @@ class TestInductionMotor:
         x2 = m2.initialize(self.V, p_target=0.40)
         # same machine loading per unit of rating -> identical internal state
         assert x1 == pytest.approx(x2, rel=1e-10)
+
+
+def textbook_motor(p, omega_s, tm0, s0, x, v):
+    """Equivalent-circuit derivatives and power, in real arithmetic.
+
+    x' = xs + xm xr/(xm + xr), x0 = xs + xm, T0' = (xr + xm)/(ws rr);
+    I = (V - E')/(rs + j x'); dE'/dt = -j s ws E' - (E' - j(x0 - x')I)/T0';
+    Te = Re(E' I*), Tm = tm0 ((1 - s)/(1 - s0))^2, ds/dt = (Tm - Te)/2H;
+    S = V I* mva_scale.  Each result comes with the size of its largest
+    term, the scale its rounding error is relative to.
+    """
+    er, ei, s = x
+    x_p = p.xs + p.xm * p.xr / (p.xm + p.xr)
+    dx = p.xs + p.xm - x_p
+    t0 = (p.xr + p.xm) / (omega_s * p.rr)
+    den = p.rs ** 2 + x_p ** 2
+    ar, ai = v.real - er, v.imag - ei
+    ir, ii = (ar * p.rs + ai * x_p) / den, (ai * p.rs - ar * x_p) / den
+    te = er * ir + ei * ii
+    tm = tm0 * ((1.0 - s) / (1.0 - s0)) ** 2
+    deriv = [s * omega_s * ei - (er + dx * ii) / t0,
+             -s * omega_s * er - (ei - dx * ir) / t0,
+             (tm - te) / (2.0 * p.h_m)]
+    e, i = math.hypot(er, ei), math.hypot(ir, ii)
+    deriv_scale = [abs(s) * omega_s * e + (e + dx * i) / t0] * 2 + [
+        (abs(tm) + e * i) / (2.0 * p.h_m)]
+    power = complex(v.real * ir + v.imag * ii,
+                    v.imag * ir - v.real * ii) * p.mva_scale
+    return deriv, deriv_scale, power, abs(v) * i * p.mva_scale
+
+
+def positive(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+motor_params = st.builds(InductionMotorParams, rs=positive(1e-3, 0.1),
+                         xs=positive(0.01, 0.3), xm=positive(1.0, 10.0),
+                         rr=positive(5e-3, 0.1), xr=positive(0.01, 0.3),
+                         h_m=positive(0.1, 3.0), mva_scale=positive(0.01, 2.0))
+
+
+class TestAgainstTextbook:
+    @settings(max_examples=200, deadline=None)
+    @given(p=motor_params, tm0=positive(0.0, 2.0), s0=positive(0.0, 0.2),
+           x=st.tuples(positive(-1.5, 1.5), positive(-1.5, 1.5),
+                       positive(-0.5, 1.5)),
+           vmag=positive(0.5, 1.2), vang=positive(-math.pi, math.pi))
+    def test_derivatives_and_terminal_power(self, p, tm0, s0, x, vmag,
+                                            vang):
+        m = InductionMotor(p, OMEGA_S)
+        m.tm0, m.s0 = tm0, s0
+        v = complex(vmag * math.cos(vang), vmag * math.sin(vang))
+        deriv, deriv_scale, power, power_scale = textbook_motor(
+            p, OMEGA_S, tm0, s0, x, v)
+        got = m.derivatives(np.array(x), v)
+        for g, want, scale in zip(got, deriv, deriv_scale):
+            assert abs(g - want) <= 1e-13 * scale
+        s = m.terminal_power(np.array(x), v)
+        assert abs(s - power) <= 1e-13 * power_scale
