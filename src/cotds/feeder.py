@@ -8,7 +8,10 @@ because load currents depend on node voltage.  ``node_currents`` is the
 one place the ZIP and motor currents are computed; besides the sweep it
 feeds ``kcl``, the feeder's KCL mismatch at given node voltages and motor
 states, which the monolithic reference stacks into its DAE together with
-``motor_derivatives``.
+``motor_derivatives``.  A feeder has a handful of nodes, where numpy's
+per-call overhead outweighs the arithmetic, so the sweep and ``kcl`` work
+on lists of Python complex node voltages and currents; the sweep writes
+``DistributionFeeder.v`` back as an array once it has converged.
 
 The ``DistributionSubSystem`` wraps one or more feeders hanging off a
 single transmission interface bus.  Its macro step is: solve the feeder
@@ -79,7 +82,7 @@ class DistributionFeeder:
                  zip_loads: dict[int, ZipLoadParams] | None = None,
                  motors: list[MotorUnit] | None = None,
                  active: bool = True):
-        self.branches = list(branches)
+        self.branches = tuple(branches)
         self.zip_loads = dict(zip_loads or {})
         self.motors = list(motors or [])
         self.active = active
@@ -93,30 +96,33 @@ class DistributionFeeder:
             nodes.add(br.child)
         self.n_nodes = len(nodes)
         self.v = np.ones(self.n_nodes, dtype=complex)
+        # (parent, child, impedance) of each branch, parent-first
+        self._edges = tuple((br.parent, br.child, br.z)
+                            for br in self.branches)
 
     # -- power flow -------------------------------------------------------
 
-    def node_currents(self, v: np.ndarray | None = None,
-                      states=None) -> np.ndarray:
+    def node_currents(self, v: list[complex], states=None) -> list[complex]:
         """Current drawn at each node by its components (system base).
 
-        ``v`` holds the node voltages and ``states`` one state per motor,
-        in ``motors`` order; both default to the feeder's own.
+        ``v`` holds the node voltages as Python complex numbers, and
+        ``states`` one state per motor, in ``motors`` order, by default
+        the motors' own.  A zero voltage at a loaded node is a
+        ``FeederError``.
         """
-        if v is None:
-            v = self.v
-        # the voltages stay numpy scalars: Python rounds complex division
-        # differently, which moves the T Newton's stopping decisions
-        i = np.zeros(self.n_nodes, dtype=complex)
-        for node, zl in self.zip_loads.items():
-            vn = v[node]
-            i[node] += np.conj(zip_power(zl, abs(vn)) / vn)
-        for k, mu in enumerate(self.motors):
-            if not mu.active:
-                continue
-            x = mu.state if states is None else states[k]
-            vn = v[mu.node]
-            i[mu.node] += np.conj(mu.motor.terminal_power(x, vn) / vn)
+        i = [0j] * self.n_nodes
+        try:
+            for node, zl in self.zip_loads.items():
+                vn = v[node]
+                i[node] += (zip_power(zl, abs(vn)) / vn).conjugate()
+            for k, mu in enumerate(self.motors):
+                if not mu.active:
+                    continue
+                x = mu.state if states is None else states[k]
+                vn = v[mu.node]
+                i[mu.node] += (mu.motor.terminal_power(x, vn) / vn).conjugate()
+        except ZeroDivisionError:
+            raise FeederError("zero voltage at a loaded node") from None
         return i
 
     def kcl(self, v: np.ndarray, states) -> tuple[complex, np.ndarray]:
@@ -130,12 +136,16 @@ class DistributionFeeder:
         """
         if not self.active:
             return 0j, v[1:] - v[0]
-        bal = -self.node_currents(v, states)
-        for br in self.branches:
-            ibr = (v[br.parent] - v[br.child]) / br.z
-            bal[br.parent] -= ibr
-            bal[br.child] += ibr
-        return -bal[0], bal[1:]
+        v = v.tolist()
+        bal = [-i for i in self.node_currents(v, states)]
+        try:
+            for p, c, z in self._edges:
+                ibr = (v[p] - v[c]) / z
+                bal[p] -= ibr
+                bal[c] += ibr
+        except ZeroDivisionError:
+            raise FeederError(f"branch {p}-{c} has zero impedance") from None
+        return -bal[0], np.array(bal[1:])
 
     def motor_derivatives(self, v: np.ndarray, states) -> np.ndarray:
         """Stacked motor state derivatives; zero for a motor switched off."""
@@ -149,42 +159,40 @@ class DistributionFeeder:
     def sweep(self, v_sub: complex, tol: float = 1e-8,
               max_iter: int = 100) -> complex:
         """Backward/forward sweep; returns the substation source current."""
-        self.v[0] = v_sub
-        i_src = 0.0 + 0.0j
+        v_sub = complex(v_sub)
+        v = self.v.tolist()
+        v[0] = v_sub
+        edges = self._edges
         for _ in range(max_iter):
-            inode = self.node_currents()
-            # backward: accumulate branch currents toward the root
-            ibr = np.zeros(len(self.branches), dtype=complex)
-            acc = inode.copy()
-            for k in range(len(self.branches) - 1, -1, -1):
-                br = self.branches[k]
-                ibr[k] = acc[br.child]
-                acc[br.parent] += ibr[k]
+            acc = self.node_currents(v)
+            # backward: accumulate branch currents toward the root; a
+            # child's branches come after its own, so acc[c] is final
+            for p, c, _ in reversed(edges):
+                acc[p] += acc[c]
             # forward: push voltages out from the substation
-            v_new = self.v.copy()
-            v_new[0] = v_sub
-            for k, br in enumerate(self.branches):
-                v_new[br.child] = v_new[br.parent] - br.z * ibr[k]
-            delta = np.abs(v_new - self.v).max()
-            self.v = v_new
-            i_src = acc[0]
+            v_new = [v_sub] * self.n_nodes
+            for p, c, z in edges:
+                v_new[c] = v_new[p] - z * acc[c]
+            delta = max(abs(a - b) for a, b in zip(v_new, v))
+            v = v_new
             if delta < tol:
-                return i_src
+                self.v = np.array(v)
+                return acc[0]
+        self.v = np.array(v)
         raise FeederError("feeder sweep did not converge")
 
     def source_power(self, v_sub: complex) -> complex:
-        return v_sub * np.conj(self.sweep(v_sub))
+        return v_sub * self.sweep(v_sub).conjugate()
 
     # -- dynamics -----------------------------------------------------------
 
     def step_motors(self, h: float, tol: float = 1e-6) -> None:
+        """Advance every active motor over ``h``, its terminal voltage held."""
         for mu in self.motors:
-            if not mu.active:
-                continue
-            v_node = complex(self.v[mu.node])
-            mu.state = rk_component_step(
-                lambda x, _u, v=v_node, m=mu.motor: m.derivatives(x, v),
-                mu.state, None, h, tol=tol)
+            if mu.active:
+                mu.state = np.array(rk_component_step(
+                    mu.motor.derivatives, mu.state, complex(self.v[mu.node]),
+                    h, tol=tol))
 
     def initialize(self, v_sub: complex, max_iter: int = 50) -> None:
         """Fixed point of sweep + motor equilibrium at node voltages."""

@@ -5,10 +5,14 @@ Jacobian.  It solves the steady-state power flow
 (``power_network.newton_power_flow``) and each implicit trapezoidal step
 of a small dense DAE, on the stacked residual.  ``rk_component_step`` is
 an adaptive embedded Runge-Kutta 4(5) (Dormand-Prince) integrator for
-node-level component dynamics, one small state at a time.  Its tableau is
-kept once as a lower-triangular stage matrix, and its seven stages in one
-preallocated array: each stage input is ``x + dt * (A[i, :i] @ k[:i])``.
-All systems here are small and dense; no sparsity is exploited.
+node-level component dynamics, one small state at a time: a motor's three
+states, as a list of Python floats.  At that size numpy's per-call
+overhead outweighs the arithmetic, so the seven stages are written out,
+each stage input one list comprehension over the components, with the
+tableau's zero weights left out.  The last stage of a step is the next
+step's first (first same as last), so an accepted step takes six
+derivative evaluations and a rejected one keeps its first.  All systems
+here are small and dense; no sparsity is exploited.
 
 ``newton_solve`` is the simplified (modified) Newton of DASSL and of
 Hairer & Wanner, refreshing its Jacobian where it stands.  While it
@@ -238,65 +242,95 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
 
 
 # Dormand-Prince 4(5) tableau: the stage matrix (strictly lower
-# triangular), whose last row is the 5th order weights, and the error
-# weights (5th less the embedded 4th order weights)
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0,
-     0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_DP_B5 = _DP_A[6]
-_DP_E = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                           -92097 / 339200, 187 / 2100, 1 / 40])
+# triangular, its rows cut at the diagonal), whose last row is the 5th
+# order weights, and the error weights (5th less the embedded 4th order
+# weights)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(
+    _DP_A[6] + (0.0,),
+    (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+     187 / 2100, 1 / 40)))
+# the same entries by name for the unrolled stages; the zero weights of
+# k2 (in the 5th order result and the error) have none
+(_, (A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
+ (A61, A62, A63, A64, A65), (B1, _, B3, B4, B5, B6)) = _DP_A
+E1, _, E3, E4, E5, E6, E7 = _DP_E
 
 
-def _dp_step(deriv, x, u, dt):
-    """One Dormand-Prince step; returns (5th order result, error estimate)."""
-    k = np.empty((7, x.size))
-    k[0] = deriv(x, u)
-    for i in range(1, 7):
-        k[i] = deriv(x + dt * (_DP_A[i, :i] @ k[:i]), u)
-    return x + dt * (_DP_B5 @ k), dt * (_DP_E @ k)
+def _dp_step(deriv, x, u, dt, k1):
+    """One Dormand-Prince step from ``x``, whose derivative ``k1`` is given.
+
+    Returns (5th order result, error estimate, derivative at the result).
+    The last stage is taken at the 5th order result, so its derivative is
+    the next step's ``k1`` (first same as last).
+    """
+    k2 = deriv([xj + dt * (A21 * a) for xj, a in zip(x, k1)], u)
+    k3 = deriv([xj + dt * (A31 * a + A32 * b)
+                for xj, a, b in zip(x, k1, k2)], u)
+    k4 = deriv([xj + dt * (A41 * a + A42 * b + A43 * c)
+                for xj, a, b, c in zip(x, k1, k2, k3)], u)
+    k5 = deriv([xj + dt * (A51 * a + A52 * b + A53 * c + A54 * d)
+                for xj, a, b, c, d in zip(x, k1, k2, k3, k4)], u)
+    k6 = deriv([xj + dt * (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
+                for xj, a, b, c, d, e in zip(x, k1, k2, k3, k4, k5)], u)
+    x5 = [xj + dt * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * f)
+          for xj, a, c, d, e, f in zip(x, k1, k3, k4, k5, k6)]
+    k7 = deriv(x5, u)
+    err = [dt * (E1 * a + E3 * c + E4 * d + E5 * e + E6 * f + E7 * g)
+           for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)]
+    return x5, err, k7
 
 
-def rk_component_step(deriv: Callable, x: np.ndarray, u, h: float,
-                      tol: float = 1e-6,
-                      fixed_step: float | None = None) -> np.ndarray:
+def rk_component_step(deriv: Callable, x, u, h: float, tol: float = 1e-6,
+                      fixed_step: float | None = None) -> list[float]:
     """Integrate x' = deriv(x, u) from 0 to h, input u held constant.
 
-    Adaptive Dormand-Prince 4(5) with proportional step control keeping
+    ``x`` is any sequence of floats.  ``deriv`` is called with a list of
+    floats and returns a sequence of floats; the result is a list of
+    floats.  Adaptive Dormand-Prince 4(5) with proportional step control keeping
     the local error, scaled by tol * max(1, |x|), at most one in RMS over
     the components of x.  A fixed internal step size can be forced (used
     for order verification); error control is then disabled.
+
+    The arithmetic is on Python floats: a float ``**`` that overflows
+    inside ``deriv`` raises ``OverflowError``, which ``cosim.march``
+    classifies as divergence, and a step whose error is not finite is
+    rejected until the step size underflows (``StiffnessError``).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-    t = 0.0
+    x = [float(xj) for xj in x]
+    k1 = deriv(x, u)
     if fixed_step is not None:
         n = max(1, int(round(h / fixed_step)))
         dt = h / n
         for _ in range(n):
-            x, _ = _dp_step(deriv, x, u, dt)
+            x, _, k1 = _dp_step(deriv, x, u, dt, k1)
         return x
+    n = len(x)
+    t = 0.0
     dt = h
     while t < h - 1e-15 * h:
         dt = min(dt, h - t)
-        x_new, err = _dp_step(deriv, x, u, dt)
-        q = err / (tol * np.maximum(1.0, np.abs(x)))
-        enorm = math.sqrt(q @ q / x.size) if x.size else 0.0
+        x_new, err, k7 = _dp_step(deriv, x, u, dt, k1)
+        q = [e / (tol * max(1.0, abs(xj))) for e, xj in zip(err, x)]
+        enorm = math.sqrt(sum(qj * qj for qj in q) / n) if n else 0.0
         if enorm <= 1.0 or dt <= h * 1e-12:
             if dt <= h * 1e-12 and enorm > 1.0:
                 raise StiffnessError("step size underflow in RK integrator")
             t += dt
-            x = x_new
+            x, k1 = x_new, k7
             dt *= min(5.0, max(0.2, 0.9 * (1.0 / max(enorm, 1e-10)) ** 0.2))
         else:
+            # a rejected step retries from the same x, so k1 stands
             dt *= max(0.2, 0.9 * (1.0 / enorm) ** 0.2)
             if dt < h * 1e-12:
                 raise StiffnessError("step size underflow in RK integrator")

@@ -10,8 +10,10 @@ to the system base through ``mva_scale``.
 Runge-Kutta stage and every sweep iteration, on one motor and one
 terminal voltage at a time.  At that size numpy's per-call overhead
 outweighs the arithmetic, so the motor's circuit constants (``rs + j x'``,
-``x0 - x'``, ``T0'``) are computed once when it is built, and the stator
-current is a Python complex scalar.
+``x0 - x'``, ``T0'``) are computed once when it is built, and both work
+in Python scalars: the stator current is a Python complex, and
+``derivatives`` returns a tuple of three floats, the derivative
+``integrators.rk_component_step`` takes.
 """
 
 from __future__ import annotations
@@ -101,8 +103,7 @@ class InductionMotor:
     def terminal_power(self, x: np.ndarray, v: complex) -> complex:
         """Consumed P + jQ on the *system* base."""
         e_p = complex(x[0], x[1])
-        # a Python complex conjugates faster than a numpy scalar ``v``'s
-        i = complex(self._stator_current(e_p, v))
+        i = self._stator_current(e_p, v)
         return v * i.conjugate() * self.p.mva_scale
 
     def electrical_torque(self, x: np.ndarray, v: complex) -> float:
@@ -115,7 +116,8 @@ class InductionMotor:
         ref = 1.0 - self.s0
         return self.tm0 * (speed / ref) ** 2
 
-    def derivatives(self, x: np.ndarray, v: complex) -> np.ndarray:
+    def derivatives(self, x, v: complex) -> tuple[float, float, float]:
+        """State derivatives at state ``x`` (any sequence of three floats)."""
         e_p = complex(x[0], x[1])
         slip = float(x[2])
         i = self._stator_current(e_p, v)
@@ -123,7 +125,7 @@ class InductionMotor:
               - (e_p - 1j * self._dx * i) / self._t0)
         te = (e_p * i.conjugate()).real
         ds = (self.mech_torque(slip) - te) / (2.0 * self.p.h_m)
-        return np.array([de.real, de.imag, ds])
+        return de.real, de.imag, ds
 
     # -- initialisation --------------------------------------------------
 

@@ -8,7 +8,9 @@ from cotds.feeder import (
     FeederError,
     MotorUnit,
 )
+from cotds.engine import build_subsystems, iterative_td_powerflow_init
 from cotds.loads import InductionMotor, InductionMotorParams, ZipLoadParams
+from cotds.scenario_io import fixture_path, load_scenario
 
 OMEGA_S = 2.0 * np.pi * 60.0
 
@@ -102,13 +104,56 @@ class TestSweep:
         assert s_src.real - drawn < 0.01
 
 
+def initialised_testcase1():
+    """testcase1's D sub-systems at the initial T-D power flow."""
+    scenario = load_scenario(fixture_path("testcase1"))
+    subsystems, dsubs, interface = build_subsystems(scenario)
+    iterative_td_powerflow_init(subsystems["T"], dsubs, interface)
+    return dsubs
+
+
+TESTCASE1_MOTORS = [ms.name for fs in
+                    load_scenario(fixture_path("testcase1")).feeders
+                    for ms in fs.motors]
+
+
+class TestTestcase1Feeders:
+    """The sweep against the dense nodal solve on every testcase1 feeder
+    (criterion 10 checks testcase2's), at its initial state and right
+    after each motor is connected at standstill."""
+
+    def check(self, sub):
+        v_sub = complex(*sub.current_input)
+        for fd in sub.feeders:
+            i_src = fd.sweep(v_sub, tol=1e-12)
+            v_ref, i_ref = dense_nodal_solution(fd, v_sub)
+            assert np.max(np.abs(fd.v - v_ref)) < 1e-8
+            assert abs(i_src - i_ref) < 1e-8
+
+    def test_initial_state(self):
+        dsubs = initialised_testcase1()
+        for sub in dsubs.values():
+            self.check(sub)
+
+    @pytest.mark.parametrize("name", TESTCASE1_MOTORS)
+    def test_after_connect_motor(self, name):
+        for sub in initialised_testcase1().values():
+            motors = {mu.name: mu for fd in sub.feeders for mu in fd.motors}
+            if name in motors:
+                sub.apply_event("connect_motor", {"name": name})
+                assert motors[name].state[2] == 1.0  # at standstill
+                self.check(sub)
+
+
 def current_sensitivity(feeder, states, h=1e-6):
     """Largest move of a node's component current per unit move of its
     voltage, in any direction.  A node's current depends on its own
     voltage only, so every node is moved at once."""
-    i0 = feeder.node_currents(feeder.v, states)
-    moves = [np.abs(feeder.node_currents(feeder.v + dv, states) - i0) / h
-             for dv in (h, 1j * h)]
+    def currents(v):
+        return np.array(feeder.node_currents(v.tolist(), states))
+
+    i0 = currents(feeder.v)
+    moves = [np.abs(currents(feeder.v + dv) - i0) / h for dv in (h, 1j * h)]
     return float(np.max(moves[0] + moves[1]))
 
 
@@ -137,6 +182,31 @@ class TestKcl:
         i_src, mismatch = f.kcl(v, [mu.state for mu in f.motors])
         assert i_src == 0
         assert np.array_equal(mismatch, v[1:] - v[0])
+
+
+class TestZeroDivision:
+    """Python complex division by zero raises where numpy gave inf; it
+    must end as a ``FeederError``, a classified numeric failure."""
+
+    def test_sweep_at_zero_voltage(self):
+        f = DistributionFeeder([FeederBranch(0, 1, 0.01, 0.03)],
+                               {0: ZipLoadParams(p0=0.1, q0=0.02)})
+        with pytest.raises(FeederError, match="zero voltage"):
+            f.sweep(0j)
+
+    @pytest.mark.parametrize("node", [2, 3])  # a ZIP load, a motor
+    def test_kcl_at_zero_voltage(self, node):
+        f = example_feeder()
+        f.initialize(1.0 + 0.0j)
+        v = f.v.copy()
+        v[node] = 0.0
+        with pytest.raises(FeederError, match="zero voltage"):
+            f.kcl(v, [mu.state for mu in f.motors])
+
+    def test_kcl_across_zero_impedance(self):
+        f = DistributionFeeder([FeederBranch(0, 1, 0.0, 0.0)])
+        with pytest.raises(FeederError, match="branch 0-1 has zero imp"):
+            f.kcl(np.array([1.0, 0.9], dtype=complex), [])
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction as Fr
 
@@ -19,6 +20,7 @@ from cotds.linlab import (
     step_total_trapezoidal,
     system_matrix,
 )
+from cotds.loads import InductionMotor, InductionMotorParams
 
 
 class ScalarDecay(DaeSystem):
@@ -228,47 +230,46 @@ class TestJacobianReuse:
 
 class TestRkComponentStep:
     def test_scalar_exponential(self):
-        x = rk_component_step(lambda x, u: -x, np.array([1.0]), None, 1.0, 1e-8)
+        x = rk_component_step(lambda x, u: [-x[0]], [1.0], None, 1.0, 1e-8)
         assert x[0] == pytest.approx(math.exp(-1.0), abs=1e-7)
 
     def test_fast_decay(self):
-        x = rk_component_step(lambda x, u: -10.0 * x, np.array([1.0]), None,
+        x = rk_component_step(lambda x, u: [-10.0 * x[0]], [1.0], None,
                               0.006, 1e-8)
         assert x[0] == pytest.approx(math.exp(-0.06), abs=1e-8)
 
     def test_tolerance_sweep_monotone(self):
         def deriv(x, u):
-            return np.array([x[1], -x[0]])  # harmonic oscillator
+            return [x[1], -x[0]]  # harmonic oscillator
 
         ref = np.array([math.cos(3.0), -math.sin(3.0)])
         errs = []
         for tol in (1e-3, 1e-5, 1e-7, 1e-9):
-            x = rk_component_step(deriv, np.array([1.0, 0.0]), None, 3.0, tol)
+            x = rk_component_step(deriv, [1.0, 0.0], None, 3.0, tol)
             errs.append(np.max(np.abs(x - ref)))
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_observed_order_at_least_four(self):
         def deriv(x, u):
-            return np.array([x[1], -x[0]])
+            return [x[1], -x[0]]
 
         ref = np.array([math.cos(1.0), -math.sin(1.0)])
         errs = []
         steps = [0.2, 0.1, 0.05, 0.025]
         for dt in steps:
-            x = rk_component_step(deriv, np.array([1.0, 0.0]), None, 1.0,
+            x = rk_component_step(deriv, [1.0, 0.0], None, 1.0,
                                   tol=1.0, fixed_step=dt)
             errs.append(np.max(np.abs(x - ref)))
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert slope >= 4.0
 
     def test_input_held_constant(self):
-        x = rk_component_step(lambda x, u: np.array([u]), np.array([0.0]),
-                              2.5, 2.0, 1e-9)
+        x = rk_component_step(lambda x, u: [u], [0.0], 2.5, 2.0, 1e-9)
         assert x[0] == pytest.approx(5.0, abs=1e-9)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            rk_component_step(lambda x, u: -x, np.array([1.0]), None, 1.0, 0.0)
+            rk_component_step(lambda x, u: [-x[0]], [1.0], None, 1.0, 0.0)
 
 
 # Dormand & Prince (1980), typed here independently of the module: stage
@@ -317,8 +318,92 @@ class TestDormandPrinceTableau:
 
     @pytest.mark.parametrize("z", Z)
     def test_one_step_matches_exact_tableau(self, z):
-        x5, err = integrators._dp_step(lambda x, u: float(z) * x,
-                                       np.array([1.0]), None, 1.0)
+        x5, err, _ = integrators._dp_step(lambda x, u: [float(z) * x[0]],
+                                          [1.0], None, 1.0, [float(z)])
         want_x5, want_err = exact_dp_step(z)
         assert abs(x5[0] - float(want_x5)) <= 1e-14
         assert abs(err[0] - float(want_err)) <= 1e-14
+
+
+def matrix_dp_step(deriv, x, u, dt):
+    """One DP step in matrix form, from the tableau typed above: (x5, err).
+
+    Each stage is k_i = deriv(x + dt (A k)_i) over the zero-padded stage
+    matrix, x5 = x + dt b5.k and err = dt (b5 - b4).k.
+    """
+    a = np.array([[float(c) for c in row] + [0.0] * (7 - len(row))
+                  for row in DP_A])
+    b5 = np.array([float(c) for c in DP_B5])
+    e = np.array([float(c5 - c4) for c5, c4 in zip(DP_B5, DP_B4)])
+    k = np.zeros((7, x.size))
+    for i in range(7):
+        k[i] = deriv(x + dt * (a[i] @ k), u)
+    return x + dt * (b5 @ k), dt * (e @ k)
+
+
+def matrix_rk(deriv, x, u, h, tol):
+    """``rk_component_step``'s step control over ``matrix_dp_step``.
+
+    Returns the state at h and the numbers of accepted and rejected steps.
+    """
+    x = np.asarray(x, dtype=float)
+    t, dt, accepted, rejected = 0.0, h, 0, 0
+    while t < h - 1e-15 * h:
+        dt = min(dt, h - t)
+        x_new, err = matrix_dp_step(deriv, x, u, dt)
+        q = err / (tol * np.maximum(1.0, np.abs(x)))
+        enorm = float(np.sqrt(np.mean(q * q)))
+        if enorm <= 1.0:
+            t, x, accepted = t + dt, x_new, accepted + 1
+            dt *= min(5.0, max(0.2, 0.9 * (1.0 / max(enorm, 1e-10)) ** 0.2))
+        else:
+            rejected += 1
+            dt *= max(0.2, 0.9 * (1.0 / enorm) ** 0.2)
+    return x, accepted, rejected
+
+
+class TestUnrolledDormandPrince:
+    """The unrolled Dormand-Prince stages against the matrix form of the
+    independently typed tableau, on a coupled nonlinear three-state
+    system: an induction motor starting from standstill at a fixed
+    terminal voltage."""
+
+    V = 0.98 * cmath.exp(0.1j)
+
+    def motor(self):
+        m = InductionMotor(InductionMotorParams(
+            rs=0.013, xs=0.05, xm=6.0, rr=0.03, xr=0.12, h_m=0.6,
+            mva_scale=0.25), 2.0 * math.pi * 60.0)
+        m.initialize(self.V, 0.20)  # sets the load torque
+        return m
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-2])
+    def test_one_step(self, dt):
+        m = self.motor()
+        x0 = m.standstill_state()
+        x5, err, k7 = integrators._dp_step(
+            m.derivatives, x0.tolist(), self.V, dt, m.derivatives(x0, self.V))
+        want_x5, want_err = matrix_dp_step(
+            lambda x, v: np.array(m.derivatives(x, v)), x0, self.V, dt)
+        assert np.max(np.abs(np.array(x5) - want_x5)) <= 1e-12
+        assert np.max(np.abs(np.array(err) - want_err)) <= 1e-12
+        # first same as last: the last stage is the derivative at x5
+        assert k7 == m.derivatives(x5, self.V)
+
+    def test_adaptive_step_with_rejections(self):
+        m = self.motor()
+        calls = []
+
+        def deriv(x, v):
+            calls.append(1)
+            return m.derivatives(x, v)
+
+        x0 = m.standstill_state()
+        x = rk_component_step(deriv, x0, self.V, 0.05, tol=1e-6)
+        want, accepted, rejected = matrix_rk(
+            lambda x, v: np.array(m.derivatives(x, v)), x0, self.V, 0.05,
+            1e-6)
+        assert accepted > 1 and rejected > 0
+        assert np.max(np.abs(np.array(x) - want)) <= 1e-12
+        # one derivative to start, then six per step, accepted or not
+        assert len(calls) == 1 + 6 * (accepted + rejected)

@@ -98,7 +98,7 @@ class TestInductionMotor:
         x = m.standstill_state()
         h = 1e-4
         for _ in range(100):
-            x = x + h * m.derivatives(x, self.V)
+            x = x + h * np.array(m.derivatives(x, self.V))
         assert m.derivatives(x, self.V)[2] < 0.0
         assert x[2] < 1.0
 
