@@ -2,10 +2,9 @@
 
 Sub-modules:
 
-- ``linlab``, ``linear_subsystems``: linear two-state coupled test
-  system, exact step matrices and spectral-radius stability analysis of
-  the parallel and series coupling schedules, and its two halves as
-  sub-systems.
+- ``linlab``: linear two-state coupled test system, exact step matrices
+  and spectral-radius stability analysis of the parallel and series
+  coupling schedules, and its two halves as sub-systems.
 - ``cosim``: the macro-step loop every run shares, and the parallel and
   series exchange between a hub sub-system and its spokes.
 - ``integrators``: trapezoidal DAE stepping and an adaptive explicit

@@ -86,9 +86,11 @@ def cmd_linlab_simulate(args) -> int:
         rows.append((float(t), st[0], st[1], ref.x_a, ref.x_b))
     path = os.path.join(_out_dir(args.out_dir), args.out)
     _write_table(path, ["t", "x_a", "x_b", "x_a_exact", "x_b_exact"], rows)
-    if traj.diverged:
-        print(f"warning: trajectory diverged; wrote {len(rows)} rows")
     print(path)
+    if traj.diverged:
+        print(f"numeric error: trajectory diverged after t={traj.times[-1]:.6g}; "
+              f"wrote {len(rows)} rows", file=sys.stderr)
+        return EXIT_NUMERIC
     return 0
 
 

@@ -1,7 +1,8 @@
 """Macro-step co-simulation of one hub and its spokes.
 
-Every run, co-simulated or monolithic, goes through one loop, ``march``,
-and differs only in the step and the event function it hands the march.
+Every run, linear or power system, co-simulated or monolithic, goes
+through one loop, ``march``, and differs only in the step and the event
+function it hands the march.
 ``exchange_step`` supplies the co-simulation step.  Its sub-systems form
 a star: the first is the hub (the transmission system, or the A half of
 the linear test system), the others are its spokes, in order.  The hub's
@@ -174,8 +175,8 @@ def march(schedule: CouplingSchedule,
     at t = 0 and after every step.  OverflowError, FloatingPointError or
     a non-finite record is a divergence, a ``NumericFailure`` from an
     event or a step a sub-system failure; either truncates the log with
-    time and cause, keeping the records made so far.  Any other
-    exception is a programming error and propagates.
+    time and cause, keeping the finite records made before it.  Any
+    other exception is a programming error and propagates.
     """
     snapshot_channels = snapshot_channels or {}
     columns = []
@@ -185,15 +186,15 @@ def march(schedule: CouplingSchedule,
         columns += [f"{name}.{ch}" for ch in snapshot_channels.get(name, ())]
     log = TimeSeriesLog(columns=columns)
 
-    def record(t):
+    def record():
         row = []
         for name, sub in subsystems.items():
             row.extend(np.asarray(sub.output(), dtype=float))
             snap = sub.snapshot()
             row.extend(snap[ch] for ch in snapshot_channels.get(name, ()))
-        log.append(t, np.array(row, dtype=float))
+        return np.array(row, dtype=float)
 
-    record(0.0)
+    log.append(0.0, record())
     events = sorted(schedule.events, key=lambda e: e.time)
     next_event = 0
     h = schedule.h_macro
@@ -215,11 +216,12 @@ def march(schedule: CouplingSchedule,
             log.failure = f"sub-system failure at t={at:.6g}: {exc}"
             break
         t = (i + 1) * h
-        record(t)
-        if not np.all(np.isfinite(log.rows[-1])):
+        row = record()
+        if not np.all(np.isfinite(row)):
             log.diverged = True
             log.failure = f"divergence at t={t:.6g}: non-finite record"
             break
+        log.append(t, row)
     return log
 
 

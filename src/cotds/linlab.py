@@ -11,6 +11,11 @@ of size h = H/n).  Two coupling schedules are analyzed: parallel (both
 sub-systems use the other's start-of-step output) and series (B uses the
 freshly computed A value).  Each scheme is a linear one-step map, so its
 stability is governed by the spectral radius of the exact 2x2 step matrix.
+
+The two halves are ``cosim`` sub-systems (``make_linear_pair``, A the
+hub and B its one spoke), and ``simulate_linear`` marches them: the
+co-simulation schemes through ``cosim.run_cosimulation``, the total
+trapezoidal scheme by a direct 2x2 solve over the same pair.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cosim import (CouplingMethod, CouplingSchedule, SubSystem, march,
+                    run_cosimulation)
+
 __all__ = [
     "LinearCoupledParams",
     "StateVec2",
@@ -28,22 +36,21 @@ __all__ = [
     "SchemeId",
     "system_matrix",
     "analytic_solution",
-    "step_total_trapezoidal",
-    "step_cosim_parallel",
-    "step_cosim_series",
     "trapezoidal_half_step",
     "euler_half_step",
     "build_M_total",
     "build_M_cosim_parallel",
     "build_M_cosim_series",
     "build_step_matrix",
-    "step_scheme",
     "spectral_radius",
     "local_truncation_error",
     "stability_sweep",
     "find_stability_threshold",
     "simulate_linear",
     "LinearTrajectory",
+    "LinearHalfA",
+    "LinearHalfB",
+    "make_linear_pair",
 ]
 
 
@@ -207,17 +214,6 @@ def build_step_matrix(p: LinearCoupledParams, cfg: StepConfig,
     return build_M_cosim_series(p, cfg)
 
 
-def step_total_trapezoidal(p: LinearCoupledParams, h_macro: float,
-                           s: StateVec2) -> StateVec2:
-    """Implicit trapezoidal step on the full coupled system (direct solve)."""
-    if h_macro <= 0:
-        raise ValueError("h_macro must be positive")
-    a = system_matrix(p)
-    lhs = np.eye(2) - 0.5 * h_macro * a
-    rhs = s.as_array() + 0.5 * h_macro * (a @ s.as_array())
-    return StateVec2.from_array(np.linalg.solve(lhs, rhs))
-
-
 def trapezoidal_half_step(lam: float, h: float, x: float, u: float) -> float:
     """x' = lam*x + u over h by one implicit trapezoidal step, u frozen.
 
@@ -235,35 +231,61 @@ def euler_half_step(lam: float, h: float, n: int, x: float, u: float) -> float:
     return g * x + (u / lam) * (g - 1.0)
 
 
-def step_cosim_parallel(p: LinearCoupledParams, cfg: StepConfig,
-                        s: StateVec2) -> StateVec2:
-    """One macro step with parallel coupling: both sides see old outputs."""
-    h, n = cfg.h_macro, cfg.n_micro
-    x_a1 = trapezoidal_half_step(p.lambda_a, h, s.x_a, -(p.k_a * s.x_b))
-    x_b1 = euler_half_step(p.lambda_b, h, n, s.x_b, p.k_b * s.x_a)
-    if not (math.isfinite(x_a1) and math.isfinite(x_b1)):
-        raise OverflowError("co-simulation step produced a non-finite state")
-    return StateVec2(x_a1, x_b1)
+class LinearHalfA(SubSystem):
+    """x' = lambda*x + u solved by one implicit trapezoidal step per macro step."""
+
+    def __init__(self, lam: float, k_out: float, x0: float, u0: float):
+        self.lam = lam
+        self.k_out = k_out
+        self.x = x0
+        self.current_input = np.array([u0])
+
+    def advance(self, h):
+        self.x = trapezoidal_half_step(self.lam, h, self.x,
+                                       self.current_input[0])
+
+    def output(self):
+        return np.array([self.k_out * self.x])
+
+    def snapshot(self):
+        return {"x": self.x}
 
 
-def step_cosim_series(p: LinearCoupledParams, cfg: StepConfig,
-                      s: StateVec2) -> StateVec2:
-    """One macro step with series coupling: B sees the fresh A output."""
-    h, n = cfg.h_macro, cfg.n_micro
-    x_a1 = trapezoidal_half_step(p.lambda_a, h, s.x_a, -(p.k_a * s.x_b))
-    x_b1 = euler_half_step(p.lambda_b, h, n, s.x_b, p.k_b * x_a1)
-    if not (math.isfinite(x_a1) and math.isfinite(x_b1)):
-        raise OverflowError("co-simulation step produced a non-finite state")
-    return StateVec2(x_a1, x_b1)
+class LinearHalfB(SubSystem):
+    """x' = lambda*x + u solved by n explicit Euler micro steps per macro step."""
+
+    def __init__(self, lam: float, k_out: float, x0: float, u0: float,
+                 n_micro: int = 100):
+        self.lam = lam
+        self.k_out = k_out
+        self.x = x0
+        self.n_micro = n_micro
+        self.current_input = np.array([u0])
+
+    def advance(self, h):
+        self.x = euler_half_step(self.lam, h, self.n_micro, self.x,
+                                 self.current_input[0])
+        if not np.isfinite(self.x):
+            raise OverflowError("B half-system state overflowed")
+
+    def output(self):
+        return np.array([self.k_out * self.x])
+
+    def snapshot(self):
+        return {"x": self.x}
 
 
-def step_scheme(p: LinearCoupledParams, cfg: StepConfig, s: StateVec2,
-                scheme: SchemeId) -> StateVec2:
-    if scheme is SchemeId.TOTAL_TRAPEZOIDAL:
-        return step_total_trapezoidal(p, cfg.h_macro, s)
-    if scheme is SchemeId.COSIM_PARALLEL:
-        return step_cosim_parallel(p, cfg, s)
-    return step_cosim_series(p, cfg, s)
+def make_linear_pair(p: LinearCoupledParams, x0: StateVec2, n_micro: int = 100):
+    """The hub A and its spoke B realizing the coupled test system.
+
+    A outputs y_a = k_b*x_a, B's input; B outputs y_b = -k_a*x_b, A's
+    input.  Initial inputs match the initial outputs, so the pair starts
+    interface-consistent at any x0.
+    """
+    a = LinearHalfA(p.lambda_a, p.k_b, x0.x_a, u0=-(p.k_a * x0.x_b))
+    b = LinearHalfB(p.lambda_b, -p.k_a, x0.x_b, u0=p.k_b * x0.x_a,
+                    n_micro=n_micro)
+    return {"A": a, "B": b}
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -288,14 +310,14 @@ def local_truncation_error(p: LinearCoupledParams, x0: StateVec2, h_macro: float
     """Per-step defect (x_true(H) - x0)/H - phi(x0, H) of the scheme.
 
     The increment function phi is (step(x0) - x0)/H, so the defect reduces
-    to (x_true(H) - step(x0))/H.
+    to (x_true(H) - step(x0))/H, the step being one macro step of
+    ``simulate_linear``.
     """
-    if h_macro <= 0:
-        raise ValueError("h_macro must be positive")
-    cfg = StepConfig(h_macro, n_micro)
+    traj = simulate_linear(p, x0, h_macro, n_micro, h_macro, scheme)
+    if traj.diverged:
+        raise OverflowError("the scheme's step is non-finite at this H")
     true = analytic_solution(p, x0, h_macro).as_array()
-    num = step_scheme(p, cfg, x0, scheme).as_array()
-    return StateVec2.from_array((true - num) / h_macro)
+    return StateVec2.from_array((true - traj.states[-1]) / h_macro)
 
 
 def stability_sweep(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
@@ -357,30 +379,37 @@ class LinearTrajectory:
         return err
 
 
+def _total_trapezoidal_step(p: LinearCoupledParams, pair):
+    """``step(h)``: the implicit trapezoidal step on the full system, a
+    direct 2x2 solve over the pair's states."""
+    a_half, b_half = pair["A"], pair["B"]
+    a = system_matrix(p)
+
+    def step(h):
+        s = np.array([a_half.x, b_half.x])
+        lhs = np.eye(2) - 0.5 * h * a
+        a_half.x, b_half.x = np.linalg.solve(lhs, s + 0.5 * h * (a @ s))
+
+    return step
+
+
 def simulate_linear(p: LinearCoupledParams, x0: StateVec2, h_macro: float,
                     n_micro: int, t_end: float, scheme: SchemeId) -> LinearTrajectory:
-    """Iterate the scheme from t=0 to t_end, recording every macro step.
+    """March the scheme from t=0 to t_end, recording every macro step.
 
     A non-finite state truncates the run and sets the divergence flag
     instead of raising.
     """
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
     cfg = StepConfig(h_macro, n_micro)
-    n_steps = int(round(t_end / h_macro)) if t_end > 0 else 0
-    times = [0.0]
-    states = [x0.as_array()]
-    s = x0
-    diverged = False
-    for i in range(n_steps):
-        try:
-            s = step_scheme(p, cfg, s, scheme)
-        except OverflowError:
-            diverged = True
-            break
-        times.append((i + 1) * h_macro)
-        states.append(s.as_array())
-        if not np.all(np.isfinite(states[-1])):
-            diverged = True
-            break
-    return LinearTrajectory(np.array(times), np.array(states), diverged)
+    schedule = CouplingSchedule(cfg.h_macro, t_end)
+    pair = make_linear_pair(p, x0, cfg.n_micro)
+    channels = {"A": ["x"], "B": ["x"]}
+    if scheme is SchemeId.TOTAL_TRAPEZOIDAL:
+        log = march(schedule, pair, _total_trapezoidal_step(p, pair),
+                    lambda ev: None, channels)  # the schedule has no events
+    else:
+        log = run_cosimulation(schedule, pair, CouplingMethod(scheme.value),
+                               channels)
+    cols = [log.columns.index("A.x"), log.columns.index("B.x")]
+    return LinearTrajectory(log.time_array, log.as_array()[:, cols],
+                            log.diverged)

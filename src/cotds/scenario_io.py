@@ -81,6 +81,9 @@ def _parse_feeder(d, where):
     for i, b in enumerate(v["branches"]):
         bb = _require(b, f"{where}.branches[{i}]",
                       {"from": int, "to": int, "r": float, "x": float})
+        if bb["r"] == 0 and bb["x"] == 0:
+            raise SchemaError(f"{where}.branches[{i}]: zero impedance "
+                              "(r = x = 0)")
         branches.append(FeederBranch(bb["from"], bb["to"], bb["r"], bb["x"]))
     loads = []
     for i, l in enumerate(v["loads"]):

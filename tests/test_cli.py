@@ -52,6 +52,25 @@ class TestLinlab:
         tau_total = data[:, 1]
         assert np.all(np.diff(tau_total) > 0)  # error grows with H
 
+    def test_diverged_trajectory_exits_numeric(self, tmp_path, capsys):
+        # parallel well past its stability threshold (about 0.9 here)
+        out = str(tmp_path / "div.csv")
+        rc = run_cli("linlab", "simulate", "--lambda-a", "-1",
+                     "--lambda-b", "-2", "--ka", "2", "--kb", "2",
+                     "--h", "5", "--t-end", "20000", "--scheme", "parallel",
+                     "--out", out)
+        assert rc == EXIT_NUMERIC
+        assert "diverged" in capsys.readouterr().err
+        log = read_csv(out)
+        assert 1 < len(log.times) < 4001
+        assert np.all(np.isfinite(log.as_array()))
+
+    def test_zero_micro_steps_is_usage_error(self):
+        rc = run_cli("linlab", "simulate", "--lambda-a", "-1",
+                     "--lambda-b", "-2", "--ka", "2", "--kb", "2",
+                     "--h", "0.1", "--n", "0", "--scheme", "series")
+        assert rc == EXIT_USAGE
+
     def test_missing_flag_is_usage_error(self):
         assert run_cli("linlab", "simulate", "--h", "0.1",
                        "--scheme", "series") == 1
@@ -278,8 +297,10 @@ def _network_without_branches(tmp_path):
      "has no 'branches'"),
     (lambda doc, tmp: doc["feeders"][0]["composition"].update(
         static_fraction=1.5), "feeders[0].composition: static_fraction"),
+    (lambda doc, tmp: doc["feeders"][0]["branches"][0].update(r=0.0, x=0.0),
+     "feeders[0].branches[0]: zero impedance"),
 ], ids=["unknown_bus", "unknown_network", "network_is_directory",
-        "network_without_branches", "static_fraction"])
+        "network_without_branches", "static_fraction", "zero_impedance"])
 def test_bad_scenario_is_schema_error(tmp_path, capsys, edit, message):
     with open(fixture_path("testcase2")) as fh:
         doc = json.load(fh)

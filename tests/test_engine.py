@@ -16,8 +16,7 @@ from cotds.engine import (
 )
 from cotds.feeder import FeederError
 from cotds.integrators import NewtonError, trapezoidal_dae_step
-from cotds.linear_subsystems import make_linear_pair
-from cotds.linlab import LinearCoupledParams, StateVec2
+from cotds.linlab import LinearCoupledParams, StateVec2, make_linear_pair
 from cotds.scenario_io import fixture_path, load_scenario, parse_scenario
 
 

@@ -16,8 +16,7 @@ from cotds.integrators import (
 )
 from cotds.linlab import (
     LinearCoupledParams,
-    StateVec2,
-    step_total_trapezoidal,
+    build_M_total,
     system_matrix,
 )
 from cotds.loads import InductionMotor, InductionMotorParams
@@ -98,7 +97,7 @@ class TestTrapezoidalDae:
 
     def test_matches_linlab_direct_solve(self):
         p = LinearCoupledParams(-1.0, -2.0, 2.0, 2.0)
-        ref = step_total_trapezoidal(p, 0.3, StateVec2(1.0, -0.5)).as_array()
+        ref = build_M_total(p, 0.3) @ [1.0, -0.5]
         x1, _ = trapezoidal_dae_step(CoupledLinear(p), [1.0, -0.5], [], None, 0.3,
                                      NewtonConfig(residual_tolerance=1e-13))
         assert np.max(np.abs(x1 - ref)) <= 1e-10

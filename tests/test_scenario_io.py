@@ -103,6 +103,15 @@ class TestParse:
         with pytest.raises(SchemaError, match="at least one feeder"):
             parse_scenario(doc)
 
+    def test_zero_impedance_branch_rejected(self):
+        # the monolithic reference divides by every branch impedance
+        doc = fixture_doc()
+        doc["feeders"][0]["branches"][0].update(r=0.0, x=0.0)
+        with pytest.raises(SchemaError, match=r"feeders\[0\]\.branches\[0\]"):
+            parse_scenario(doc)
+        doc["feeders"][0]["branches"][0]["x"] = 0.01
+        parse_scenario(doc)
+
     def test_zip_fractions_validated(self):
         doc = fixture_doc()
         doc["feeders"][0]["composition"]["zip_fractions"] = [0.5, 0.5, 0.5]
