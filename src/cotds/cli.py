@@ -99,17 +99,14 @@ def cmd_linlab_stability(args) -> int:
     if args.h_max <= args.h_min or args.points < 1:
         raise CliError("empty H range", EXIT_USAGE)
     grid = np.linspace(args.h_min, args.h_max, args.points)
-    schemes = [(_SCHEMES[s], s) for s in args.schemes]
-    rows = []
-    for h in grid:
-        row = [h]
-        for scheme, _ in schemes:
-            cfg = linlab.StepConfig(h_macro=h, n_micro=args.n)
-            row.append(linlab.spectral_radius(
-                linlab.build_step_matrix(p, cfg, scheme)))
-        row.append(1.0)  # rho = 1 reference
-        rows.append(row)
-    header = ["h"] + [f"rho_{name}" for _, name in schemes] + ["rho_one"]
+    try:
+        sweeps = [linlab.stability_sweep(p, _SCHEMES[s], args.n, grid)
+                  for s in args.schemes]
+    except ValueError as exc:
+        raise CliError(f"invalid arguments: {exc}", EXIT_USAGE)
+    rhos = [[rho for _, rho in sweep] for sweep in sweeps]
+    rows = np.column_stack([grid, *rhos, np.ones_like(grid)])  # rho = 1 line
+    header = ["h"] + [f"rho_{name}" for name in args.schemes] + ["rho_one"]
     path = os.path.join(_out_dir(args.out_dir), args.out)
     _write_table(path, header, rows)
     print(path)
@@ -120,15 +117,18 @@ def cmd_linlab_truncation(args) -> int:
     p = _params(args)
     if args.h_max <= args.h_min or args.points < 2:
         raise CliError("empty H range", EXIT_USAGE)
-    grid = np.geomspace(args.h_min, args.h_max, args.points)
     x0 = linlab.StateVec2(args.x0[0], args.x0[1])
     rows = []
-    for h in grid:
-        row = [h]
-        for s in ("total", "parallel", "series"):
-            tau = linlab.local_truncation_error(p, x0, h, _SCHEMES[s], args.n)
-            row.append(float(np.hypot(tau.x_a, tau.x_b)))
-        rows.append(row)
+    try:
+        for h in np.geomspace(args.h_min, args.h_max, args.points):
+            row = [h]
+            for s in ("total", "parallel", "series"):
+                tau = linlab.local_truncation_error(p, x0, h, _SCHEMES[s],
+                                                    args.n)
+                row.append(float(np.hypot(tau.x_a, tau.x_b)))
+            rows.append(row)
+    except ValueError as exc:
+        raise CliError(f"invalid arguments: {exc}", EXIT_USAGE)
     path = os.path.join(_out_dir(args.out_dir), args.out)
     _write_table(path, ["h", "tau_total", "tau_parallel", "tau_series"], rows)
     print(path)

@@ -166,24 +166,25 @@ def interface_mismatch(subsystems: Mapping[str, SubSystem]
 def march(schedule: CouplingSchedule,
           subsystems: Mapping[str, SubSystem],
           step: Callable[[float], None],
-          fire: Callable[[Event], None],
-          snapshot_channels: Mapping[str, Sequence[str]] | None = None,
-          ) -> TimeSeriesLog:
+          fire: Callable[[Event], None]) -> TimeSeriesLog:
     """Fire due events, ``step(h)`` and record, once per macro step.
 
-    A record holds each sub-system's ``output()`` and snapshot channels,
-    at t = 0 and after every step.  OverflowError, FloatingPointError or
-    a non-finite record is a divergence, a ``NumericFailure`` from an
-    event or a step a sub-system failure; either truncates the log with
-    time and cause, keeping the finite records made before it.  Any
-    other exception is a programming error and propagates.
+    A record holds each sub-system's ``output()`` and every channel of
+    its ``snapshot()``, at t = 0 and after every step.  The channels are
+    those of the t = 0 snapshot, in that snapshot's order, and are read
+    by name, so a snapshot that loses a key raises ``KeyError``.
+    OverflowError, FloatingPointError or a non-finite record is a
+    divergence, a ``NumericFailure`` from an event or a step a sub-system
+    failure; either truncates the log with time and cause, keeping the
+    finite records made before it.  Any other exception is a programming
+    error and propagates.
     """
-    snapshot_channels = snapshot_channels or {}
+    channels = {name: list(sub.snapshot()) for name, sub in subsystems.items()}
     columns = []
     for name, sub in subsystems.items():
         columns += [f"{name}.out[{i}]"
                     for i in range(np.asarray(sub.output()).size)]
-        columns += [f"{name}.{ch}" for ch in snapshot_channels.get(name, ())]
+        columns += [f"{name}.{ch}" for ch in channels[name]]
     log = TimeSeriesLog(columns=columns)
 
     def record():
@@ -191,7 +192,7 @@ def march(schedule: CouplingSchedule,
         for name, sub in subsystems.items():
             row.extend(np.asarray(sub.output(), dtype=float))
             snap = sub.snapshot()
-            row.extend(snap[ch] for ch in snapshot_channels.get(name, ()))
+            row.extend(snap[ch] for ch in channels[name])
         return np.array(row, dtype=float)
 
     log.append(0.0, record())
@@ -250,9 +251,7 @@ def exchange_step(subsystems: Mapping[str, SubSystem],
 
 def run_cosimulation(schedule: CouplingSchedule,
                      subsystems: Mapping[str, SubSystem],
-                     method: CouplingMethod,
-                     snapshot_channels: Mapping[str, Sequence[str]] | None = None,
-                     ) -> TimeSeriesLog:
+                     method: CouplingMethod) -> TimeSeriesLog:
     """March the hub and its spokes to t_end, exchanging per ``method``.
 
     Refuses to start when an initial interface gap exceeds ``INIT_TOL``.
@@ -267,4 +266,4 @@ def run_cosimulation(schedule: CouplingSchedule,
         subsystems[ev.target].apply_event(ev.action, ev.params)
 
     return march(schedule, subsystems, exchange_step(subsystems, method),
-                 fire, snapshot_channels)
+                 fire)

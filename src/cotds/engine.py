@@ -30,7 +30,10 @@ from .feeder import (DistributionFeeder, DistributionSubSystem, FeederBranch,
 from .integrators import (DaeSystem, JacobianCache, NewtonConfig,
                           trapezoidal_dae_step)
 from .loads import InductionMotor, InductionMotorParams, ZipLoadParams
-from .loads import zip_power  # noqa: F401  (bench/tracing.py patches it here)
+# bench/tracing.py patches engine.zip_power by name; engine never calls it,
+# so that counter counts nothing here.  The import goes when the
+# benchmark's patch list drops it.
+from .loads import zip_power  # noqa: F401
 from .machines import GeneratorBank
 from .power_network import PowerFlowError, load_network
 from .transmission import TransmissionDae, TransmissionSubSystem
@@ -240,7 +243,6 @@ def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
             d.initialize(v_if[2 * k:2 * k + 2])
             u_new[2 * k:2 * k + 2] = d.output()
         if np.max(np.abs(u_new - u_t)) <= _TD_INIT_TOL:
-            tsub.set_input(u_new)
             tsub.initialize(u_new)
             v_if = tsub.output()
             for k, bus in enumerate(interface_buses):
@@ -530,13 +532,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
     iterative_td_powerflow_init(subsystems["T"], dsubs, interface_buses)
     schedule = CouplingSchedule(scenario.h_macro, scenario.t_end,
                                 tuple(scenario.events))
-    snaps = {name: sorted(sub.snapshot()) for name, sub in subsystems.items()}
     if scenario.method is RunMethod.MONOLITHIC:
-        log, cache = _run_monolithic(schedule, subsystems, dsubs, snaps)
+        log, cache = _run_monolithic(schedule, subsystems, dsubs)
         newton = {"monolithic": cache.counters()}
     else:
         log = run_cosimulation(schedule, subsystems,
-                               CouplingMethod(scenario.method.value), snaps)
+                               CouplingMethod(scenario.method.value))
         newton = {"T": subsystems["T"].newton_cache.counters()}
     verdict = detect_convergence(log, _post_event_window(scenario))
     return RunResult(scenario=scenario.name, method=scenario.method,
@@ -546,8 +547,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
 
 def _run_monolithic(schedule: CouplingSchedule, subsystems: dict,
-                    dsubs: dict, snaps: dict
-                    ) -> tuple[TimeSeriesLog, JacobianCache]:
+                    dsubs: dict) -> tuple[TimeSeriesLog, JacobianCache]:
     """March the stacked DAE; no interface data is exchanged.
 
     Returns the log and the stacked DAE's Jacobian cache, which every
@@ -569,4 +569,4 @@ def _run_monolithic(schedule: CouplingSchedule, subsystems: dict,
         dsubs[ev.target].switch(ev.action, ev.params)
         cache.clear()
 
-    return march(schedule, subsystems, step, fire, snaps), cache
+    return march(schedule, subsystems, step, fire), cache

@@ -34,6 +34,11 @@ __all__ = ["FeederBranch", "MotorUnit", "DistributionFeeder",
            "DistributionSubSystem", "FeederError"]
 
 
+# iteration budgets of the sweep and of the sweep + motor fixed point
+_SWEEP_ITERS = 100
+_INIT_PASSES = 50
+
+
 class FeederError(NumericFailure):
     pass
 
@@ -156,14 +161,13 @@ class DistributionFeeder:
                     out[k] = mu.motor.derivatives(x, complex(v[mu.node]))
         return out.ravel()
 
-    def sweep(self, v_sub: complex, tol: float = 1e-8,
-              max_iter: int = 100) -> complex:
+    def sweep(self, v_sub: complex, tol: float = 1e-8) -> complex:
         """Backward/forward sweep; returns the substation source current."""
         v_sub = complex(v_sub)
         v = self.v.tolist()
         v[0] = v_sub
         edges = self._edges
-        for _ in range(max_iter):
+        for _ in range(_SWEEP_ITERS):
             acc = self.node_currents(v)
             # backward: accumulate branch currents toward the root; a
             # child's branches come after its own, so acc[c] is final
@@ -194,10 +198,10 @@ class DistributionFeeder:
                     mu.motor.derivatives, mu.state, complex(self.v[mu.node]),
                     h, tol=tol))
 
-    def initialize(self, v_sub: complex, max_iter: int = 50) -> None:
+    def initialize(self, v_sub: complex) -> None:
         """Fixed point of sweep + motor equilibrium at node voltages."""
         self.v[:] = v_sub
-        for _ in range(max_iter):
+        for _ in range(_INIT_PASSES):
             v_old = self.v.copy()
             for mu in self.motors:
                 if mu.active:

@@ -11,8 +11,9 @@ overhead outweighs the arithmetic, so the seven stages are written out,
 each stage input one list comprehension over the components, with the
 tableau's zero weights left out.  The last stage of a step is the next
 step's first (first same as last), so an accepted step takes six
-derivative evaluations and a rejected one keeps its first.  All systems
-here are small and dense; no sparsity is exploited.
+derivative evaluations and a rejected one keeps its first.  Every step
+is error-controlled.  All systems here are small and dense; no sparsity
+is exploited.
 
 ``newton_solve`` is the simplified (modified) Newton of DASSL and of
 Hairer & Wanner, refreshing its Jacobian where it stands.  While it
@@ -289,16 +290,15 @@ def _dp_step(deriv, x, u, dt, k1):
     return x5, err, k7
 
 
-def rk_component_step(deriv: Callable, x, u, h: float, tol: float = 1e-6,
-                      fixed_step: float | None = None) -> list[float]:
+def rk_component_step(deriv: Callable, x, u, h: float,
+                      tol: float = 1e-6) -> list[float]:
     """Integrate x' = deriv(x, u) from 0 to h, input u held constant.
 
     ``x`` is any sequence of floats.  ``deriv`` is called with a list of
     floats and returns a sequence of floats; the result is a list of
-    floats.  Adaptive Dormand-Prince 4(5) with proportional step control keeping
-    the local error, scaled by tol * max(1, |x|), at most one in RMS over
-    the components of x.  A fixed internal step size can be forced (used
-    for order verification); error control is then disabled.
+    floats.  Adaptive Dormand-Prince 4(5) with proportional step control
+    keeping the local error, scaled by tol * max(1, |x|), at most one in
+    RMS over the components of x.
 
     The arithmetic is on Python floats: a float ``**`` that overflows
     inside ``deriv`` raises ``OverflowError``, which ``cosim.march``
@@ -309,12 +309,6 @@ def rk_component_step(deriv: Callable, x, u, h: float, tol: float = 1e-6,
         raise ValueError("tol must be positive")
     x = [float(xj) for xj in x]
     k1 = deriv(x, u)
-    if fixed_step is not None:
-        n = max(1, int(round(h / fixed_step)))
-        dt = h / n
-        for _ in range(n):
-            x, _, k1 = _dp_step(deriv, x, u, dt, k1)
-        return x
     n = len(x)
     t = 0.0
     dt = h

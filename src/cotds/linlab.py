@@ -371,13 +371,6 @@ class LinearTrajectory:
     states: np.ndarray  # shape (len(times), 2)
     diverged: bool
 
-    def max_error_vs_analytic(self, p: LinearCoupledParams, x0: StateVec2) -> float:
-        err = 0.0
-        for t, s in zip(self.times, self.states):
-            ref = analytic_solution(p, x0, float(t)).as_array()
-            err = max(err, float(np.max(np.abs(s - ref))))
-        return err
-
 
 def _total_trapezoidal_step(p: LinearCoupledParams, pair):
     """``step(h)``: the implicit trapezoidal step on the full system, a
@@ -403,13 +396,11 @@ def simulate_linear(p: LinearCoupledParams, x0: StateVec2, h_macro: float,
     cfg = StepConfig(h_macro, n_micro)
     schedule = CouplingSchedule(cfg.h_macro, t_end)
     pair = make_linear_pair(p, x0, cfg.n_micro)
-    channels = {"A": ["x"], "B": ["x"]}
     if scheme is SchemeId.TOTAL_TRAPEZOIDAL:
         log = march(schedule, pair, _total_trapezoidal_step(p, pair),
-                    lambda ev: None, channels)  # the schedule has no events
+                    lambda ev: None)  # the schedule has no events
     else:
-        log = run_cosimulation(schedule, pair, CouplingMethod(scheme.value),
-                               channels)
+        log = run_cosimulation(schedule, pair, CouplingMethod(scheme.value))
     cols = [log.columns.index("A.x"), log.columns.index("B.x")]
     return LinearTrajectory(log.time_array, log.as_array()[:, cols],
                             log.diverged)

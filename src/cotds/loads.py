@@ -18,7 +18,7 @@ in Python scalars: the stator current is a Python complex, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -36,7 +36,6 @@ class ZipLoadParams:
     z_frac: float = 0.0
     i_frac: float = 0.0
     p_frac: float = 1.0
-    v0: float = 1.0
 
     def __post_init__(self):
         if abs(self.z_frac + self.i_frac + self.p_frac - 1.0) > 1e-12:
@@ -45,8 +44,7 @@ class ZipLoadParams:
 
 def zip_power(params: ZipLoadParams, vmag: float) -> complex:
     """Consumed complex power at terminal voltage magnitude ``vmag``."""
-    r = vmag / params.v0
-    shape = params.z_frac * r * r + params.i_frac * r + params.p_frac
+    shape = params.z_frac * vmag * vmag + params.i_frac * vmag + params.p_frac
     return complex(params.p0 * shape, params.q0 * shape)
 
 

@@ -43,7 +43,6 @@ class TransmissionNetwork:
     """Bus/branch model plus generator placement and nominal bus loads."""
 
     name: str
-    base_mva: float
     f_hz: float
     bus_ids: list[int]
     slack_bus: int
@@ -98,7 +97,6 @@ def load_network(name_or_path: str) -> TransmissionNetwork:
     try:
         return TransmissionNetwork(
             name=raw["name"],
-            base_mva=raw["base_mva"],
             f_hz=raw["f_hz"],
             bus_ids=list(raw["buses"]),
             slack_bus=raw["slack"],

@@ -17,9 +17,8 @@ from .engine import FeederSpec, MotorSpec, RunMethod, Scenario, check_event
 from .feeder import FeederBranch
 from .loads import InductionMotorParams
 
-__all__ = ["SchemaError", "parse_scenario", "load_scenario",
-           "scenario_to_dict", "dump_scenario", "write_csv", "read_csv",
-           "fixture_path"]
+__all__ = ["SchemaError", "parse_scenario", "load_scenario", "write_csv",
+           "read_csv", "fixture_path"]
 
 
 class SchemaError(ValueError):
@@ -168,45 +167,6 @@ def fixture_path(name: str) -> str:
     if not p.is_file():
         raise FileNotFoundError(f"no shipped fixture named {name!r}")
     return str(p)
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    def motor(m: MotorSpec):
-        p = m.machine
-        return {"name": m.name, "node": m.node, "share": m.share,
-                "machine": {"rs": p.rs, "xs": p.xs, "xm": p.xm, "rr": p.rr,
-                            "xr": p.xr, "h_m": p.h_m,
-                            "mva_scale": p.mva_scale},
-                "active": m.active}
-
-    def feeder(f: FeederSpec):
-        return {
-            "bus": f.bus,
-            "branches": [{"from": b.parent, "to": b.child,
-                          "r": b.r, "x": b.x} for b in f.branches],
-            "loads": [{"node": n, "p": p, "q": q} for n, p, q in f.loads],
-            "composition": {"static_fraction": f.static_fraction,
-                            "zip_fractions": list(f.zip_fractions),
-                            "motors": [motor(m) for m in f.motors]},
-            "active": f.active,
-        }
-
-    return {
-        "name": s.name,
-        "transmission": s.transmission,
-        "feeders": [feeder(f) for f in s.feeders],
-        "events": [{"time": e.time, "target": e.target, "action": e.action,
-                    "params": dict(e.params)} for e in s.events],
-        "run": {"method": s.method.value, "h_macro": s.h_macro,
-                "t_end": s.t_end, "rk_tol": s.rk_tol},
-        "outputs": {"channels": list(s.channels)},
-    }
-
-
-def dump_scenario(s: Scenario, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=2)
-        fh.write("\n")
 
 
 def write_csv(path: str, log: TimeSeriesLog,

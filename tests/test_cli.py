@@ -81,6 +81,21 @@ class TestLinlab:
                      "--h", "-0.1", "--scheme", "series")
         assert rc == 1
 
+    @pytest.mark.parametrize("cmd, flags", [
+        ("stability", ["--h-min", "0"]),
+        ("stability", ["--h-min", "-0.1"]),
+        ("stability", ["--n", "0"]),
+        ("truncation", ["--h-min", "0"]),
+        ("truncation", ["--n", "0"]),
+    ])
+    def test_bad_sweep_input_is_usage_error(self, tmp_path, capsys, cmd,
+                                            flags):
+        rc = run_cli("linlab", cmd, "--lambda-a", "-1", "--lambda-b", "-2",
+                     "--ka", "2", "--kb", "2", *flags,
+                     "--out", str(tmp_path / "out.csv"))
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestRunAndCompare:
     def run_fixture(self, tmp_path, sub, method="series"):

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from cotds.engine import (
 from cotds.feeder import FeederError
 from cotds.integrators import NewtonError, trapezoidal_dae_step
 from cotds.linlab import LinearCoupledParams, StateVec2, make_linear_pair
-from cotds.scenario_io import fixture_path, load_scenario, parse_scenario
+from cotds.scenario_io import fixture_path, load_scenario
 
 
 def make_log(values, diverged=False, columns=("x",)):
@@ -395,9 +394,10 @@ class TestLongHorizon:
     """testcase1 at H = 0.6 over 60 s: series stays stable, parallel not.
 
     The spectral radius of the linearised macro step about the
-    post-event state is 0.9985 (parallel) and 0.9846 (series) at H = 0.5,
-    and 1.305 and 1.166 at H = 1.0: both stability limits lie between,
-    parallel's the lower.  The fixture's 15 s horizon is too short to
+    post-event state, taken with Newton 1e-12 and rk_tol 1e-10, is
+    0.9861 (parallel) and 0.9846 (series) at H = 0.5, and 1.0596 and
+    0.9859 at H = 0.6: parallel's stability limit lies in (0.5, 0.6),
+    series' in (0.7, 0.8).  The fixture's 15 s horizon is too short to
     tell at H = 0.6.  Over 60 s the parallel run grows until the
     transmission Newton fails at t = 30.6 s, and the series run settles.
     """

@@ -27,9 +27,9 @@ def example_feeder(with_motor=True):
     ]
     zips = {
         2: ZipLoadParams(p0=0.30, q0=0.10, z_frac=0.4, i_frac=0.3,
-                         p_frac=0.3, v0=1.0),
+                         p_frac=0.3),
         4: ZipLoadParams(p0=0.25, q0=0.08, z_frac=0.2, i_frac=0.3,
-                         p_frac=0.5, v0=1.0),
+                         p_frac=0.5),
     }
     motors = []
     if with_motor:

@@ -256,8 +256,10 @@ class TestRkComponentStep:
         errs = []
         steps = [0.2, 0.1, 0.05, 0.025]
         for dt in steps:
-            x = rk_component_step(deriv, [1.0, 0.0], None, 1.0,
-                                  tol=1.0, fixed_step=dt)
+            x = [1.0, 0.0]
+            k1 = deriv(x, None)
+            for _ in range(round(1.0 / dt)):
+                x, _, k1 = integrators._dp_step(deriv, x, None, dt, k1)
             errs.append(np.max(np.abs(x - ref)))
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert slope >= 4.0

@@ -21,25 +21,25 @@ MP = InductionMotorParams(rs=0.013, xs=0.05, xm=6.0, rr=0.03, xr=0.12,
 class TestZipLoad:
     def test_nominal_voltage(self):
         zl = ZipLoadParams(p0=1.2, q0=0.5, z_frac=0.3, i_frac=0.3,
-                           p_frac=0.4, v0=1.0)
+                           p_frac=0.4)
         assert zip_power(zl, 1.0) == pytest.approx(1.2 + 0.5j)
 
     def test_off_nominal_frozen(self):
         # [DERIVED] 0.3*v^2 + 0.3*v + 0.4 weighting at v = 0.95 and 1.05.
         zl = ZipLoadParams(p0=1.2, q0=0.5, z_frac=0.3, i_frac=0.3,
-                           p_frac=0.4, v0=1.0)
+                           p_frac=0.4)
         assert zip_power(zl, 0.95) == pytest.approx(1.1469 + 0.477875j)
         assert zip_power(zl, 1.05) == pytest.approx(1.2549 + 0.522875j)
 
     def test_constant_impedance_scales_quadratically(self):
         zl = ZipLoadParams(p0=2.0, q0=1.0, z_frac=1.0, i_frac=0.0,
-                           p_frac=0.0, v0=1.0)
+                           p_frac=0.0)
         assert zip_power(zl, 0.5) == pytest.approx(0.25 * (2.0 + 1.0j))
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError):
             ZipLoadParams(p0=1.0, q0=0.0, z_frac=0.5, i_frac=0.5,
-                          p_frac=0.5, v0=1.0)
+                          p_frac=0.5)
 
 
 class TestMotorParams:

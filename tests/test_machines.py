@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from cotds.machines import GeneratorBank, N_GEN_STATES
 from cotds.power_network import load_network, newton_power_flow

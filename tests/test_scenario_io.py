@@ -1,6 +1,4 @@
-import copy
 import json
-import os
 
 import numpy as np
 import pytest
@@ -9,12 +7,10 @@ from cotds.cosim import TimeSeriesLog
 from cotds.engine import RunMethod
 from cotds.scenario_io import (
     SchemaError,
-    dump_scenario,
     fixture_path,
     load_scenario,
     parse_scenario,
     read_csv,
-    scenario_to_dict,
     write_csv,
 )
 
@@ -37,18 +33,6 @@ class TestFixtures:
 
 
 class TestParse:
-    def test_round_trip(self):
-        s = parse_scenario(fixture_doc())
-        s2 = parse_scenario(scenario_to_dict(s))
-        assert scenario_to_dict(s) == scenario_to_dict(s2)
-
-    def test_dump_load_round_trip(self, tmp_path):
-        s = parse_scenario(fixture_doc())
-        p = str(tmp_path / "scen.json")
-        dump_scenario(s, p)
-        s2 = load_scenario(p)
-        assert scenario_to_dict(s) == scenario_to_dict(s2)
-
     def test_method_parsed(self):
         doc = fixture_doc()
         doc["run"]["method"] = "parallel"

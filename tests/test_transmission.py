@@ -17,10 +17,10 @@ def make_sub(interface=(5,), zip_loads=True):
             continue
         if zip_loads:
             statics[bus] = ZipLoadParams(p0=s.real, q0=s.imag, z_frac=0.4,
-                                         i_frac=0.3, p_frac=0.3, v0=1.0)
+                                         i_frac=0.3, p_frac=0.3)
         else:
             statics[bus] = ZipLoadParams(p0=s.real, q0=s.imag, z_frac=0.0,
-                                         i_frac=0.0, p_frac=1.0, v0=1.0)
+                                         i_frac=0.0, p_frac=1.0)
     dae = TransmissionDae(net, bank, statics, list(interface))
     sub = TransmissionSubSystem("T", dae)
     s_if = net.loads[interface[0]]
