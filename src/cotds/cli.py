@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 schema/validation error,
 3 numeric failure, including a run cut short (its files are still
-written).  COTDS_OUT_DIR overrides any output directory flag.
+written).
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import numpy as np
 from . import linlab
 from .engine import RunMethod, compare_runs, run_scenario
 from .integrators import NumericFailure
-from .scenario_io import (SchemaError, load_scenario, read_csv, write_csv)
+from .scenario_io import (SchemaError, load_scenario, read_csv, write_csv,
+                          write_table)
 
 EXIT_USAGE = 1
 EXIT_SCHEMA = 2
@@ -44,7 +45,7 @@ class CliError(Exception):
 
 
 def _out_dir(flag_value: str | None) -> str:
-    return os.environ.get("COTDS_OUT_DIR") or flag_value or "."
+    return flag_value or "."
 
 
 def _params(args) -> linlab.LinearCoupledParams:
@@ -65,12 +66,6 @@ def _add_param_flags(p):
                    help="micro steps per macro step")
 
 
-def _write_table(path, header, rows):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    np.savetxt(path, rows, delimiter=",", header=",".join(header),
-               comments="", fmt="%.12e")
-
-
 def cmd_linlab_simulate(args) -> int:
     p = _params(args)
     try:
@@ -85,7 +80,7 @@ def cmd_linlab_simulate(args) -> int:
         ref = linlab.analytic_solution(p, x0, float(t))
         rows.append((float(t), st[0], st[1], ref.x_a, ref.x_b))
     path = os.path.join(_out_dir(args.out_dir), args.out)
-    _write_table(path, ["t", "x_a", "x_b", "x_a_exact", "x_b_exact"], rows)
+    write_table(path, ["t", "x_a", "x_b", "x_a_exact", "x_b_exact"], rows)
     print(path)
     if traj.diverged:
         print(f"numeric error: trajectory diverged after t={traj.times[-1]:.6g}; "
@@ -108,7 +103,7 @@ def cmd_linlab_stability(args) -> int:
     rows = np.column_stack([grid, *rhos, np.ones_like(grid)])  # rho = 1 line
     header = ["h"] + [f"rho_{name}" for name in args.schemes] + ["rho_one"]
     path = os.path.join(_out_dir(args.out_dir), args.out)
-    _write_table(path, header, rows)
+    write_table(path, header, rows)
     print(path)
     return 0
 
@@ -130,7 +125,7 @@ def cmd_linlab_truncation(args) -> int:
     except ValueError as exc:
         raise CliError(f"invalid arguments: {exc}", EXIT_USAGE)
     path = os.path.join(_out_dir(args.out_dir), args.out)
-    _write_table(path, ["h", "tau_total", "tau_parallel", "tau_series"], rows)
+    write_table(path, ["h", "tau_total", "tau_parallel", "tau_series"], rows)
     print(path)
     return 0
 

@@ -1,8 +1,8 @@
 """Macro-step co-simulation of one hub and its spokes.
 
 Every run, linear or power system, co-simulated or monolithic, goes
-through one loop, ``march``, and differs only in the step and the event
-function it hands the march.
+through one loop, ``march``, and differs only in the step it hands the
+march.
 ``exchange_step`` supplies the co-simulation step.  Its sub-systems form
 a star: the first is the hub (the transmission system, or the A half of
 the linear test system), the others are its spokes, in order.  The hub's
@@ -16,7 +16,8 @@ hub's output:
 - series (Gauss-Seidel exchange): the hub's output after its step.
 
 Timed events snap to the first macro boundary at or after their time and
-are applied before that boundary's step.
+are applied before that boundary's step, each by its target sub-system's
+``switch``.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class SubSystem:
     def snapshot(self) -> Mapping[str, float]:
         return {}
 
-    def apply_event(self, action: str, params: Mapping) -> None:
+    def switch(self, action: str, params: Mapping) -> None:
         raise CosimError(f"{type(self).__name__} does not handle event {action!r}")
 
 
@@ -129,7 +130,8 @@ class TimeSeriesLog:
         return np.array(self.rows) if self.rows else np.empty((0, len(self.columns)))
 
     def channel(self, name: str) -> np.ndarray:
-        return self.as_array()[:, self.columns.index(name)]
+        j = self.columns.index(name)
+        return np.array([row[j] for row in self.rows], dtype=float)
 
     @property
     def time_array(self) -> np.ndarray:
@@ -165,9 +167,8 @@ def interface_mismatch(subsystems: Mapping[str, SubSystem]
 
 def march(schedule: CouplingSchedule,
           subsystems: Mapping[str, SubSystem],
-          step: Callable[[float], None],
-          fire: Callable[[Event], None]) -> TimeSeriesLog:
-    """Fire due events, ``step(h)`` and record, once per macro step.
+          step: Callable[[float], None]) -> TimeSeriesLog:
+    """Switch due events, ``step(h)`` and record, once per macro step.
 
     A record holds each sub-system's ``output()`` and every channel of
     its ``snapshot()``, at t = 0 and after every step.  The channels are
@@ -205,7 +206,8 @@ def march(schedule: CouplingSchedule,
         try:
             while (next_event < len(events)
                    and events[next_event].time <= t + 1e-12):
-                fire(events[next_event])
+                ev = events[next_event]
+                subsystems[ev.target].switch(ev.action, ev.params)
                 next_event += 1
             at = t + h
             step(h)
@@ -261,9 +263,4 @@ def run_cosimulation(schedule: CouplingSchedule,
     if gaps:
         raise CosimError(f"inconsistent initialization: interface gaps "
                          f"{gaps} exceed {INIT_TOL:.0e}")
-
-    def fire(ev):
-        subsystems[ev.target].apply_event(ev.action, ev.params)
-
-    return march(schedule, subsystems, exchange_step(subsystems, method),
-                 fire)
+    return march(schedule, subsystems, exchange_step(subsystems, method))

@@ -3,10 +3,11 @@
 A scenario names a transmission dataset, attaches distribution feeders to
 interface buses, and selects a run method and macro step.  All three
 methods march the same initialised sub-systems with ``cosim.march``, so
-they log the same channels and report failures alike.  Parallel and
-series hand it ``cosim.exchange_step``, with the transmission sub-system
-as the hub and one distribution sub-system per interface bus as its
-spokes.  Monolithic hands it one trapezoidal step of the whole system as
+they log the same channels, switch events alike and report failures
+alike.  Parallel and series hand it ``cosim.exchange_step``, with the
+transmission sub-system as the hub and one distribution sub-system per
+interface bus as its spokes.  Monolithic hands it
+``MonolithicDae.advance``, one trapezoidal step of the whole system as
 one DAE, with no exchange.  That DAE only stacks the blocks the
 co-simulation path solves (the transmission DAE, and each feeder's motor
 derivatives and KCL mismatch) and writes its state back into the same
@@ -393,6 +394,8 @@ def compare_runs(a: TimeSeriesLog, b: TimeSeriesLog,
 
 # -- monolithic reference ----------------------------------------------------
 
+_NEWTON = NewtonConfig()
+
 
 class MonolithicDae(DaeSystem):
     """The transmission DAE and every feeder, stacked into one DAE.
@@ -407,11 +410,16 @@ class MonolithicDae(DaeSystem):
     feeder by feeder.  Algebraic unknowns: real then imaginary bus
     voltages, then for every feeder the real then imaginary voltages of
     nodes 1..N (node 0 is the interface bus).
+
+    ``advance(h)`` is one trapezoidal step, from and back into the
+    component objects; ``newton_cache`` keeps its Jacobian and counters.
     """
 
     def __init__(self, tsub: TransmissionSubSystem,
                  dsubs: dict[str, DistributionSubSystem]):
-        """``dsubs`` in the order of the transmission's interface buses."""
+        """``dsubs`` in the order of the transmission's interface buses;
+        their outputs become the stacked model's own source power."""
+        self.newton_cache = JacobianCache()
         self.tsub = tsub
         self.tdae = tdae = tsub.dae
         self.dsubs = list(dsubs.values())
@@ -436,6 +444,7 @@ class MonolithicDae(DaeSystem):
         self.motors = [mu for fd, *_ in self._blocks for mu in fd.motors]
         self._re_idx, self._im_idx = np.array(re_idx), np.array(im_idx)
         self._nx, self._ny = nx, ny
+        self.scatter(*self.gather())
 
     @property
     def n_x(self) -> int:
@@ -475,6 +484,13 @@ class MonolithicDae(DaeSystem):
         u_t, mismatch = self.interface_power(x, y)
         return np.concatenate(
             [tdae.g(x[:tdae.n_x], y[:tdae.n_y], u_t)] + mismatch)
+
+    def advance(self, h: float) -> None:
+        x, y = trapezoidal_dae_step(self, *self.gather(), None, h, _NEWTON,
+                                    self.newton_cache)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise OverflowError("monolithic state is non-finite")
+        self.scatter(x, y)
 
     # -- the shared component objects
 
@@ -533,8 +549,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
     schedule = CouplingSchedule(scenario.h_macro, scenario.t_end,
                                 tuple(scenario.events))
     if scenario.method is RunMethod.MONOLITHIC:
-        log, cache = _run_monolithic(schedule, subsystems, dsubs)
-        newton = {"monolithic": cache.counters()}
+        mono = MonolithicDae(subsystems["T"], dsubs)
+        log = march(schedule, subsystems, mono.advance)
+        newton = {"monolithic": mono.newton_cache.counters()}
     else:
         log = run_cosimulation(schedule, subsystems,
                                CouplingMethod(scenario.method.value))
@@ -545,28 +562,3 @@ def run_scenario(scenario: Scenario) -> RunResult:
                      verdict=verdict, wall_time=time.perf_counter() - t_start,
                      newton=newton)
 
-
-def _run_monolithic(schedule: CouplingSchedule, subsystems: dict,
-                    dsubs: dict) -> tuple[TimeSeriesLog, JacobianCache]:
-    """March the stacked DAE; no interface data is exchanged.
-
-    Returns the log and the stacked DAE's Jacobian cache, which every
-    event clears: an event changes which feeders the DAE holds.
-    """
-    mono = MonolithicDae(subsystems["T"], dsubs)
-    # the first record holds the stacked model's own source power
-    mono.scatter(*mono.gather())
-    newton, cache = NewtonConfig(), JacobianCache()
-
-    def step(h):
-        x, y = trapezoidal_dae_step(mono, *mono.gather(), None, h, newton,
-                                    cache)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise OverflowError("monolithic state is non-finite")
-        mono.scatter(x, y)
-
-    def fire(ev):
-        dsubs[ev.target].switch(ev.action, ev.params)
-        cache.clear()
-
-    return march(schedule, subsystems, step, fire), cache

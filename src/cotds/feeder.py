@@ -226,13 +226,14 @@ class DistributionSubSystem(SubSystem):
     def _v_sub(self) -> complex:
         return complex(self.current_input[0], self.current_input[1])
 
-    def _total_power(self) -> complex:
+    def _total_power(self) -> np.ndarray:
+        """Consumed [P, Q], every active feeder re-solved at the input."""
         v = self._v_sub()
         s = 0.0 + 0.0j
         for fd in self.feeders:
             if fd.active:
                 s += fd.source_power(v)
-        return s
+        return np.array([s.real, s.imag])
 
     def initialize(self, inputs: np.ndarray) -> None:
         self.set_input(inputs)
@@ -240,8 +241,7 @@ class DistributionSubSystem(SubSystem):
         for fd in self.feeders:
             if fd.active:
                 fd.initialize(v)
-        s = self._total_power()
-        self._output = np.array([s.real, s.imag])
+        self._output = self._total_power()
 
     def advance(self, h: float) -> None:
         v = self._v_sub()
@@ -249,12 +249,14 @@ class DistributionSubSystem(SubSystem):
             if fd.active:
                 fd.sweep(v)
                 fd.step_motors(h, tol=self.rk_tol)
-        s = self._total_power()
-        if not np.isfinite(s.real) or not np.isfinite(s.imag):
+        out = self._total_power()
+        if not np.all(np.isfinite(out)):
             raise OverflowError("distribution state is non-finite")
-        self._output = np.array([s.real, s.imag])
+        self._output = out
 
     def output(self) -> np.ndarray:
+        if self._output is None:  # re-solve after a switch
+            self._output = self._total_power()
         return self._output.copy()
 
     def snapshot(self):
@@ -268,14 +270,8 @@ class DistributionSubSystem(SubSystem):
                 out[f"f{k}.v{node}"] = float(abs(v))
         return out
 
-    def apply_event(self, action: str, params) -> None:
-        self.switch(action, params)
-        # the interface sees topology changes immediately
-        s = self._total_power()
-        self._output = np.array([s.real, s.imag])
-
     def switch(self, action: str, params) -> None:
-        """Apply a topology event to the feeders; the output is left as is."""
+        """Apply a topology event; the next ``output()`` re-solves."""
         if action == "connect_motor":
             mu = self._find_motor(params["name"])
             # load torque referenced to rated consumption at nominal volts
@@ -292,6 +288,7 @@ class DistributionSubSystem(SubSystem):
             self.feeders[int(params["index"])].active = False
         else:
             raise CosimError(f"unknown distribution event {action!r}")
+        self._output = None
 
     def _find_motor(self, name: str) -> MotorUnit:
         for fd in self.feeders:

@@ -134,10 +134,6 @@ class JacobianCache:
         self.reused_steps = 0
         self.fallbacks = 0
 
-    def clear(self) -> None:
-        """Drop the Jacobian; the next solve builds a fresh one."""
-        self.jac = None
-
     def counters(self) -> dict[str, int]:
         return {"jacobian_builds": self.jacobian_builds,
                 "residual_evals": self.residual_evals,

@@ -397,8 +397,7 @@ def simulate_linear(p: LinearCoupledParams, x0: StateVec2, h_macro: float,
     schedule = CouplingSchedule(cfg.h_macro, t_end)
     pair = make_linear_pair(p, x0, cfg.n_micro)
     if scheme is SchemeId.TOTAL_TRAPEZOIDAL:
-        log = march(schedule, pair, _total_trapezoidal_step(p, pair),
-                    lambda ev: None)  # the schedule has no events
+        log = march(schedule, pair, _total_trapezoidal_step(p, pair))
     else:
         log = run_cosimulation(schedule, pair, CouplingMethod(scheme.value))
     cols = [log.columns.index("A.x"), log.columns.index("B.x")]

@@ -18,7 +18,7 @@ from .feeder import FeederBranch
 from .loads import InductionMotorParams
 
 __all__ = ["SchemaError", "parse_scenario", "load_scenario", "write_csv",
-           "read_csv", "fixture_path"]
+           "write_table", "read_csv", "fixture_path"]
 
 
 class SchemaError(ValueError):
@@ -176,11 +176,14 @@ def write_csv(path: str, log: TimeSeriesLog,
     if missing:
         raise SchemaError(f"unknown channels {missing}")
     picked = log.as_array()[:, [log.columns.index(c) for c in cols]]
-    arr = np.column_stack([log.time_array, picked])
+    write_table(path, ["t"] + cols, np.column_stack([log.time_array, picked]))
+
+
+def write_table(path: str, header: list[str], rows) -> None:
+    """Write ``rows`` under ``header`` as CSV, making the directory."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    header = ",".join(["t"] + cols)
-    np.savetxt(path, arr, delimiter=",", header=header, comments="",
-               fmt="%.12e")
+    np.savetxt(path, rows, delimiter=",", header=",".join(header),
+               comments="", fmt="%.12e")
 
 
 def read_csv(path: str) -> TimeSeriesLog:

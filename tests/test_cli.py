@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from cotds import cli, transmission
+from cotds import cli, feeder, transmission
 from cotds.cli import EXIT_NUMERIC, EXIT_SCHEMA, EXIT_USAGE, main
 from cotds.integrators import NewtonError
 from cotds.scenario_io import fixture_path, load_scenario, read_csv
@@ -143,15 +143,6 @@ class TestRunAndCompare:
             json.dump({"name": "x", "bogus": True}, fh)
         assert run_cli("cotds", "run", bad) == 2
 
-    def test_out_dir_env_override(self, tmp_path, monkeypatch):
-        env_dir = str(tmp_path / "env_out")
-        monkeypatch.setenv("COTDS_OUT_DIR", env_dir)
-        rc = run_cli("cotds", "run", fixture_path("testcase1"),
-                     "--h", "0.01", "--t-end", "0.1",
-                     "--out-dir", str(tmp_path / "flag_out"))
-        assert rc == 0
-        assert os.path.isfile(os.path.join(env_dir, "run.csv"))
-
     def test_summary_reports_newton_counters(self, tmp_path):
         # the full testcase1 series run: 2500 trapezoidal steps of T
         out = str(tmp_path / "run")
@@ -219,6 +210,38 @@ class TestRunAndCompare:
         assert "verdict: Diverged" in text
         assert "failure: sub-system failure at t=0.05" in text
         assert "sub-system failure at t=0.05" in capsys.readouterr().err
+
+    def test_failed_resolve_after_event_exits_numeric(self, tmp_path,
+                                                      monkeypatch):
+        # testcase1's motor connect moved to t = 0.02 s; the feeders'
+        # re-solve after it fails, in the step that ends at t = 0.03 s
+        with open(fixture_path("testcase1")) as fh:
+            doc = json.load(fh)
+        doc["events"][0]["time"] = 0.02
+        path = str(tmp_path / "early_event.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+
+        def failing_sweep(self, v_sub):
+            raise feeder.FeederError("sweep refused")
+
+        original = feeder.DistributionSubSystem.switch
+
+        def switch(self, action, params):
+            # a connect_motor switch itself sweeps nothing
+            monkeypatch.setattr(feeder.DistributionFeeder, "sweep",
+                                failing_sweep)
+            original(self, action, params)
+
+        monkeypatch.setattr(feeder.DistributionSubSystem, "switch", switch)
+        out = str(tmp_path / "run")
+        rc = run_cli("cotds", "run", path, "--method", "parallel",
+                     "--h", "0.01", "--t-end", "0.05", "--out-dir", out)
+        assert rc == EXIT_NUMERIC
+        assert len(read_csv(os.path.join(out, "run.csv")).times) == 3
+        with open(os.path.join(out, "summary.txt")) as fh:
+            assert ("failure: sub-system failure at t=0.03: sweep refused"
+                    in fh.read())
 
 
 def infeasible_testcase1(tmp_path, motor, mva_scale, event_time=None):

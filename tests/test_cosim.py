@@ -7,6 +7,7 @@ from cotds.cosim import (
     CouplingSchedule,
     Event,
     SubSystem,
+    TimeSeriesLog,
     interface_mismatch,
     run_cosimulation,
 )
@@ -15,6 +16,7 @@ from cotds.linlab import (
     StateVec2,
     make_linear_pair,
 )
+from cotds.scenario_io import read_csv, write_csv
 
 P1 = LinearCoupledParams(-1.0, -10.0, 2.0, 2.0)
 P2 = LinearCoupledParams(-1.0, -2.0, 2.0, 2.0)
@@ -37,11 +39,11 @@ class Recorder(SubSystem):
     def output(self):
         return self.out_value.copy()
 
-    def apply_event(self, action, params):
+    def switch(self, action, params):
         if action == "set_output":
             self.out_value = np.atleast_1d(np.asarray(params["value"], float))
         else:
-            super().apply_event(action, params)
+            super().switch(action, params)
 
 
 class Hub(Recorder):
@@ -69,6 +71,33 @@ class TestAgainstLinlabSteppers:
         assert len(log.times) < 4001
         # the flagged record is not kept
         assert np.all(np.isfinite(log.as_array()))
+
+
+class TestTimeSeriesLog:
+    def check_channels(self, log):
+        arr = log.as_array()
+        for j, c in enumerate(log.columns):
+            assert np.array_equal(log.channel(c), arr[:, j])
+
+    def marched_log(self):
+        return run_cosimulation(CouplingSchedule(0.1, 1.0),
+                                make_linear_pair(P1, StateVec2(1, 1)),
+                                CouplingMethod.SERIES)
+
+    def test_marched_log(self):
+        self.check_channels(self.marched_log())
+
+    def test_read_csv_log(self, tmp_path):
+        path = str(tmp_path / "run.csv")
+        write_csv(path, self.marched_log())
+        log = read_csv(path)
+        assert isinstance(log.rows[0], list)
+        self.check_channels(log)
+
+    def test_empty_log(self):
+        log = TimeSeriesLog(columns=["a", "b"])
+        assert log.channel("b").shape == (0,)
+        self.check_channels(log)
 
 
 class TestExchangeSemantics:

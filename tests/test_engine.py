@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cotds import engine, transmission
+from cotds import engine, feeder, transmission
 from cotds.cosim import (CouplingMethod, CouplingSchedule, Event,
                          TimeSeriesLog, run_cosimulation)
 from cotds.engine import (
@@ -193,6 +193,27 @@ def quick_scenario(method=RunMethod.SERIES, h=0.01, t_end=0.5, events=False,
     return s
 
 
+def fail_sweeps_after_switch(monkeypatch):
+    """Make every feeder sweep raise ``FeederError`` from the first switch
+    on; a connect_motor switch itself sweeps nothing."""
+    switch = feeder.DistributionSubSystem.switch
+    sweep = feeder.DistributionFeeder.sweep
+    switched = []
+
+    def recorded_switch(self, action, params):
+        switched.append(action)
+        switch(self, action, params)
+
+    def failing_sweep(self, v_sub):
+        if switched:
+            raise FeederError("sweep refused after the switch")
+        return sweep(self, v_sub)
+
+    monkeypatch.setattr(feeder.DistributionSubSystem, "switch",
+                        recorded_switch)
+    monkeypatch.setattr(feeder.DistributionFeeder, "sweep", failing_sweep)
+
+
 def with_mva_scale(s, motor, mva_scale):
     """``s`` with one motor rescaled; a small scale makes its load infeasible."""
     def rescale(ms):
@@ -307,6 +328,32 @@ class TestRunScenario:
             "sub-system failure at t=0.02: motor bus6_im2: "), r.log.failure
         assert not r.log.diverged
         assert r.verdict is Verdict.DIVERGED
+
+    @pytest.mark.parametrize("method", [RunMethod.SERIES,
+                                        RunMethod.PARALLEL])
+    def test_failed_resolve_after_event_fails_at_next_step(self, method,
+                                                           monkeypatch):
+        # the switch leaves the feeders' output to be re-solved at the next
+        # exchange, inside the step after the boundary
+        fail_sweeps_after_switch(monkeypatch)
+        s = quick_scenario(method=method, t_end=0.05)
+        s.events = [Event(0.02, "D6", "connect_motor", {"name": "bus6_im2"})]
+        r = run_scenario(s)
+        assert r.log.times == pytest.approx([0.0, 0.01, 0.02])
+        assert r.log.failure == ("sub-system failure at t=0.03: "
+                                 "sweep refused after the switch")
+        assert not r.log.diverged
+        assert r.verdict is Verdict.DIVERGED
+
+    def test_monolithic_does_not_resolve_after_event(self, monkeypatch):
+        # the stacked step solves the feeders itself, and its scatter
+        # writes the feeders' output before anything reads it
+        fail_sweeps_after_switch(monkeypatch)
+        s = quick_scenario(method=RunMethod.MONOLITHIC, t_end=0.05)
+        s.events = [Event(0.02, "D6", "connect_motor", {"name": "bus6_im2"})]
+        r = run_scenario(s)
+        assert r.log.failure is None
+        assert len(r.log.times) == 6
 
     def test_infeasible_motor_fails_at_start(self):
         s = with_mva_scale(quick_scenario(), "bus5_im1", 0.01)

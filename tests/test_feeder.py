@@ -140,7 +140,7 @@ class TestTestcase1Feeders:
         for sub in initialised_testcase1().values():
             motors = {mu.name: mu for fd in sub.feeders for mu in fd.motors}
             if name in motors:
-                sub.apply_event("connect_motor", {"name": name})
+                sub.switch("connect_motor", {"name": name})
                 assert motors[name].state[2] == 1.0  # at standstill
                 self.check(sub)
 
@@ -272,24 +272,24 @@ class TestSubSystem:
     def test_disconnect_motor_drops_power(self):
         sub = self.make_sub()
         p0, _ = sub.output()
-        sub.apply_event("disconnect_motor", {"name": "m1"})
+        sub.switch("disconnect_motor", {"name": "m1"})
         p1, _ = sub.output()
         assert p1 < p0 - 0.15
 
     def test_connect_motor_draws_inrush(self):
         sub = self.make_sub()
-        sub.apply_event("disconnect_motor", {"name": "m1"})
+        sub.switch("disconnect_motor", {"name": "m1"})
         _, q_off = sub.output()
-        sub.apply_event("connect_motor", {"name": "m1"})
+        sub.switch("connect_motor", {"name": "m1"})
         _, q_on = sub.output()
         assert q_on > q_off + 0.5  # locked-rotor reactive inrush
 
     def test_infeasible_motor_connect_is_feeder_error(self):
         sub = self.make_sub()
-        sub.apply_event("disconnect_motor", {"name": "m1"})
+        sub.switch("disconnect_motor", {"name": "m1"})
         sub.feeders[0].motors[0].p_target = 50.0
         with pytest.raises(FeederError, match="motor m1: .* p_target 50 "):
-            sub.apply_event("connect_motor", {"name": "m1"})
+            sub.switch("connect_motor", {"name": "m1"})
 
     def test_snapshot_keys(self):
         sub = self.make_sub()

@@ -217,15 +217,6 @@ class TestJacobianReuse:
         assert cache.fallbacks == 1 and cache.reused_steps == 0
         assert abs(x1[0] + x1[0] ** 3 / 4) <= self.TIGHT.residual_tolerance
 
-    def test_clear_forces_rebuild(self):
-        cache = JacobianCache()
-        self.march(0.05, 3, cache)
-        builds = cache.jacobian_builds
-        cache.clear()
-        self.march(0.05, 1, cache)
-        assert cache.jacobian_builds > builds
-        assert cache.fallbacks == 0
-
 
 class TestRkComponentStep:
     def test_scalar_exponential(self):
