@@ -191,9 +191,9 @@ def march(schedule: CouplingSchedule,
     def record():
         row = []
         for name, sub in subsystems.items():
-            row.extend(np.asarray(sub.output(), dtype=float))
+            row += np.asarray(sub.output(), dtype=float).tolist()
             snap = sub.snapshot()
-            row.extend(snap[ch] for ch in channels[name])
+            row += [snap[ch] for ch in channels[name]]
         return np.array(row, dtype=float)
 
     log.append(0.0, record())

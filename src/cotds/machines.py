@@ -1,16 +1,26 @@
 """Two-axis synchronous machine with static exciter and droop governor.
 
-All generators in a network are handled as vectorized arrays: each state
-block stacks one value per machine.  State layout per machine is
+All generators in a network form one ``GeneratorBank``, whose parameters
+are arrays with one value per machine.  The state vector stacks one block
+per machine, laid out as
 
     [eq_p, ed_p, delta, domega, efd, pm]
 
 with ``domega`` the per-unit speed deviation.  Stator resistance is
 neglected so the dq stator equations invert in closed form.
+
+``derivatives`` and ``injected_current`` run at every residual of the
+transmission Newton, for a handful of machines.  At that size numpy's
+per-call overhead outweighs the arithmetic, so both loop over the
+machines on Python floats, with each machine's constants gathered into
+a tuple once (again whenever ``initialize`` sets the set points), and
+return one array.  An infinite rotor angle gives nan, as numpy's sine
+does, never an exception.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +28,22 @@ import numpy as np
 __all__ = ["GeneratorBank", "N_GEN_STATES"]
 
 N_GEN_STATES = 6
+
+
+def _stator(xd_p, xq_p, eq_p, ed_p, delta, v):
+    """Rotor angle sin/cos and dq stator currents of one machine."""
+    try:
+        sd, cd = math.sin(delta), math.cos(delta)
+    except ValueError:  # an infinite angle; numpy's sine gives nan
+        sd = cd = math.nan
+    # rotate the terminal phasor into the rotor frame
+    vd = v.real * sd - v.imag * cd
+    vq = v.real * cd + v.imag * sd
+    return sd, cd, (eq_p - vq) / xd_p, (vd - ed_p) / xq_p
+
+
+def _electrical_power(eq_p, ed_p, i_d, i_q, xd_p, xq_p):
+    return ed_p * i_d + eq_p * i_q + (xq_p - xd_p) * i_d * i_q
 
 
 @dataclass
@@ -39,6 +65,16 @@ class GeneratorBank:
     vref: np.ndarray     # filled by initialize()
     pref: np.ndarray
     omega_s: float
+
+    def __post_init__(self):
+        self._set_constants()
+
+    def _set_constants(self) -> None:
+        """Each machine's constants as a tuple of Python floats."""
+        self._consts = tuple(zip(*(a.tolist() for a in (
+            self.xd, self.xq, self.xd_p, self.xq_p, self.td0_p, self.tq0_p,
+            self.ke, self.te, self.droop, self.tg, self.vref, self.pref,
+            2.0 * self.h, self.d))))
 
     @classmethod
     def from_params(cls, gen_params: list[dict], omega_s: float) -> "GeneratorBank":
@@ -74,44 +110,38 @@ class GeneratorBank:
 
     # -- stator / network interface -------------------------------------
 
-    def _stator(self, b: np.ndarray, v_bus: np.ndarray):
-        """Rotor angle sin/cos and dq stator currents of state blocks b."""
-        eq_p, ed_p, delta = b[:, 0], b[:, 1], b[:, 2]
-        # rotate terminal phasors into rotor frames (sin/cos, no complex exp)
-        sd, cd = np.sin(delta), np.cos(delta)
-        vd = v_bus.real * sd - v_bus.imag * cd
-        vq = v_bus.real * cd + v_bus.imag * sd
-        i_d = (eq_p - vq) / self.xd_p
-        i_q = (vd - ed_p) / self.xq_p
-        return sd, cd, i_d, i_q
-
-    def injected_current(self, x: np.ndarray, v_bus: np.ndarray) -> np.ndarray:
+    def injected_current(self, x: np.ndarray, v_bus) -> np.ndarray:
         """Network-frame current phasor injected by each machine."""
-        sd, cd, i_d, i_q = self._stator(
-            x.reshape(self.n_machines, N_GEN_STATES), v_bus)
-        return (i_d * sd + i_q * cd) + 1j * (i_q * sd - i_d * cd)
-
-    def electrical_power(self, eq_p, ed_p, i_d, i_q):
-        return ed_p * i_d + eq_p * i_q + (self.xq_p - self.xd_p) * i_d * i_q
+        xs = x.tolist()
+        out = []
+        for k, (c, v) in enumerate(zip(self._consts, v_bus)):
+            j = N_GEN_STATES * k
+            sd, cd, i_d, i_q = _stator(c[2], c[3], xs[j], xs[j + 1],
+                                       xs[j + 2], v)
+            out.append(complex(i_d * sd + i_q * cd, i_q * sd - i_d * cd))
+        return np.array(out)
 
     # -- dynamics --------------------------------------------------------
 
-    def derivatives(self, x: np.ndarray, v_bus: np.ndarray) -> np.ndarray:
-        b = x.reshape(self.n_machines, N_GEN_STATES)
-        eq_p, ed_p, domega = b[:, 0], b[:, 1], b[:, 3]
-        efd, pm = b[:, 4], b[:, 5]
-        _, _, i_d, i_q = self._stator(b, v_bus)
-        pe = self.electrical_power(eq_p, ed_p, i_d, i_q)
-        vmag = np.abs(v_bus)
-
-        out = np.empty_like(b)
-        out[:, 0] = (-eq_p - (self.xd - self.xd_p) * i_d + efd) / self.td0_p
-        out[:, 1] = (-ed_p + (self.xq - self.xq_p) * i_q) / self.tq0_p
-        out[:, 2] = self.omega_s * domega
-        out[:, 3] = (pm - pe - self.d * domega) / (2.0 * self.h)
-        out[:, 4] = (-efd + self.ke * (self.vref - vmag)) / self.te
-        out[:, 5] = (-pm + self.pref - domega / self.droop) / self.tg
-        return out.ravel()
+    def derivatives(self, x: np.ndarray, v_bus) -> np.ndarray:
+        """Stacked state derivatives at terminal voltages ``v_bus``."""
+        xs = x.tolist()
+        omega_s = self.omega_s
+        out = []
+        for k, (c, v) in enumerate(zip(self._consts, v_bus)):
+            (xd, xq, xd_p, xq_p, td0_p, tq0_p, ke, te, droop, tg, vref,
+             pref, h2, d) = c
+            j = N_GEN_STATES * k
+            eq_p, ed_p, delta, domega, efd, pm = xs[j:j + N_GEN_STATES]
+            _, _, i_d, i_q = _stator(xd_p, xq_p, eq_p, ed_p, delta, v)
+            pe = _electrical_power(eq_p, ed_p, i_d, i_q, xd_p, xq_p)
+            out += [(-eq_p - (xd - xd_p) * i_d + efd) / td0_p,
+                    (-ed_p + (xq - xq_p) * i_q) / tq0_p,
+                    omega_s * domega,
+                    (pm - pe - d * domega) / h2,
+                    (-efd + ke * (vref - abs(v))) / te,
+                    (-pm + pref - domega / droop) / tg]
+        return np.array(out)
 
     # -- initialization --------------------------------------------------
 
@@ -132,9 +162,10 @@ class GeneratorBank:
         eq_p = vq + self.xd_p * i_d
         ed_p = vd - self.xq_p * i_q
         efd = eq_p + (self.xd - self.xd_p) * i_d
-        pm = self.electrical_power(eq_p, ed_p, i_d, i_q)
+        pm = _electrical_power(eq_p, ed_p, i_d, i_q, self.xd_p, self.xq_p)
         domega = np.zeros_like(pm)
 
         self.vref = np.abs(v_bus) + efd / self.ke
         self.pref = pm.copy()
+        self._set_constants()
         return self.pack(eq_p, ed_p, delta, domega, efd, pm)

@@ -4,9 +4,19 @@ Differential states are the stacked generator blocks; algebraic unknowns
 are the real and imaginary bus voltages.  The algebraic residual is the
 nodal current balance with generator injections, static ZIP loads, and
 the interface powers handed over by the distribution sub-systems.
+
+``f`` and ``g`` run at every residual of the trapezoidal Newton.  Like
+the generator kernel they work on Python scalars: the bus voltages they
+need become Python complex numbers read from ``y.tolist()`` at indices
+fixed when the DAE is built, and the load and interface currents are
+summed per bus in a list.  Only the network product ``ybus @ v`` is one
+numpy call.  A zero voltage at a loaded bus makes ``g`` all nan, as
+numpy's division made it non-finite; it never raises.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,9 +46,10 @@ class TransmissionDae(DaeSystem):
         self.bank = bank
         self.static_loads = dict(static_loads)
         self.interface_buses = list(interface_buses)
-        self._gen_idx = np.array([net.idx(b) for b in net.gen_buses])
-        self._if_idx = np.array([net.idx(b) for b in self.interface_buses],
-                                dtype=int)
+        self._gen_idx = [net.idx(b) for b in net.gen_buses]
+        self._if_idx = [net.idx(b) for b in self.interface_buses]
+        # (bus index, load) of each static load, read once here
+        self._loads = [(net.idx(b), zl) for b, zl in self.static_loads.items()]
 
     @property
     def n_x(self) -> int:
@@ -56,21 +67,28 @@ class TransmissionDae(DaeSystem):
         return np.concatenate([v.real, v.imag])
 
     def f(self, x, y, u):
-        v = self.bus_voltages(y)
-        return self.bank.derivatives(x, v[self._gen_idx])
+        n = self.net.n_bus
+        yl = y.tolist()
+        return self.bank.derivatives(
+            x, [complex(yl[k], yl[k + n]) for k in self._gen_idx])
 
     def g(self, x, y, u):
-        v = self.bus_voltages(y)
-        i_inj = np.zeros(self.net.n_bus, dtype=complex)
-        i_inj[self._gen_idx] += self.bank.injected_current(x, v[self._gen_idx])
-        for bus, zl in self.static_loads.items():
-            k = self.net.idx(bus)
-            s = zip_power(zl, abs(v[k]))
-            i_inj[k] -= np.conj(s / v[k])
-        if self._if_idx.size:
-            s_if = u[0::2] + 1j * u[1::2]
-            i_inj[self._if_idx] -= np.conj(s_if / v[self._if_idx])
-        mis = self.net.ybus @ v - i_inj
+        n = self.net.n_bus
+        yl = y.tolist()
+        v = [complex(re, im) for re, im in zip(yl[:n], yl[n:])]
+        i_inj = [0j] * n
+        gen = self.bank.injected_current(x, [v[k] for k in self._gen_idx])
+        for k, i in zip(self._gen_idx, gen.tolist()):
+            i_inj[k] += i
+        ul = u.tolist()
+        try:
+            for k, zl in self._loads:
+                i_inj[k] -= (zip_power(zl, abs(v[k])) / v[k]).conjugate()
+            for k, p, q in zip(self._if_idx, ul[0::2], ul[1::2]):
+                i_inj[k] -= (complex(p, q) / v[k]).conjugate()
+        except ZeroDivisionError:  # a dead loaded bus
+            return np.full(self.n_y, np.nan)
+        mis = self.net.ybus @ np.array(v) - np.array(i_inj)
         return np.concatenate([mis.real, mis.imag])
 
 
@@ -88,6 +106,15 @@ class TransmissionSubSystem(SubSystem):
         self.current_input = np.zeros(2 * len(dae.interface_buses))
         self.x = np.zeros(dae.n_x)
         self.y = np.zeros(dae.n_y)
+        n = dae.net.n_bus
+        # positions in y of the interface voltages' [e, f], laid end to end
+        self._out_idx = np.array([i for k in dae._if_idx for i in (k, k + n)],
+                                 dtype=int)
+        bank = dae.bank
+        self._channels = [f"gen{k + 1}.{name}"
+                          for k in range(bank.n_machines)
+                          for name in ("delta", "domega")]
+        self._channels += [f"bus{bus}.vmag" for bus in dae.net.bus_ids]
 
     def initialize(self, inputs: np.ndarray) -> None:
         """Power-flow start: interface powers are constant-power loads.
@@ -113,20 +140,14 @@ class TransmissionSubSystem(SubSystem):
             raise OverflowError("transmission state is non-finite")
 
     def output(self) -> np.ndarray:
-        v = self.dae.bus_voltages(self.y)
-        out = np.empty(2 * self.dae._if_idx.size)
-        out[0::2] = v[self.dae._if_idx].real
-        out[1::2] = v[self.dae._if_idx].imag
-        return out
+        return self.y[self._out_idx]
 
     def snapshot(self):
-        v = self.dae.bus_voltages(self.y)
-        bank = self.dae.bank
-        _, _, delta, domega, _, _ = bank.unpack(self.x)
-        out = {}
-        for k in range(bank.n_machines):
-            out[f"gen{k + 1}.delta"] = float(delta[k])
-            out[f"gen{k + 1}.domega"] = float(domega[k])
-        for i, bus in enumerate(self.dae.net.bus_ids):
-            out[f"bus{bus}.vmag"] = float(abs(v[i]))
-        return out
+        """Each machine's delta and domega, then every bus's |V|."""
+        xl, yl = self.x.tolist(), self.y.tolist()
+        n = self.dae.net.n_bus
+        values = []
+        for j in range(2, len(xl), N_GEN_STATES):
+            values += xl[j:j + 2]
+        values += [math.hypot(re, im) for re, im in zip(yl[:n], yl[n:])]
+        return dict(zip(self._channels, values))

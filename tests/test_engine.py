@@ -366,15 +366,15 @@ class TestRunScenario:
         # logged as a truncated run
         calls = []
 
-        def buggy_step(*args):
+        def buggy_step(*args, **kwargs):
             calls.append(1)
             if len(calls) == 5:
                 raise TypeError("bug")
-            return trapezoidal_dae_step(*args)
+            return trapezoidal_dae_step(*args, **kwargs)
 
         monkeypatch.setattr(transmission, "trapezoidal_dae_step", buggy_step)
         monkeypatch.setattr(engine, "trapezoidal_dae_step", buggy_step)
-        with pytest.raises(TypeError, match="bug"):
+        with pytest.raises(TypeError, match="^bug$"):
             run_scenario(quick_scenario(method=method, t_end=0.1))
 
     @pytest.mark.parametrize("method", [RunMethod.SERIES,
