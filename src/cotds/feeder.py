@@ -22,6 +22,8 @@ source power is consistent with the post-step states.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,13 +115,18 @@ class DistributionFeeder:
         ``v`` holds the node voltages as Python complex numbers, and
         ``states`` one state per motor, in ``motors`` order, by default
         the motors' own.  A zero voltage at a loaded node is a
-        ``FeederError``.
+        ``FeederError``; one whose magnitude is past the float range gives
+        a non-finite current there, as numpy's ``abs`` did.
         """
         i = [0j] * self.n_nodes
         try:
             for node, zl in self.zip_loads.items():
                 vn = v[node]
-                i[node] += (zip_power(zl, abs(vn)) / vn).conjugate()
+                try:
+                    vm = abs(vn)
+                except OverflowError:
+                    vm = math.inf
+                i[node] += (zip_power(zl, vm) / vn).conjugate()
             for k, mu in enumerate(self.motors):
                 if not mu.active:
                     continue
@@ -226,14 +233,17 @@ class DistributionSubSystem(SubSystem):
     def _v_sub(self) -> complex:
         return complex(self.current_input[0], self.current_input[1])
 
-    def _total_power(self) -> np.ndarray:
-        """Consumed [P, Q], every active feeder re-solved at the input."""
+    def _total_power(self) -> complex:
+        """Consumed power, every active feeder re-solved at the input."""
         v = self._v_sub()
         s = 0.0 + 0.0j
         for fd in self.feeders:
             if fd.active:
                 s += fd.source_power(v)
-        return np.array([s.real, s.imag])
+        return s
+
+    def _set_output(self, s: complex) -> None:
+        self._output = np.array([s.real, s.imag])
 
     def initialize(self, inputs: np.ndarray) -> None:
         self.set_input(inputs)
@@ -241,7 +251,7 @@ class DistributionSubSystem(SubSystem):
         for fd in self.feeders:
             if fd.active:
                 fd.initialize(v)
-        self._output = self._total_power()
+        self._set_output(self._total_power())
 
     def advance(self, h: float) -> None:
         v = self._v_sub()
@@ -249,14 +259,14 @@ class DistributionSubSystem(SubSystem):
             if fd.active:
                 fd.sweep(v)
                 fd.step_motors(h, tol=self.rk_tol)
-        out = self._total_power()
-        if not np.all(np.isfinite(out)):
+        s = self._total_power()
+        if not cmath.isfinite(s):
             raise OverflowError("distribution state is non-finite")
-        self._output = out
+        self._set_output(s)
 
     def output(self) -> np.ndarray:
         if self._output is None:  # re-solve after a switch
-            self._output = self._total_power()
+            self._set_output(self._total_power())
         return self._output.copy()
 
     def snapshot(self):

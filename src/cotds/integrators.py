@@ -27,6 +27,16 @@ keeps.  It goes on the same way when the kept Jacobian's iterations run
 out.  Each phase has ``cfg.max_iterations`` iterations; only the damped
 one raises ``NewtonError``.  A trapezoidal step of another ``h`` drops
 the kept Jacobian.
+
+The kept phase pays for its matrix once: its first update inverts the
+kept Jacobian and the cache stores the inverse, so every kept update is
+one matrix-vector product, across steps, where a dense solve would
+factor the same matrix again.  The inverse goes with its Jacobian: any
+assignment to ``JacobianCache.jac`` drops it, so a fresh build, a step
+of another ``h`` and a Jacobian set from outside each start without
+one.  A singular kept Jacobian fails to invert and is dropped like a
+failed update.  The damped Newton uses each fresh Jacobian once and
+solves with it directly.
 """
 
 from __future__ import annotations
@@ -120,19 +130,29 @@ def _fd_jacobian(res: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
 class JacobianCache:
     """The last FD Jacobian of one residual, kept for the next solve.
 
-    ``h`` is the trapezoidal step the Jacobian was built for.  The
-    counters add up over every solve handed the cache: Jacobian builds,
-    residual evaluations, solves that started with a kept Jacobian and
-    built none, and solves whose kept-Jacobian update was dropped.
+    ``h`` is the trapezoidal step the Jacobian was built for, and ``inv``
+    the Jacobian's inverse once a kept update has needed it; assigning
+    ``jac`` drops ``inv``.  The counters add up over every solve handed
+    the cache: Jacobian builds, residual evaluations, solves that started
+    with a kept Jacobian and built none, and solves whose kept-Jacobian
+    update was dropped.
     """
 
     def __init__(self):
-        self.jac: np.ndarray | None = None
+        self.jac = None
         self.h: float | None = None
         self.jacobian_builds = 0
         self.residual_evals = 0
         self.reused_steps = 0
         self.fallbacks = 0
+
+    @property
+    def jac(self) -> np.ndarray | None:
+        return self._jac
+
+    @jac.setter
+    def jac(self, jac: np.ndarray | None) -> None:
+        self._jac, self.inv = jac, None
 
     def counters(self) -> dict[str, int]:
         return {"jacobian_builds": self.jacobian_builds,
@@ -159,7 +179,7 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
 
     z = z0.copy()
     r = counted(z)
-    rnorm = np.linalg.norm(r)
+    rnorm = math.sqrt(r @ r)  # np.linalg.norm's own sum, without its wrapper
     kept = cache.jac is not None  # on the Jacobian the solve started with
     left = cfg.max_iterations
     while not rnorm <= cfg.residual_tolerance:  # a nan norm goes on
@@ -174,7 +194,12 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
             cache.jac = _fd_jacobian(counted, z, r)
             cache.jacobian_builds += 1
         try:
-            dz = np.linalg.solve(cache.jac, -r)
+            if kept:
+                if cache.inv is None:
+                    cache.inv = np.linalg.inv(cache.jac)
+                dz = cache.inv @ -r
+            else:
+                dz = np.linalg.solve(cache.jac, -r)
         except np.linalg.LinAlgError as exc:
             if not kept:
                 raise NewtonError(f"singular Jacobian: {exc}", rnorm) from exc
@@ -183,8 +208,8 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
         if kept:
             z_new = z + dz
             r_new = counted(z_new)
-            rnorm_new = np.linalg.norm(r_new)
-            if not (np.isfinite(rnorm_new)
+            rnorm_new = math.sqrt(r_new @ r_new)
+            if not (math.isfinite(rnorm_new)
                     and rnorm_new <= CONTRACTION * rnorm):
                 left = 0
                 continue
@@ -194,8 +219,8 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
             for _ in range(_MAX_DAMPING_HALVINGS + 1):
                 z_new = z + step * dz
                 r_new = counted(z_new)
-                rnorm_new = np.linalg.norm(r_new)
-                if np.isfinite(rnorm_new) and rnorm_new < rnorm:
+                rnorm_new = math.sqrt(r_new @ r_new)
+                if math.isfinite(rnorm_new) and rnorm_new < rnorm:
                     break
                 step *= 0.5
         z, r, rnorm = z_new, r_new, rnorm_new

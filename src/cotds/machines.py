@@ -15,7 +15,8 @@ per-call overhead outweighs the arithmetic, so both loop over the
 machines on Python floats, with each machine's constants gathered into
 a tuple once (again whenever ``initialize`` sets the set points), and
 return one array.  An infinite rotor angle gives nan, as numpy's sine
-does, never an exception.
+does, and a terminal voltage past the float range an infinite magnitude,
+as numpy's ``abs`` does; never an exception.
 """
 
 from __future__ import annotations
@@ -99,12 +100,6 @@ class GeneratorBank:
 
     # -- state packing -------------------------------------------------
 
-    def unpack(self, x: np.ndarray):
-        n = self.n_machines
-        blocks = x.reshape(n, N_GEN_STATES)
-        return (blocks[:, 0], blocks[:, 1], blocks[:, 2],
-                blocks[:, 3], blocks[:, 4], blocks[:, 5])
-
     def pack(self, eq_p, ed_p, delta, domega, efd, pm) -> np.ndarray:
         return np.column_stack([eq_p, ed_p, delta, domega, efd, pm]).ravel()
 
@@ -135,11 +130,15 @@ class GeneratorBank:
             eq_p, ed_p, delta, domega, efd, pm = xs[j:j + N_GEN_STATES]
             _, _, i_d, i_q = _stator(xd_p, xq_p, eq_p, ed_p, delta, v)
             pe = _electrical_power(eq_p, ed_p, i_d, i_q, xd_p, xq_p)
+            try:
+                vmag = abs(v)
+            except OverflowError:  # past the float range; numpy gives inf
+                vmag = math.inf
             out += [(-eq_p - (xd - xd_p) * i_d + efd) / td0_p,
                     (-ed_p + (xq - xq_p) * i_q) / tq0_p,
                     omega_s * domega,
                     (pm - pe - d * domega) / h2,
-                    (-efd + ke * (vref - abs(v))) / te,
+                    (-efd + ke * (vref - vmag)) / te,
                     (-pm + pref - domega / droop) / tg]
         return np.array(out)
 

@@ -10,8 +10,9 @@ the generator kernel they work on Python scalars: the bus voltages they
 need become Python complex numbers read from ``y.tolist()`` at indices
 fixed when the DAE is built, and the load and interface currents are
 summed per bus in a list.  Only the network product ``ybus @ v`` is one
-numpy call.  A zero voltage at a loaded bus makes ``g`` all nan, as
-numpy's division made it non-finite; it never raises.
+numpy call.  A zero voltage at a loaded bus, or a voltage there whose
+magnitude is past the float range, makes ``g`` all nan, as numpy's
+division and ``abs`` made it non-finite; it never raises.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class TransmissionDae(DaeSystem):
     def n_y(self) -> int:
         return 2 * self.net.n_bus
 
-    def bus_voltages(self, y: np.ndarray) -> np.ndarray:
-        n = self.net.n_bus
-        return y[:n] + 1j * y[n:]
-
     def pack_voltages(self, v: np.ndarray) -> np.ndarray:
         return np.concatenate([v.real, v.imag])
 
@@ -86,7 +83,7 @@ class TransmissionDae(DaeSystem):
                 i_inj[k] -= (zip_power(zl, abs(v[k])) / v[k]).conjugate()
             for k, p, q in zip(self._if_idx, ul[0::2], ul[1::2]):
                 i_inj[k] -= (complex(p, q) / v[k]).conjugate()
-        except ZeroDivisionError:  # a dead loaded bus
+        except (ZeroDivisionError, OverflowError):  # a dead or runaway bus
             return np.full(self.n_y, np.nan)
         mis = self.net.ybus @ np.array(v) - np.array(i_inj)
         return np.concatenate([mis.real, mis.imag])

@@ -150,7 +150,8 @@ def _to_machine1_frame(subsystems, d_names):
     c = np.exp(1j * angle)
     tsub.x = tsub.x.copy()
     tsub.x[_DELTA::N_GEN_STATES] += angle
-    tsub.y = tsub.dae.pack_voltages(tsub.dae.bus_voltages(tsub.y) * c)
+    n = tsub.dae.net.n_bus
+    tsub.y = tsub.dae.pack_voltages((tsub.y[:n] + 1j * tsub.y[n:]) * c)
     for name in d_names:
         for fd in subsystems[name].feeders:
             fd.v = fd.v * c

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,16 @@ class TestKcl:
         assert np.array_equal(mismatch, v[1:] - v[0])
 
 
+    def test_voltage_past_the_float_range(self):
+        # Python's abs of such a complex raises OverflowError, where
+        # numpy's gave inf: the mismatch goes non-finite instead
+        f = example_feeder()
+        f.initialize(1.0 + 0.0j)
+        v = np.full(f.n_nodes, 1.7e308 * (1 + 1j))
+        _, mismatch = f.kcl(v, [mu.state for mu in f.motors])
+        assert not np.all(np.isfinite(mismatch))
+
+
 class TestZeroDivision:
     """Python complex division by zero raises where numpy gave inf; it
     must end as a ``FeederError``, a classified numeric failure."""
@@ -290,6 +302,14 @@ class TestSubSystem:
         sub.feeders[0].motors[0].p_target = 50.0
         with pytest.raises(FeederError, match="motor m1: .* p_target 50 "):
             sub.switch("connect_motor", {"name": "m1"})
+
+    def test_non_finite_power_ends_the_step(self):
+        sub = self.make_sub()
+        sub.feeders[0].source_power = lambda v: complex(1.0, math.inf)
+        out = sub.output()
+        with pytest.raises(OverflowError, match="non-finite"):
+            sub.advance(0.01)
+        assert np.array_equal(sub.output(), out)
 
     def test_snapshot_keys(self):
         sub = self.make_sub()

@@ -159,11 +159,56 @@ class TestJacobianReuse:
     def test_step_change_rebuilds(self):
         cache = JacobianCache()
         self.march(0.05, 3, cache)
+        assert cache.inv is not None
         builds = cache.jacobian_builds
         self.march(0.02, 1, cache)
         assert cache.jacobian_builds > builds
         assert cache.fallbacks == 0
         assert cache.h == 0.02
+        # the damped Newton of the new h leaves its Jacobian uninverted
+        assert cache.inv is None
+        builds = cache.jacobian_builds
+        self.march(0.02, 1, cache)
+        assert cache.jacobian_builds == builds
+        assert np.array_equal(cache.inv, np.linalg.inv(cache.jac))
+
+    def test_assigned_jacobian_drops_its_inverse(self):
+        # a stale inverse of the marched Jacobian would pass the
+        # contraction test where the assigned one fails it
+        cache = JacobianCache()
+        x, y = self.march(0.05, 5, cache)
+        assert cache.inv is not None
+        fallbacks = cache.fallbacks
+        cache.jac = -np.eye(3)
+        assert cache.inv is None
+        x_c, y_c = trapezoidal_dae_step(Pendulum(), x, y, None, 0.05,
+                                        self.TIGHT, cache)
+        x_u, y_u = trapezoidal_dae_step(Pendulum(), x, y, None, 0.05,
+                                        self.TIGHT)
+        assert cache.fallbacks == fallbacks + 1
+        assert np.array_equal(x_c, x_u) and np.array_equal(y_c, y_u)
+
+    def test_kept_updates_solve_no_system(self, monkeypatch):
+        # a dense solve only in the damped Newton, once per fresh
+        # Jacobian; the kept updates multiply by the stored inverse
+        solves, inverses = [], []
+        solve, inv = np.linalg.solve, np.linalg.inv
+
+        def counted_solve(*args):
+            solves.append(1)
+            return solve(*args)
+
+        def counted_inv(*args):
+            inverses.append(1)
+            return inv(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        cache = JacobianCache()
+        self.march(0.05, 50, cache)
+        assert len(solves) == cache.jacobian_builds
+        assert len(inverses) <= cache.jacobian_builds
+        assert cache.reused_steps >= 40
 
     def test_poisoned_cache_falls_back(self):
         cache = JacobianCache()

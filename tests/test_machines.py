@@ -13,6 +13,11 @@ def make_bank():
     return net, pf, bank, v, x0
 
 
+def unpack(x):
+    """The six per-machine state columns of a stacked state vector."""
+    return tuple(x.reshape(-1, N_GEN_STATES).T)
+
+
 class TestInitialize:
     def test_state_vector_shape(self):
         _, _, bank, _, x0 = make_bank()
@@ -33,12 +38,12 @@ class TestInitialize:
         # delta = angle of V + jXq*I always leads the terminal angle
         # for a machine delivering active power.
         _, pf, bank, v, x0 = make_bank()
-        _, _, delta, _, _, _ = bank.unpack(x0)
+        _, _, delta, _, _, _ = unpack(x0)
         assert np.all(delta > np.angle(v))
 
     def test_setpoints_absorb_equilibrium(self):
         _, _, bank, v, x0 = make_bank()
-        _, _, _, _, efd, pm = bank.unpack(x0)
+        _, _, _, _, efd, pm = unpack(x0)
         assert np.allclose(bank.vref, np.abs(v) + efd / bank.ke)
         assert np.allclose(bank.pref, pm)
 
@@ -46,7 +51,7 @@ class TestInitialize:
 class TestDerivatives:
     def test_speed_deviation_drives_angle(self):
         _, _, bank, v, x0 = make_bank()
-        eq_p, ed_p, delta, domega, efd, pm = bank.unpack(x0)
+        eq_p, ed_p, delta, domega, efd, pm = unpack(x0)
         x1 = bank.pack(eq_p, ed_p, delta, domega + 1e-3, efd, pm)
         d = bank.derivatives(x1, v)
         ddelta = d.reshape(-1, N_GEN_STATES)[:, 2]
@@ -60,7 +65,7 @@ class TestDerivatives:
 
     def test_overspeed_pulls_back_mechanical_power(self):
         _, _, bank, v, x0 = make_bank()
-        eq_p, ed_p, delta, domega, efd, pm = bank.unpack(x0)
+        eq_p, ed_p, delta, domega, efd, pm = unpack(x0)
         x1 = bank.pack(eq_p, ed_p, delta, domega + 1e-2, efd, pm)
         d = bank.derivatives(x1, v)
         dpm = d.reshape(-1, N_GEN_STATES)[:, 5]
@@ -81,7 +86,7 @@ class TestDerivatives:
     def test_swing_balance_sign(self):
         # Raising mechanical power accelerates the rotor.
         _, _, bank, v, x0 = make_bank()
-        eq_p, ed_p, delta, domega, efd, pm = bank.unpack(x0)
+        eq_p, ed_p, delta, domega, efd, pm = unpack(x0)
         x1 = bank.pack(eq_p, ed_p, delta, domega, efd, pm * 1.01)
         d = bank.derivatives(x1, v)
         ddom = d.reshape(-1, N_GEN_STATES)[:, 3]

@@ -30,6 +30,12 @@ def make_sub(interface=(5,), zip_loads=True, network="wscc9"):
     return net, dae, sub
 
 
+def bus_voltages(dae, y):
+    """The complex bus voltages of the DAE's algebraic vector."""
+    n = dae.net.n_bus
+    return y[:n] + 1j * y[n:]
+
+
 class TestInitialize:
     def test_algebraic_residual_vanishes(self):
         _, dae, sub = make_sub()
@@ -45,7 +51,7 @@ class TestInitialize:
         # power-flow solution.
         net, dae, sub = make_sub(zip_loads=False)
         pf = newton_power_flow(net)
-        v = dae.bus_voltages(sub.y)
+        v = bus_voltages(dae, sub.y)
         assert np.max(np.abs(v - pf.v)) < 1e-9
 
     def test_one_power_flow_with_zip_loads(self, monkeypatch):
@@ -63,7 +69,7 @@ class TestInitialize:
 
     def test_output_is_interface_voltage(self):
         net, dae, sub = make_sub()
-        v = dae.bus_voltages(sub.y)
+        v = bus_voltages(dae, sub.y)
         i = net.idx(5)
         assert sub.output() == pytest.approx([v[i].real, v[i].imag])
 
@@ -81,22 +87,22 @@ class TestAdvance:
     def test_load_step_drops_voltage(self):
         net, dae, sub = make_sub()
         u = sub.current_input.copy()
-        v0 = abs(dae.bus_voltages(sub.y)[net.idx(5)])
+        v0 = abs(bus_voltages(dae, sub.y)[net.idx(5)])
         u[1] += 0.5  # extra reactive draw at the interface bus
         sub.set_input(u)
         sub.advance(0.01)
-        v1 = abs(dae.bus_voltages(sub.y)[net.idx(5)])
+        v1 = abs(bus_voltages(dae, sub.y)[net.idx(5)])
         assert v1 < v0 - 0.01
 
     def test_exciter_restores_voltage(self):
         net, dae, sub = make_sub()
         u = sub.current_input.copy()
-        v0 = abs(dae.bus_voltages(sub.y)[net.idx(5)])
+        v0 = abs(bus_voltages(dae, sub.y)[net.idx(5)])
         u[0] += 0.2
         sub.set_input(u)
         for _ in range(400):
             sub.advance(0.01)
-        v1 = abs(dae.bus_voltages(sub.y)[net.idx(5)])
+        v1 = abs(bus_voltages(dae, sub.y)[net.idx(5)])
         # AVRs recover most of the voltage depression caused by the step
         assert abs(v1 - v0) < 0.01
 
@@ -161,12 +167,12 @@ def oracle_derivatives(bank, x, v_bus):
 
 def oracle_f(dae, x, y):
     gen = [dae.net.idx(b) for b in dae.net.gen_buses]
-    return oracle_derivatives(dae.bank, x, dae.bus_voltages(y)[gen])
+    return oracle_derivatives(dae.bank, x, bus_voltages(dae, y)[gen])
 
 
 def oracle_g(dae, x, y, u):
     net = dae.net
-    v = dae.bus_voltages(y)
+    v = bus_voltages(dae, y)
     gen = [net.idx(b) for b in net.gen_buses]
     if_idx = np.array([net.idx(b) for b in dae.interface_buses], dtype=int)
     i_inj = np.zeros(net.n_bus, dtype=complex)
@@ -213,7 +219,7 @@ def check_against_oracle(dae, sub, seed):
     gen = [dae.net.idx(b) for b in dae.net.gen_buses]
     for _ in range(20):
         x, y, u = off_equilibrium(sub, rng)
-        v = dae.bus_voltages(y)[gen]
+        v = bus_voltages(dae, y)[gen]
         assert_matches_oracle(dae.bank.derivatives(x, v),
                               oracle_derivatives(dae.bank, x, v))
         i_new = dae.bank.injected_current(x, v)
@@ -268,6 +274,17 @@ class TestNonFiniteStaysNumeric:
         k = net.idx(bus)
         y[k] = y[k + net.n_bus] = 0.0
         r = dae.g(sub.x, y, sub.current_input)
+        assert r.shape == (dae.n_y,)
+        assert not np.all(np.isfinite(r))
+
+    def test_voltage_past_the_float_range(self):
+        # Python's abs of such a complex raises OverflowError, where
+        # numpy's gave inf
+        net, dae, sub = make_sub()
+        y = np.full(dae.n_y, 1.7e308)
+        u = sub.current_input
+        assert not np.all(np.isfinite(dae.f(sub.x, y, u)))
+        r = dae.g(sub.x, y, u)
         assert r.shape == (dae.n_y,)
         assert not np.all(np.isfinite(r))
 
