@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import linlab
+from .cosim import CouplingSchedule
 from .engine import RunMethod, compare_runs, run_scenario
 from .integrators import NumericFailure
 from .scenario_io import (SchemaError, load_scenario, read_csv, write_csv,
@@ -31,21 +32,13 @@ EXIT_USAGE = 1
 EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
 
-_SCHEMES = {
-    "total": linlab.SchemeId.TOTAL_TRAPEZOIDAL,
-    "parallel": linlab.SchemeId.COSIM_PARALLEL,
-    "series": linlab.SchemeId.COSIM_SERIES,
-}
+_SCHEME_NAMES = sorted(s.value for s in linlab.SchemeId)
 
 
 class CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
-
-
-def _out_dir(flag_value: str | None) -> str:
-    return flag_value or "."
 
 
 def _params(args) -> linlab.LinearCoupledParams:
@@ -70,16 +63,15 @@ def cmd_linlab_simulate(args) -> int:
     p = _params(args)
     try:
         x0 = linlab.StateVec2(args.x0[0], args.x0[1])
-        scheme = _SCHEMES[args.scheme]
-        traj = linlab.simulate_linear(p, x0, args.h, args.n,
-                                      args.t_end, scheme)
-    except (KeyError, ValueError) as exc:
+        traj = linlab.simulate_linear(p, x0, args.h, args.n, args.t_end,
+                                      linlab.SchemeId(args.scheme))
+    except ValueError as exc:
         raise CliError(f"invalid arguments: {exc}", EXIT_USAGE)
     rows = []
     for t, st in zip(traj.times, traj.states):
         ref = linlab.analytic_solution(p, x0, float(t))
         rows.append((float(t), st[0], st[1], ref.x_a, ref.x_b))
-    path = os.path.join(_out_dir(args.out_dir), args.out)
+    path = os.path.join(args.out_dir, args.out)
     write_table(path, ["t", "x_a", "x_b", "x_a_exact", "x_b_exact"], rows)
     print(path)
     if traj.diverged:
@@ -95,14 +87,14 @@ def cmd_linlab_stability(args) -> int:
         raise CliError("empty H range", EXIT_USAGE)
     grid = np.linspace(args.h_min, args.h_max, args.points)
     try:
-        sweeps = [linlab.stability_sweep(p, _SCHEMES[s], args.n, grid)
+        sweeps = [linlab.stability_sweep(p, linlab.SchemeId(s), args.n, grid)
                   for s in args.schemes]
     except ValueError as exc:
         raise CliError(f"invalid arguments: {exc}", EXIT_USAGE)
     rhos = [[rho for _, rho in sweep] for sweep in sweeps]
     rows = np.column_stack([grid, *rhos, np.ones_like(grid)])  # rho = 1 line
     header = ["h"] + [f"rho_{name}" for name in args.schemes] + ["rho_one"]
-    path = os.path.join(_out_dir(args.out_dir), args.out)
+    path = os.path.join(args.out_dir, args.out)
     write_table(path, header, rows)
     print(path)
     return 0
@@ -117,15 +109,15 @@ def cmd_linlab_truncation(args) -> int:
     try:
         for h in np.geomspace(args.h_min, args.h_max, args.points):
             row = [h]
-            for s in ("total", "parallel", "series"):
-                tau = linlab.local_truncation_error(p, x0, h, _SCHEMES[s],
-                                                    args.n)
+            for s in linlab.SchemeId:
+                tau = linlab.local_truncation_error(p, x0, h, s, args.n)
                 row.append(float(np.hypot(tau.x_a, tau.x_b)))
             rows.append(row)
     except ValueError as exc:
         raise CliError(f"invalid arguments: {exc}", EXIT_USAGE)
-    path = os.path.join(_out_dir(args.out_dir), args.out)
-    write_table(path, ["h", "tau_total", "tau_parallel", "tau_series"], rows)
+    path = os.path.join(args.out_dir, args.out)
+    write_table(path, ["h"] + [f"tau_{s.value}" for s in linlab.SchemeId],
+                rows)
     print(path)
     return 0
 
@@ -141,19 +133,20 @@ def cmd_cotds_run(args) -> int:
         if args.h <= 0:
             raise CliError("--h must be positive", EXIT_USAGE)
         scenario.h_macro = args.h
-    if args.t_end is not None:
-        scenario.t_end = args.t_end
-        scenario.events = [ev for ev in scenario.events
-                           if ev.time <= scenario.t_end]
     try:
+        if args.t_end is not None:
+            scenario.t_end = args.t_end
+            # keep the events that a step of the shortened run follows
+            cut = CouplingSchedule(scenario.h_macro, scenario.t_end)
+            scenario.events = [ev for ev in scenario.events
+                               if cut.applies(ev)]
         result = run_scenario(scenario)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
-    out = _out_dir(args.out_dir)
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(os.path.abspath(args.out_dir), exist_ok=True)  # "" is "."
     channels = scenario.channels or list(result.log.columns)
-    write_csv(os.path.join(out, "run.csv"), result.log, channels)
-    summary = os.path.join(out, "summary.txt")
+    write_csv(os.path.join(args.out_dir, "run.csv"), result.log, channels)
+    summary = os.path.join(args.out_dir, "summary.txt")
     with open(summary, "w") as fh:
         fh.write(f"scenario: {result.scenario}\n"
                  f"method: {result.method.value}\n"
@@ -188,9 +181,8 @@ def cmd_compare(args) -> int:
         rep = compare_runs(log_a, log_b, channels)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
-    out = _out_dir(args.out_dir)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "deviations.csv")
+    os.makedirs(os.path.abspath(args.out_dir), exist_ok=True)  # "" is "."
+    path = os.path.join(args.out_dir, "deviations.csv")
     with open(path, "w") as fh:
         fh.write("channel,max_abs,rms\n")
         for ch in rep.channels:
@@ -213,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--x0", type=float, nargs=2, default=[1.0, 1.0])
     sim.add_argument("--h", type=float, required=True)
     sim.add_argument("--t-end", type=float, default=5.0)
-    sim.add_argument("--scheme", choices=sorted(_SCHEMES), required=True)
+    sim.add_argument("--scheme", choices=_SCHEME_NAMES, required=True)
     sim.add_argument("--out", default="trajectory.csv")
-    sim.add_argument("--out-dir", default=None)
+    sim.add_argument("--out-dir", default=".")
     sim.set_defaults(func=cmd_linlab_simulate)
 
     stab = lsub.add_parser("stability")
@@ -223,10 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     stab.add_argument("--h-min", type=float, default=0.01)
     stab.add_argument("--h-max", type=float, default=1.5)
     stab.add_argument("--points", type=int, default=150)
-    stab.add_argument("--schemes", nargs="+", choices=sorted(_SCHEMES),
+    stab.add_argument("--schemes", nargs="+", choices=_SCHEME_NAMES,
                       default=["total", "parallel", "series"])
     stab.add_argument("--out", default="stability.csv")
-    stab.add_argument("--out-dir", default=None)
+    stab.add_argument("--out-dir", default=".")
     stab.set_defaults(func=cmd_linlab_stability)
 
     trunc = lsub.add_parser("truncation")
@@ -236,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     trunc.add_argument("--h-max", type=float, default=0.16)
     trunc.add_argument("--points", type=int, default=5)
     trunc.add_argument("--out", default="truncation.csv")
-    trunc.add_argument("--out-dir", default=None)
+    trunc.add_argument("--out-dir", default=".")
     trunc.set_defaults(func=cmd_linlab_truncation)
 
     co = sub.add_parser("cotds", help="combined T-D scenario runs")
@@ -247,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None)
     run.add_argument("--h", type=float, default=None)
     run.add_argument("--t-end", type=float, default=None)
-    run.add_argument("--out-dir", default=None)
+    run.add_argument("--out-dir", default=".")
     run.set_defaults(func=cmd_cotds_run)
 
     cmp_ = sub.add_parser("compare", help="deviation report for two runs")
@@ -256,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--channels", default=None,
                       help="comma-separated channel names")
     cmp_.add_argument("--resample", action="store_true")
-    cmp_.add_argument("--out-dir", default=None)
+    cmp_.add_argument("--out-dir", default=".")
     cmp_.set_defaults(func=cmd_compare)
     return top
 
@@ -275,7 +267,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (NumericFailure, OverflowError, FloatingPointError) as exc:
+    except (NumericFailure, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -15,9 +15,11 @@ hub's output:
 - parallel (Jacobi exchange): the hub's start-of-step output;
 - series (Gauss-Seidel exchange): the hub's output after its step.
 
-Timed events snap to the first macro boundary at or after their time and
-are applied before that boundary's step, each by its target sub-system's
-``switch``.
+A march takes ``CouplingSchedule.n_steps`` macro steps, t_end / H
+rounded.  Timed events snap to the first macro boundary at or after
+their time and are applied before that boundary's step, each by its
+target sub-system's ``switch``; the schedule refuses an event after the
+last step's start, which would never be applied.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ __all__ = [
 
 # worst initial interface gap a co-simulation may start from
 INIT_TOL = 1e-6
+# an event at most this much after a macro boundary snaps back onto it
+_EVENT_SNAP = 1e-12
 
 
 class CosimError(RuntimeError):
@@ -108,8 +112,21 @@ class CouplingSchedule:
         if self.t_end < 0:
             raise ValueError("t_end must be >= 0")
         for ev in self.events:
-            if not (0 <= ev.time <= self.t_end):
-                raise ValueError(f"event at t={ev.time} outside [0, t_end]")
+            if not self.applies(ev):
+                raise ValueError(
+                    f"event at t={ev.time} outside [0, "
+                    f"{self._last_start():.6g}], the last step's start")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.h_macro))
+
+    def _last_start(self) -> float:
+        return (self.n_steps - 1) * self.h_macro
+
+    def applies(self, ev: Event) -> bool:
+        """Whether a macro step starts at or after the event's time."""
+        return 0 <= ev.time <= self._last_start() + _EVENT_SNAP
 
 
 @dataclass
@@ -174,8 +191,8 @@ def march(schedule: CouplingSchedule,
     its ``snapshot()``, at t = 0 and after every step.  The channels are
     those of the t = 0 snapshot, in that snapshot's order, and are read
     by name, so a snapshot that loses a key raises ``KeyError``.
-    OverflowError, FloatingPointError or a non-finite record is a
-    divergence, a ``NumericFailure`` from an event or a step a sub-system
+    OverflowError or a non-finite record is a divergence, a
+    ``NumericFailure`` from an event or a step a sub-system
     failure; either truncates the log with time and cause, keeping the
     finite records made before it.  Any other exception is a programming
     error and propagates.
@@ -201,17 +218,17 @@ def march(schedule: CouplingSchedule,
     next_event = 0
     h = schedule.h_macro
     t = 0.0
-    for i in range(int(round(schedule.t_end / h))):
+    for i in range(schedule.n_steps):
         at = t  # an event fails at its boundary, a step at the step's end
         try:
             while (next_event < len(events)
-                   and events[next_event].time <= t + 1e-12):
+                   and events[next_event].time <= t + _EVENT_SNAP):
                 ev = events[next_event]
                 subsystems[ev.target].switch(ev.action, ev.params)
                 next_event += 1
             at = t + h
             step(h)
-        except (OverflowError, FloatingPointError) as exc:
+        except OverflowError as exc:
             log.diverged = True
             log.failure = f"divergence at t={at:.6g}: {exc}"
             break

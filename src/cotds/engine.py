@@ -28,8 +28,7 @@ from .cosim import (CouplingMethod, CouplingSchedule, Event, TimeSeriesLog,
                     march, run_cosimulation)
 from .feeder import (DistributionFeeder, DistributionSubSystem, FeederBranch,
                      MotorUnit)
-from .integrators import (DaeSystem, JacobianCache, NewtonConfig,
-                          trapezoidal_dae_step)
+from .integrators import DaeSystem, JacobianCache, trapezoidal_dae_step
 from .loads import InductionMotor, InductionMotorParams, ZipLoadParams
 # bench/tracing.py patches engine.zip_power by name; engine never calls it,
 # so that counter counts nothing here.  The import goes when the
@@ -235,7 +234,8 @@ def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
                 for _, p, q in _feeder_nominal(fd))
         u_t[2 * k], u_t[2 * k + 1] = s.real, s.imag
 
-    for _ in range(_TD_INIT_PASSES):
+    settled = False  # then one more pass starts every side from u_t
+    for _ in range(_TD_INIT_PASSES + 1):
         tsub.initialize(u_t)
         v_if = tsub.output()
         u_new = np.empty_like(u_t)
@@ -243,12 +243,9 @@ def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
             d = dsubs[f"D{bus}"]
             d.initialize(v_if[2 * k:2 * k + 2])
             u_new[2 * k:2 * k + 2] = d.output()
-        if np.max(np.abs(u_new - u_t)) <= _TD_INIT_TOL:
-            tsub.initialize(u_new)
-            v_if = tsub.output()
-            for k, bus in enumerate(interface_buses):
-                dsubs[f"D{bus}"].initialize(v_if[2 * k:2 * k + 2])
+        if settled:
             return
+        settled = np.max(np.abs(u_new - u_t)) <= _TD_INIT_TOL
         u_t = u_new
     raise PowerFlowError("T-D power flow initialisation did not converge")
 
@@ -394,8 +391,6 @@ def compare_runs(a: TimeSeriesLog, b: TimeSeriesLog,
 
 # -- monolithic reference ----------------------------------------------------
 
-_NEWTON = NewtonConfig()
-
 
 class MonolithicDae(DaeSystem):
     """The transmission DAE and every feeder, stacked into one DAE.
@@ -486,43 +481,38 @@ class MonolithicDae(DaeSystem):
             [tdae.g(x[:tdae.n_x], y[:tdae.n_y], u_t)] + mismatch)
 
     def advance(self, h: float) -> None:
-        x, y = trapezoidal_dae_step(self, *self.gather(), None, h, _NEWTON,
-                                    self.newton_cache)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise OverflowError("monolithic state is non-finite")
+        x, y = trapezoidal_dae_step(self, *self.gather(), None, h,
+                                    cache=self.newton_cache)
         self.scatter(x, y)
 
     # -- the shared component objects
 
     def scatter(self, x, y) -> None:
         """Write (x, y) into the component objects, and each feeder
-        sub-system's input and output (bus voltage, power drawn)."""
+        sub-system's input and output (bus voltage, power drawn); the
+        nodes of a feeder switched off stay where ``set_input`` pins them."""
         tdae = self.tdae
         self.tsub.x, self.tsub.y = x[:tdae.n_x].copy(), y[:tdae.n_y].copy()
         u, _ = self.interface_power(x, y)
         for d, e, s in zip(self.dsubs, self.tsub.output().reshape(-1, 2),
                            u.reshape(-1, 2)):
             d.set_input(e)
-            d._output = s.copy()
+            d.set_output(complex(*s))
         for fd, _, v, states in self._feeder_blocks(x, y):
-            fd.v = v.copy()
+            if fd.active:
+                fd.v = v.copy()
             for mu, st in zip(fd.motors, states):
                 mu.state = st.copy()
 
     def gather(self):
-        """(x, y) read from the component objects.
-
-        An inactive feeder's nodes are put at its interface bus voltage.
-        """
+        """(x, y) read from the component objects."""
         x = np.concatenate([self.tsub.x] + [mu.state for mu in self.motors])
         y = np.empty(self.n_y)
         y[:self.tdae.n_y] = self.tsub.y
-        v_if = self.tsub.output()
-        for fd, k, _, _, off in self._blocks:
+        for fd, _, _, _, off in self._blocks:
             m = fd.n_nodes - 1
-            v = fd.v[1:] if fd.active else complex(*v_if[2 * k:2 * k + 2])
-            y[off:off + m] = np.real(v)
-            y[off + m:off + 2 * m] = np.imag(v)
+            y[off:off + m] = fd.v[1:].real
+            y[off + m:off + 2 * m] = fd.v[1:].imag
         return x, y
 
 
@@ -544,10 +534,10 @@ def run_scenario(scenario: Scenario) -> RunResult:
                          "least one")
     for ev in scenario.events:
         check_event(scenario.feeders, ev)
-    subsystems, dsubs, interface_buses = build_subsystems(scenario)
-    iterative_td_powerflow_init(subsystems["T"], dsubs, interface_buses)
     schedule = CouplingSchedule(scenario.h_macro, scenario.t_end,
                                 tuple(scenario.events))
+    subsystems, dsubs, interface_buses = build_subsystems(scenario)
+    iterative_td_powerflow_init(subsystems["T"], dsubs, interface_buses)
     if scenario.method is RunMethod.MONOLITHIC:
         mono = MonolithicDae(subsystems["T"], dsubs)
         log = march(schedule, subsystems, mono.advance)

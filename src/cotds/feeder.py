@@ -17,7 +17,9 @@ The ``DistributionSubSystem`` wraps one or more feeders hanging off a
 single transmission interface bus.  Its macro step is: solve the feeder
 power flow at the new substation voltage, advance every motor with its
 terminal voltage frozen, then solve the power flow again so the reported
-source power is consistent with the post-step states.
+source power is consistent with the post-step states.  The nodes of a
+feeder switched off float at the substation voltage: the sub-system pins
+them to its input in ``set_input`` and when it switches the feeder off.
 """
 
 from __future__ import annotations
@@ -242,7 +244,16 @@ class DistributionSubSystem(SubSystem):
                 s += fd.source_power(v)
         return s
 
-    def _set_output(self, s: complex) -> None:
+    def set_input(self, u: np.ndarray) -> None:
+        """Take the bus voltage [e, f]; a feeder switched off floats at it."""
+        super().set_input(u)
+        v = self._v_sub()
+        for fd in self.feeders:
+            if not fd.active:
+                fd.v[:] = v
+
+    def set_output(self, s: complex) -> None:
+        """Report ``s`` as the consumed power until the next step or switch."""
         self._output = np.array([s.real, s.imag])
 
     def initialize(self, inputs: np.ndarray) -> None:
@@ -251,7 +262,7 @@ class DistributionSubSystem(SubSystem):
         for fd in self.feeders:
             if fd.active:
                 fd.initialize(v)
-        self._set_output(self._total_power())
+        self.set_output(self._total_power())
 
     def advance(self, h: float) -> None:
         v = self._v_sub()
@@ -262,11 +273,11 @@ class DistributionSubSystem(SubSystem):
         s = self._total_power()
         if not cmath.isfinite(s):
             raise OverflowError("distribution state is non-finite")
-        self._set_output(s)
+        self.set_output(s)
 
     def output(self) -> np.ndarray:
         if self._output is None:  # re-solve after a switch
-            self._set_output(self._total_power())
+            self.set_output(self._total_power())
         return self._output.copy()
 
     def snapshot(self):
@@ -275,9 +286,7 @@ class DistributionSubSystem(SubSystem):
             for mu in fd.motors:
                 out[f"{mu.name}.slip"] = float(mu.state[2])
             for node in range(fd.n_nodes):
-                # a feeder switched off floats at the substation voltage
-                v = fd.v[node] if fd.active else self._v_sub()
-                out[f"f{k}.v{node}"] = float(abs(v))
+                out[f"f{k}.v{node}"] = float(abs(fd.v[node]))
         return out
 
     def switch(self, action: str, params) -> None:
@@ -295,7 +304,9 @@ class DistributionSubSystem(SubSystem):
             fd.active = True
             fd.initialize(self._v_sub())
         elif action == "disconnect_feeder":
-            self.feeders[int(params["index"])].active = False
+            fd = self.feeders[int(params["index"])]
+            fd.active = False
+            fd.v[:] = self._v_sub()
         else:
             raise CosimError(f"unknown distribution event {action!r}")
         self._output = None

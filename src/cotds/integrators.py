@@ -37,6 +37,10 @@ of another ``h`` and a Jacobian set from outside each start without
 one.  A singular kept Jacobian fails to invert and is dropped like a
 failed update.  The damped Newton uses each fresh Jacobian once and
 solves with it directly.
+
+``trapezoidal_dae_step`` runs the Newton with ``NewtonConfig()`` unless
+handed another config.  It returns a finite step or raises
+``OverflowError``, which ``cosim.march`` classifies as divergence.
 """
 
 from __future__ import annotations
@@ -229,8 +233,11 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     return z
 
 
+_DEFAULT_NEWTON = NewtonConfig()
+
+
 def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
-                         h: float, cfg: NewtonConfig | None = None,
+                         h: float, cfg: NewtonConfig = _DEFAULT_NEWTON,
                          cache: JacobianCache | None = None,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """One implicit trapezoidal step of the DAE, input u held constant.
@@ -242,8 +249,6 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
     cache every step runs the damped Newton with a fresh FD Jacobian each
     iteration.  Either way the root meets the same residual tolerance.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
     if cache is not None and h != cache.h:
         cache.jac, cache.h = None, h
     x = np.asarray(x, dtype=float)
@@ -260,6 +265,8 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
 
     z0 = np.concatenate([x + h * f0, y]) if ny else x + h * f0
     z = newton_solve(residual, z0, cfg, cache)
+    if not np.all(np.isfinite(z)):
+        raise OverflowError("trapezoidal step is non-finite")
     return z[:nx].copy(), z[nx:].copy()
 
 

@@ -21,8 +21,10 @@ trapezoidal scheme by a direct 2x2 solve over the same pair.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,8 +50,7 @@ __all__ = [
     "find_stability_threshold",
     "simulate_linear",
     "LinearTrajectory",
-    "LinearHalfA",
-    "LinearHalfB",
+    "LinearHalf",
     "make_linear_pair",
 ]
 
@@ -231,42 +232,19 @@ def euler_half_step(lam: float, h: float, n: int, x: float, u: float) -> float:
     return g * x + (u / lam) * (g - 1.0)
 
 
-class LinearHalfA(SubSystem):
-    """x' = lambda*x + u solved by one implicit trapezoidal step per macro step."""
+class LinearHalf(SubSystem):
+    """x' = lambda*x + u, taken over each macro step by ``step(h, x, u)``;
+    a non-finite state is recorded, and ``march`` ends the run there."""
 
-    def __init__(self, lam: float, k_out: float, x0: float, u0: float):
-        self.lam = lam
+    def __init__(self, step: Callable[[float, float, float], float],
+                 k_out: float, x0: float, u0: float):
+        self.step = step
         self.k_out = k_out
         self.x = x0
         self.current_input = np.array([u0])
 
     def advance(self, h):
-        self.x = trapezoidal_half_step(self.lam, h, self.x,
-                                       self.current_input[0])
-
-    def output(self):
-        return np.array([self.k_out * self.x])
-
-    def snapshot(self):
-        return {"x": self.x}
-
-
-class LinearHalfB(SubSystem):
-    """x' = lambda*x + u solved by n explicit Euler micro steps per macro step."""
-
-    def __init__(self, lam: float, k_out: float, x0: float, u0: float,
-                 n_micro: int = 100):
-        self.lam = lam
-        self.k_out = k_out
-        self.x = x0
-        self.n_micro = n_micro
-        self.current_input = np.array([u0])
-
-    def advance(self, h):
-        self.x = euler_half_step(self.lam, h, self.n_micro, self.x,
-                                 self.current_input[0])
-        if not np.isfinite(self.x):
-            raise OverflowError("B half-system state overflowed")
+        self.x = self.step(h, self.x, self.current_input[0])
 
     def output(self):
         return np.array([self.k_out * self.x])
@@ -278,13 +256,17 @@ class LinearHalfB(SubSystem):
 def make_linear_pair(p: LinearCoupledParams, x0: StateVec2, n_micro: int = 100):
     """The hub A and its spoke B realizing the coupled test system.
 
-    A outputs y_a = k_b*x_a, B's input; B outputs y_b = -k_a*x_b, A's
-    input.  Initial inputs match the initial outputs, so the pair starts
-    interface-consistent at any x0.
+    A takes one implicit trapezoidal step per macro step, B ``n_micro``
+    explicit Euler micro steps.  A outputs y_a = k_b*x_a, B's input; B
+    outputs y_b = -k_a*x_b, A's input.  Initial inputs match the initial
+    outputs, so the pair starts interface-consistent at any x0.
     """
-    a = LinearHalfA(p.lambda_a, p.k_b, x0.x_a, u0=-(p.k_a * x0.x_b))
-    b = LinearHalfB(p.lambda_b, -p.k_a, x0.x_b, u0=p.k_b * x0.x_a,
-                    n_micro=n_micro)
+    def b_step(h, x, u):
+        return euler_half_step(p.lambda_b, h, n_micro, x, u)
+
+    a = LinearHalf(functools.partial(trapezoidal_half_step, p.lambda_a),
+                   p.k_b, x0.x_a, u0=-(p.k_a * x0.x_b))
+    b = LinearHalf(b_step, -p.k_a, x0.x_b, u0=p.k_b * x0.x_a)
     return {"A": a, "B": b}
 
 
@@ -320,6 +302,12 @@ def local_truncation_error(p: LinearCoupledParams, x0: StateVec2, h_macro: float
     return StateVec2.from_array((true - traj.states[-1]) / h_macro)
 
 
+def _radius(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
+            h: float) -> float:
+    """Spectral radius of the scheme's step matrix at macro step ``h``."""
+    return spectral_radius(build_step_matrix(p, StepConfig(h, n_micro), scheme))
+
+
 def stability_sweep(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
                     h_grid) -> list[tuple[float, float]]:
     """(H, spectral radius) pairs of the scheme's step matrix over a grid."""
@@ -327,8 +315,7 @@ def stability_sweep(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
     for h in h_grid:
         if h <= 0:
             raise ValueError("grid values must be positive")
-        m = build_step_matrix(p, StepConfig(h, n_micro), scheme)
-        out.append((float(h), spectral_radius(m)))
+        out.append((float(h), _radius(p, scheme, n_micro, h)))
     return out
 
 
@@ -340,9 +327,7 @@ def find_stability_threshold(p: LinearCoupledParams, scheme: SchemeId,
     Returns h_max when the scheme stays stable on the whole (0, h_max]
     range (the trapezoidal baseline always does).
     """
-    def rho(h):
-        return spectral_radius(build_step_matrix(p, StepConfig(h, n_micro), scheme))
-
+    rho = functools.partial(_radius, p, scheme, n_micro)
     grid = np.linspace(h_max / 2000.0, h_max, 2000)
     lo = grid[0]
     if rho(lo) >= 1.0:

@@ -22,15 +22,12 @@ import math
 import numpy as np
 
 from .cosim import SubSystem
-from .integrators import (DaeSystem, JacobianCache, NewtonConfig,
-                          trapezoidal_dae_step)
+from .integrators import DaeSystem, JacobianCache, trapezoidal_dae_step
 from .loads import ZipLoadParams, zip_power
 from .machines import N_GEN_STATES, GeneratorBank
 from .power_network import TransmissionNetwork, newton_power_flow
 
 __all__ = ["TransmissionDae", "TransmissionSubSystem"]
-
-_NEWTON = NewtonConfig()
 
 
 class TransmissionDae(DaeSystem):
@@ -131,10 +128,8 @@ class TransmissionSubSystem(SubSystem):
 
     def advance(self, h: float) -> None:
         self.x, self.y = trapezoidal_dae_step(
-            self.dae, self.x, self.y, self.current_input, h, _NEWTON,
-            self.newton_cache)
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise OverflowError("transmission state is non-finite")
+            self.dae, self.x, self.y, self.current_input, h,
+            cache=self.newton_cache)
 
     def output(self) -> np.ndarray:
         return self.y[self._out_idx]

@@ -165,7 +165,7 @@ def _macro_state(subsystems, d_names):
     return np.concatenate(
         [np.delete(tsub.x, _DELTA), tsub.y]
         + [mu.state for mu in _active_motors(subsystems, d_names)]
-        + [subsystems[name]._output for name in d_names])
+        + [subsystems[name].output() for name in d_names])
 
 
 def _set_macro_state(subsystems, d_names, z):
@@ -178,7 +178,7 @@ def _set_macro_state(subsystems, d_names, z):
         mu.state = z[k:k + 3].copy()
         k += 3
     for name in d_names:
-        subsystems[name]._output = z[k:k + 2].copy()
+        subsystems[name].set_output(complex(z[k], z[k + 1]))
         k += 2
 
 

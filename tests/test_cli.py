@@ -134,6 +134,16 @@ class TestRunAndCompare:
         a = self.run_fixture(tmp_path, "a")
         assert run_cli("compare", a, str(tmp_path / "nope")) == 1
 
+    def test_empty_out_dir_is_working_directory(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli("cotds", "run", fixture_path("testcase2"),
+                     "--t-end", "0.05", "--out-dir", "")
+        assert rc == 0
+        assert (tmp_path / "run.csv").is_file()
+        assert run_cli("compare", ".", ".", "--out-dir", "") == 0
+        assert (tmp_path / "deviations.csv").is_file()
+
     def test_missing_scenario_is_usage_error(self):
         assert run_cli("cotds", "run", "/no/such/file.json") == 1
 
@@ -258,6 +268,48 @@ def infeasible_testcase1(tmp_path, motor, mva_scale, event_time=None):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return path
+
+
+class TestEventRule:
+    """An event applies only if a macro step starts at or after it."""
+
+    def power(self, tmp_path, path, *flags):
+        out = str(tmp_path / "run")
+        rc = run_cli("cotds", "run", path, *flags, "--out-dir", out)
+        assert rc == 0
+        log = read_csv(os.path.join(out, "run.csv"))
+        return log.times, log.channel("D2.out[0]")
+
+    def test_t_end_cut_drops_event_no_step_follows(self, tmp_path):
+        # at H 0.006 the last of 167 steps starts at 0.996 s, before
+        # testcase2's connect_feeder at 1.0 s: the run stays at rest
+        times, p = self.power(tmp_path, fixture_path("testcase2"),
+                              "--t-end", "1.0")
+        assert len(times) == 168
+        assert np.ptp(p) < 1e-9
+
+    def test_t_end_cut_keeps_event_a_step_follows(self, tmp_path):
+        # at H 0.1 the last of 11 steps starts at 1.0 s, with the feeder
+        # connected: its load shows in the last record alone
+        times, p = self.power(tmp_path, fixture_path("testcase2"),
+                              "--h", "0.1", "--t-end", "1.1")
+        assert times[-1] == pytest.approx(1.1)
+        assert np.ptp(p[:-1]) < 1e-5
+        assert p[-1] - p[-2] > 0.05
+
+    def test_event_no_step_follows_is_usage_error(self, tmp_path, capsys):
+        with open(fixture_path("testcase2")) as fh:
+            doc = json.load(fh)
+        doc["events"][0]["time"] = 4.9
+        path = str(tmp_path / "late_event.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out = str(tmp_path / "run")
+        # t_end 5 at H 0.7 takes 7 steps, the last from 4.2 s
+        rc = run_cli("cotds", "run", path, "--h", "0.7", "--out-dir", out)
+        assert rc == EXIT_USAGE
+        assert "event at t=4.9 outside [0, 4.2]" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestInfeasibleMotor:

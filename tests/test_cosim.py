@@ -191,3 +191,42 @@ class TestInitialConsistency:
     def test_event_outside_horizon_rejected(self):
         with pytest.raises(ValueError):
             CouplingSchedule(0.1, 1.0, events=[Event(2.0, "A", "x")])
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("h, t_end, n", [
+        (0.5, 1.2, 2), (0.5, 1.3, 3), (0.1, 1.0, 10), (0.006, 5.0, 833),
+        (0.1, 0.0, 0), (0.1, 0.04, 0)])
+    def test_n_steps_is_the_marched_step_count(self, h, t_end, n):
+        sched = CouplingSchedule(h, t_end)
+        assert sched.n_steps == n
+        log = run_cosimulation(sched, make_linear_pair(P1, StateVec2(1, 1)),
+                               CouplingMethod.SERIES)
+        assert len(log.times) == n + 1
+
+    @pytest.mark.parametrize("time", [1.0, 1.2, -0.1])
+    def test_event_no_step_follows_rejected(self, time):
+        # t_end 1.2 at H 0.5 takes steps from 0 and 0.5 and ends at 1.0
+        with pytest.raises(ValueError, match=r"outside \[0, 0\.5\]"):
+            CouplingSchedule(0.5, 1.2, events=[Event(time, "A", "x")])
+
+    def test_event_at_last_step_start_applied(self):
+        a = Recorder(out_value=1.0)
+        b = Recorder(out_value=10.0)
+        a.current_input = np.array([10.0])
+        b.current_input = np.array([1.0])
+        sched = CouplingSchedule(0.5, 1.2, events=[
+            Event(0.5, "A", "set_output", {"value": 5.0})])
+        assert sched.applies(sched.events[0])
+        log = run_cosimulation(sched, {"A": a, "B": b},
+                               CouplingMethod.PARALLEL)
+        assert log.times == [0.0, 0.5, 1.0]
+        assert [u[0] for u in b.seen] == [1.0, 5.0]
+
+    def test_applies_snaps_to_the_boundary(self):
+        sched = CouplingSchedule(0.1, 1.0)
+        last = (sched.n_steps - 1) * sched.h_macro
+        assert sched.applies(Event(last + 1e-13, "A", "x"))
+        assert not sched.applies(Event(last + 1e-9, "A", "x"))
+        assert sched.applies(Event(0.0, "A", "x"))
+        assert not sched.applies(Event(-1e-9, "A", "x"))

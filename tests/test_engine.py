@@ -292,11 +292,11 @@ class TestRunScenario:
         # fifth one, from t = 0.04 s to 0.05 s, fails
         calls = []
 
-        def failing_step(*args):
+        def failing_step(*args, **kwargs):
             calls.append(1)
             if len(calls) == 5:
                 raise NewtonError("Newton did not converge", 1.0)
-            return trapezoidal_dae_step(*args)
+            return trapezoidal_dae_step(*args, **kwargs)
 
         monkeypatch.setattr(transmission, "trapezoidal_dae_step",
                             failing_step)
@@ -388,6 +388,50 @@ class TestRunScenario:
         s.events = [Event(0.02, "D9", "connect_feeder", {"index": 1})]
         with pytest.raises(ValueError, match="no feeder on 'D9'"):
             run_scenario(s)
+
+    @pytest.mark.parametrize("method", [RunMethod.SERIES,
+                                        RunMethod.MONOLITHIC])
+    def test_event_no_step_follows_rejected_before_building(self, method,
+                                                            monkeypatch):
+        # t_end 1.2 at H 0.5 steps from 0 and 0.5 only, so testcase2's
+        # connect_feeder at 1.0 would never be applied
+        def build(scenario):
+            raise AssertionError("built a run whose event never applies")
+
+        monkeypatch.setattr(engine, "build_subsystems", build)
+        s = quick_scenario(method=method, h=0.5, t_end=1.2,
+                           fixture="testcase2")
+        s.events = load_scenario(fixture_path("testcase2")).events
+        with pytest.raises(ValueError, match="event at t=1.0 outside"):
+            run_scenario(s)
+
+    @pytest.mark.parametrize("method", list(RunMethod))
+    def test_switched_off_feeder_floats_at_its_input(self, method):
+        # feeder 1 of D2 connects at 1.0 s and feeder 0 disconnects at
+        # 1.5 s; from then on every node of feeder 0 reads the voltage D2
+        # took, which is T's output of the same record under series and
+        # monolithic, and of the record before under parallel
+        s = load_scenario(fixture_path("testcase2"))
+        s.method, s.t_end = method, 2.0
+        s.events = [Event(1.0, "D2", "connect_feeder", {"index": 1}),
+                    Event(1.5, "D2", "disconnect_feeder", {"index": 0})]
+        r = run_scenario(s)
+        assert r.log.failure is None
+        log = r.log
+        t = log.time_array
+        nodes = np.array([log.channel(c) for c in log.columns
+                          if c.startswith("D2.f0.v")])
+        assert len(nodes) > 1
+        v_t = np.hypot(log.channel("T.out[0]"), log.channel("T.out[1]"))
+        if method is RunMethod.PARALLEL:
+            v_t = np.concatenate([[np.nan], v_t[:-1]])
+        after = t > 1.5 + 0.5 * s.h_macro
+        assert np.count_nonzero(after) > 10
+        assert np.all(nodes[:, after] == nodes[0, after])
+        assert np.array_equal(nodes[0, after], v_t[after])
+        # before the disconnect the feeder's voltages fall along it
+        before = (t > 1.0 + 0.5 * s.h_macro) & (t < 1.5)
+        assert np.all(nodes[-1, before] < nodes[0, before])
 
     def test_channels_present(self):
         s = quick_scenario()
