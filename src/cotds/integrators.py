@@ -31,12 +31,18 @@ the kept Jacobian.
 The kept phase pays for its matrix once: its first update inverts the
 kept Jacobian and the cache stores the inverse, so every kept update is
 one matrix-vector product, across steps, where a dense solve would
-factor the same matrix again.  The inverse goes with its Jacobian: any
-assignment to ``JacobianCache.jac`` drops it, so a fresh build, a step
-of another ``h`` and a Jacobian set from outside each start without
-one.  A singular kept Jacobian fails to invert and is dropped like a
-failed update.  The damped Newton uses each fresh Jacobian once and
-solves with it directly.
+factor the same matrix again.  Each kept update the contraction test
+accepts then refines the stored inverse by Broyden's rank-one secant
+update, so that it maps the update's change of residual onto the update
+itself.  The kept phase converges superlinearly where the stale
+Jacobian alone contracts only linearly, and the next step starts from
+the refined inverse, at no extra residual evaluation.  The inverse
+starts from its Jacobian: any assignment to ``JacobianCache.jac`` drops
+it, so a fresh build, a step of another ``h`` and a Jacobian set from
+outside each start from that Jacobian's own inverse.  A singular kept
+Jacobian fails to invert and is dropped like a failed update.  The
+damped Newton uses each fresh Jacobian once and solves with it
+directly.
 
 ``trapezoidal_dae_step`` runs the Newton with ``NewtonConfig()`` unless
 handed another config.  It returns a finite step or raises
@@ -50,6 +56,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 __all__ = [
     "DaeSystem",
@@ -131,15 +138,39 @@ def _fd_jacobian(res: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
     return jac
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _secant_update(inv: np.ndarray, s: np.ndarray,
+                   yv: np.ndarray) -> np.ndarray:
+    """Broyden's good update of the inverse ``inv`` for the step ``s``
+    that changed the residual by ``yv``; returns the updated inverse.
+
+    The Sherman-Morrison form of the rank-one secant update (Broyden,
+    1965; Kelley, *Solving Nonlinear Equations with Newton's Method*,
+    2003, ch. 7), inv + outer(s - inv @ yv, s @ inv) / (s @ inv @ yv):
+    afterwards ``inv @ yv == s`` to rounding.  A zero or non-finite
+    denominator, overflow included, leaves ``inv`` as it is.
+    """
+    hy = inv @ yv
+    sh = s @ inv
+    den = sh @ yv
+    if den != 0.0 and math.isfinite(den):
+        # BLAS ger on the transpose: the rank-one update in place, where
+        # it is a third of the cost of numpy's outer product and sum
+        inv = dger(1.0 / den, sh, s - hy, a=inv.T, overwrite_a=True).T
+    return inv
+
+
 class JacobianCache:
     """The last FD Jacobian of one residual, kept for the next solve.
 
-    ``h`` is the trapezoidal step the Jacobian was built for, and ``inv``
-    the Jacobian's inverse once a kept update has needed it; assigning
-    ``jac`` drops ``inv``.  The counters add up over every solve handed
-    the cache: Jacobian builds, residual evaluations, solves that started
-    with a kept Jacobian and built none, and solves whose kept-Jacobian
-    update was dropped.
+    ``h`` is the trapezoidal step the Jacobian was built for.  ``inv``
+    starts as the Jacobian's inverse once a kept update has needed it,
+    and every accepted kept update refines it by one secant update, so
+    it drifts from ``jac`` towards the Jacobian where the solves stand;
+    assigning ``jac`` drops ``inv``.  The counters add up over every
+    solve handed the cache: Jacobian builds, residual evaluations, solves
+    that started with a kept Jacobian and built none, and solves whose
+    kept-Jacobian update was dropped.
     """
 
     def __init__(self):
@@ -217,6 +248,7 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
                     and rnorm_new <= CONTRACTION * rnorm):
                 left = 0
                 continue
+            cache.inv = _secant_update(cache.inv, dz, r_new - r)
         else:
             # halve the update while the residual norm fails to decrease
             step = 1.0

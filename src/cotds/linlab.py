@@ -244,7 +244,7 @@ class LinearHalf(SubSystem):
         self.current_input = np.array([u0])
 
     def advance(self, h):
-        self.x = self.step(h, self.x, self.current_input[0])
+        self.x = self.step(h, self.x, float(self.current_input[0]))
 
     def output(self):
         return np.array([self.k_out * self.x])

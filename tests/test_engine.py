@@ -481,6 +481,23 @@ def test_testcase2_converges_at_h_0_4(method):
     assert r.verdict is Verdict.CONVERGED
 
 
+def test_testcase2_post_event_steps_keep_their_jacobian():
+    # Until the feeder connects at t = 1 s the T steps sit at equilibrium
+    # and build no Jacobian.  The first step after it has none kept, so
+    # its damped Newton builds one per iteration: 3 from the jump.  From
+    # there every step starts from the kept, secant-refined inverse, and
+    # a step builds only if its kept update fails to contract and it
+    # falls back (at least one build each).  Without the secant update
+    # the stale Jacobian fell back 10 times for 23 builds.  So: no
+    # fallback, and at most twice the 3 builds of the first solve.
+    s = load_scenario(fixture_path("testcase2"))
+    s.method, s.h_macro = RunMethod.SERIES, 0.006
+    r = run_scenario(s)
+    assert r.verdict is Verdict.CONVERGED
+    assert r.newton["T"]["fallbacks"] == 0
+    assert r.newton["T"]["jacobian_builds"] <= 6
+
+
 class TestLongHorizon:
     """testcase1 at H = 0.6 over 60 s: series stays stable, parallel not.
 

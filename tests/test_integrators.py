@@ -145,6 +145,41 @@ class TestJacobianReuse:
                                         self.TIGHT, cache)
         return x, y
 
+    @staticmethod
+    def record_solves(monkeypatch):
+        """Every (z, r) pair each Newton solve evaluates, a list a solve."""
+        solves = []
+        newton_solve = integrators.newton_solve
+
+        def recorded(res, z0, *rest):
+            evals = []
+            solves.append(evals)
+
+            def res_recorded(z):
+                r = res(z)
+                evals.append((z.copy(), r.copy()))
+                return r
+
+            return newton_solve(res_recorded, z0, *rest)
+
+        monkeypatch.setattr(integrators, "newton_solve", recorded)
+        return solves
+
+    @staticmethod
+    def meets_secant(inv, evals):
+        """Whether ``inv`` meets the secant equation of the solve's last
+        update, the step between its last two evaluated points.
+
+        The step read back as z_b - z_a differs from the update that made
+        z_b by the rounding of z_a + dz, at most eps/2 of |z_b| in each
+        entry (the subtraction of close floats is exact); the update's
+        own rounding is of order eps |dz|.  Allow 2 eps |z|, four times
+        the worst miss seen on the pendulum (0.48 eps |z|).
+        """
+        (z_a, r_a), (z_b, r_b) = evals[-2:]
+        miss = np.max(np.abs(inv @ (r_b - r_a) - (z_b - z_a)))
+        return miss <= 2 * np.finfo(float).eps * np.max(np.abs(z_b))
+
     def test_cached_matches_uncached(self):
         cache = JacobianCache()
         x_c, y_c = self.march(0.05, 50, cache)
@@ -156,7 +191,7 @@ class TestJacobianReuse:
         assert cache.reused_steps >= 40
         assert cache.residual_evals >= 50
 
-    def test_step_change_rebuilds(self):
+    def test_step_change_rebuilds(self, monkeypatch):
         cache = JacobianCache()
         self.march(0.05, 3, cache)
         assert cache.inv is not None
@@ -167,10 +202,19 @@ class TestJacobianReuse:
         assert cache.h == 0.02
         # the damped Newton of the new h leaves its Jacobian uninverted
         assert cache.inv is None
-        builds = cache.jacobian_builds
+        builds, jac = cache.jacobian_builds, cache.jac
+        solves = self.record_solves(monkeypatch)
         self.march(0.02, 1, cache)
         assert cache.jacobian_builds == builds
-        assert np.array_equal(cache.inv, np.linalg.inv(cache.jac))
+        # the kept phase started from the new h's own Jacobian (to the
+        # rounding bound of ``meets_secant``) ...
+        (z0, r0), (z1, _) = solves[0][:2]
+        miss = np.max(np.abs(z1 - z0 - np.linalg.solve(jac, -r0)))
+        assert miss <= 2 * np.finfo(float).eps * np.max(np.abs(z1))
+        # ... and its secant updates left the inverse meeting the last
+        # accepted update's secant equation
+        assert cache.jac is jac
+        assert self.meets_secant(cache.inv, solves[0])
 
     def test_assigned_jacobian_drops_its_inverse(self):
         # a stale inverse of the marched Jacobian would pass the
@@ -209,6 +253,60 @@ class TestJacobianReuse:
         assert len(solves) == cache.jacobian_builds
         assert len(inverses) <= cache.jacobian_builds
         assert cache.reused_steps >= 40
+
+    def test_kept_update_meets_secant_equation(self, monkeypatch):
+        cache = JacobianCache()
+        x, y = self.march(0.05, 3, cache)
+        solves = self.record_solves(monkeypatch)
+        checked = 0
+        for _ in range(30):
+            builds = cache.jacobian_builds
+            x, y = self.march(0.05, 1, cache, x)
+            if cache.jacobian_builds == builds:
+                assert self.meets_secant(cache.inv, solves[-1])
+                checked += 1
+        assert checked >= 25
+
+    @staticmethod
+    def skipped_update_solve(res, jac, z0):
+        """Solve from the kept ``jac``, and the inverse each residual
+        evaluation saw, copied."""
+        cache = JacobianCache()
+        cache.jac = np.array(jac)
+        seen = []
+
+        def recorded(z):
+            seen.append(None if cache.inv is None else cache.inv.copy())
+            return res(z)
+
+        z = integrators.newton_solve(recorded, np.array(z0), NewtonConfig(),
+                                     cache)
+        return z, seen, cache
+
+    def test_zero_secant_denominator_leaves_inverse(self):
+        # r(z) = A z + (1, 4) with A = [[1, -2], [0, 4]], kept Jacobian
+        # diag(1, 4): the first update s = (-1, -1) takes r from (1, 4) to
+        # (2, 0), contracting, with s @ inv @ (r1 - r0) = -1 + 1 = 0
+        # exactly.  Left as it is, the inverse lands the second update on
+        # the root (-3, -1) exactly; divided by zero it would not.
+        a = np.array([[1.0, -2.0], [0.0, 4.0]])
+        z, seen, cache = self.skipped_update_solve(
+            lambda z: a @ z + np.array([1.0, 4.0]), np.diag([1.0, 4.0]),
+            [0.0, 0.0])
+        assert np.array_equal(z, [-3.0, -1.0])
+        assert np.array_equal(seen[2], np.diag([1.0, 0.25]))
+        assert cache.residual_evals == 3
+        assert cache.fallbacks == 0 and cache.jacobian_builds == 0
+
+    def test_non_finite_secant_denominator_leaves_inverse(self):
+        # r(z) = 1 + 1e-160 z with its own slope kept: the one update
+        # lands on the root, and s @ inv overflows (|s| |inv| ~ 1e320)
+        z, _, cache = self.skipped_update_solve(
+            lambda z: 1.0 + 1e-160 * z, [[1e-160]], [0.0])
+        assert abs(1.0 + 1e-160 * z[0]) <= NewtonConfig().residual_tolerance
+        assert np.array_equal(cache.inv, np.linalg.inv([[1e-160]]))
+        assert cache.residual_evals == 2
+        assert cache.fallbacks == 0 and cache.jacobian_builds == 0
 
     def test_poisoned_cache_falls_back(self):
         cache = JacobianCache()
