@@ -12,7 +12,7 @@ import os
 from cotds.engine import RunMethod, compare_runs, run_scenario
 from cotds.scenario_io import fixture_path, load_scenario, write_csv
 
-HERE = os.path.dirname(os.path.abspath(__file__))
+OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 
 
 def main():
@@ -34,10 +34,9 @@ def main():
         print(f"{method.value:>10s} vs monolithic: worst bus-voltage "
               f"deviation = {dev.worst:.3e} pu on {worst_ch}")
 
-    out = os.path.join(HERE, "out")
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(OUT, exist_ok=True)
     for method, res in results.items():
-        path = os.path.join(out, f"testcase1_{method.value}.csv")
+        path = os.path.join(OUT, f"testcase1_{method.value}.csv")
         write_csv(path, res.log)
         print("wrote", path)
 

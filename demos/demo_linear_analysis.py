@@ -67,9 +67,13 @@ def truncation_table(p, tag):
         print(f"  {tag}: truncation slope ({name}) = {slope:.3f}")
 
 
-if __name__ == "__main__":
+def main():
     for p, tag in ((P_STIFF, "stiff"), (P_MILD, "mild")):
         print(f"parameter set {tag}: lambda_a={p.lambda_a}, "
               f"lambda_b={p.lambda_b}, k={p.k_a}")
         stability_table(p, tag)
         truncation_table(p, tag)
+
+
+if __name__ == "__main__":
+    main()

@@ -130,8 +130,6 @@ def cmd_cotds_run(args) -> int:
     if args.method:
         scenario.method = RunMethod(args.method)
     if args.h is not None:
-        if args.h <= 0:
-            raise CliError("--h must be positive", EXIT_USAGE)
         scenario.h_macro = args.h
     try:
         if args.t_end is not None:

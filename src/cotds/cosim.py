@@ -25,6 +25,7 @@ last step's start, which would never be applied.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -107,10 +108,12 @@ class CouplingSchedule:
     events: Sequence[Event] = ()
 
     def __post_init__(self):
-        if self.h_macro <= 0:
-            raise ValueError("h_macro must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+        if not (math.isfinite(self.h_macro) and self.h_macro > 0):
+            raise ValueError(f"h_macro: must be finite and positive, got "
+                             f"{self.h_macro!r}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end: must be finite and >= 0, got "
+                             f"{self.t_end!r}")
         for ev in self.events:
             if not self.applies(ev):
                 raise ValueError(

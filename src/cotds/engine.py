@@ -19,6 +19,7 @@ modeling error.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -40,7 +41,7 @@ from .transmission import TransmissionDae, TransmissionSubSystem
 
 __all__ = [
     "RunMethod", "MotorSpec", "FeederSpec", "Scenario", "RunResult",
-    "Verdict", "check_event", "build_subsystems",
+    "Verdict", "check_event", "check_run", "build_subsystems",
     "iterative_td_powerflow_init", "run_scenario", "detect_convergence",
     "compare_runs",
 ]
@@ -107,6 +108,7 @@ class Scenario:
     channels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        check_run(self.h_macro, self.t_end, self.rk_tol)
         try:
             net = load_network(self.transmission)
         except OSError as exc:
@@ -135,6 +137,19 @@ class RunResult:
     verdict: Verdict
     wall_time: float
     newton: dict[str, dict[str, int]] = field(default_factory=dict)
+
+
+def check_run(h_macro: float, t_end: float, rk_tol: float) -> None:
+    """Raise ValueError unless a scenario can run with these parameters.
+
+    ``h_macro`` and ``t_end`` must be what ``CouplingSchedule`` takes, and
+    ``rk_tol`` finite and positive.  The message starts with the field's
+    name.
+    """
+    CouplingSchedule(h_macro, t_end)
+    if not (math.isfinite(rk_tol) and rk_tol > 0):
+        raise ValueError(f"rk_tol: must be finite and positive, got "
+                         f"{rk_tol!r}")
 
 
 # the distribution events, and the parameter each one takes
@@ -529,6 +544,7 @@ def _post_event_window(scenario: Scenario) -> tuple[float, float]:
 
 def run_scenario(scenario: Scenario) -> RunResult:
     t_start = time.perf_counter()
+    check_run(scenario.h_macro, scenario.t_end, scenario.rk_tol)
     if not scenario.feeders:
         raise ValueError("scenario has no feeders: a T-D run needs at "
                          "least one")

@@ -11,7 +11,11 @@ states, which the monolithic reference stacks into its DAE together with
 ``motor_derivatives``.  A feeder has a handful of nodes, where numpy's
 per-call overhead outweighs the arithmetic, so the sweep and ``kcl`` work
 on lists of Python complex node voltages and currents; the sweep writes
-``DistributionFeeder.v`` back as an array once it has converged.
+``DistributionFeeder.v`` back as an array once it has converged.  A
+motor's state is the array [re E', im E', slip]; ``step_motors`` hands it
+to the RK45 as E' and slip, a Python complex and float, and
+``motor_derivatives`` unpacks the same pair, so the co-simulation and the
+monolithic reference share the one motor model.
 
 The ``DistributionSubSystem`` wraps one or more feeders hanging off a
 single transmission interface bus.  Its macro step is: solve the feeder
@@ -167,7 +171,10 @@ class DistributionFeeder:
         if self.active:
             for k, (mu, x) in enumerate(zip(self.motors, states)):
                 if mu.active:
-                    out[k] = mu.motor.derivatives(x, complex(v[mu.node]))
+                    er, ei, s = x.tolist()
+                    de, ds = mu.motor.derivatives(complex(er, ei), s,
+                                                  complex(v[mu.node]))
+                    out[k] = de.real, de.imag, ds
         return out.ravel()
 
     def sweep(self, v_sub: complex, tol: float = 1e-8) -> complex:
@@ -203,9 +210,11 @@ class DistributionFeeder:
         """Advance every active motor over ``h``, its terminal voltage held."""
         for mu in self.motors:
             if mu.active:
-                mu.state = np.array(rk_component_step(
-                    mu.motor.derivatives, mu.state, complex(self.v[mu.node]),
-                    h, tol=tol))
+                er, ei, s = mu.state.tolist()
+                e, s = rk_component_step(
+                    mu.motor.derivatives, complex(er, ei), s,
+                    complex(self.v[mu.node]), h, tol=tol)
+                mu.state = np.array([e.real, e.imag, s])
 
     def initialize(self, v_sub: complex) -> None:
         """Fixed point of sweep + motor equilibrium at node voltages."""
@@ -231,6 +240,10 @@ class DistributionSubSystem(SubSystem):
         self.rk_tol = rk_tol
         self.current_input = np.array([1.0, 0.0])
         self._output = np.zeros(2)
+        self._channels = []
+        for k, fd in enumerate(self.feeders):
+            self._channels += [f"{mu.name}.slip" for mu in fd.motors]
+            self._channels += [f"f{k}.v{node}" for node in range(fd.n_nodes)]
 
     def _v_sub(self) -> complex:
         return complex(self.current_input[0], self.current_input[1])
@@ -281,13 +294,14 @@ class DistributionSubSystem(SubSystem):
         return self._output.copy()
 
     def snapshot(self):
-        out = {}
-        for k, fd in enumerate(self.feeders):
-            for mu in fd.motors:
-                out[f"{mu.name}.slip"] = float(mu.state[2])
-            for node in range(fd.n_nodes):
-                out[f"f{k}.v{node}"] = float(abs(fd.v[node]))
-        return out
+        """Each motor's slip, then each node's |V|, feeder by feeder."""
+        values = []
+        for fd in self.feeders:
+            values += [float(mu.state[2]) for mu in fd.motors]
+            # the scalar modulus: numpy's vectorised abs rounds some
+            # moduli differently from it
+            values += [abs(vk) for vk in fd.v.tolist()]
+        return dict(zip(self._channels, values))
 
     def switch(self, action: str, params) -> None:
         """Apply a topology event; the next ``output()`` re-solves."""

@@ -5,11 +5,16 @@ Jacobian.  It solves the steady-state power flow
 (``power_network.newton_power_flow``) and each implicit trapezoidal step
 of a small dense DAE, on the stacked residual.  ``rk_component_step`` is
 an adaptive embedded Runge-Kutta 4(5) (Dormand-Prince) integrator for
-node-level component dynamics, one small state at a time: a motor's three
-states, as a list of Python floats.  At that size numpy's per-call
-overhead outweighs the arithmetic, so the seven stages are written out,
-each stage input one list comprehension over the components, with the
-tableau's zero weights left out.  The last stage of a step is the next
+node-level component dynamics, one motor at a time, on the two scalars
+its model uses: E' as one Python complex and the slip as one Python
+float.  At that size numpy's per-call overhead outweighs the arithmetic,
+so the seven stages are written out, each stage input two scalar
+expressions, with the tableau's zero weights left out.  A complex times a
+float and a sum of complexes do, per component, the float operations of
+the same expressions on re E' and im E' apart, up to the sign of an exact
+zero, so the steps are those of the three real states integrated as
+floats (``tests/test_integrators.py`` keeps that form as a bitwise
+oracle).  The last stage of a step is the next
 step's first (first same as last), so an accepted step takes six
 derivative evaluations and a rejected one keeps its first.  Every step
 is error-controlled.  All systems here are small and dense; no sparsity
@@ -326,66 +331,76 @@ _DP_E = tuple(b5 - b4 for b5, b4 in zip(
 E1, _, E3, E4, E5, E6, E7 = _DP_E
 
 
-def _dp_step(deriv, x, u, dt, k1):
-    """One Dormand-Prince step from ``x``, whose derivative ``k1`` is given.
+def _dp_step(deriv, e, s, u, dt, k1e, k1s):
+    """One Dormand-Prince step from (``e``, ``s``), whose derivative
+    (``k1e``, ``k1s``) is given.
 
-    Returns (5th order result, error estimate, derivative at the result).
-    The last stage is taken at the 5th order result, so its derivative is
-    the next step's ``k1`` (first same as last).
+    Returns the 5th order result, its error estimate and the derivative
+    at the result, each as a (complex, real) pair, flat: (e5, s5, err_e,
+    err_s, k7e, k7s).  The last stage is taken at the 5th order result,
+    so its derivative is the next step's first (first same as last).
     """
-    k2 = deriv([xj + dt * (A21 * a) for xj, a in zip(x, k1)], u)
-    k3 = deriv([xj + dt * (A31 * a + A32 * b)
-                for xj, a, b in zip(x, k1, k2)], u)
-    k4 = deriv([xj + dt * (A41 * a + A42 * b + A43 * c)
-                for xj, a, b, c in zip(x, k1, k2, k3)], u)
-    k5 = deriv([xj + dt * (A51 * a + A52 * b + A53 * c + A54 * d)
-                for xj, a, b, c, d in zip(x, k1, k2, k3, k4)], u)
-    k6 = deriv([xj + dt * (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
-                for xj, a, b, c, d, e in zip(x, k1, k2, k3, k4, k5)], u)
-    x5 = [xj + dt * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * f)
-          for xj, a, c, d, e, f in zip(x, k1, k3, k4, k5, k6)]
-    k7 = deriv(x5, u)
-    err = [dt * (E1 * a + E3 * c + E4 * d + E5 * e + E6 * f + E7 * g)
-           for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)]
-    return x5, err, k7
+    k2e, k2s = deriv(e + dt * (A21 * k1e), s + dt * (A21 * k1s), u)
+    k3e, k3s = deriv(e + dt * (A31 * k1e + A32 * k2e),
+                     s + dt * (A31 * k1s + A32 * k2s), u)
+    k4e, k4s = deriv(e + dt * (A41 * k1e + A42 * k2e + A43 * k3e),
+                     s + dt * (A41 * k1s + A42 * k2s + A43 * k3s), u)
+    k5e, k5s = deriv(
+        e + dt * (A51 * k1e + A52 * k2e + A53 * k3e + A54 * k4e),
+        s + dt * (A51 * k1s + A52 * k2s + A53 * k3s + A54 * k4s), u)
+    k6e, k6s = deriv(
+        e + dt * (A61 * k1e + A62 * k2e + A63 * k3e + A64 * k4e
+                  + A65 * k5e),
+        s + dt * (A61 * k1s + A62 * k2s + A63 * k3s + A64 * k4s
+                  + A65 * k5s), u)
+    e5 = e + dt * (B1 * k1e + B3 * k3e + B4 * k4e + B5 * k5e + B6 * k6e)
+    s5 = s + dt * (B1 * k1s + B3 * k3s + B4 * k4s + B5 * k5s + B6 * k6s)
+    k7e, k7s = deriv(e5, s5, u)
+    err_e = dt * (E1 * k1e + E3 * k3e + E4 * k4e + E5 * k5e + E6 * k6e
+                  + E7 * k7e)
+    err_s = dt * (E1 * k1s + E3 * k3s + E4 * k4s + E5 * k5s + E6 * k6s
+                  + E7 * k7s)
+    return e5, s5, err_e, err_s, k7e, k7s
 
 
-def rk_component_step(deriv: Callable, x, u, h: float,
-                      tol: float = 1e-6) -> list[float]:
-    """Integrate x' = deriv(x, u) from 0 to h, input u held constant.
+def rk_component_step(deriv: Callable, e: complex, s: float, u, h: float,
+                      tol: float = 1e-6) -> tuple[complex, float]:
+    """Integrate (e, s)' = deriv(e, s, u) from 0 to h, input u held constant.
 
-    ``x`` is any sequence of floats.  ``deriv`` is called with a list of
-    floats and returns a sequence of floats; the result is a list of
-    floats.  Adaptive Dormand-Prince 4(5) with proportional step control
-    keeping the local error, scaled by tol * max(1, |x|), at most one in
-    RMS over the components of x.
+    ``e`` is a Python complex and ``s`` a Python float; ``deriv`` takes
+    them and ``u`` and returns their derivatives as a (complex, float)
+    pair, and so does this function at h.  Adaptive Dormand-Prince 4(5)
+    with proportional step control keeping the local error, scaled by
+    tol * max(1, |x_j|), at most one in RMS over the three real
+    components x_j: re e, im e and s.
 
-    The arithmetic is on Python floats: a float ``**`` that overflows
+    The arithmetic is on Python scalars: a float ``**`` that overflows
     inside ``deriv`` raises ``OverflowError``, which ``cosim.march``
     classifies as divergence, and a step whose error is not finite is
     rejected until the step size underflows (``StiffnessError``).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = [float(xj) for xj in x]
-    k1 = deriv(x, u)
-    n = len(x)
+    ke, ks = deriv(e, s, u)
     t = 0.0
     dt = h
     while t < h - 1e-15 * h:
         dt = min(dt, h - t)
-        x_new, err, k7 = _dp_step(deriv, x, u, dt, k1)
-        q = [e / (tol * max(1.0, abs(xj))) for e, xj in zip(err, x)]
-        enorm = math.sqrt(sum(qj * qj for qj in q) / n) if n else 0.0
+        e_new, s_new, err_e, err_s, k7e, k7s = _dp_step(
+            deriv, e, s, u, dt, ke, ks)
+        qr = err_e.real / (tol * max(1.0, abs(e.real)))
+        qi = err_e.imag / (tol * max(1.0, abs(e.imag)))
+        qs = err_s / (tol * max(1.0, abs(s)))
+        enorm = math.sqrt((qr * qr + qi * qi + qs * qs) / 3)
         if enorm <= 1.0 or dt <= h * 1e-12:
             if dt <= h * 1e-12 and enorm > 1.0:
                 raise StiffnessError("step size underflow in RK integrator")
             t += dt
-            x, k1 = x_new, k7
+            e, s, ke, ks = e_new, s_new, k7e, k7s
             dt *= min(5.0, max(0.2, 0.9 * (1.0 / max(enorm, 1e-10)) ** 0.2))
         else:
-            # a rejected step retries from the same x, so k1 stands
+            # a rejected step retries from the same (e, s), so k1 stands
             dt *= max(0.2, 0.9 * (1.0 / enorm) ** 0.2)
             if dt < h * 1e-12:
                 raise StiffnessError("step size underflow in RK integrator")
-    return x
+    return e, s

@@ -12,8 +12,10 @@ terminal voltage at a time.  At that size numpy's per-call overhead
 outweighs the arithmetic, so the motor's circuit constants (``rs + j x'``,
 ``x0 - x'``, ``T0'``) are computed once when it is built, and both work
 in Python scalars: the stator current is a Python complex, and
-``derivatives`` returns a tuple of three floats, the derivative
-``integrators.rk_component_step`` takes.
+``derivatives`` takes E' as a Python complex and the slip as a float and
+returns their derivatives as a (complex, float) pair, the form
+``integrators.rk_component_step`` integrates.  The state a motor keeps
+between steps is the array [re E', im E', slip].
 """
 
 from __future__ import annotations
@@ -114,16 +116,16 @@ class InductionMotor:
         ref = 1.0 - self.s0
         return self.tm0 * (speed / ref) ** 2
 
-    def derivatives(self, x, v: complex) -> tuple[float, float, float]:
-        """State derivatives at state ``x`` (any sequence of three floats)."""
-        e_p = complex(x[0], x[1])
-        slip = float(x[2])
+    def derivatives(self, e_p: complex, slip: float,
+                    v: complex) -> tuple[complex, float]:
+        """Derivatives of E' (a Python complex) and the slip (a Python
+        float), as a (complex, float) pair."""
         i = self._stator_current(e_p, v)
         de = (-1j * slip * self.omega_s * e_p
               - (e_p - 1j * self._dx * i) / self._t0)
         te = (e_p * i.conjugate()).real
         ds = (self.mech_torque(slip) - te) / (2.0 * self.p.h_m)
-        return de.real, de.imag, ds
+        return de, ds
 
     # -- initialisation --------------------------------------------------
 

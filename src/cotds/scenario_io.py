@@ -13,7 +13,8 @@ import os
 import numpy as np
 
 from .cosim import Event, TimeSeriesLog
-from .engine import FeederSpec, MotorSpec, RunMethod, Scenario, check_event
+from .engine import (FeederSpec, MotorSpec, RunMethod, Scenario, check_event,
+                     check_run)
 from .feeder import FeederBranch
 from .loads import InductionMotorParams
 
@@ -132,6 +133,10 @@ def parse_scenario(doc: dict) -> Scenario:
         method = RunMethod(run["method"])
     except ValueError:
         raise SchemaError(f"run.method: unknown method {run['method']!r}")
+    try:
+        check_run(run["h_macro"], run["t_end"], run["rk_tol"])
+    except ValueError as exc:
+        raise SchemaError(f"run.{exc}") from None
     outputs = _require(v["outputs"], "outputs", dict(channels=list))
     channels = outputs["channels"]
     if not all(isinstance(c, str) for c in channels):

@@ -1,11 +1,12 @@
 import json
+import math
 import os
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from cotds import cli, feeder, transmission
+from cotds import cli, engine, feeder, transmission
 from cotds.cli import EXIT_NUMERIC, EXIT_SCHEMA, EXIT_USAGE, main
 from cotds.integrators import NewtonError
 from cotds.scenario_io import fixture_path, load_scenario, read_csv
@@ -402,4 +403,48 @@ def test_bad_scenario_is_schema_error(tmp_path, capsys, edit, message):
     out = str(tmp_path / "out")
     assert run_cli("cotds", "run", path, "--out-dir", out) == EXIT_SCHEMA
     assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+# run parameters that are not finite and positive: testcase1 with no
+# events, as each of them once ran on to a misleading verdict or error
+BAD_RUN = [("rk_tol", 0.0), ("rk_tol", -1e-6), ("rk_tol", math.nan),
+           ("h_macro", math.inf), ("h_macro", math.nan),
+           ("t_end", math.nan), ("t_end", math.inf)]
+
+
+@pytest.mark.parametrize("field, value", BAD_RUN,
+                         ids=[f"{f}={v}" for f, v in BAD_RUN])
+@pytest.mark.parametrize("method", ["series", "monolithic"])
+def test_bad_run_parameter_is_schema_error(tmp_path, capsys, field, value,
+                                           method):
+    with open(fixture_path("testcase1")) as fh:
+        doc = json.load(fh)
+    doc["events"] = []
+    doc["run"].update(t_end=0.06, method=method)
+    doc["run"][field] = value
+    path = str(tmp_path / "bad_run.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)  # NaN and Infinity, as Python's json reads them
+    out = str(tmp_path / "out")
+    assert run_cli("cotds", "run", path, "--out-dir", out) == EXIT_SCHEMA
+    assert f"run.{field}: must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--h", "nan"), ("--h", "inf"), ("--h", "0"), ("--h", "-0.01"),
+    ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "-1")])
+def test_bad_run_flag_is_usage_error(tmp_path, capsys, monkeypatch, flag,
+                                     value):
+    def build(scenario):
+        raise AssertionError("built a run with a bad flag")
+
+    monkeypatch.setattr(engine, "build_subsystems", build)
+    out = str(tmp_path / "out")
+    rc = run_cli("cotds", "run", fixture_path("testcase2"), flag, value,
+                 "--out-dir", out)
+    assert rc == EXIT_USAGE
+    field = "h_macro" if flag == "--h" else "t_end"
+    assert f"error: {field}: must be finite" in capsys.readouterr().err
     assert not os.path.exists(out)

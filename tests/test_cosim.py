@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,15 @@ class TestInitialConsistency:
 
 
 class TestSchedule:
+    @pytest.mark.parametrize("h, t_end, field", [
+        (0.0, 1.0, "h_macro"), (-0.1, 1.0, "h_macro"),
+        (math.inf, 1.0, "h_macro"), (math.nan, 1.0, "h_macro"),
+        (0.1, -1.0, "t_end"), (0.1, math.inf, "t_end"),
+        (0.1, math.nan, "t_end")])
+    def test_rejects_non_finite_or_non_positive(self, h, t_end, field):
+        with pytest.raises(ValueError, match=rf"^{field}: must be finite"):
+            CouplingSchedule(h, t_end)
+
     @pytest.mark.parametrize("h, t_end, n", [
         (0.5, 1.2, 2), (0.5, 1.3, 3), (0.1, 1.0, 10), (0.006, 5.0, 833),
         (0.1, 0.0, 0), (0.1, 0.04, 0)])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -526,3 +527,32 @@ class TestLongHorizon:
         assert r.log.failure is None
         assert r.verdict is Verdict.CONVERGED
         assert r.log.times[-1] == pytest.approx(60.0)
+
+
+BAD_RUN = [("h_macro", 0.0), ("h_macro", math.inf), ("h_macro", math.nan),
+           ("t_end", -1.0), ("t_end", math.inf), ("t_end", math.nan),
+           ("rk_tol", 0.0), ("rk_tol", -1e-6), ("rk_tol", math.nan)]
+
+
+@pytest.mark.parametrize("field, value", BAD_RUN)
+def test_code_built_scenario_rejects_bad_run_parameter(field, value):
+    s = load_scenario(fixture_path("testcase1"))
+    with pytest.raises(ValueError, match=rf"^{field}: must be finite"):
+        dataclasses.replace(s, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", BAD_RUN)
+@pytest.mark.parametrize("method", list(RunMethod))
+def test_run_rejects_bad_run_parameter_before_building(monkeypatch, method,
+                                                       field, value):
+    # set after construction, as the CLI's --h and --t-end do; the
+    # monolithic run, which reads no rk_tol, rejects a bad one all the same
+    s = quick_scenario(method=method)
+    setattr(s, field, value)
+
+    def build(scenario):
+        raise AssertionError("built a run with a bad parameter")
+
+    monkeypatch.setattr(engine, "build_subsystems", build)
+    with pytest.raises(ValueError, match=rf"^{field}: must be finite"):
+        run_scenario(s)

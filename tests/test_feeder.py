@@ -237,8 +237,9 @@ class TestInitialize:
         f = example_feeder()
         f.initialize(1.01 + 0.0j)
         mu = f.motors[0]
-        d = mu.motor.derivatives(mu.state, f.v[mu.node])
-        assert np.max(np.abs(d)) < 1e-9
+        de, ds = mu.motor.derivatives(complex(mu.state[0], mu.state[1]),
+                                      float(mu.state[2]), f.v[mu.node])
+        assert np.max(np.abs([de.real, de.imag, ds])) < 1e-9
         s = mu.motor.terminal_power(mu.state, f.v[mu.node])
         assert s.real == pytest.approx(0.20, abs=1e-9)
 

@@ -1,16 +1,21 @@
 import cmath
 import math
+import sys
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
 from cotds import integrators
+from cotds.engine import build_subsystems, iterative_td_powerflow_init
 from cotds.integrators import (
+    A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64,
+    A65, B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7,
     DaeSystem,
     JacobianCache,
     NewtonConfig,
     NewtonError,
+    StiffnessError,
     rk_component_step,
     trapezoidal_dae_step,
 )
@@ -20,6 +25,7 @@ from cotds.linlab import (
     system_matrix,
 )
 from cotds.loads import InductionMotor, InductionMotorParams
+from cotds.scenario_io import fixture_path, load_scenario
 
 
 class ScalarDecay(DaeSystem):
@@ -361,50 +367,55 @@ class TestJacobianReuse:
         assert abs(x1[0] + x1[0] ** 3 / 4) <= self.TIGHT.residual_tolerance
 
 
+def decay(rate):
+    """s' = rate s, with E' held at zero."""
+    return lambda e, s, u: (0j, rate * s)
+
+
+def oscillator(e, s, u):
+    """The harmonic oscillator on E': e' = -i e, so e(t) = exp(-i t)."""
+    return -1j * e, 0.0
+
+
 class TestRkComponentStep:
     def test_scalar_exponential(self):
-        x = rk_component_step(lambda x, u: [-x[0]], [1.0], None, 1.0, 1e-8)
-        assert x[0] == pytest.approx(math.exp(-1.0), abs=1e-7)
+        _, s = rk_component_step(decay(-1.0), 0j, 1.0, None, 1.0, 1e-8)
+        assert s == pytest.approx(math.exp(-1.0), abs=1e-7)
 
     def test_fast_decay(self):
-        x = rk_component_step(lambda x, u: [-10.0 * x[0]], [1.0], None,
-                              0.006, 1e-8)
-        assert x[0] == pytest.approx(math.exp(-0.06), abs=1e-8)
+        _, s = rk_component_step(decay(-10.0), 0j, 1.0, None, 0.006, 1e-8)
+        assert s == pytest.approx(math.exp(-0.06), abs=1e-8)
 
     def test_tolerance_sweep_monotone(self):
-        def deriv(x, u):
-            return [x[1], -x[0]]  # harmonic oscillator
-
         ref = np.array([math.cos(3.0), -math.sin(3.0)])
         errs = []
         for tol in (1e-3, 1e-5, 1e-7, 1e-9):
-            x = rk_component_step(deriv, [1.0, 0.0], None, 3.0, tol)
-            errs.append(np.max(np.abs(x - ref)))
+            e, _ = rk_component_step(oscillator, 1 + 0j, 0.0, None, 3.0, tol)
+            errs.append(np.max(np.abs([e.real, e.imag] - ref)))
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_observed_order_at_least_four(self):
-        def deriv(x, u):
-            return [x[1], -x[0]]
-
         ref = np.array([math.cos(1.0), -math.sin(1.0)])
         errs = []
         steps = [0.2, 0.1, 0.05, 0.025]
         for dt in steps:
-            x = [1.0, 0.0]
-            k1 = deriv(x, None)
+            e, s = 1 + 0j, 0.0
+            ke, ks = oscillator(e, s, None)
             for _ in range(round(1.0 / dt)):
-                x, _, k1 = integrators._dp_step(deriv, x, None, dt, k1)
-            errs.append(np.max(np.abs(x - ref)))
+                e, s, _, _, ke, ks = integrators._dp_step(
+                    oscillator, e, s, None, dt, ke, ks)
+            errs.append(np.max(np.abs([e.real, e.imag] - ref)))
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert slope >= 4.0
 
     def test_input_held_constant(self):
-        x = rk_component_step(lambda x, u: [u], [0.0], 2.5, 2.0, 1e-9)
-        assert x[0] == pytest.approx(5.0, abs=1e-9)
+        _, s = rk_component_step(lambda e, s, u: (0j, u), 0j, 0.0, 2.5, 2.0,
+                                 1e-9)
+        assert s == pytest.approx(5.0, abs=1e-9)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            rk_component_step(lambda x, u: [-x[0]], [1.0], None, 1.0, 0.0)
+            rk_component_step(decay(-1.0), 0j, 1.0, None, 1.0, 0.0)
 
 
 # Dormand & Prince (1980), typed here independently of the module: stage
@@ -453,11 +464,16 @@ class TestDormandPrinceTableau:
 
     @pytest.mark.parametrize("z", Z)
     def test_one_step_matches_exact_tableau(self, z):
-        x5, err, _ = integrators._dp_step(lambda x, u: [float(z) * x[0]],
-                                          [1.0], None, 1.0, [float(z)])
+        # x' = z x on both: E' from i, the slip from one
+        zf = float(z)
+        e5, s5, err_e, err_s, _, _ = integrators._dp_step(
+            lambda e, s, u: (zf * e, zf * s), 1j, 1.0, None, 1.0, zf * 1j,
+            zf)
         want_x5, want_err = exact_dp_step(z)
-        assert abs(x5[0] - float(want_x5)) <= 1e-14
-        assert abs(err[0] - float(want_err)) <= 1e-14
+        for x5, err in ((e5.imag, err_e.imag), (s5, err_s)):
+            assert abs(x5 - float(want_x5)) <= 1e-14
+            assert abs(err - float(want_err)) <= 1e-14
+        assert e5.real == 0.0 and err_e.real == 0.0
 
 
 def matrix_dp_step(deriv, x, u, dt):
@@ -497,6 +513,19 @@ def matrix_rk(deriv, x, u, h, tol):
     return x, accepted, rejected
 
 
+def as_list(deriv):
+    """``deriv`` of (E', slip) as a derivative of the state [re E', im E',
+    slip], a tuple of three floats: the list form's derivative."""
+    def list_deriv(x, u):
+        de, ds = deriv(complex(x[0], x[1]), float(x[2]), u)
+        return de.real, de.imag, ds
+    return list_deriv
+
+
+def flat(e, s):
+    return np.array([e.real, e.imag, s])
+
+
 class TestUnrolledDormandPrince:
     """The unrolled Dormand-Prince stages against the matrix form of the
     independently typed tableau, on a coupled nonlinear three-state
@@ -516,29 +545,174 @@ class TestUnrolledDormandPrince:
     def test_one_step(self, dt):
         m = self.motor()
         x0 = m.standstill_state()
-        x5, err, k7 = integrators._dp_step(
-            m.derivatives, x0.tolist(), self.V, dt, m.derivatives(x0, self.V))
+        e0, s0 = complex(x0[0], x0[1]), float(x0[2])
+        e5, s5, err_e, err_s, k7e, k7s = integrators._dp_step(
+            m.derivatives, e0, s0, self.V, dt, *m.derivatives(e0, s0, self.V))
         want_x5, want_err = matrix_dp_step(
-            lambda x, v: np.array(m.derivatives(x, v)), x0, self.V, dt)
-        assert np.max(np.abs(np.array(x5) - want_x5)) <= 1e-12
-        assert np.max(np.abs(np.array(err) - want_err)) <= 1e-12
+            as_list(m.derivatives), x0, self.V, dt)
+        assert np.max(np.abs(flat(e5, s5) - want_x5)) <= 1e-12
+        assert np.max(np.abs(flat(err_e, err_s) - want_err)) <= 1e-12
         # first same as last: the last stage is the derivative at x5
-        assert k7 == m.derivatives(x5, self.V)
+        assert (k7e, k7s) == m.derivatives(e5, s5, self.V)
 
     def test_adaptive_step_with_rejections(self):
         m = self.motor()
         calls = []
 
-        def deriv(x, v):
+        def deriv(e, s, v):
             calls.append(1)
-            return m.derivatives(x, v)
+            return m.derivatives(e, s, v)
 
         x0 = m.standstill_state()
-        x = rk_component_step(deriv, x0, self.V, 0.05, tol=1e-6)
+        e, s = rk_component_step(deriv, complex(x0[0], x0[1]), float(x0[2]),
+                                 self.V, 0.05, tol=1e-6)
         want, accepted, rejected = matrix_rk(
-            lambda x, v: np.array(m.derivatives(x, v)), x0, self.V, 0.05,
-            1e-6)
+            as_list(m.derivatives), x0, self.V, 0.05, 1e-6)
         assert accepted > 1 and rejected > 0
-        assert np.max(np.abs(np.array(x) - want)) <= 1e-12
+        assert np.max(np.abs(flat(e, s) - want)) <= 1e-12
         # one derivative to start, then six per step, accepted or not
         assert len(calls) == 1 + 6 * (accepted + rejected)
+
+
+# The list-form integrator the pair form replaced, kept as a bitwise
+# oracle: the pair form must take every step, stage and step size it took
+# and end on the same bytes.  Complex-by-float products and complex sums
+# do, per component, the float operations of the list form.
+def list_dp_step(deriv, x, u, dt, k1):
+    k2 = deriv([xj + dt * (A21 * a) for xj, a in zip(x, k1)], u)
+    k3 = deriv([xj + dt * (A31 * a + A32 * b)
+                for xj, a, b in zip(x, k1, k2)], u)
+    k4 = deriv([xj + dt * (A41 * a + A42 * b + A43 * c)
+                for xj, a, b, c in zip(x, k1, k2, k3)], u)
+    k5 = deriv([xj + dt * (A51 * a + A52 * b + A53 * c + A54 * d)
+                for xj, a, b, c, d in zip(x, k1, k2, k3, k4)], u)
+    k6 = deriv([xj + dt * (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
+                for xj, a, b, c, d, e in zip(x, k1, k2, k3, k4, k5)], u)
+    x5 = [xj + dt * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * f)
+          for xj, a, c, d, e, f in zip(x, k1, k3, k4, k5, k6)]
+    k7 = deriv(x5, u)
+    err = [dt * (E1 * a + E3 * c + E4 * d + E5 * e + E6 * f + E7 * g)
+           for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)]
+    return x5, err, k7
+
+
+def list_rk_component_step(deriv, x, u, h, tol=1e-6):
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    x = [float(xj) for xj in x]
+    k1 = deriv(x, u)
+    n = len(x)
+    t = 0.0
+    dt = h
+    while t < h - 1e-15 * h:
+        dt = min(dt, h - t)
+        x_new, err, k7 = list_dp_step(deriv, x, u, dt, k1)
+        q = [e / (tol * max(1.0, abs(xj))) for e, xj in zip(err, x)]
+        enorm = math.sqrt(sum(qj * qj for qj in q) / n) if n else 0.0
+        if enorm <= 1.0 or dt <= h * 1e-12:
+            if dt <= h * 1e-12 and enorm > 1.0:
+                raise StiffnessError("step size underflow in RK integrator")
+            t += dt
+            x, k1 = x_new, k7
+            dt *= min(5.0, max(0.2, 0.9 * (1.0 / max(enorm, 1e-10)) ** 0.2))
+        else:
+            dt *= max(0.2, 0.9 * (1.0 / enorm) ** 0.2)
+            if dt < h * 1e-12:
+                raise StiffnessError("step size underflow in RK integrator")
+    return x
+
+
+@pytest.fixture(scope="module")
+def testcase1_motor():
+    """testcase1's first motor and its terminal voltage, initialised."""
+    subsystems, dsubs, buses = build_subsystems(load_scenario(fixture_path(
+        "testcase1")))
+    iterative_td_powerflow_init(subsystems["T"], dsubs, buses)
+    fd = dsubs["D5"].feeders[0]
+    mu = fd.motors[0]
+    return mu.motor, mu.state.copy(), complex(fd.v[mu.node])
+
+
+class TestListFormOracle:
+    """The pair form against the list form, byte for byte, on testcase1's
+    first motor: every stage's input, every step and its size, and the
+    result."""
+
+    @staticmethod
+    def traced(monkeypatch, module, name, start, result):
+        """Record the bytes of every step's start, its size and the bytes
+        of its 5th order result."""
+        steps = []
+        step = getattr(module, name)
+
+        def recorded(*args):
+            out = step(*args)
+            x, dt = start(*args)
+            steps.append((np.array(x).tobytes(), dt,
+                          np.array(result(out)).tobytes()))
+            return out
+
+        monkeypatch.setattr(module, name, recorded)
+        return steps
+
+    @staticmethod
+    def start(motor, x_eq, how):
+        if how == "standstill":
+            return motor.standstill_state()
+        # off equilibrium: the flux 10% low and 90 degrees of it turned,
+        # and the rotor slower by 0.05
+        e = complex(x_eq[0], x_eq[1]) * 0.9j
+        return np.array([e.real, e.imag, x_eq[2] + 0.05])
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("h", [0.006, 0.037, 0.1, 0.5])
+    @pytest.mark.parametrize("how", ["standstill", "off_equilibrium"])
+    def test_bitwise(self, testcase1_motor, monkeypatch, how, h, tol):
+        motor, x_eq, v = testcase1_motor
+        x0 = self.start(motor, x_eq, how)
+        pair_calls, list_calls = [], []
+
+        def pair_deriv(e, s, u):
+            pair_calls.append(flat(e, s).tobytes())
+            return motor.derivatives(e, s, u)
+
+        def list_deriv(x, u):
+            list_calls.append(np.array(x).tobytes())
+            return as_list(motor.derivatives)(x, u)
+
+        pair_steps = self.traced(
+            monkeypatch, integrators, "_dp_step",
+            lambda deriv, e, s, u, dt, ke, ks: (flat(e, s), dt),
+            lambda out: flat(out[0], out[1]))
+        list_steps = self.traced(
+            monkeypatch, sys.modules[__name__], "list_dp_step",
+            lambda deriv, x, u, dt, k1: (x, dt), lambda out: out[0])
+        e, s = rk_component_step(pair_deriv, complex(x0[0], x0[1]),
+                                 float(x0[2]), v, h, tol)
+        want = list_rk_component_step(list_deriv, x0, v, h, tol)
+        assert flat(e, s).tobytes() == np.array(want).tobytes()
+        assert pair_calls == list_calls
+        assert len(pair_calls) == 1 + 6 * len(pair_steps)
+        assert pair_steps == list_steps
+        # a step is rejected when the next one starts where it did; the
+        # first step, all of h, is too long in every case here
+        rejected = sum(a[0] == b[0] for a, b in zip(pair_steps,
+                                                    pair_steps[1:]))
+        assert rejected > 0
+
+    @pytest.mark.parametrize("x0, failure", [
+        # a slip past the float range: the load torque's ** overflows
+        ([0.9, -0.05, 1e200], OverflowError),
+        # a flux past it: inf and nan in every error, rejected until the
+        # step size underflows
+        ([1e308, 1e308, 0.03], StiffnessError),
+        ([0.9, -0.05, math.nan], StiffnessError),
+    ])
+    def test_non_finite_state_fails_as_before(self, testcase1_motor, x0,
+                                              failure):
+        motor, _, v = testcase1_motor
+        with pytest.raises(failure):
+            list_rk_component_step(as_list(motor.derivatives), x0, v, 0.006)
+        with pytest.raises(failure):
+            rk_component_step(motor.derivatives, complex(x0[0], x0[1]),
+                              x0[2], v, 0.006)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -134,3 +135,21 @@ class TestCsv:
         write_csv(p, log, ["a"])
         with open(p) as fh:
             assert fh.readline().strip() == "t,a"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("h_macro", 0.0), ("h_macro", -0.006), ("h_macro", math.inf),
+    ("h_macro", math.nan), ("t_end", -1.0), ("t_end", math.inf),
+    ("t_end", math.nan), ("rk_tol", 0.0), ("rk_tol", -1e-6),
+    ("rk_tol", math.inf), ("rk_tol", math.nan)])
+def test_run_parameter_must_be_finite(field, value):
+    doc = fixture_doc()
+    doc["run"][field] = value
+    with pytest.raises(SchemaError, match=rf"^run\.{field}: must be finite"):
+        parse_scenario(doc)
+
+
+def test_zero_t_end_parses():
+    doc = fixture_doc()
+    doc["run"]["t_end"], doc["events"] = 0.0, []
+    assert parse_scenario(doc).t_end == 0.0
