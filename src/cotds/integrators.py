@@ -379,8 +379,8 @@ def rk_component_step(deriv: Callable, e: complex, s: float, u, h: float,
     classifies as divergence, and a step whose error is not finite is
     rejected until the step size underflows (``StiffnessError``).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     ke, ks = deriv(e, s, u)
     t = 0.0
     dt = h

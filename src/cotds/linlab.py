@@ -12,6 +12,14 @@ sub-systems use the other's start-of-step output) and series (B uses the
 freshly computed A value).  Each scheme is a linear one-step map, so its
 stability is governed by the spectral radius of the exact 2x2 step matrix.
 
+Each step matrix is written once, in closed form on Python floats
+(``_step_entries``): Cramer's rule for the total trapezoidal scheme, a
+diagonal (parallel) or lower-triangular (series) left-hand side for the
+co-simulation schemes.  ``build_step_matrix`` and ``build_M_*`` wrap
+the entries as an array; the threshold scan and ``stability_sweep``
+take the closed-form radius of the entries directly, with no array and
+no linear solve.
+
 The two halves are ``cosim`` sub-systems (``make_linear_pair``, A the
 hub and B its one spoke), and ``simulate_linear`` marches them: the
 co-simulation schemes through ``cosim.run_cosimulation``, the total
@@ -149,31 +157,65 @@ def analytic_solution(p: LinearCoupledParams, x0: StateVec2, t: float) -> StateV
     return StateVec2.from_array(e @ x0.as_array())
 
 
-def _euler_growth(p: LinearCoupledParams, cfg: StepConfig) -> float:
-    """(1 + h*lambda_b)^n, the B sub-system micro-integration growth factor."""
-    return (1.0 + cfg.h_micro * p.lambda_b) ** cfg.n_micro
+def _euler_map(p: LinearCoupledParams, cfg: StepConfig) -> tuple[float, float]:
+    """(g, w): the B half's n Euler micro steps under a frozen x_a,
+    x_b(t + H) = g*x_b(t) + w*x_a.
 
-
-def _coupling_weight(p: LinearCoupledParams, cfg: StepConfig) -> float:
-    """(k_b/lambda_b) * ((1 + h*lambda_b)^n - 1).
-
-    Exact accumulated weight of the (constant) A-side input over n Euler
-    micro steps of the B sub-system.
+    g = (1 + h*lambda_b)^n is the growth factor and
+    w = (k_b/lambda_b)*(g - 1) the exact accumulated weight of the
+    constant A-side input.
     """
-    return (p.k_b / p.lambda_b) * (_euler_growth(p, cfg) - 1.0)
+    try:
+        g = (1.0 + cfg.h_micro * p.lambda_b) ** cfg.n_micro
+    except OverflowError:
+        raise OverflowError("the B half's Euler growth factor overflows at "
+                            f"H={cfg.h_macro}") from None
+    return g, (p.k_b / p.lambda_b) * (g - 1.0)
+
+
+def _step_entries(p: LinearCoupledParams, cfg: StepConfig,
+                  scheme: SchemeId) -> tuple[float, float, float, float]:
+    """Entries (m00, m01, m10, m11) of the scheme's one-step matrix M,
+    the solution of lhs @ M = rhs, in closed form.
+
+    Total trapezoidal: lhs = I - H/2*A and rhs = I + H/2*A, solved by
+    Cramer's rule.  Co-simulation: the A row is the trapezoidal half's,
+    whose lhs row is diagonal; the frozen x_b carries -k_a*H.  The B row
+    is the Euler map driven by the start-of-step x_a (parallel, a
+    diagonal lhs) or by the end-of-step x_a (series, a lower-triangular
+    lhs, so the A row is substituted into it).
+    """
+    h = cfg.h_macro
+    if scheme is SchemeId.TOTAL_TRAPEZOIDAL:
+        c = 0.5 * h
+        l00, l01 = 1.0 - c * p.lambda_a, c * p.k_a
+        l10, l11 = -(c * p.k_b), 1.0 - c * p.lambda_b
+        r00, r01 = 1.0 + c * p.lambda_a, -(c * p.k_a)
+        r10, r11 = c * p.k_b, 1.0 + c * p.lambda_b
+        det = l00 * l11 - l01 * l10
+        if det == 0.0:
+            raise ZeroDivisionError("trapezoidal step matrix is singular at this H")
+        return ((l11 * r00 - l01 * r10) / det, (l11 * r01 - l01 * r11) / det,
+                (l00 * r10 - l10 * r00) / det, (l00 * r11 - l10 * r01) / det)
+    d = 1.0 - 0.5 * p.lambda_a * h
+    m00 = (1.0 + 0.5 * p.lambda_a * h) / d
+    m01 = -p.k_a * h / d
+    g, w = _euler_map(p, cfg)
+    if scheme is SchemeId.COSIM_PARALLEL:
+        return m00, m01, w, g
+    return m00, m01, w * m00, g + w * m01
+
+
+def build_step_matrix(p: LinearCoupledParams, cfg: StepConfig,
+                      scheme: SchemeId) -> np.ndarray:
+    """The scheme's one-step matrix M: x(t + H) = M @ x(t)."""
+    m00, m01, m10, m11 = _step_entries(p, cfg, scheme)
+    return np.array([[m00, m01], [m10, m11]])
 
 
 def build_M_total(p: LinearCoupledParams, h_macro: float) -> np.ndarray:
     """One-step matrix of the implicit trapezoidal method on the full system."""
-    if h_macro <= 0:
-        raise ValueError("h_macro must be positive")
-    a = system_matrix(p)
-    lhs = np.eye(2) - 0.5 * h_macro * a
-    rhs = np.eye(2) + 0.5 * h_macro * a
-    det = lhs[0, 0] * lhs[1, 1] - lhs[0, 1] * lhs[1, 0]
-    if det == 0.0:
-        raise ZeroDivisionError("trapezoidal step matrix is singular at this H")
-    return np.linalg.solve(lhs, rhs)
+    return build_step_matrix(p, StepConfig(h_macro), SchemeId.TOTAL_TRAPEZOIDAL)
 
 
 def build_M_cosim_parallel(p: LinearCoupledParams, cfg: StepConfig) -> np.ndarray:
@@ -183,12 +225,7 @@ def build_M_cosim_parallel(p: LinearCoupledParams, cfg: StepConfig) -> np.ndarra
     halves of the trapezoidal update.  The B row is the exact n-step
     Euler map driven by the start-of-step x_a.
     """
-    h = cfg.h_macro
-    g = _euler_growth(p, cfg)
-    w = _coupling_weight(p, cfg)
-    lhs = np.array([[1.0 - 0.5 * p.lambda_a * h, 0.0], [0.0, 1.0]])
-    rhs = np.array([[1.0 + 0.5 * p.lambda_a * h, -p.k_a * h], [w, g]])
-    return np.linalg.solve(lhs, rhs)
+    return build_step_matrix(p, cfg, SchemeId.COSIM_PARALLEL)
 
 
 def build_M_cosim_series(p: LinearCoupledParams, cfg: StepConfig) -> np.ndarray:
@@ -198,21 +235,7 @@ def build_M_cosim_series(p: LinearCoupledParams, cfg: StepConfig) -> np.ndarray:
     is driven by the end-of-step x_a, which moves the coupling weight to
     the left-hand side.
     """
-    h = cfg.h_macro
-    g = _euler_growth(p, cfg)
-    w = _coupling_weight(p, cfg)
-    lhs = np.array([[1.0 - 0.5 * p.lambda_a * h, 0.0], [-w, 1.0]])
-    rhs = np.array([[1.0 + 0.5 * p.lambda_a * h, -p.k_a * h], [0.0, g]])
-    return np.linalg.solve(lhs, rhs)
-
-
-def build_step_matrix(p: LinearCoupledParams, cfg: StepConfig,
-                      scheme: SchemeId) -> np.ndarray:
-    if scheme is SchemeId.TOTAL_TRAPEZOIDAL:
-        return build_M_total(p, cfg.h_macro)
-    if scheme is SchemeId.COSIM_PARALLEL:
-        return build_M_cosim_parallel(p, cfg)
-    return build_M_cosim_series(p, cfg)
+    return build_step_matrix(p, cfg, SchemeId.COSIM_SERIES)
 
 
 def trapezoidal_half_step(lam: float, h: float, x: float, u: float) -> float:
@@ -270,21 +293,29 @@ def make_linear_pair(p: LinearCoupledParams, x0: StateVec2, n_micro: int = 100):
     return {"A": a, "B": b}
 
 
-def spectral_radius(m: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a 2x2 matrix, closed form.
+def _radius_2x2(a: float, b: float, c: float, d: float) -> float:
+    """Largest eigenvalue magnitude of [[a, b], [c, d]], closed form.
 
     For a complex-conjugate pair both magnitudes equal sqrt(det).
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2) or not np.all(np.isfinite(m)):
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+            and math.isfinite(d)):
         raise ValueError("expected a finite 2x2 matrix")
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    tr = a + d
+    det = a * d - b * c
     disc = 0.25 * tr * tr - det
     if disc >= 0:
         q = math.sqrt(disc)
         return max(abs(0.5 * tr + q), abs(0.5 * tr - q))
     return math.sqrt(det)
+
+
+def spectral_radius(m: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of a finite 2x2 matrix."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2):
+        raise ValueError("expected a finite 2x2 matrix")
+    return _radius_2x2(*m.ravel().tolist())
 
 
 def local_truncation_error(p: LinearCoupledParams, x0: StateVec2, h_macro: float,
@@ -304,8 +335,10 @@ def local_truncation_error(p: LinearCoupledParams, x0: StateVec2, h_macro: float
 
 def _radius(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
             h: float) -> float:
-    """Spectral radius of the scheme's step matrix at macro step ``h``."""
-    return spectral_radius(build_step_matrix(p, StepConfig(h, n_micro), scheme))
+    """Spectral radius of the scheme's step matrix at macro step ``h``,
+    from its entries.  ``h`` may come from a numpy grid; as a Python
+    float it keeps the entries Python floats, which are faster."""
+    return _radius_2x2(*_step_entries(p, StepConfig(float(h), n_micro), scheme))
 
 
 def stability_sweep(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,

@@ -8,6 +8,7 @@ downstream tolerance checks are never quantization-limited.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -48,7 +49,13 @@ def _coerce(value, typ, where):
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{where}: expected a number")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf if value > 0 else -math.inf
+        if not math.isfinite(number):
+            raise SchemaError(f"{where}: must be finite, got {number}")
+        return number
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"{where}: expected an integer")
@@ -94,16 +101,18 @@ def _parse_feeder(d, where):
                     dict(static_fraction=float, zip_fractions=list,
                          motors=list))
     zf = comp["zip_fractions"]
-    if len(zf) != 3 or not all(isinstance(z, (int, float)) for z in zf):
+    if len(zf) != 3:
         raise SchemaError(f"{where}.composition.zip_fractions: "
                           "expected three numbers")
+    zf = tuple(_coerce(z, float, f"{where}.composition.zip_fractions[{i}]")
+               for i, z in enumerate(zf))
     motors = tuple(_parse_motor(m, f"{where}.composition.motors[{i}]")
                    for i, m in enumerate(comp["motors"]))
     try:
         return FeederSpec(bus=v["bus"], branches=tuple(branches),
                           loads=tuple(loads),
                           static_fraction=comp["static_fraction"],
-                          zip_fractions=tuple(float(z) for z in zf),
+                          zip_fractions=zf,
                           motors=motors, active=v["active"])
     except ValueError as exc:
         raise SchemaError(f"{where}.composition: {exc}") from None

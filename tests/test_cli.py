@@ -432,6 +432,21 @@ def test_bad_run_parameter_is_schema_error(tmp_path, capsys, field, value,
     assert not os.path.exists(out)
 
 
+def test_non_finite_physical_number_is_schema_error(tmp_path, capsys):
+    # a NaN motor inertia once built, initialised and ended in "step size
+    # underflow in RK integrator" (exit 3)
+    with open(fixture_path("testcase1")) as fh:
+        doc = json.load(fh)
+    doc["feeders"][0]["composition"]["motors"][0]["machine"]["h_m"] = math.nan
+    path = str(tmp_path / "nan_h_m.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "out")
+    assert run_cli("cotds", "run", path, "--out-dir", out) == EXIT_SCHEMA
+    assert "machine.h_m: must be finite, got nan" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--h", "nan"), ("--h", "inf"), ("--h", "0"), ("--h", "-0.01"),
     ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "-1")])

@@ -417,6 +417,13 @@ class TestRkComponentStep:
         with pytest.raises(ValueError):
             rk_component_step(decay(-1.0), 0j, 1.0, None, 1.0, 0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        # a NaN tol would reject every step until StiffnessError, an
+        # infinite one accept any step (s' = -10 s over h = 1 gave 1124)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            rk_component_step(decay(-10.0), 0j, 1.0, None, 1.0, tol)
+
 
 # Dormand & Prince (1980), typed here independently of the module: stage
 # matrix, 5th order weights, embedded 4th order weights

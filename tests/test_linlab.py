@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotds import linlab
 from cotds.linlab import (
     LinearCoupledParams,
     SchemeId,
@@ -262,6 +263,110 @@ class TestStepMatrices:
         assert all(r > 8 for r in ratios)  # O(1/n)
 
 
+def dense_solve_step_matrix(p, cfg, scheme):
+    """(lhs, M): the step matrix by a dense solve of lhs @ M = rhs, the
+    construction the closed form replaced, kept as its oracle."""
+    h = cfg.h_macro
+    if scheme is SchemeId.TOTAL_TRAPEZOIDAL:
+        a = system_matrix(p)
+        lhs = np.eye(2) - 0.5 * h * a
+        rhs = np.eye(2) + 0.5 * h * a
+    else:
+        g = (1.0 + cfg.h_micro * p.lambda_b) ** cfg.n_micro
+        w = (p.k_b / p.lambda_b) * (g - 1.0)
+        a_row = [1.0 + 0.5 * p.lambda_a * h, -p.k_a * h]
+        lhs = np.array([[1.0 - 0.5 * p.lambda_a * h, 0.0],
+                        [-w if scheme is SchemeId.COSIM_SERIES else 0.0, 1.0]])
+        rhs = np.array([a_row, [0.0, g] if scheme is SchemeId.COSIM_SERIES
+                        else [w, g]])
+    return lhs, np.linalg.solve(lhs, rhs)
+
+
+# Both sides solve lhs @ M = rhs for the same floating-point lhs and rhs
+# (the closed form builds them by the same expressions), so they differ
+# only by their solves' rounding, taken column by column (x, r) with unit
+# roundoff u = 2^-53 and kappa = cond_inf(lhs), to first order:
+# - LU with partial pivoting (LAPACK's dgesv): (lhs + E) x' = r with
+#   |E| <= gamma_k |L'||U'| (Higham, Accuracy and Stability of Numerical
+#   Algorithms, Thm 9.4).  For n = 2, k = 3n = 6, plus 2 for the
+#   reciprocal pivots LAPACK multiplies by, so k = 8; and the pivot row of
+#   |L'||U'| sums to at most ||lhs||, the other row to at most 3 ||lhs||
+#   (|multiplier| <= 1).  So ||x' - x|| <= 8 u * 3 * kappa * ||x||.
+# - Cramer's rule (the trapezoidal scheme): each numerator and det carry
+#   gamma_2 relative to the sum of their terms' magnitudes, the quotient u,
+#   so ||x' - x|| <= (2 + 2 + 1) u * kappa * ||x||.  The triangular
+#   substitution of the co-simulation schemes does no worse.
+SOLVE_BOUND = 8 * 3 + 5
+
+
+def oracle_draws(count, seed=0):
+    """Seeded (p, StepConfig) draws: rates and gains log-uniform over
+    [0.05, 20], H log-uniform over [1e-3, 20], n among 1..1000."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        la, lb, ka, kb = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 4))
+        h = float(np.exp(rng.uniform(np.log(1e-3), np.log(20.0))))
+        n = int(rng.choice([1, 2, 3, 10, 100, 1000]))
+        yield (LinearCoupledParams(-float(la), -float(lb), float(ka),
+                                   float(kb)), StepConfig(h, n))
+
+
+class TestClosedFormStepMatrix:
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_matches_dense_solve(self, scheme):
+        for p, cfg in oracle_draws(400):
+            lhs, ref = dense_solve_step_matrix(p, cfg, scheme)
+            got = build_step_matrix(p, cfg, scheme)
+            kappa = np.linalg.cond(lhs, np.inf)
+            for j in range(2):
+                bound = (SOLVE_BOUND * 2.0 ** -53 * kappa
+                         * np.max(np.abs(ref[:, j])))
+                err = np.max(np.abs(got[:, j] - ref[:, j]))
+                assert err <= bound, (p, cfg, j, err, bound)
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_radius_of_entries_is_radius_of_matrix(self, scheme):
+        for p, cfg in oracle_draws(400, seed=2):
+            assert linlab._radius(p, scheme, cfg.n_micro, cfg.h_macro) == \
+                spectral_radius(build_step_matrix(p, cfg, scheme))
+
+    def test_total_rejects_non_positive_h(self):
+        for h in (0.0, -0.5):
+            with pytest.raises(ValueError, match="h_macro must be positive"):
+                build_M_total(P1, h)
+
+    def test_overflowing_growth_factor_is_numeric(self):
+        # (1 + h*lambda_b)^n overflows the same way on a numpy grid and a
+        # list of Python floats
+        for grid in (np.array([1e6]), [1e6]):
+            with pytest.raises(OverflowError, match="growth factor"):
+                stability_sweep(P2, SchemeId.COSIM_PARALLEL, 100, grid)
+
+    def test_threshold_and_sweep_call_no_linalg(self, monkeypatch):
+        # every numpy.linalg function counted, as the kept Newton's test
+        # counts its solves; the total scheme's simulation shows the
+        # counters see linlab's calls
+        calls = []
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, counting(fn))
+        for scheme in SchemeId:
+            find_stability_threshold(P2, scheme, h_max=20.0)
+            stability_sweep(P2, scheme, 100, np.linspace(0.01, 2.0, 50))
+        assert calls == []
+        simulate_linear(P2, StateVec2(1, 1), 0.1, 100, 0.3,
+                        SchemeId.TOTAL_TRAPEZOIDAL)
+        assert calls == ["solve"] * 3
+
+
 class TestSpectralRadius:
     def test_identity(self):
         assert spectral_radius(np.eye(2)) == 1.0
@@ -279,6 +384,17 @@ class TestSpectralRadius:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             spectral_radius(np.array([[np.inf, 0], [0, 1.0]]))
+        for bad in (math.nan, -math.inf):
+            for k in range(4):
+                m = np.eye(2)
+                m.flat[k] = bad
+                with pytest.raises(ValueError, match="finite 2x2"):
+                    spectral_radius(m)
+
+    def test_rejects_wrong_shape(self):
+        for m in (np.eye(3), np.ones(4), [[1.0, 0.0]]):
+            with pytest.raises(ValueError, match="finite 2x2"):
+                spectral_radius(m)
 
 
 class TestTruncationError:

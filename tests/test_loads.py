@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cotds.loads import (
@@ -132,7 +132,9 @@ def textbook_motor(p, omega_s, tm0, s0, x, v):
     I = (V - E')/(rs + j x'); dE'/dt = -j s ws E' - (E' - j(x0 - x')I)/T0';
     Te = Re(E' I*), Tm = tm0 ((1 - s)/(1 - s0))^2, ds/dt = (Tm - Te)/2H;
     S = V I* mva_scale.  Each result comes with the size of its largest
-    term, the scale its rounding error is relative to.
+    term, the scale its rounding error is relative to, and last comes
+    the absolute error that gradual underflow can add to any result
+    (see ``UNDERFLOW_OPS``).
     """
     er, ei, s = x
     x_p = p.xs + p.xm * p.xr / (p.xm + p.xr)
@@ -142,7 +144,8 @@ def textbook_motor(p, omega_s, tm0, s0, x, v):
     ar, ai = v.real - er, v.imag - ei
     ir, ii = (ar * p.rs + ai * x_p) / den, (ai * p.rs - ar * x_p) / den
     te = er * ir + ei * ii
-    tm = tm0 * ((1.0 - s) / (1.0 - s0)) ** 2
+    ratio = (1.0 - s) / (1.0 - s0)
+    tm = tm0 * ratio ** 2
     deriv = [s * omega_s * ei - (er + dx * ii) / t0,
              -s * omega_s * er - (ei - dx * ir) / t0,
              (tm - te) / (2.0 * p.h_m)]
@@ -151,7 +154,35 @@ def textbook_motor(p, omega_s, tm0, s0, x, v):
         (abs(tm) + e * i) / (2.0 * p.h_m)]
     power = complex(v.real * ir + v.imag * ii,
                     v.imag * ir - v.real * ii) * p.mva_scale
-    return deriv, deriv_scale, power, abs(v) * i * p.mva_scale
+    gain = (max(1.0, 1.0 / den) * omega_s
+            * max(1.0, e, abs(v), dx, 2.0 * tm0 * max(1.0, abs(ratio)))
+            * max(1.0, 1.0 / t0, 1.0 / (2.0 * p.h_m), p.mva_scale))
+    return (deriv, deriv_scale, power, abs(v) * i * p.mva_scale,
+            UNDERFLOW_OPS * gain * 2.0 ** -1074)
+
+
+# Gradual underflow adds an absolute error to the relative one: a product
+# or quotient whose result is subnormal is off by up to half a subnormal
+# spacing (2^-1075) whatever its size, while a sum or difference keeps
+# a relative error only (a subnormal one is exact).  To first order, an absolute error eta at an
+# intermediate t reaches a result r as |dr/dt| * eta, so both computations
+# together are off by at most (number of state-dependent products and
+# quotients) * max |dr/dt| * 2^-1074, one full spacing per operation so
+# that pow, correct to within one ulp, is covered too.  Counted with each
+# complex product as four real products and a complex quotient by a float
+# as four operations (Python 3.11 turns a float operand into a complex
+# one), constants of the parameters alone (zs's ratio, 1j*dx, 2H) excluded:
+#   model:    I = (V - E')/zs 4; dE' = -j s ws E' - (E' - j dx I)/T0' 20;
+#             Te = Re(E' I*) 4; Tm 3; ds/dt's quotient 1; S = V I* mva 8
+#   textbook: ir, ii 6; Te 2; Tm 3; the three derivatives 4 + 4 + 1; S 8
+UNDERFLOW_OPS = (4 + 20 + 4 + 3 + 1 + 8) + (6 + 2 + 3 + 4 + 4 + 1 + 8)
+# ``gain`` bounds every |dr/dt|.  On its way to a result an error passes
+# at most one factor of each kind: into the stator current, 1/|zs|^2 (the
+# textbook divides by den = |zs|^2, the model's complex quotient by at
+# least |zs|); the rotation speed ws; a state or circuit magnitude, |E'|,
+# |V|, dx, or Tm's tm0 and 2 tm0 (1 - s)/(1 - s0) (its derivative in the
+# ratio); and an output scale, 1/T0', 1/2H or mva_scale.  Factors below
+# one only shrink it, hence the max(1, ...) of each kind.
 
 
 def positive(lo, hi):
@@ -170,15 +201,25 @@ class TestAgainstTextbook:
            x=st.tuples(positive(-1.5, 1.5), positive(-1.5, 1.5),
                        positive(-0.5, 1.5)),
            vmag=positive(0.5, 1.2), vang=positive(-math.pi, math.pi))
+    # E' at V with a subnormal imaginary part: the stator current, the
+    # slip derivative and the power are subnormal and differ from the
+    # textbook by one or two spacings (MP), or by hundreds once the small
+    # impedance of the parameter box's corner amplifies them
+    @example(p=MP, tm0=0.0, s0=0.0, x=(1.0, 2.2250738585e-313, 0.0),
+             vmag=1.0, vang=0.0)
+    @example(p=InductionMotorParams(rs=1e-3, xs=0.01, xm=1.0, rr=5e-3,
+                                    xr=0.01, h_m=0.1, mva_scale=0.01),
+             tm0=0.0, s0=0.0, x=(1.0, 2.2250738585e-313, 0.0), vmag=1.0,
+             vang=0.0)
     def test_derivatives_and_terminal_power(self, p, tm0, s0, x, vmag,
                                             vang):
         m = InductionMotor(p, OMEGA_S)
         m.tm0, m.s0 = tm0, s0
         v = complex(vmag * math.cos(vang), vmag * math.sin(vang))
-        deriv, deriv_scale, power, power_scale = textbook_motor(
+        deriv, deriv_scale, power, power_scale, tiny = textbook_motor(
             p, OMEGA_S, tm0, s0, x, v)
         got = derivs(m, np.array(x), v)
         for g, want, scale in zip(got, deriv, deriv_scale):
-            assert abs(g - want) <= 1e-13 * scale
+            assert abs(g - want) <= 1e-13 * scale + tiny
         s = m.terminal_power(np.array(x), v)
-        assert abs(s - power) <= 1e-13 * power_scale
+        assert abs(s - power) <= 1e-13 * power_scale + tiny

@@ -149,6 +149,35 @@ def test_run_parameter_must_be_finite(field, value):
         parse_scenario(doc)
 
 
+# physical numbers that once parsed as NaN and failed only as numerics:
+# (path into the document, the field's name in the error)
+NON_FINITE_FIELDS = [
+    (("feeders", 0, "composition", "motors", 0, "machine", "h_m"),
+     r"feeders\[0\]\.composition\.motors\[0\]\.machine\.h_m"),
+    (("feeders", 0, "branches", 0, "r"), r"feeders\[0\]\.branches\[0\]\.r"),
+    (("feeders", 0, "loads", 0, "p"), r"feeders\[0\]\.loads\[0\]\.p"),
+    (("feeders", 0, "composition", "zip_fractions", 0),
+     r"feeders\[0\]\.composition\.zip_fractions\[0\]"),
+    (("events", 0, "time"), r"events\[0\]\.time"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   -10 ** 400],
+                         ids=["nan", "inf", "-inf", "-10**400"])
+@pytest.mark.parametrize("path, where", NON_FINITE_FIELDS,
+                         ids=[p[-1] if isinstance(p[-1], str) else p[-2]
+                              for p, _ in NON_FINITE_FIELDS])
+def test_physical_number_must_be_finite(path, where, value):
+    doc = fixture_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(SchemaError, match=rf"^{where}: must be finite, got"):
+        parse_scenario(doc)
+
+
 def test_zero_t_end_parses():
     doc = fixture_doc()
     doc["run"]["t_end"], doc["events"] = 0.0, []
