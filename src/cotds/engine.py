@@ -240,7 +240,15 @@ def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
     """Alternate transmission and feeder power flows to a fixed point.
 
     On return every sub-system's output is consistent with every other's
-    input, and all internal states are at equilibrium.
+    input, and all internal states are at equilibrium.  Each pass solves
+    T's power flow with the feeders' consumed powers as constant-power
+    loads, then every feeder's steady state at its interface voltage;
+    once the powers move by at most ``_TD_INIT_TOL`` one more pass puts
+    every side at the settled powers.  No pass restarts cold: T's power
+    flow starts from its last solution and kept Jacobian, and each feeder
+    from its last node profile.  A motor with no running state at its
+    voltage raises ``FeederError``; a power flow that fails, or powers
+    that do not settle in ``_TD_INIT_PASSES`` passes, ``PowerFlowError``.
     """
     u_t = np.zeros(2 * len(interface_buses))
     for k, bus in enumerate(interface_buses):

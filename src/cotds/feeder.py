@@ -17,6 +17,12 @@ to the RK45 as E' and slip, a Python complex and float, and
 ``motor_derivatives`` unpacks the same pair, so the co-simulation and the
 monolithic reference share the one motor model.
 
+``DistributionFeeder.initialize`` solves a feeder's steady state: it
+alternates the motors' running equilibria at their node voltages with
+one backward/forward pass at those states, from the last node profile
+scaled to the new substation voltage, so the T-D initialisation's later
+passes start next to their fixed point.
+
 The ``DistributionSubSystem`` wraps one or more feeders hanging off a
 single transmission interface bus.  Its macro step is: solve the feeder
 power flow at the new substation voltage, advance every motor with its
@@ -177,27 +183,34 @@ class DistributionFeeder:
                     out[k] = de.real, de.imag, ds
         return out.ravel()
 
+    def _sweep_pass(self, v: list[complex],
+                    v_sub: complex) -> tuple[list[complex], complex]:
+        """One backward/forward pass from the node voltages ``v``: the
+        new node voltages and the substation source current."""
+        acc = self.node_currents(v)
+        edges = self._edges
+        # backward: accumulate branch currents toward the root; a child's
+        # branches come after its own, so acc[c] is final
+        for p, c, _ in reversed(edges):
+            acc[p] += acc[c]
+        # forward: push voltages out from the substation
+        v_new = [v_sub] * self.n_nodes
+        for p, c, z in edges:
+            v_new[c] = v_new[p] - z * acc[c]
+        return v_new, acc[0]
+
     def sweep(self, v_sub: complex, tol: float = 1e-8) -> complex:
         """Backward/forward sweep; returns the substation source current."""
         v_sub = complex(v_sub)
         v = self.v.tolist()
         v[0] = v_sub
-        edges = self._edges
         for _ in range(_SWEEP_ITERS):
-            acc = self.node_currents(v)
-            # backward: accumulate branch currents toward the root; a
-            # child's branches come after its own, so acc[c] is final
-            for p, c, _ in reversed(edges):
-                acc[p] += acc[c]
-            # forward: push voltages out from the substation
-            v_new = [v_sub] * self.n_nodes
-            for p, c, z in edges:
-                v_new[c] = v_new[p] - z * acc[c]
+            v_new, i_src = self._sweep_pass(v, v_sub)
             delta = max(abs(a - b) for a, b in zip(v_new, v))
             v = v_new
             if delta < tol:
                 self.v = np.array(v)
-                return acc[0]
+                return i_src
         self.v = np.array(v)
         raise FeederError("feeder sweep did not converge")
 
@@ -217,16 +230,36 @@ class DistributionFeeder:
                 mu.state = np.array([e.real, e.imag, s])
 
     def initialize(self, v_sub: complex) -> None:
-        """Fixed point of sweep + motor equilibrium at node voltages."""
-        self.v[:] = v_sub
+        """Fixed point of the node voltages and the motor equilibria.
+
+        Each pass puts every active motor at its running equilibrium at
+        its node voltage, then takes one backward/forward pass at those
+        states, until a pass moves no node voltage by 1e-12.  The passes
+        start from the last node profile, scaled by ``v_sub / v[0]``, so
+        after a small change of the substation voltage they start next to
+        the fixed point.  A feeder never solved holds all ones, and one
+        switched off holds its bus voltage, so either starts from the
+        flat profile at ``v_sub``, as does a profile that is not finite
+        or whose ``v[0]`` is zero.
+        """
+        v_sub = complex(v_sub)
+        v0 = complex(self.v[0])
+        if v0 != 0 and np.all(np.isfinite(self.v)):
+            v = (self.v * (v_sub / v0)).tolist()
+            v[0] = v_sub
+        else:
+            v = [v_sub] * self.n_nodes
         for _ in range(_INIT_PASSES):
-            v_old = self.v.copy()
             for mu in self.motors:
                 if mu.active:
-                    mu.state = mu.equilibrium(complex(self.v[mu.node]))
-            self.sweep(v_sub)
-            if np.max(np.abs(self.v - v_old)) < 1e-12:
+                    mu.state = mu.equilibrium(v[mu.node])
+            v_new, _ = self._sweep_pass(v, v_sub)
+            delta = max(abs(a - b) for a, b in zip(v_new, v))
+            v = v_new
+            if delta < 1e-12:
+                self.v = np.array(v)
                 return
+        self.v = np.array(v)
         raise FeederError("feeder initialisation did not converge")
 
 

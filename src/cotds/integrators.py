@@ -24,13 +24,14 @@ is exploited.
 Hairer & Wanner, refreshing its Jacobian where it stands.  While it
 still holds the Jacobian a ``JacobianCache`` kept from an earlier solve,
 it takes undamped updates and keeps each only while the residual norm
-stays finite and falls to at most ``CONTRACTION`` times the previous
-one.  At the first update that does not, or on a singular solve, it
-drops that update and goes on from the last kept iterate with the damped
-Newton: a fresh Jacobian every iteration, the last of which the cache
-keeps.  It goes on the same way when the kept Jacobian's iterations run
-out.  Each phase has ``cfg.max_iterations`` iterations; only the damped
-one raises ``NewtonError``.  A trapezoidal step of another ``h`` drops
+stays finite and either falls to at most ``CONTRACTION`` times the
+previous one or meets ``cfg.residual_tolerance``.  At the first update
+that does not, or on a singular solve, it drops that update and goes on
+from the last kept iterate with the damped Newton: a fresh Jacobian
+every iteration, the last of which the cache keeps.  It goes on the same
+way when the kept Jacobian's iterations run out.  Each phase has
+``cfg.max_iterations`` iterations; only the damped one raises
+``NewtonError``.  A trapezoidal step of another ``h`` drops
 the kept Jacobian.
 
 The kept phase pays for its matrix once: its first update inverts the
@@ -249,8 +250,11 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
             z_new = z + dz
             r_new = counted(z_new)
             rnorm_new = math.sqrt(r_new @ r_new)
+            # an update that already meets the tolerance is kept however
+            # little it contracted
             if not (math.isfinite(rnorm_new)
-                    and rnorm_new <= CONTRACTION * rnorm):
+                    and rnorm_new <= max(CONTRACTION * rnorm,
+                                         cfg.residual_tolerance)):
                 left = 0
                 continue
             cache.inv = _secant_update(cache.inv, dz, r_new - r)

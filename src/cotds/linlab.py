@@ -110,8 +110,9 @@ class StepConfig:
     n_micro: int = 100
 
     def __post_init__(self):
-        if self.h_macro <= 0:
-            raise ValueError("h_macro must be positive")
+        if not 0.0 < self.h_macro < math.inf:
+            raise ValueError(f"h_macro must be positive and finite, got "
+                             f"{self.h_macro!r}")
         if self.n_micro < 1:
             raise ValueError("n_micro must be >= 1")
 

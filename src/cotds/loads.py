@@ -16,14 +16,21 @@ in Python scalars: the stator current is a Python complex, and
 returns their derivatives as a (complex, float) pair, the form
 ``integrators.rk_component_step`` integrates.  The state a motor keeps
 between steps is the array [re E', im E', slip].
+
+``InductionMotor.initialize`` finds the running state in closed form.
+At dE'/dt = 0, E' = a v / (b + j c s) with a = j (x0 - x') / zs,
+b = 1 + a and c = omega_s T0', and the consumed power is |v|^2 N(s) /
+M(s), N and M quadratics in the slip whose coefficients are fixed when
+the motor is built.  Drawing a given power is then one quadratic in the
+slip, and the stable running slip is its smallest positive root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = ["ZipLoadParams", "zip_power",
            "InductionMotorParams", "InductionMotor"]
@@ -94,6 +101,17 @@ class InductionMotor:
         self._zs = complex(params.rs, params.x_p)
         self._dx = params.x_0 - params.x_p
         self._t0 = params.t0_p(omega_s)
+        # the steady state E' = a v / (b + j c s): a = j (x0 - x') / zs,
+        # b = 1 + a, c = omega_s T0'
+        self._a = 1j * self._dx / self._zs
+        self._b = 1.0 + self._a
+        self._c = omega_s * self._t0
+        # its consumed power |v|^2 N(s) / M(s): the coefficients of N and
+        # M in ascending powers of the slip
+        rs, xp, x0, c = params.rs, params.x_p, params.x_0, self._c
+        self._p_num = (rs, c * self._dx, c * c * rs)
+        self._p_den = (rs * rs + x0 * x0, 2.0 * c * rs * self._dx,
+                       c * c * (rs * rs + xp * xp))
 
     # -- electrical interface (machine base internally) -----------------
 
@@ -130,10 +148,8 @@ class InductionMotor:
     # -- initialisation --------------------------------------------------
 
     def _steady_emf(self, slip: float, v: complex) -> complex:
-        t0, zs = self._t0, self._zs
-        num = 1j * self._dx * v / (t0 * zs)
-        den = 1j * slip * self.omega_s + 1.0 / t0 + 1j * self._dx / (t0 * zs)
-        return num / den
+        """E' at dE'/dt = 0: a v / (b + j c s)."""
+        return self._a * v / (self._b + 1j * self._c * slip)
 
     def steady_torque(self, slip: float, v: complex) -> float:
         e_p = self._steady_emf(slip, v)
@@ -143,22 +159,31 @@ class InductionMotor:
     def initialize(self, v: complex, p_target: float) -> np.ndarray:
         """Solve the running equilibrium drawing ``p_target`` (system base).
 
-        Finds the stable (low) slip at which the machine consumes the
-        requested active power at terminal voltage ``v``, then fixes the
-        load torque to balance there.
+        The steady-state power is |v|^2 N(s) / M(s), two quadratics in
+        the slip, so P(s) = p_target is the quadratic A s^2 + B s + C = 0.
+        Its smallest positive root is the stable (low) slip, on the
+        branch below pull-out; the load torque is then fixed to balance
+        there.  Raises ``ValueError`` when no positive root exists: no
+        running state draws ``p_target``, either because it is past the
+        pull-out power or because it is under the no-load stator loss.
         """
         p_mach = p_target / self.p.mva_scale
-
-        def active(slip):
-            e_p = self._steady_emf(slip, v)
-            i = self._stator_current(e_p, v)
-            return (v * i.conjugate()).real - p_mach
-
-        # stable branch lies below the pull-out slip; bracket from zero
-        s_hi = 0.5
-        while active(s_hi) < 0.0 and s_hi > 1e-4:
-            s_hi *= 0.5
-        slip = brentq(active, 1e-9, s_hi, xtol=1e-14)
+        vv = v.real * v.real + v.imag * v.imag
+        (n0, n1, n2), (m0, m1, m2) = self._p_num, self._p_den
+        qa = vv * n2 - p_mach * m2
+        qb = vv * n1 - p_mach * m1
+        qc = vv * n0 - p_mach * m0
+        disc = qb * qb - 4.0 * qa * qc
+        roots = []
+        if disc >= 0.0:
+            # the root pair without cancellation: q / qa and qc / q
+            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+            roots = [r for r in (q / qa if qa else 0.0, qc / q if q else 0.0)
+                     if r > 0.0]
+        if not roots:
+            raise ValueError(f"no running slip draws {p_target!r} at "
+                             f"|V| {abs(v)!r}")
+        slip = min(roots)
 
         self.s0 = slip
         self.tm0 = self.steady_torque(slip, v)

@@ -4,8 +4,9 @@ Networks are balanced positive-sequence equivalents in per unit on the
 system MVA base.  Loads live outside the admittance matrix.  In the power
 flow a load is either constant-power or a ZIP load evaluated at its bus's
 voltage magnitude; the mismatch equations are solved with the
-integrators' damped Newton.  In the dynamic model loads are interface
-inputs or static ZIP loads.
+integrators' Newton, from a flat start or from a given solution, and on
+a Jacobian kept from an earlier solve when the caller hands one over.
+In the dynamic model loads are interface inputs or static ZIP loads.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from importlib import resources
 
 import numpy as np
 
-from .integrators import (NewtonConfig, NewtonError, NumericFailure,
-                          newton_solve)
+from .integrators import (JacobianCache, NewtonConfig, NewtonError,
+                          NumericFailure, newton_solve)
 from .loads import ZipLoadParams, zip_power
 
 __all__ = [
@@ -120,6 +121,8 @@ class PowerFlowResult:
 def newton_power_flow(net: TransmissionNetwork,
                       loads: dict[int, complex] | None = None,
                       zip_loads: dict[int, ZipLoadParams] | None = None,
+                      start: np.ndarray | None = None,
+                      cache: JacobianCache | None = None,
                       ) -> PowerFlowResult:
     """Slack / PV / PQ Newton power flow on the polar mismatch equations.
 
@@ -128,6 +131,14 @@ def newton_power_flow(net: TransmissionNetwork,
     id, evaluated at the bus's voltage magnitude in every iterate.  The
     solver is ``integrators.newton_solve``; its ``NewtonError`` is raised
     as ``PowerFlowError``.
+
+    The solve starts flat, or from the complex bus voltages ``start``:
+    their angles at every bus but the slack and their magnitudes at the
+    PQ buses.  ``cache`` is handed to ``newton_solve``, which starts from
+    the Jacobian it kept from an earlier solve and keeps the last one it
+    builds.  A caller that solves a sequence of nearby power flows passes
+    the last solution and one cache, and each later solve then takes a
+    few kept-Jacobian updates.
     """
     loads = net.loads if loads is None else loads
     zips = [(net.idx(bus), zl) for bus, zl in (zip_loads or {}).items()]
@@ -165,9 +176,12 @@ def newton_power_flow(net: TransmissionNetwork,
         mis = s_calc - s_inj
         return np.concatenate([mis.real[var_theta], mis.imag[pq]])
 
+    if start is not None:
+        theta[var_theta] = np.angle(start[var_theta])
+        vmag[pq] = np.abs(start[pq])
     z = np.concatenate([theta[var_theta], vmag[pq]])
     try:
-        z = newton_solve(mismatch, z, _NEWTON)
+        z = newton_solve(mismatch, z, _NEWTON, cache)
     except NewtonError as exc:
         raise PowerFlowError(f"power flow: {exc}") from exc
 

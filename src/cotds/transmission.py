@@ -90,13 +90,17 @@ class TransmissionSubSystem(SubSystem):
     """Input: consumed [P, Q] per interface bus.  Output: [e, f] per bus.
 
     ``newton_cache`` carries the trapezoidal Jacobian from one macro step
-    to the next, and the step's Newton counters.
+    to the next, and the step's Newton counters.  ``power_flow_cache``
+    carries the power flow's Jacobian, and its counters, from one
+    ``initialize`` to the next.
     """
 
     def __init__(self, name: str, dae: TransmissionDae):
         self.name = name
         self.dae = dae
         self.newton_cache = JacobianCache()
+        self.power_flow_cache = JacobianCache()
+        self._pf_v = None  # the last power-flow solution
         self.current_input = np.zeros(2 * len(dae.interface_buses))
         self.x = np.zeros(dae.n_x)
         self.y = np.zeros(dae.n_y)
@@ -115,13 +119,19 @@ class TransmissionSubSystem(SubSystem):
 
         The static ZIP loads enter the power flow at each iterate's bus
         voltage magnitude, so one solve gives the steady state; it raises
-        ``PowerFlowError`` when it does not converge.
+        ``PowerFlowError`` when it does not converge.  The first solve
+        starts flat; each later one starts from the last solution, with
+        the Jacobian ``power_flow_cache`` kept, so the passes of the T-D
+        initialisation, which move the interface powers a little each
+        time, take a few kept-Jacobian updates apiece.
         """
         self.set_input(inputs)
         dae = self.dae
         s_if = {bus: complex(inputs[2 * k], inputs[2 * k + 1])
                 for k, bus in enumerate(dae.interface_buses)}
-        pf = newton_power_flow(dae.net, s_if, dae.static_loads)
+        pf = newton_power_flow(dae.net, s_if, dae.static_loads,
+                               start=self._pf_v, cache=self.power_flow_cache)
+        self._pf_v = pf.v
         vg = pf.v[dae._gen_idx]
         self.x = dae.bank.initialize(vg, pf.s_gen)
         self.y = dae.pack_voltages(pf.v)

@@ -17,6 +17,7 @@ from cotds import engine
 from cotds.cosim import Event
 from cotds.engine import RunMethod
 from cotds.scenario_io import fixture_path, load_scenario
+from cotds.transmission import TransmissionSubSystem
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -75,3 +76,27 @@ def test_cosim_passes_the_traced_distribution_path():
     assert metrics["feeder.sweep_iters"] > 0
     # a Dormand-Prince step takes seven derivative evaluations
     assert metrics["integrators.rk_derivs_per_call"] >= 7
+
+
+def test_init_layer_records_one_power_flow_per_pass(monkeypatch):
+    # the tracer finds the T-D initialisation and its power flows by
+    # name: engine.iterative_td_powerflow_init, and newton_power_flow
+    # where transmission looks it up
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    passes = []
+    initialize = TransmissionSubSystem.initialize
+
+    def counted(self, inputs):
+        passes.append(1)
+        return initialize(self, inputs)
+
+    monkeypatch.setattr(TransmissionSubSystem, "initialize", counted)
+    s = load_scenario(fixture_path("testcase1"))
+    s.method, s.h_macro, s.t_end = RunMethod.SERIES, 0.01, 0.05
+    s.events = []
+    with tracing.instrumented(tracer):
+        engine.run_scenario(s)
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["engine.init.s"] > 0
+    assert passes and metrics["power_network.power_flow.calls"] == len(passes)

@@ -499,6 +499,47 @@ def test_testcase2_post_event_steps_keep_their_jacobian():
     assert r.newton["T"]["jacobian_builds"] <= 6
 
 
+def test_testcase1_set_up_work(monkeypatch):
+    # The T-D initialisation alternates T's power flow with every feeder's
+    # initialisation, 7 passes here (the last one after the interface
+    # powers settle).  Restarted cold, each pass cost 441 motor
+    # equilibria and 427 power-flow residual evaluations in all.  Warm:
+    # - a feeder pass is one equilibrium per active motor (5 in all) and
+    #   one backward/forward sweep pass.  From the flat start a feeder
+    #   takes 9-11 passes to 1e-12; each later outer pass starts from its
+    #   last profile, and takes fewer, 2 by the last: 208 equilibria, of
+    #   which a 1e-13 change of the start moves a pass or two (5-10);
+    # - the first power flow starts flat and builds a Jacobian every
+    #   iteration (61 evaluations); every later one starts from the last
+    #   solution on that kept Jacobian and builds none (2-5 each), 82
+    #   evaluations in all.
+    # The bounds are half the cold counts.
+    equilibria, passes = [], []
+    equilibrium = feeder.MotorUnit.equilibrium
+    initialize = transmission.TransmissionSubSystem.initialize
+
+    def counted_equilibrium(self, v):
+        equilibria.append(1)
+        return equilibrium(self, v)
+
+    def counted_pass(self, inputs):
+        passes.append(1)
+        return initialize(self, inputs)
+
+    monkeypatch.setattr(feeder.MotorUnit, "equilibrium",
+                        counted_equilibrium)
+    monkeypatch.setattr(transmission.TransmissionSubSystem, "initialize",
+                        counted_pass)
+    subsystems, dsubs, buses = engine.build_subsystems(
+        load_scenario(fixture_path("testcase1")))
+    engine.iterative_td_powerflow_init(subsystems["T"], dsubs, buses)
+    pf = subsystems["T"].power_flow_cache
+    assert len(passes) == 7
+    assert len(equilibria) <= 441 // 2
+    assert pf.residual_evals <= 427 // 2
+    assert pf.fallbacks == 0 and pf.reused_steps == len(passes) - 1
+
+
 class TestLongHorizon:
     """testcase1 at H = 0.6 over 60 s: series stays stable, parallel not.
 

@@ -260,6 +260,51 @@ class TestInitialize:
         assert np.max(np.abs(f.motors[0].state - x0)) < 1e-8
 
 
+class TestWarmStart:
+    """``initialize`` starts from the last profile, scaled to the new
+    substation voltage, and lands where a flat start does."""
+
+    def test_second_initialize_takes_one_pass(self, monkeypatch):
+        # testcase1's feeders at the T-D fixed point: D6 has one of its
+        # two motors switched off
+        dsubs = initialised_testcase1()
+        calls = []
+        equilibrium = MotorUnit.equilibrium
+
+        def counted(self, v):
+            calls.append(self.name)
+            return equilibrium(self, v)
+
+        monkeypatch.setattr(MotorUnit, "equilibrium", counted)
+        for sub in dsubs.values():
+            for fd in sub.feeders:
+                calls.clear()
+                fd.initialize(complex(fd.v[0]))
+                assert calls == [mu.name for mu in fd.motors if mu.active]
+
+    def test_warm_start_reaches_the_flat_start_fixed_point(self):
+        v_sub = 1.02 * np.exp(1j * 0.05)
+        warm = example_feeder()
+        warm.initialize(0.95 * np.exp(-1j * 0.1))
+        warm.initialize(v_sub)
+        flat = example_feeder()
+        flat.initialize(v_sub)
+        assert np.max(np.abs(warm.v - flat.v)) < 1e-11
+        assert np.max(np.abs(warm.motors[0].state
+                             - flat.motors[0].state)) < 1e-11
+
+    @pytest.mark.parametrize("v0", [0.0, np.nan, np.inf])
+    def test_unusable_profile_starts_flat(self, v0):
+        v_sub = 1.01 + 0.0j
+        f = example_feeder()
+        f.v[0] = v0
+        f.initialize(v_sub)
+        flat = example_feeder()
+        flat.initialize(v_sub)
+        assert np.array_equal(f.v, flat.v)
+        assert np.array_equal(f.motors[0].state, flat.motors[0].state)
+
+
 class TestSubSystem:
     def make_sub(self):
         sub = DistributionSubSystem("D", [example_feeder()])

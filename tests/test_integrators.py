@@ -340,6 +340,19 @@ class TestJacobianReuse:
                                  NewtonConfig(max_iterations=8), cache)
         assert cache.fallbacks == 1
 
+    def test_kept_update_meeting_tolerance_is_kept(self):
+        # r(z) = z with the kept slope 2.5: the update scales z by 0.6,
+        # more than CONTRACTION, but takes |r| from 1.5e-8 to 9e-9, under
+        # the tolerance 1e-8, so the solve ends on the kept iterate
+        cache = JacobianCache()
+        cache.jac = np.array([[2.5]])
+        cfg = NewtonConfig(residual_tolerance=1e-8)
+        z = integrators.newton_solve(lambda z: z, np.array([1.5e-8]), cfg,
+                                     cache)
+        assert z[0] == pytest.approx(9e-9, rel=1e-15)
+        assert cache.fallbacks == 0 and cache.jacobian_builds == 0
+        assert cache.reused_steps == 1 and cache.residual_evals == 2
+
     def test_dropped_reuse_goes_on_from_last_kept_iterate(self, monkeypatch):
         # with the kept slope 3 the first update contracts (z -2 -> -2/3,
         # |r| 4 -> 20/27) and the second does not (|r| -> 0.44)

@@ -80,6 +80,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             StateVec2(float("nan"), 0.0)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_non_finite_macro_step_rejected(self, h):
+        # a non-finite H would give an all-nan step matrix
+        with pytest.raises(ValueError, match="h_macro"):
+            StepConfig(h, 10)
+
     def test_micro_step(self):
         assert StepConfig(0.5, 100).h_micro == pytest.approx(0.005)
 

@@ -1,10 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from cotds.feeder import FeederError, MotorUnit
 from cotds.loads import (
     InductionMotor,
     InductionMotorParams,
@@ -123,6 +126,143 @@ class TestInductionMotor:
         x2 = m2.initialize(self.V, p_target=0.40)
         # same machine loading per unit of rating -> identical internal state
         assert x1 == pytest.approx(x2, rel=1e-10)
+
+
+def bracketed_steady_state(p, omega_s, v, slip):
+    """The running state at ``slip``, in the form the motor solved it in
+    before its closed form: E' = (j dx v / (T0' zs)) / (j s ws + 1/T0' +
+    j dx / (T0' zs)) with zs = rs + j x' and dx = x0 - x'.  Returns the
+    consumed active power (system base), E', the stator current and the
+    electrical torque (machine base)."""
+    zs = complex(p.rs, p.x_p)
+    t0 = p.t0_p(omega_s)
+    dx = p.x_0 - p.x_p
+    e = (1j * dx * v / (t0 * zs)) / (1j * slip * omega_s + 1.0 / t0
+                                       + 1j * dx / (t0 * zs))
+    i = (v - e) / zs
+    power = (v * i.conjugate()).real * p.mva_scale
+    return power, e, i, (e * i.conjugate()).real
+
+
+def scanned_pull_out(p, omega_s):
+    """The slip of largest consumed power and that power, at |V| = 1, by a
+    scan of (0, 1] in steps of 1e-5.  P(s) = |V|^2 N(s) / M(s) with N and
+    M independent of V, so the slip holds at any voltage and the power
+    scales with |V|^2."""
+    grid = np.arange(1, 100_001) * 1e-5
+    power = [bracketed_steady_state(p, omega_s, 1.0 + 0j, s)[0] for s in grid]
+    k = int(np.argmax(power))
+    return float(grid[k]), power[k]
+
+
+def brentq_slip(p, omega_s, v, p_target, s_pull_out):
+    """The reference running slip: ``brentq`` on (0, pull-out slip), where
+    consumed power rises through ``p_target``."""
+    return brentq(lambda s: bracketed_steady_state(p, omega_s, v, s)[0]
+                  - p_target, 0.0, s_pull_out, xtol=BRENTQ_XTOL)
+
+
+BRENTQ_XTOL = 1e-15
+EPS = np.finfo(float).eps
+
+
+@pytest.fixture(scope="module")
+def pull_out():
+    """``MP``'s pull-out slip and power at |V| = 1."""
+    return scanned_pull_out(MP, OMEGA_S)
+
+
+class TestClosedFormEquilibrium:
+    """The quadratic's slip against a bracketed root of the steady-state
+    power, on testcase1's motor bus5_im1 (whose machine is ``MP``)."""
+
+    @staticmethod
+    def slip_bound(m, v, p_target, slip, e, i):
+        """How far the two slips may differ by rounding alone.
+
+        Consumed power is |v|^2 N(s) / M(s), so P(s) = p is Q(s) = |v|^2
+        N(s) - p M(s) = 0 with Q' = P' M at the root.  The closed form
+        is the exact root of Q with each coefficient's terms rounded a few
+        times: with |Q|(s) the sum of the terms' magnitudes, it lands
+        within 16 eps |Q|(s) / |Q'(s)| of the root.  The reference stops
+        within xtol + 4 eps s of where its power crosses p_target, and
+        that power is off by a few roundings of |v| |i|, so it lands
+        within 16 eps |v| |i| M(s) / |Q'(s)| more.
+        """
+        p = m.p
+        c = OMEGA_S * p.t0_p(OMEGA_S)
+        dx = p.x_0 - p.x_p
+        n0, n1, n2 = p.rs, c * dx, c * c * p.rs
+        m0, m1, m2 = (p.rs ** 2 + p.x_0 ** 2, 2 * c * p.rs * dx,
+                      c * c * (p.rs ** 2 + p.x_p ** 2))
+        vv = abs(v) ** 2
+        p_mach = p_target / p.mva_scale
+        q_mag = ((vv * n2 + p_mach * m2) * slip * slip
+                 + (vv * n1 + p_mach * m1) * slip + vv * n0 + p_mach * m0)
+        dq = abs(2.0 * (vv * n2 - p_mach * m2) * slip
+                 + vv * n1 - p_mach * m1)
+        m_s = m0 + m1 * slip + m2 * slip * slip
+        return (BRENTQ_XTOL + 4 * EPS * slip
+                + 16 * EPS * (q_mag + abs(v) * abs(i) * m_s) / dq)
+
+    def check(self, m, v, p_target, s_po):
+        x = m.initialize(v, p_target)
+        s_ref = brentq_slip(MP, OMEGA_S, v, p_target, s_po)
+        _, e, i, torque = bracketed_steady_state(MP, OMEGA_S, v, s_ref)
+        tol_s = self.slip_bound(m, v, p_target, s_ref, e, i)
+        assert abs(x[2] - s_ref) <= tol_s
+        assert m.s0 == x[2]
+        # E' = a v / (b + j c s) with a = j dx / zs, b = 1 + a and c = ws
+        # T0', so |dE'/ds| = c |E'| / |b + j c s|; the torque Re(E' i*)
+        # with i = (v - E') / zs moves by at most |dE'/ds| (|i| + |E'| /
+        # |zs|) per unit slip
+        zs = complex(MP.rs, MP.x_p)
+        c = OMEGA_S * MP.t0_p(OMEGA_S)
+        b = 1.0 + 1j * (MP.x_0 - MP.x_p) / zs
+        de_ds = c * abs(e) / abs(b + 1j * c * s_ref)
+        tol_e = de_ds * tol_s + 8 * EPS * abs(e)
+        assert abs(complex(x[0], x[1]) - e) <= tol_e
+        tol_t = (de_ds * (abs(i) + abs(e) / abs(zs)) * tol_s
+                 + 8 * EPS * abs(e) * abs(i))
+        assert abs(m.tm0 - torque) <= tol_t
+
+    def test_matches_bracketed_root(self, pull_out):
+        s_po, p_max = pull_out
+        m = InductionMotor(MP, OMEGA_S)
+        # p_target from 0.01 P_max up: the no-load loss, 1.3e-4 P_max, has
+        # no running slip (see below)
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            v = cmath.rect(rng.uniform(0.85, 1.1), rng.uniform(-np.pi, np.pi))
+            self.check(m, v, rng.uniform(0.01, 0.95) * abs(v) ** 2 * p_max,
+                       s_po)
+
+    def test_finds_running_state_near_pull_out(self, pull_out):
+        # the machine draws more than p_target only for s in (0.1649,
+        # 0.2244); the halving bracket's points 0.5, 0.25, 0.125, ... all
+        # draw less, so it stepped over that interval and raised
+        s_po, p_max = pull_out
+        assert s_po == pytest.approx(0.192, abs=5e-4)
+        assert p_max == pytest.approx(0.728, abs=5e-4)
+        m = InductionMotor(MP, OMEGA_S)
+        p_target = 0.99 * p_max
+        x = m.initialize(1.0 + 0j, p_target)
+        assert x[2] == pytest.approx(0.1649, abs=5e-5)
+        self.check(m, 1.0 + 0j, p_target, s_po)
+
+    def test_past_pull_out_is_feeder_error(self, pull_out):
+        mu = MotorUnit("bus5_im1", 1, InductionMotor(MP, OMEGA_S),
+                       p_target=1.001 * pull_out[1])
+        with pytest.raises(FeederError, match="motor bus5_im1"):
+            mu.equilibrium(1.0 + 0j)
+
+    def test_under_no_load_loss_raises(self):
+        # at s = 0 the machine still draws its stator loss |v|^2 rs / |rs
+        # + j x0|^2; no running slip draws less
+        m = InductionMotor(MP, OMEGA_S)
+        p0 = bracketed_steady_state(MP, OMEGA_S, 1.0 + 0j, 0.0)[0]
+        with pytest.raises(ValueError):
+            m.initialize(1.0 + 0j, 0.5 * p0)
 
 
 def textbook_motor(p, omega_s, tm0, s0, x, v):

@@ -59,9 +59,9 @@ class TestInitialize:
         # interface power as a constant-power load: one solve
         calls = []
 
-        def counted(net, loads, zip_loads):
+        def counted(net, loads, zip_loads, **warm):
             calls.append((dict(loads), dict(zip_loads)))
-            return newton_power_flow(net, loads, zip_loads)
+            return newton_power_flow(net, loads, zip_loads, **warm)
 
         monkeypatch.setattr(transmission, "newton_power_flow", counted)
         net, dae, _ = make_sub()
