@@ -62,7 +62,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 __all__ = [
     "DaeSystem",
@@ -152,17 +151,17 @@ def _secant_update(inv: np.ndarray, s: np.ndarray,
 
     The Sherman-Morrison form of the rank-one secant update (Broyden,
     1965; Kelley, *Solving Nonlinear Equations with Newton's Method*,
-    2003, ch. 7), inv + outer(s - inv @ yv, s @ inv) / (s @ inv @ yv):
-    afterwards ``inv @ yv == s`` to rounding.  A zero or non-finite
-    denominator, overflow included, leaves ``inv`` as it is.
+    2003, ch. 7), inv + outer(s - inv @ yv, s @ inv) / (s @ inv @ yv),
+    added to ``inv`` in place as numpy's outer product: afterwards
+    ``inv @ yv == s`` to rounding.  A zero or non-finite denominator,
+    overflow included, leaves ``inv`` as it is.
     """
     hy = inv @ yv
     sh = s @ inv
     den = sh @ yv
     if den != 0.0 and math.isfinite(den):
-        # BLAS ger on the transpose: the rank-one update in place, where
-        # it is a third of the cost of numpy's outer product and sum
-        inv = dger(1.0 / den, sh, s - hy, a=inv.T, overwrite_a=True).T
+        # numpy's outer product added in place: no second n x n array
+        inv += np.multiply.outer((1.0 / den) * (s - hy), sh)
     return inv
 
 

@@ -115,7 +115,6 @@ def load_network(name_or_path: str) -> TransmissionNetwork:
 class PowerFlowResult:
     v: np.ndarray  # complex bus voltages
     s_gen: np.ndarray  # complex generated power per generator
-    mismatch: float
 
 
 def newton_power_flow(net: TransmissionNetwork,
@@ -193,5 +192,4 @@ def newton_power_flow(net: TransmissionNetwork,
     s_calc = v * np.conj(net.ybus @ v)
     s_gen = np.array([s_calc[net.idx(b)] + s_load[net.idx(b)]
                       for b in net.gen_buses])
-    return PowerFlowResult(v=v, s_gen=s_gen,
-                           mismatch=float(np.max(np.abs(mismatch(z)))))
+    return PowerFlowResult(v=v, s_gen=s_gen)
