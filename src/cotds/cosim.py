@@ -65,6 +65,13 @@ class SubSystem:
     ``advance`` must be deterministic given prior state and input, and
     ``output()`` right after ``initialize`` must be the steady-state output
     consistent with the initial input.
+
+    ``state()`` is everything ``advance`` and ``output()`` read that a
+    step may change, as one flat float array, read without solving
+    anything; ``set_state(z)`` puts such an array back, so that after
+    ``set_state(state())`` the next ``advance`` and ``output()`` are
+    bit-identical.  Topology (what ``switch`` changes) and solver caches
+    that only start an iteration are not state.
     """
 
     current_input: np.ndarray
@@ -83,6 +90,22 @@ class SubSystem:
 
     def snapshot(self) -> Mapping[str, float]:
         return {}
+
+    def state(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def set_state(self, z: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _state_vector(self, z) -> np.ndarray:
+        """A float copy of ``z``, which must be as long as ``state()``;
+        ``ValueError`` otherwise."""
+        z = np.array(z, dtype=float)
+        n = self.state().size
+        if z.shape != (n,):
+            raise ValueError(f"{type(self).__name__}: a state has {n} "
+                             f"components, got shape {z.shape}")
+        return z
 
     def switch(self, action: str, params: Mapping) -> None:
         raise CosimError(f"{type(self).__name__} does not handle event {action!r}")

@@ -72,6 +72,14 @@ class MotorSpec:
 
 @dataclass(frozen=True)
 class FeederSpec:
+    """One radial feeder on transmission bus ``bus``.
+
+    The branches grow a tree from the substation, node 0, each listed
+    after its parent's own branch, and number its nodes 0..N.  Every load
+    and motor sits on one of those nodes.  A ``ValueError`` starts with
+    the offending field's path (``loads[1].node: ...``).
+    """
+
     bus: int
     branches: tuple[FeederBranch, ...]
     loads: tuple[tuple[int, float, float], ...]  # (node, p, q)
@@ -81,14 +89,32 @@ class FeederSpec:
     active: bool = True
 
     def __post_init__(self):
+        nodes = {0}
+        for i, br in enumerate(self.branches):
+            if br.parent not in nodes or br.child in nodes:
+                raise ValueError(
+                    f"branches[{i}]: {br.parent} -> {br.child} does not grow "
+                    "the tree from node 0, each branch after its parent's")
+            nodes.add(br.child)
+        if nodes != set(range(len(nodes))):
+            raise ValueError(f"branches: nodes {sorted(nodes)} are not "
+                             f"numbered 0..{len(nodes) - 1}")
+        placed = [(f"loads[{i}]", node) for i, (node, _, _)
+                  in enumerate(self.loads)]
+        placed += [(f"composition.motors[{i}]", m.node)
+                   for i, m in enumerate(self.motors)]
+        for where, node in placed:
+            if node not in nodes:
+                raise ValueError(f"{where}.node: {node} is not a node of the "
+                                 f"feeder, 0..{len(nodes) - 1}")
         if not (0.0 <= self.static_fraction <= 1.0):
-            raise ValueError("static_fraction must be in [0, 1]")
+            raise ValueError("composition: static_fraction must be in [0, 1]")
         if abs(sum(self.zip_fractions) - 1.0) > 1e-9:
-            raise ValueError("zip fractions must sum to 1")
+            raise ValueError("composition: zip fractions must sum to 1")
         if self.motors:
             total = sum(m.share for m in self.motors)
             if abs(total - 1.0) > 1e-9:
-                raise ValueError("motor shares must sum to 1")
+                raise ValueError("composition: motor shares must sum to 1")
 
     @property
     def p_total(self) -> float:
@@ -114,9 +140,16 @@ class Scenario:
         except OSError as exc:
             raise ValueError(f"transmission {self.transmission!r}: "
                              f"{exc.strerror or exc}") from None
-        for fs in self.feeders:
+        names = set()
+        for k, fs in enumerate(self.feeders):
             if fs.bus not in net.bus_ids:
                 raise ValueError(f"feeder bound to unknown bus {fs.bus}")
+            for i, m in enumerate(fs.motors):
+                if (fs.bus, m.name) in names:
+                    raise ValueError(
+                        f"feeders[{k}].composition.motors[{i}].name: "
+                        f"{m.name!r} is already a motor on bus {fs.bus}")
+                names.add((fs.bus, m.name))
 
 
 @dataclass
@@ -187,12 +220,18 @@ def check_event(feeders: list[FeederSpec], ev: Event) -> None:
 
 def _build_feeder(fs: FeederSpec, omega_s: float) -> DistributionFeeder:
     motor_budget = (1.0 - fs.static_fraction) * fs.p_total
-    zips = {}
+    # the loads listed at one node draw together, as one load
+    at_node = {}
     for node, p, q in fs.loads:
-        zp, zi, zc = fs.zip_fractions
-        zips[node] = ZipLoadParams(p0=fs.static_fraction * p,
-                                   q0=fs.static_fraction * q,
-                                   z_frac=zp, i_frac=zi, p_frac=zc)
+        if node in at_node:
+            p0, q0 = at_node[node]
+            p, q = p0 + p, q0 + q
+        at_node[node] = p, q
+    zp, zi, zc = fs.zip_fractions
+    zips = {node: ZipLoadParams(p0=fs.static_fraction * p,
+                                q0=fs.static_fraction * q,
+                                z_frac=zp, i_frac=zi, p_frac=zc)
+            for node, (p, q) in at_node.items()}
     motors = []
     for ms in fs.motors:
         motor = InductionMotor(ms.machine, omega_s)

@@ -29,7 +29,8 @@ power flow at the new substation voltage, advance every motor with its
 terminal voltage frozen, then solve the power flow again so the reported
 source power is consistent with the post-step states.  The nodes of a
 feeder switched off float at the substation voltage: the sub-system pins
-them to its input in ``set_input`` and when it switches the feeder off.
+them to its input in ``set_input``, ``set_state`` and when it switches
+the feeder off.
 """
 
 from __future__ import annotations
@@ -264,7 +265,14 @@ class DistributionFeeder:
 
 
 class DistributionSubSystem(SubSystem):
-    """Feeders at one interface bus.  Input [e, f]; output consumed [P, Q]."""
+    """Feeders at one interface bus.  Input [e, f]; output consumed [P, Q].
+
+    ``state()`` is the input, the output, every feeder's node voltages as
+    [re, im] per node, then every motor's state, active or not, feeder by
+    feeder.  An output left to be re-solved after a ``switch`` reads as
+    nan in its two slots, and ``set_state`` leaves it to be re-solved
+    again.  The ``active`` flags are topology, not state.
+    """
 
     def __init__(self, name: str, feeders: list[DistributionFeeder],
                  rk_tol: float = 1e-6):
@@ -325,6 +333,41 @@ class DistributionSubSystem(SubSystem):
         if self._output is None:  # re-solve after a switch
             self.set_output(self._total_power())
         return self._output.copy()
+
+    def state(self) -> np.ndarray:
+        out = (np.full(2, np.nan) if self._output is None
+               else self._output)
+        return np.concatenate(
+            [self.current_input, out]
+            + [fd.v.view(float) for fd in self.feeders]
+            + [mu.state for fd in self.feeders for mu in fd.motors])
+
+    def set_state(self, z) -> None:
+        z = self._state_vector(z)
+        out = z[2:4]
+        self._output = None if np.isnan(out).all() else out
+        k = 4
+        for fd in self.feeders:
+            fd.v = z[k:k + 2 * fd.n_nodes].view(complex)
+            k += 2 * fd.n_nodes
+        for fd in self.feeders:
+            for mu in fd.motors:
+                mu.state = z[k:k + 3]
+                k += 3
+        self.set_input(z[:2])
+
+    def rotate(self, angle: float) -> None:
+        """Turn the frame by ``angle``: the input voltage, every node
+        voltage and every motor's E' turn by it."""
+        c = cmath.exp(1j * angle)
+        for fd in self.feeders:
+            fd.v = fd.v * c
+            for mu in fd.motors:
+                er, ei, s = mu.state.tolist()
+                e = complex(er, ei) * c
+                mu.state = np.array([e.real, e.imag, s])
+        v = c * self._v_sub()
+        self.set_input(np.array([v.real, v.imag]))
 
     def snapshot(self):
         """Each motor's slip, then each node's |V|, feeder by feeder."""

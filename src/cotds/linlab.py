@@ -258,7 +258,8 @@ def euler_half_step(lam: float, h: float, n: int, x: float, u: float) -> float:
 
 class LinearHalf(SubSystem):
     """x' = lambda*x + u, taken over each macro step by ``step(h, x, u)``;
-    a non-finite state is recorded, and ``march`` ends the run there."""
+    a non-finite state is recorded, and ``march`` ends the run there.
+    ``state()`` is ``[x, u]``."""
 
     def __init__(self, step: Callable[[float, float, float], float],
                  k_out: float, x0: float, u0: float):
@@ -275,6 +276,14 @@ class LinearHalf(SubSystem):
 
     def snapshot(self):
         return {"x": self.x}
+
+    def state(self) -> np.ndarray:
+        return np.concatenate([[self.x], self.current_input])
+
+    def set_state(self, z) -> None:
+        z = self._state_vector(z)
+        self.x = float(z[0])
+        self.current_input = z[1:]
 
 
 def make_linear_pair(p: LinearCoupledParams, x0: StateVec2, n_micro: int = 100):

@@ -115,7 +115,7 @@ def _parse_feeder(d, where):
                           zip_fractions=zf,
                           motors=motors, active=v["active"])
     except ValueError as exc:
-        raise SchemaError(f"{where}.composition: {exc}") from None
+        raise SchemaError(f"{where}.{exc}") from None
 
 
 def _parse_event(d, where, feeders):

@@ -17,6 +17,7 @@ division and ``abs`` made it non-finite; it never raises.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from .machines import N_GEN_STATES, GeneratorBank
 from .power_network import TransmissionNetwork, newton_power_flow
 
 __all__ = ["TransmissionDae", "TransmissionSubSystem"]
+
+_DELTA = 2  # index of the rotor angle within a machine's block
 
 
 class TransmissionDae(DaeSystem):
@@ -92,7 +95,9 @@ class TransmissionSubSystem(SubSystem):
     ``newton_cache`` carries the trapezoidal Jacobian from one macro step
     to the next, and the step's Newton counters.  ``power_flow_cache``
     carries the power flow's Jacobian, and its counters, from one
-    ``initialize`` to the next.
+    ``initialize`` to the next.  Neither is state: each only starts an
+    iteration solved to tolerance, so ``state()`` is ``x``, ``y`` and the
+    input, laid end to end.
     """
 
     def __init__(self, name: str, dae: TransmissionDae):
@@ -144,12 +149,30 @@ class TransmissionSubSystem(SubSystem):
     def output(self) -> np.ndarray:
         return self.y[self._out_idx]
 
+    def state(self) -> np.ndarray:
+        return np.concatenate([self.x, self.y, self.current_input])
+
+    def set_state(self, z) -> None:
+        z = self._state_vector(z)
+        nx, ny = self.x.size, self.y.size
+        self.x, self.y = z[:nx], z[nx:nx + ny]
+        self.current_input = z[nx + ny:]
+
+    def rotate(self, angle: float) -> None:
+        """Turn the frame by ``angle``: every rotor angle grows by it and
+        every bus voltage turns by it.  The input, powers, is unchanged."""
+        x = self.x.copy()
+        x[_DELTA::N_GEN_STATES] += angle
+        n = self.dae.net.n_bus
+        v = (self.y[:n] + 1j * self.y[n:]) * cmath.exp(1j * angle)
+        self.x, self.y = x, self.dae.pack_voltages(v)
+
     def snapshot(self):
         """Each machine's delta and domega, then every bus's |V|."""
         xl, yl = self.x.tolist(), self.y.tolist()
         n = self.dae.net.n_bus
         values = []
-        for j in range(2, len(xl), N_GEN_STATES):
+        for j in range(_DELTA, len(xl), N_GEN_STATES):
             values += xl[j:j + 2]
         values += [math.hypot(re, im) for re, im in zip(yl[:n], yl[n:])]
         return dict(zip(self._channels, values))

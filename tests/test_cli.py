@@ -390,8 +390,13 @@ def _network_without_branches(tmp_path):
         static_fraction=1.5), "feeders[0].composition: static_fraction"),
     (lambda doc, tmp: doc["feeders"][0]["branches"][0].update(r=0.0, x=0.0),
      "feeders[0].branches[0]: zero impedance"),
+    (lambda doc, tmp: doc["feeders"][0]["loads"][0].update(node=7),
+     "feeders[0].loads[0].node: 7 is not a node of the feeder"),
+    (lambda doc, tmp: doc["feeders"][1]["composition"]["motors"][0].update(
+        name="f1_im"), "'f1_im' is already a motor on bus 2"),
 ], ids=["unknown_bus", "unknown_network", "network_is_directory",
-        "network_without_branches", "static_fraction", "zero_impedance"])
+        "network_without_branches", "static_fraction", "zero_impedance",
+        "load_off_the_tree", "motor_name_repeated"])
 def test_bad_scenario_is_schema_error(tmp_path, capsys, edit, message):
     with open(fixture_path("testcase2")) as fh:
         doc = json.load(fh)

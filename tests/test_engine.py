@@ -228,6 +228,40 @@ def with_mva_scale(s, motor, mva_scale):
     return s
 
 
+class TestLoadsAtOneNode:
+    """Loads listed at one node draw together: the static part is the
+    static fraction of their summed p and q, as the motor budget counts
+    them."""
+
+    @staticmethod
+    def bus5_with_loads(loads):
+        s = quick_scenario(t_end=0.2)
+        s.feeders[0] = dataclasses.replace(s.feeders[0], loads=loads)
+        return s
+
+    def test_second_load_adds_to_the_first(self):
+        # testcase1's bus-5 load (1.25, 0.5) and a second (0.5, 0.2) at
+        # its node once drew only the second's static 0.35
+        s = self.bus5_with_loads(((1, 1.25, 0.5), (1, 0.5, 0.2)))
+        _, dsubs, _ = engine.build_subsystems(s)
+        zl = dsubs["D5"].feeders[0].zip_loads[1]
+        assert zl.p0 == 0.7 * (1.25 + 0.5)
+        assert zl.q0 == 0.7 * (0.5 + 0.2)
+
+    @pytest.mark.parametrize("method", list(RunMethod))
+    def test_split_load_runs_as_one(self, method):
+        split = self.bus5_with_loads(((1, 0.75, 0.3), (1, 0.5, 0.2)))
+        whole = self.bus5_with_loads(((1, 0.75 + 0.5, 0.3 + 0.2),))
+        built = [engine.build_subsystems(s)[1]["D5"].feeders[0]
+                 for s in (split, whole)]
+        assert built[0].zip_loads == built[1].zip_loads
+        logs = [run_scenario(dataclasses.replace(s, method=method)).log
+                for s in (split, whole)]
+        assert logs[0].columns == logs[1].columns
+        assert logs[0].times == logs[1].times
+        assert np.array_equal(logs[0].as_array(), logs[1].as_array())
+
+
 class TestRunScenario:
     def test_equilibrium_all_methods_agree(self):
         # testcase2 starts with a feeder switched off

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -102,6 +103,73 @@ class TestParse:
         doc["feeders"][0]["composition"]["zip_fractions"] = [0.5, 0.5, 0.5]
         with pytest.raises((SchemaError, ValueError)):
             parse_scenario(doc)
+
+
+class TestTopology:
+    """Loads and motors sit on nodes of their feeder's branch tree, and a
+    motor name names one motor on its interface bus."""
+
+    @pytest.mark.parametrize("node", [7, 2, -1])
+    def test_load_off_the_tree(self, node):
+        # testcase1's bus-5 feeder is one branch, nodes 0 and 1; node 7
+        # once ended in an IndexError, node -1 ran on the last node
+        doc = fixture_doc()
+        doc["feeders"][0]["loads"][0]["node"] = node
+        with pytest.raises(SchemaError, match=rf"^feeders\[0\]\.loads\[0\]"
+                                              rf"\.node: {node} is not a node"):
+            parse_scenario(doc)
+
+    def test_motor_off_the_tree(self):
+        doc = fixture_doc()
+        doc["feeders"][2]["composition"]["motors"][1]["node"] = 2
+        with pytest.raises(SchemaError, match=r"^feeders\[2\]\.composition"
+                                              r"\.motors\[1\]\.node: 2"):
+            parse_scenario(doc)
+
+    def test_load_at_the_substation_parses(self):
+        doc = fixture_doc()
+        doc["feeders"][0]["loads"][0]["node"] = 0
+        assert parse_scenario(doc).feeders[0].loads[0][0] == 0
+
+    @pytest.mark.parametrize("edges", [
+        [(1, 2), (0, 1), (2, 3), (3, 4)],   # a child before its parent
+        [(0, 1), (1, 2), (0, 2), (3, 4)],   # node 2 with two parents
+        [(0, 1), (1, 2), (2, 3), (3, 5)],   # node 4 missing
+    ], ids=["child_first", "two_parents", "gap"])
+    def test_branch_tree(self, edges):
+        doc = fixture_doc("testcase2")
+        for br, (a, b) in zip(doc["feeders"][0]["branches"], edges):
+            br["from"], br["to"] = a, b
+        with pytest.raises(SchemaError, match=r"^feeders\[0\]\.branches"):
+            parse_scenario(doc)
+
+    def test_motor_name_repeated_in_a_feeder(self):
+        doc = fixture_doc()
+        motors = doc["feeders"][1]["composition"]["motors"]
+        motors[1]["name"] = motors[0]["name"]
+        doc["events"] = []
+        with pytest.raises(SchemaError, match=r"^feeders\[1\]\.composition"
+                                              r"\.motors\[1\]\.name: "
+                                              r"'bus6_im1' is already"):
+            parse_scenario(doc)
+
+    def test_motor_name_repeated_on_one_bus(self):
+        doc = fixture_doc("testcase2")  # both feeders hang off bus 2
+        doc["feeders"][1]["composition"]["motors"][0]["name"] = "f1_im"
+        with pytest.raises(SchemaError, match="'f1_im' is already a motor "
+                                              "on bus 2"):
+            parse_scenario(doc)
+
+    def test_motor_name_repeated_on_another_bus_parses(self):
+        # channels and events name a motor with its bus, D<bus>
+        doc = fixture_doc()
+        doc["feeders"][1]["composition"]["motors"][0]["name"] = "bus5_im1"
+        assert parse_scenario(doc).feeders[1].motors[0].name == "bus5_im1"
+
+    def test_spec_built_in_code(self):
+        fs = load_scenario(fixture_path("testcase1")).feeders[0]
+        with pytest.raises(ValueError, match=r"^loads\[1\]\.node: 3"):
+            dataclasses.replace(fs, loads=fs.loads + ((3, 0.1, 0.0),))
 
 
 class TestCsv:
