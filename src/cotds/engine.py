@@ -469,7 +469,14 @@ class MonolithicDae(DaeSystem):
     nodes 1..N (node 0 is the interface bus).
 
     ``advance(h)`` is one trapezoidal step, from and back into the
-    component objects; ``newton_cache`` keeps its Jacobian and counters.
+    component objects; ``newton_cache`` keeps its Jacobian and counters,
+    and the step's end point with ``f`` there, which the next step
+    reuses when it gathers that point back.  ``f`` also reads the
+    feeders' and motors' ``active`` flags, so a step that finds them
+    switched drops the end point: an event that switches a motor off
+    leaves every state where it was.  ``g`` keeps the interface power at
+    the point it last evaluated, which ``scatter`` takes once, when it
+    writes that point back.
     """
 
     def __init__(self, tsub: TransmissionSubSystem,
@@ -501,6 +508,8 @@ class MonolithicDae(DaeSystem):
         self.motors = [mu for fd, *_ in self._blocks for mu in fd.motors]
         self._re_idx, self._im_idx = np.array(re_idx), np.array(im_idx)
         self._nx, self._ny = nx, ny
+        self._last_g = None  # (x bytes, y bytes, interface power) of g
+        self._flags = self._active_flags()
         self.scatter(*self.gather())
 
     @property
@@ -529,9 +538,9 @@ class MonolithicDae(DaeSystem):
         u[0::2], u[1::2] = s.real, s.imag
         return u, mismatch
 
-    def f(self, x, y, u):
+    def f(self, x, y):
         tdae = self.tdae
-        out = [tdae.f(x[:tdae.n_x], y[:tdae.n_y], None)]
+        out = [tdae.f(x[:tdae.n_x], y[:tdae.n_y])]
         for fd, _, v, states in self._feeder_blocks(x, y):
             out.append(fd.motor_derivatives(v, states))
         return np.concatenate(out)
@@ -539,10 +548,18 @@ class MonolithicDae(DaeSystem):
     def g(self, x, y, u):
         tdae = self.tdae
         u_t, mismatch = self.interface_power(x, y)
+        self._last_g = x.tobytes(), y.tobytes(), u_t
         return np.concatenate(
             [tdae.g(x[:tdae.n_x], y[:tdae.n_y], u_t)] + mismatch)
 
+    def _active_flags(self) -> list[bool]:
+        return ([fd.active for fd, *_ in self._blocks]
+                + [mu.active for mu in self.motors])
+
     def advance(self, h: float) -> None:
+        flags = self._active_flags()
+        if flags != self._flags:
+            self._flags, self.newton_cache.end = flags, None
         x, y = trapezoidal_dae_step(self, *self.gather(), None, h,
                                     cache=self.newton_cache)
         self.scatter(x, y)
@@ -552,10 +569,17 @@ class MonolithicDae(DaeSystem):
     def scatter(self, x, y) -> None:
         """Write (x, y) into the component objects, and each feeder
         sub-system's input and output (bus voltage, power drawn); the
-        nodes of a feeder switched off stay where ``set_input`` pins them."""
+        nodes of a feeder switched off stay where ``set_input`` pins them.
+        The interface power is the last ``g``'s when (x, y) is bitwise
+        the point it evaluated, and computed here otherwise."""
         tdae = self.tdae
         self.tsub.x, self.tsub.y = x[:tdae.n_x].copy(), y[:tdae.n_y].copy()
-        u, _ = self.interface_power(x, y)
+        last, self._last_g = self._last_g, None
+        if (last is not None and x.tobytes() == last[0]
+                and y.tobytes() == last[1]):
+            u = last[2]
+        else:
+            u, _ = self.interface_power(x, y)
         for d, e, s in zip(self.dsubs, self.tsub.output().reshape(-1, 2),
                            u.reshape(-1, 2)):
             d.set_input(e)

@@ -329,9 +329,13 @@ class DistributionSubSystem(SubSystem):
             raise OverflowError("distribution state is non-finite")
         self.set_output(s)
 
-    def output(self) -> np.ndarray:
-        if self._output is None:  # re-solve after a switch
+    def _resolve(self) -> None:
+        """Re-solve an output left stale by a switch; it moves the nodes."""
+        if self._output is None:
             self.set_output(self._total_power())
+
+    def output(self) -> np.ndarray:
+        self._resolve()
         return self._output.copy()
 
     def state(self) -> np.ndarray:
@@ -370,7 +374,11 @@ class DistributionSubSystem(SubSystem):
         self.set_input(np.array([v.real, v.imag]))
 
     def snapshot(self):
-        """Each motor's slip, then each node's |V|, feeder by feeder."""
+        """Each motor's slip, then each node's |V|, feeder by feeder.
+
+        A stale output is re-solved first, as ``output()`` does, so the
+        nodes read the same whichever of the two is read first."""
+        self._resolve()
         values = []
         for fd in self.feeders:
             values += [float(mu.state[2]) for mu in fd.motors]

@@ -53,6 +53,12 @@ directly.
 ``trapezoidal_dae_step`` runs the Newton with ``NewtonConfig()`` unless
 handed another config.  It returns a finite step or raises
 ``OverflowError``, which ``cosim.march`` classifies as divergence.
+Like the Dormand-Prince steps, chained trapezoidal steps are first same
+as last: ``f`` takes no input, so ``f`` at a step's end point, which the
+Newton's last residual evaluated, is the next step's ``f(x0, y0)``
+whatever input that step holds.  The ``JacobianCache`` keeps the end
+point and ``f`` there, and a step that starts from that point, the very
+arrays or a bitwise copy, takes it instead of evaluating ``f`` again.
 """
 
 from __future__ import annotations
@@ -94,16 +100,22 @@ class StiffnessError(NumericFailure):
 
 
 class DaeSystem:
-    """Semi-explicit DAE  x' = f(x, y, u),  0 = g(x, y, u).
+    """Semi-explicit DAE  x' = f(x, y),  0 = g(x, y, u).
 
     Subclasses define ``f`` and ``g`` and the dimensions ``n_x``, ``n_y``.
-    ``n_y`` may be zero, in which case ``g`` is never called.
+    ``n_y`` may be zero, in which case ``g`` is never called.  The input
+    ``u`` enters through ``g`` alone.  ``f`` returns a new array each
+    call, writes into neither argument, and gives bitwise the same value
+    at the same point: ``trapezoidal_dae_step`` relies on all three when
+    it reuses one step's end-point ``f`` as the next step's start.  A
+    system whose ``f`` changes between steps at a fixed point drops the
+    cache's ``end`` when it does.
     """
 
     n_x: int
     n_y: int
 
-    def f(self, x: np.ndarray, y: np.ndarray, u) -> np.ndarray:
+    def f(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def g(self, x: np.ndarray, y: np.ndarray, u) -> np.ndarray:
@@ -176,11 +188,17 @@ class JacobianCache:
     solve handed the cache: Jacobian builds, residual evaluations, solves
     that started with a kept Jacobian and built none, and solves whose
     kept-Jacobian update was dropped.
+
+    ``end`` is ``(x1, y1, f1)``: the read-only end point the last
+    trapezoidal step returned and ``f`` there, or ``None``.  It is
+    independent of ``h`` and of the input, so a cache serves the steps
+    of one system only.
     """
 
     def __init__(self):
         self.jac = None
         self.h: float | None = None
+        self.end: tuple | None = None
         self.jacobian_builds = 0
         self.residual_evals = 0
         self.reused_steps = 0
@@ -282,23 +300,40 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """One implicit trapezoidal step of the DAE, input u held constant.
 
-    Solves x1 = x + h/2 (f(x,y,u) + f(x1,y1,u)) together with
+    Solves x1 = x + h/2 (f(x,y) + f(x1,y1)) together with
     g(x1,y1,u) = 0 on the stacked residual with ``newton_solve``, from
     the explicit Euler predictor.  ``cache`` carries the Jacobian from
     one step to the next; a step of another ``h`` drops it.  Without a
     cache every step runs the damped Newton with a fresh FD Jacobian each
     iteration.  Either way the root meets the same residual tolerance.
+
+    The returned ``(x1, y1)`` are new read-only arrays.  ``cache.end``
+    keeps them with ``f(x1, y1)``, which the Newton's last residual
+    evaluated, and the next step takes that value for ``f(x, y)`` when it
+    starts from those arrays or from bitwise copies.
+    Any other start, the first step's or one moved by ``set_state``,
+    ``rotate``, ``initialize`` or an event, evaluates ``f``.
     """
     if cache is not None and h != cache.h:
         cache.jac, cache.h = None, h
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    f0 = sys.f(x, y, u)
+    end = None if cache is None else cache.end
+    if end is not None and (
+            (x is end[0] and y is end[1])
+            or (x.tobytes() == end[0].tobytes()
+                and y.tobytes() == end[1].tobytes())):
+        f0 = end[2]
+    else:
+        f0 = sys.f(x, y)
     nx, ny = x.size, y.size
+    last = [None, None]  # the point the residual last saw, and f there
 
     def residual(z):
         x1, y1 = z[:nx], z[nx:]
-        rx = x1 - x - 0.5 * h * (f0 + sys.f(x1, y1, u))
+        f1 = sys.f(x1, y1)
+        last[0], last[1] = z, f1
+        rx = x1 - x - 0.5 * h * (f0 + f1)
         if ny:
             return np.concatenate([rx, sys.g(x1, y1, u)])
         return rx
@@ -307,7 +342,13 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
     z = newton_solve(residual, z0, cfg, cache)
     if not np.all(np.isfinite(z)):
         raise OverflowError("trapezoidal step is non-finite")
-    return z[:nx].copy(), z[nx:].copy()
+    x1, y1 = z[:nx].copy(), z[nx:].copy()
+    x1.flags.writeable = y1.flags.writeable = False
+    if cache is not None:
+        # newton_solve returns the last point it evaluated; should that
+        # ever not hold, nothing is kept
+        cache.end = (x1, y1, last[1]) if last[0] is z else None
+    return x1, y1
 
 
 # Dormand-Prince 4(5) tableau: the stage matrix (strictly lower

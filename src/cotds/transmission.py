@@ -63,7 +63,7 @@ class TransmissionDae(DaeSystem):
     def pack_voltages(self, v: np.ndarray) -> np.ndarray:
         return np.concatenate([v.real, v.imag])
 
-    def f(self, x, y, u):
+    def f(self, x, y):
         n = self.net.n_bus
         yl = y.tolist()
         return self.bank.derivatives(

@@ -6,7 +6,7 @@ import pytest
 
 from cotds import engine, feeder, transmission
 from cotds.cosim import (CouplingMethod, CouplingSchedule, Event,
-                         TimeSeriesLog, run_cosimulation)
+                         TimeSeriesLog, march, run_cosimulation)
 from cotds.engine import (
     RunMethod,
     Verdict,
@@ -514,6 +514,46 @@ def test_testcase2_converges_at_h_0_4(method):
     r = run_scenario(s)
     assert r.log.failure is None
     assert r.verdict is Verdict.CONVERGED
+
+
+def test_monolithic_scatter_takes_the_last_g(monkeypatch):
+    # after every step across the motor start each D output is the
+    # interface power at the gathered point, and only g solved a KCL
+    s = quick_scenario(RunMethod.MONOLITHIC, h=0.006, t_end=0.2, events=True)
+    subsystems, dsubs, buses = engine.build_subsystems(s)
+    engine.iterative_td_powerflow_init(subsystems["T"], dsubs, buses)
+    mono = engine.MonolithicDae(subsystems["T"], dsubs)
+    in_g, outside = [False], []
+    g, kcl = mono.g, feeder.DistributionFeeder.kcl
+
+    def traced_g(x, y, u):
+        in_g[0] = True
+        try:
+            return g(x, y, u)
+        finally:
+            in_g[0] = False
+
+    def traced_kcl(self, v, states):
+        if not in_g[0]:
+            outside.append(self)
+        return kcl(self, v, states)
+
+    mono.g = traced_g
+    monkeypatch.setattr(feeder.DistributionFeeder, "kcl", traced_kcl)
+    steps = []
+
+    def checked(h):
+        mono.advance(h)
+        assert not outside
+        u, _ = mono.interface_power(*mono.gather())
+        outside.clear()
+        out = np.concatenate([d.output() for d in dsubs.values()])
+        assert out.tobytes() == u.tobytes()
+        steps.append(h)
+
+    log = march(CouplingSchedule(s.h_macro, s.t_end, tuple(s.events)),
+                subsystems, checked)
+    assert log.failure is None and len(steps) == 33
 
 
 def test_testcase2_post_event_steps_keep_their_jacobian():

@@ -1,13 +1,22 @@
 import cmath
+import gc
+import importlib
+import inspect
 import math
+import pkgutil
 import sys
+import weakref
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
+import cotds
 from cotds import integrators
-from cotds.engine import build_subsystems, iterative_td_powerflow_init
+from cotds.cosim import (CouplingMethod, CouplingSchedule, Event,
+                         exchange_step, march)
+from cotds.engine import (MonolithicDae, build_subsystems,
+                          iterative_td_powerflow_init)
 from cotds.integrators import (
     A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64,
     A65, B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7,
@@ -26,6 +35,7 @@ from cotds.linlab import (
 )
 from cotds.loads import InductionMotor, InductionMotorParams
 from cotds.scenario_io import fixture_path, load_scenario
+from cotds.transmission import TransmissionDae
 
 
 class ScalarDecay(DaeSystem):
@@ -34,7 +44,7 @@ class ScalarDecay(DaeSystem):
     def __init__(self, lam):
         self.lam = lam
 
-    def f(self, x, y, u):
+    def f(self, x, y):
         return self.lam * x
 
 
@@ -46,7 +56,7 @@ class CoupledLinear(DaeSystem):
     def __init__(self, p):
         self.a = system_matrix(p)
 
-    def f(self, x, y, u):
+    def f(self, x, y):
         return self.a @ x
 
 
@@ -55,7 +65,7 @@ class WithAlgebraic(DaeSystem):
 
     n_x, n_y = 1, 1
 
-    def f(self, x, y, u):
+    def f(self, x, y):
         return -x + y
 
     def g(self, x, y, u):
@@ -68,7 +78,7 @@ class Pendulum(DaeSystem):
 
     n_x, n_y = 2, 1
 
-    def f(self, x, y, u):
+    def f(self, x, y):
         return np.array([x[1], -y[0]])
 
     def g(self, x, y, u):
@@ -82,14 +92,14 @@ class Cubic(DaeSystem):
 
     n_x, n_y = 1, 0
 
-    def f(self, x, y, u):
+    def f(self, x, y):
         return -x ** 3
 
 
 class NoRoot(DaeSystem):
     n_x, n_y = 1, 1
 
-    def f(self, x, y, u):
+    def f(self, x, y):
         return -x
 
     def g(self, x, y, u):
@@ -120,9 +130,9 @@ class TestTrapezoidalDae:
         calls = {"n": 0}
 
         class Counting(ScalarDecay):
-            def f(self, x, y, u):
+            def f(self, x, y):
                 calls["n"] += 1
-                return super().f(x, y, u)
+                return super().f(x, y)
 
         trapezoidal_dae_step(Counting(-2.0), [1.0], [], None, 0.1)
         # entry eval + <=2 Newton iterations of (residual + 1-column FD jacobian
@@ -359,9 +369,9 @@ class TestJacobianReuse:
         evaluated, built = [], []
 
         class Recorded(Cubic):
-            def f(self, x, y, u):
+            def f(self, x, y):
                 evaluated.append(float(x[0]))
-                return super().f(x, y, u)
+                return super().f(x, y)
 
         fd_jacobian = integrators._fd_jacobian
 
@@ -378,6 +388,220 @@ class TestJacobianReuse:
         assert built[0] == pytest.approx(-2.0 / 3.0, abs=1e-15)
         assert cache.fallbacks == 1 and cache.reused_steps == 0
         assert abs(x1[0] + x1[0] ** 3 / 4) <= self.TIGHT.residual_tolerance
+
+
+class CountingPendulum(Pendulum):
+    def __init__(self):
+        self.f_calls = 0
+
+    def f(self, x, y):
+        self.f_calls += 1
+        return super().f(x, y)
+
+
+PENDULUM_START = (np.array([0.5, 0.0]), np.array([math.sin(0.5)]))
+
+
+def counted_step(dae, cache, x, y, h=0.05):
+    """One step: its end point, and its f calls less its residual
+    evaluations (1 where the start was evaluated, 0 where reused)."""
+    f0, r0 = dae.f_calls, cache.residual_evals
+    x, y = trapezoidal_dae_step(dae, x, y, None, h, cache=cache)
+    return x, y, (dae.f_calls - f0) - (cache.residual_evals - r0)
+
+
+class TestFirstSameAsLast:
+    """A trapezoidal step takes the last step's end-point f as its f0."""
+
+    def test_chained_steps_evaluate_f_once_per_residual(self):
+        dae, cache = CountingPendulum(), JacobianCache()
+        x, y = PENDULUM_START
+        extra = []
+        for h in [0.05] * 10 + [0.1] * 10:  # a new h keeps the end point
+            x, y, e = counted_step(dae, cache, x, y, h)
+            extra.append(e)
+        assert extra == [1] + [0] * 19
+        assert cache.residual_evals > 20
+
+    def test_end_point_f_is_a_fresh_f(self):
+        dae, cache = CountingPendulum(), JacobianCache()
+        x, y, _ = counted_step(dae, cache, *PENDULUM_START)
+        x1, y1, f1 = cache.end
+        assert x1 is x and y1 is y
+        assert f1.tobytes() == Pendulum().f(x, y).tobytes()
+
+    @pytest.mark.parametrize("move, evaluated", [
+        (lambda x, y: (x, y), 0),
+        (lambda x, y: (x.copy(), y.copy()), 0),
+        (lambda x, y: (list(x), list(y)), 0),
+        (lambda x, y: (np.nextafter(x, np.inf), y), 1),
+        (lambda x, y: (x, np.nextafter(y, -np.inf)), 1),
+    ], ids=["same", "copy", "list", "x-ulp", "y-ulp"])
+    def test_moved_start_is_evaluated(self, move, evaluated):
+        dae, cache = CountingPendulum(), JacobianCache()
+        x, y, _ = counted_step(dae, cache, *PENDULUM_START)
+        _, _, e = counted_step(dae, cache, *move(x, y))
+        assert e == evaluated
+
+    def test_returned_arrays_are_read_only(self):
+        for cache in (None, JacobianCache()):
+            x1, y1 = trapezoidal_dae_step(Pendulum(), *PENDULUM_START, None,
+                                          0.05, cache=cache)
+            with pytest.raises(ValueError):
+                x1[0] = 1.0
+            with pytest.raises(ValueError):
+                y1 += 1.0
+
+    def test_end_point_not_last_evaluated_is_not_kept(self, monkeypatch):
+        solve = integrators.newton_solve
+        monkeypatch.setattr(integrators, "newton_solve",
+                            lambda *args: solve(*args).copy())
+        dae, cache = CountingPendulum(), JacobianCache()
+        x, y, _ = counted_step(dae, cache, *PENDULUM_START)
+        assert cache.end is None
+        _, _, e = counted_step(dae, cache, x, y)
+        assert e == 1
+
+    def test_failed_step_keeps_the_last_end_point(self):
+        cache = JacobianCache()
+        dae = CountingPendulum()
+        x, y, _ = counted_step(dae, cache, *PENDULUM_START)
+        end = cache.end
+        with pytest.raises(NewtonError):  # a tolerance no step can meet
+            trapezoidal_dae_step(dae, x, y, None, 0.05, NewtonConfig(
+                max_iterations=2, residual_tolerance=1e-300), cache)
+        assert cache.end is end
+
+
+def tc1_motor_start(method):
+    """testcase1 with its motor start moved to t = 0.06 s, over 0.3 s at
+    H = 0.006: (sub-systems, the trapezoidal DAE, its cache, the step
+    march takes, the step's start point)."""
+    scenario = load_scenario(fixture_path("testcase1"))
+    subsystems, dsubs, buses = build_subsystems(scenario)
+    iterative_td_powerflow_init(subsystems["T"], dsubs, buses)
+    if method == "monolithic":
+        mono = MonolithicDae(subsystems["T"], dsubs)
+        return (subsystems, mono, mono.newton_cache, mono.advance,
+                mono.gather)
+    tsub = subsystems["T"]
+    return (subsystems, tsub.dae, tsub.newton_cache,
+            exchange_step(subsystems, CouplingMethod(method)),
+            lambda: (tsub.x, tsub.y))
+
+
+MOTOR_START = CouplingSchedule(
+    0.006, 0.3, (Event(0.06, "D6", "connect_motor", {"name": "bus6_im2"}),))
+
+
+def start_evaluations(dae, cache):
+    """Count ``dae.f`` calls; returns ``evaluated(h, step)``, which takes
+    ``step(h)`` and gives its f calls less its residual evaluations: 1
+    where the step evaluated f at its start, 0 where it reused it."""
+    calls = [0]
+    fresh = type(dae).f
+
+    def counted(x, y):
+        calls[0] += 1
+        return fresh(dae, x, y)
+
+    dae.f = counted
+
+    def evaluated(h, step):
+        n, evals = calls[0], cache.residual_evals
+        step(h)
+        return (calls[0] - n) - (cache.residual_evals - evals)
+    return evaluated
+
+
+@pytest.mark.parametrize("method", ["series", "parallel", "monolithic"])
+def test_reused_f0_is_a_fresh_f_over_the_motor_start(method):
+    subsystems, dae, cache, step, start = tc1_motor_start(method)
+    evaluated = start_evaluations(dae, cache)
+    reused = []
+
+    def checked(h):
+        x, y = start()
+        end = cache.end
+        extra = evaluated(h, step)
+        assert extra in (0, 1)
+        if extra == 0:
+            assert end[2].tobytes() == type(dae).f(dae, x, y).tobytes()
+        reused.append(extra == 0)
+
+    log = march(MOTOR_START, subsystems, checked)
+    assert log.failure is None and len(reused) == 50
+    # the first step evaluates its start; T's input moves at the motor
+    # start, but f reads none, and only the monolithic state jumps there
+    assert reused[0] is False
+    assert reused.count(False) == (2 if method == "monolithic" else 1)
+    if method == "monolithic":
+        assert reused[10] is False
+
+
+@pytest.mark.parametrize("move, evaluated", [
+    (lambda t: t.set_state(t.state() * (1 + 1e-12)), 1),
+    (lambda t: t.rotate(1e-3), 1),
+    (lambda t: t.set_state(t.state()), 0),  # bitwise the same point
+], ids=["set_state", "rotate", "round-trip"])
+def test_transmission_start_moved_by_the_state_contract(move, evaluated):
+    subsystems, dae, cache, step, _ = tc1_motor_start("series")
+    tsub = subsystems["T"]
+    count = start_evaluations(dae, cache)
+    step(0.006)
+    move(tsub)
+    assert count(0.006, tsub.advance) == evaluated
+
+
+def test_monolithic_switch_drops_the_end_point():
+    # disconnect_motor moves no state, but the motor's derivatives drop
+    # out of f: the step after it evaluates its start
+    subsystems, mono, cache, step, _ = tc1_motor_start("monolithic")
+    evaluated = start_evaluations(mono, cache)
+    extra = []
+    for action in (None, "disconnect_motor", None, "connect_motor"):
+        if action:
+            subsystems["D6"].switch(action, {"name": "bus6_im1"})
+        extra.append(evaluated(0.006, step))
+    assert extra == [1, 1, 0, 1]
+
+
+def test_monolithic_step_leaves_no_reference_cycle():
+    # a cycle through the kept end point would hold every finished run's
+    # component objects until the cyclic collector ran, raising peak memory
+    subsystems, mono, cache, step, gather = tc1_motor_start("monolithic")
+    step(0.006)
+    ref = weakref.ref(mono)
+    gc.disable()
+    try:
+        del subsystems, mono, cache, step, gather
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def package_daes():
+    """``DaeSystem`` and every subclass of it defined in the package."""
+    for mod in pkgutil.iter_modules(cotds.__path__):
+        importlib.import_module(f"cotds.{mod.name}")
+    found, todo = {DaeSystem}, [DaeSystem]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("cotds."):
+                found.add(cls)
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+def test_package_daes_found():
+    assert set(package_daes()) == {DaeSystem, TransmissionDae, MonolithicDae}
+
+
+@pytest.mark.parametrize("cls", package_daes(), ids=lambda c: c.__name__)
+def test_f_reads_no_input(cls):
+    # an f that read the input would differ between the end of one step
+    # and the start of the next, whose input has moved
+    assert list(inspect.signature(cls.f).parameters) == ["self", "x", "y"]
 
 
 class TestSecantUpdate:

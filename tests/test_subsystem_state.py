@@ -162,6 +162,19 @@ def test_stale_output_survives_without_a_sweep(monkeypatch):
     assert same(sub.output(), twin.output())
 
 
+def test_snapshot_first_reads_as_output_first():
+    # a stale output re-solves on the first read of either, which moves
+    # the nodes the snapshot reports
+    sub = CASES[DistributionSubSystem]["after_connect_motor"]()
+    twin = CASES[DistributionSubSystem]["after_connect_motor"]()
+    snap = sub.snapshot()
+    out = sub.output()
+    twin_out = twin.output()
+    assert snap == twin.snapshot()
+    assert same(out, twin_out)
+    assert same(sub.state(), twin.state())
+
+
 def test_switched_off_feeder_pinned_to_input():
     sub = CASES[DistributionSubSystem]["feeder_switched_off"]()
     off = [fd for fd in sub.feeders if not fd.active]

@@ -44,7 +44,7 @@ class TestInitialize:
 
     def test_differential_residual_vanishes(self):
         _, dae, sub = make_sub()
-        assert np.max(np.abs(dae.f(sub.x, sub.y, sub.current_input))) < 1e-9
+        assert np.max(np.abs(dae.f(sub.x, sub.y))) < 1e-9
 
     def test_constant_power_matches_base_power_flow(self):
         # With pure constant-P statics the init must land on the stock
@@ -226,7 +226,7 @@ def check_against_oracle(dae, sub, seed):
         i_old = oracle_injected_current(dae.bank, x, v)
         assert_matches_oracle(np.concatenate([i_new.real, i_new.imag]),
                               np.concatenate([i_old.real, i_old.imag]))
-        assert_matches_oracle(dae.f(x, y, u), oracle_f(dae, x, y))
+        assert_matches_oracle(dae.f(x, y), oracle_f(dae, x, y))
         assert_matches_oracle(dae.g(x, y, u), oracle_g(dae, x, y, u))
 
 
@@ -246,7 +246,7 @@ class TestScalarKernelMatchesVectorized:
         sub.initialize(1.2 * sub.current_input)
         assert not np.any(dae.bank.vref == vref)
         assert not np.any(dae.bank.pref == pref)
-        assert np.max(np.abs(dae.f(sub.x, sub.y, sub.current_input))) < 1e-9
+        assert np.max(np.abs(dae.f(sub.x, sub.y))) < 1e-9
         check_against_oracle(dae, sub, seed=2)
 
 
@@ -261,7 +261,7 @@ class TestNonFiniteStaysNumeric:
         x[2] = delta  # machine 1's rotor angle
         with np.errstate(invalid="ignore"):
             f_old, g_old = oracle_f(dae, x, y), oracle_g(dae, x, y, u)
-        f_new, g_new = dae.f(x, y, u), dae.g(x, y, u)
+        f_new, g_new = dae.f(x, y), dae.g(x, y, u)
         assert not np.all(np.isfinite(f_new))
         assert not np.all(np.isfinite(g_new))
         assert_matches_oracle(f_new, f_old)
@@ -283,7 +283,7 @@ class TestNonFiniteStaysNumeric:
         net, dae, sub = make_sub()
         y = np.full(dae.n_y, 1.7e308)
         u = sub.current_input
-        assert not np.all(np.isfinite(dae.f(sub.x, y, u)))
+        assert not np.all(np.isfinite(dae.f(sub.x, y)))
         r = dae.g(sub.x, y, u)
         assert r.shape == (dae.n_y,)
         assert not np.all(np.isfinite(r))
@@ -295,6 +295,6 @@ class TestNonFiniteStaysNumeric:
         k = net.idx(net.gen_buses[0])
         y[k] = y[k + net.n_bus] = 0.0
         u = sub.current_input
-        assert_matches_oracle(dae.f(sub.x, y, u), oracle_f(dae, sub.x, y))
+        assert_matches_oracle(dae.f(sub.x, y), oracle_f(dae, sub.x, y))
         assert_matches_oracle(dae.g(sub.x, y, u), oracle_g(dae, sub.x, y, u))
         assert np.all(np.isfinite(dae.g(sub.x, y, u)))
