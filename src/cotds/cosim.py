@@ -20,6 +20,11 @@ rounded.  Timed events snap to the first macro boundary at or after
 their time and are applied before that boundary's step, each by its
 target sub-system's ``switch``; the schedule refuses an event after the
 last step's start, which would never be applied.
+
+A run takes a record after every macro step, a few dozen floats, so the
+record is kept to one ``tolist`` of each sub-system's output and one
+read of each snapshot channel, by name, before the row becomes one
+array.
 """
 
 from __future__ import annotations
@@ -157,11 +162,15 @@ class CouplingSchedule:
 
 @dataclass
 class TimeSeriesLog:
-    """Per-macro-step record of all interface vectors and snapshot channels."""
+    """Per-macro-step record of all interface vectors and snapshot channels.
+
+    Each row is one float per column: an array when ``append`` made it,
+    a list of floats when ``scenario_io.read_csv`` read it back.
+    """
 
     columns: list[str]
     times: list[float] = field(default_factory=list)
-    rows: list[np.ndarray] = field(default_factory=list)
+    rows: list[Sequence[float]] = field(default_factory=list)
     diverged: bool = False
     failure: str | None = None
 
@@ -231,12 +240,14 @@ def march(schedule: CouplingSchedule,
         columns += [f"{name}.{ch}" for ch in channels[name]]
     log = TimeSeriesLog(columns=columns)
 
+    # each sub-system with its snapshot's channels, in record order
+    parts = [(sub, channels[name]) for name, sub in subsystems.items()]
+
     def record():
         row = []
-        for name, sub in subsystems.items():
-            row += np.asarray(sub.output(), dtype=float).tolist()
-            snap = sub.snapshot()
-            row += [snap[ch] for ch in channels[name]]
+        for sub, chans in parts:
+            row += sub.output().tolist()
+            row += map(sub.snapshot().__getitem__, chans)
         return np.array(row, dtype=float)
 
     log.append(0.0, record())
@@ -263,7 +274,7 @@ def march(schedule: CouplingSchedule,
             break
         t = (i + 1) * h
         row = record()
-        if not np.all(np.isfinite(row)):
+        if not np.isfinite(row).all():
             log.diverged = True
             log.failure = f"divergence at t={t:.6g}: non-finite record"
             break

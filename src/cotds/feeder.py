@@ -12,10 +12,13 @@ states, which the monolithic reference stacks into its DAE together with
 per-call overhead outweighs the arithmetic, so the sweep and ``kcl`` work
 on lists of Python complex node voltages and currents; the sweep writes
 ``DistributionFeeder.v`` back as an array once it has converged.  A
-motor's state is the array [re E', im E', slip]; ``step_motors`` hands it
-to the RK45 as E' and slip, a Python complex and float, and
-``motor_derivatives`` unpacks the same pair, so the co-simulation and the
-monolithic reference share the one motor model.
+sweep reads its active motors' states as lists once and hands them to
+every pass, whose convergence test maps ``abs`` over the voltage
+changes, and ``step_motors`` reads the node voltages as one list.  A
+motor's state is the array [re E', im E', slip]; ``step_motors`` hands
+it to the RK45 as E' and slip, a Python complex and float, and
+``motor_derivatives`` unpacks the same pair, so the co-simulation and
+the monolithic reference share the one motor model.
 
 ``DistributionFeeder.initialize`` solves a feeder's steady state: it
 alternates the motors' running equilibria at their node voltages with
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +123,8 @@ class DistributionFeeder:
         # (parent, child, impedance) of each branch, parent-first
         self._edges = tuple((br.parent, br.child, br.z)
                             for br in self.branches)
+        # (parent, child) of each branch, children first
+        self._back = tuple((p, c) for p, c, _ in reversed(self._edges))
 
     # -- power flow -------------------------------------------------------
 
@@ -126,12 +132,15 @@ class DistributionFeeder:
         """Current drawn at each node by its components (system base).
 
         ``v`` holds the node voltages as Python complex numbers, and
-        ``states`` one state per motor, in ``motors`` order, by default
-        the motors' own.  A zero voltage at a loaded node is a
-        ``FeederError``; one whose magnitude is past the float range gives
-        a non-finite current there, as numpy's ``abs`` did.
+        ``states`` one state per motor, in ``motors`` order, each an array
+        or a list [re E', im E', slip], by default the motors' own.  A
+        zero voltage at a loaded node is a ``FeederError``; one whose
+        magnitude is past the float range gives a non-finite current
+        there, as numpy's ``abs`` did.
         """
         i = [0j] * self.n_nodes
+        if states is None:
+            states = [mu.state for mu in self.motors]
         try:
             for node, zl in self.zip_loads.items():
                 vn = v[node]
@@ -140,12 +149,11 @@ class DistributionFeeder:
                 except OverflowError:
                     vm = math.inf
                 i[node] += (zip_power(zl, vm) / vn).conjugate()
-            for k, mu in enumerate(self.motors):
-                if not mu.active:
-                    continue
-                x = mu.state if states is None else states[k]
-                vn = v[mu.node]
-                i[mu.node] += (mu.motor.terminal_power(x, vn) / vn).conjugate()
+            for mu, x in zip(self.motors, states):
+                if mu.active:
+                    vn = v[mu.node]
+                    i[mu.node] += (mu.motor.terminal_power(x, vn)
+                                   / vn).conjugate()
         except ZeroDivisionError:
             raise FeederError("zero voltage at a loaded node") from None
         return i
@@ -184,30 +192,35 @@ class DistributionFeeder:
                     out[k] = de.real, de.imag, ds
         return out.ravel()
 
-    def _sweep_pass(self, v: list[complex],
-                    v_sub: complex) -> tuple[list[complex], complex]:
-        """One backward/forward pass from the node voltages ``v``: the
-        new node voltages and the substation source current."""
-        acc = self.node_currents(v)
-        edges = self._edges
+    def _sweep_pass(self, v: list[complex], v_sub: complex,
+                    states) -> tuple[list[complex], complex]:
+        """One backward/forward pass from the node voltages ``v`` at the
+        motor ``states``: the new node voltages and the substation source
+        current."""
+        acc = self.node_currents(v, states)
         # backward: accumulate branch currents toward the root; a child's
         # branches come after its own, so acc[c] is final
-        for p, c, _ in reversed(edges):
+        for p, c in self._back:
             acc[p] += acc[c]
         # forward: push voltages out from the substation
         v_new = [v_sub] * self.n_nodes
-        for p, c, z in edges:
+        for p, c, z in self._edges:
             v_new[c] = v_new[p] - z * acc[c]
         return v_new, acc[0]
 
     def sweep(self, v_sub: complex, tol: float = 1e-8) -> complex:
-        """Backward/forward sweep; returns the substation source current."""
+        """Backward/forward sweep; returns the substation source current.
+
+        The active motors' states are read once, as lists, for every
+        pass."""
         v_sub = complex(v_sub)
         v = self.v.tolist()
         v[0] = v_sub
+        states = [mu.state.tolist() if mu.active else None
+                  for mu in self.motors]
         for _ in range(_SWEEP_ITERS):
-            v_new, i_src = self._sweep_pass(v, v_sub)
-            delta = max(abs(a - b) for a, b in zip(v_new, v))
+            v_new, i_src = self._sweep_pass(v, v_sub, states)
+            delta = max(map(abs, map(operator.sub, v_new, v)))
             v = v_new
             if delta < tol:
                 self.v = np.array(v)
@@ -222,12 +235,13 @@ class DistributionFeeder:
 
     def step_motors(self, h: float, tol: float = 1e-6) -> None:
         """Advance every active motor over ``h``, its terminal voltage held."""
+        v = self.v.tolist()
         for mu in self.motors:
             if mu.active:
                 er, ei, s = mu.state.tolist()
                 e, s = rk_component_step(
-                    mu.motor.derivatives, complex(er, ei), s,
-                    complex(self.v[mu.node]), h, tol=tol)
+                    mu.motor.derivatives, complex(er, ei), s, v[mu.node], h,
+                    tol=tol)
                 mu.state = np.array([e.real, e.imag, s])
 
     def initialize(self, v_sub: complex) -> None:
@@ -254,8 +268,8 @@ class DistributionFeeder:
             for mu in self.motors:
                 if mu.active:
                     mu.state = mu.equilibrium(v[mu.node])
-            v_new, _ = self._sweep_pass(v, v_sub)
-            delta = max(abs(a - b) for a, b in zip(v_new, v))
+            v_new, _ = self._sweep_pass(v, v_sub, None)
+            delta = max(map(abs, map(operator.sub, v_new, v)))
             v = v_new
             if delta < 1e-12:
                 self.v = np.array(v)
@@ -301,10 +315,9 @@ class DistributionSubSystem(SubSystem):
     def set_input(self, u: np.ndarray) -> None:
         """Take the bus voltage [e, f]; a feeder switched off floats at it."""
         super().set_input(u)
-        v = self._v_sub()
         for fd in self.feeders:
             if not fd.active:
-                fd.v[:] = v
+                fd.v[:] = self._v_sub()
 
     def set_output(self, s: complex) -> None:
         """Report ``s`` as the consumed power until the next step or switch."""
@@ -381,10 +394,10 @@ class DistributionSubSystem(SubSystem):
         self._resolve()
         values = []
         for fd in self.feeders:
-            values += [float(mu.state[2]) for mu in fd.motors]
+            values += [mu.state.item(2) for mu in fd.motors]
             # the scalar modulus: numpy's vectorised abs rounds some
             # moduli differently from it
-            values += [abs(vk) for vk in fd.v.tolist()]
+            values += map(abs, fd.v.tolist())
         return dict(zip(self._channels, values))
 
     def switch(self, action: str, params) -> None:

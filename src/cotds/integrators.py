@@ -17,8 +17,9 @@ floats (``tests/test_integrators.py`` keeps that form as a bitwise
 oracle).  The last stage of a step is the next
 step's first (first same as last), so an accepted step takes six
 derivative evaluations and a rejected one keeps its first.  Every step
-is error-controlled.  All systems here are small and dense; no sparsity
-is exploited.
+is error-controlled; its error scale max(1, |x_j|) is a conditional
+expression that must compare as the ``max`` builtin does, nan included.
+All systems here are small and dense; no sparsity is exploited.
 
 ``newton_solve`` is the simplified (modified) Newton of DASSL and of
 Hairer & Wanner, refreshing its Jacobian where it stands.  While it
@@ -144,13 +145,16 @@ CONTRACTION = 0.5
 
 
 def _fd_jacobian(res: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
-                 r0: np.ndarray) -> np.ndarray:
+                 r0: np.ndarray, cache: "JacobianCache") -> np.ndarray:
+    """Forward-difference Jacobian at ``z``; counts each residual in
+    ``cache`` before evaluating it."""
     n = z.size
     jac = np.empty((r0.size, n))
     for k in range(n):
         dz = _FD_EPSILON * max(1.0, abs(z[k]))
         zp = z.copy()
         zp[k] += dz
+        cache.residual_evals += 1
         jac[:, k] = (res(zp) - r0) / dz
     return jac
 
@@ -230,13 +234,11 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     """
     if cache is None:
         cache = JacobianCache()
-
-    def counted(z):
-        cache.residual_evals += 1
-        return res(z)
-
+    # each residual is counted before it is evaluated, so a residual that
+    # raises counts too
     z = z0.copy()
-    r = counted(z)
+    cache.residual_evals += 1
+    r = res(z)
     rnorm = math.sqrt(r @ r)  # np.linalg.norm's own sum, without its wrapper
     kept = cache.jac is not None  # on the Jacobian the solve started with
     left = cfg.max_iterations
@@ -249,7 +251,7 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
             raise NewtonError("Newton did not converge", rnorm)
         left -= 1
         if not kept:
-            cache.jac = _fd_jacobian(counted, z, r)
+            cache.jac = _fd_jacobian(res, z, r, cache)
             cache.jacobian_builds += 1
         try:
             if kept:
@@ -265,7 +267,8 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
             continue
         if kept:
             z_new = z + dz
-            r_new = counted(z_new)
+            cache.residual_evals += 1
+            r_new = res(z_new)
             rnorm_new = math.sqrt(r_new @ r_new)
             # an update that already meets the tolerance is kept however
             # little it contracted
@@ -280,7 +283,8 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
             step = 1.0
             for _ in range(_MAX_DAMPING_HALVINGS + 1):
                 z_new = z + step * dz
-                r_new = counted(z_new)
+                cache.residual_evals += 1
+                r_new = res(z_new)
                 rnorm_new = math.sqrt(r_new @ r_new)
                 if math.isfinite(rnorm_new) and rnorm_new < rnorm:
                     break
@@ -340,7 +344,7 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
 
     z0 = np.concatenate([x + h * f0, y]) if ny else x + h * f0
     z = newton_solve(residual, z0, cfg, cache)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise OverflowError("trapezoidal step is non-finite")
     x1, y1 = z[:nx].copy(), z[nx:].copy()
     x1.flags.writeable = y1.flags.writeable = False
@@ -432,9 +436,12 @@ def rk_component_step(deriv: Callable, e: complex, s: float, u, h: float,
         dt = min(dt, h - t)
         e_new, s_new, err_e, err_s, k7e, k7s = _dp_step(
             deriv, e, s, u, dt, ke, ks)
-        qr = err_e.real / (tol * max(1.0, abs(e.real)))
-        qi = err_e.imag / (tol * max(1.0, abs(e.imag)))
-        qs = err_s / (tol * max(1.0, abs(s)))
+        # the error scale tol * max(1, |x_j|), written out as the builtin
+        # compares (|x_j| if |x_j| > 1 else 1, nan included)
+        ar, ai, a_s = abs(e.real), abs(e.imag), abs(s)
+        qr = err_e.real / (tol * (ar if ar > 1.0 else 1.0))
+        qi = err_e.imag / (tol * (ai if ai > 1.0 else 1.0))
+        qs = err_s / (tol * (a_s if a_s > 1.0 else 1.0))
         enorm = math.sqrt((qr * qr + qi * qi + qs * qs) / 3)
         if enorm <= 1.0 or dt <= h * 1e-12:
             if dt <= h * 1e-12 and enorm > 1.0:

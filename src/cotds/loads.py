@@ -14,8 +14,12 @@ outweighs the arithmetic, so the motor's circuit constants (``rs + j x'``,
 in Python scalars: the stator current is a Python complex, and
 ``derivatives`` takes E' as a Python complex and the slip as a float and
 returns their derivatives as a (complex, float) pair, the form
-``integrators.rk_component_step`` integrates.  The state a motor keeps
-between steps is the array [re E', im E', slip].
+``integrators.rk_component_step`` integrates.  For the same reason both
+write the stator current (v - E') / zs out, and the constant factors
+j (x0 - x'), 2 H and the MVA scale are made once.  Both must keep each
+floating-point operation of the model and its order.  The state a motor
+keeps between steps is the array [re E', im E', slip]; ``terminal_power``
+takes it as an array or as a list.
 
 ``InductionMotor.initialize`` finds the running state in closed form.
 At dE'/dt = 0, E' = a v / (b + j c s) with a = j (x0 - x') / zs,
@@ -101,6 +105,10 @@ class InductionMotor:
         self._zs = complex(params.rs, params.x_p)
         self._dx = params.x_0 - params.x_p
         self._t0 = params.t0_p(omega_s)
+        # the constant factors of derivatives and terminal_power
+        self._jdx = 1j * self._dx
+        self._h2 = 2.0 * params.h_m
+        self._mva_scale = params.mva_scale
         # the steady state E' = a v / (b + j c s): a = j (x0 - x') / zs,
         # b = 1 + a, c = omega_s T0'
         self._a = 1j * self._dx / self._zs
@@ -118,11 +126,12 @@ class InductionMotor:
     def _stator_current(self, e_p: complex, v: complex) -> complex:
         return (v - e_p) / self._zs
 
-    def terminal_power(self, x: np.ndarray, v: complex) -> complex:
-        """Consumed P + jQ on the *system* base."""
-        e_p = complex(x[0], x[1])
-        i = self._stator_current(e_p, v)
-        return v * i.conjugate() * self.p.mva_scale
+    def terminal_power(self, x, v: complex) -> complex:
+        """Consumed P + jQ on the *system* base; ``x`` is the state, an
+        array or a list."""
+        # the stator current, written out: this runs once per sweep pass
+        i = (v - complex(x[0], x[1])) / self._zs
+        return v * i.conjugate() * self._mva_scale
 
     def electrical_torque(self, x: np.ndarray, v: complex) -> float:
         e_p = complex(x[0], x[1])
@@ -130,19 +139,18 @@ class InductionMotor:
         return (e_p * i.conjugate()).real
 
     def mech_torque(self, slip: float) -> float:
-        speed = 1.0 - slip
-        ref = 1.0 - self.s0
-        return self.tm0 * (speed / ref) ** 2
+        return self.tm0 * ((1.0 - slip) / (1.0 - self.s0)) ** 2
 
     def derivatives(self, e_p: complex, slip: float,
                     v: complex) -> tuple[complex, float]:
         """Derivatives of E' (a Python complex) and the slip (a Python
         float), as a (complex, float) pair."""
-        i = self._stator_current(e_p, v)
+        # the stator current, written out: this runs once per RK stage
+        i = (v - e_p) / self._zs
         de = (-1j * slip * self.omega_s * e_p
-              - (e_p - 1j * self._dx * i) / self._t0)
+              - (e_p - self._jdx * i) / self._t0)
         te = (e_p * i.conjugate()).real
-        ds = (self.mech_torque(slip) - te) / (2.0 * self.p.h_m)
+        ds = (self.mech_torque(slip) - te) / self._h2
         return de, ds
 
     # -- initialisation --------------------------------------------------

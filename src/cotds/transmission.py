@@ -72,7 +72,7 @@ class TransmissionDae(DaeSystem):
     def g(self, x, y, u):
         n = self.net.n_bus
         yl = y.tolist()
-        v = [complex(re, im) for re, im in zip(yl[:n], yl[n:])]
+        v = list(map(complex, yl[:n], yl[n:]))
         i_inj = [0j] * n
         gen = self.bank.injected_current(x, [v[k] for k in self._gen_idx])
         for k, i in zip(self._gen_idx, gen.tolist()):
@@ -174,5 +174,5 @@ class TransmissionSubSystem(SubSystem):
         values = []
         for j in range(_DELTA, len(xl), N_GEN_STATES):
             values += xl[j:j + 2]
-        values += [math.hypot(re, im) for re, im in zip(yl[:n], yl[n:])]
+        values += map(math.hypot, yl[:n], yl[n:])
         return dict(zip(self._channels, values))

@@ -573,6 +573,24 @@ def test_testcase2_post_event_steps_keep_their_jacobian():
     assert r.newton["T"]["jacobian_builds"] <= 6
 
 
+def test_runs_in_one_process_are_bit_identical():
+    # Nothing a run leaves behind in the package, a cache of a module or
+    # of a class, may reach the next run: testcase2 at H 0.037 gives the
+    # same record bytes and Newton counters run twice in a row, and again
+    # after a testcase1 run.
+    def testcase2():
+        s = load_scenario(fixture_path("testcase2"))
+        s.method, s.h_macro = RunMethod.SERIES, 0.037
+        r = run_scenario(s)
+        return (r.log.as_array().tobytes(), r.log.times, r.verdict,
+                r.log.failure, r.newton)
+
+    first = testcase2()
+    assert first == testcase2()
+    run_scenario(load_scenario(fixture_path("testcase1")))
+    assert first == testcase2()
+
+
 def test_testcase1_set_up_work(monkeypatch):
     # The T-D initialisation alternates T's power flow with every feeder's
     # initialisation, 7 passes here (the last one after the interface
