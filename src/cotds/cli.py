@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 schema/validation error,
 3 numeric failure, including a run cut short (its files are still
-written).
+written).  A ``ValueError`` is a usage error only before a run starts;
+one raised during the run is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import linlab
 from .cosim import CouplingSchedule
-from .engine import RunMethod, compare_runs, run_scenario
+from .engine import RunMethod, check_scenario, compare_runs, run_scenario
 from .integrators import NumericFailure
 from .scenario_io import (SchemaError, load_scenario, read_csv, write_csv,
                           write_table)
@@ -138,9 +139,10 @@ def cmd_cotds_run(args) -> int:
             cut = CouplingSchedule(scenario.h_macro, scenario.t_end)
             scenario.events = [ev for ev in scenario.events
                                if cut.applies(ev)]
-        result = run_scenario(scenario)
+        check_scenario(scenario)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
+    result = run_scenario(scenario)
     os.makedirs(os.path.abspath(args.out_dir), exist_ok=True)  # "" is "."
     channels = scenario.channels or list(result.log.columns)
     write_csv(os.path.join(args.out_dir, "run.csv"), result.log, channels)

@@ -49,17 +49,12 @@ __all__ = [
     "exchange_step",
     "march",
     "run_cosimulation",
-    "CosimError",
 ]
 
 # worst initial interface gap a co-simulation may start from
 INIT_TOL = 1e-6
 # an event at most this much after a macro boundary snaps back onto it
 _EVENT_SNAP = 1e-12
-
-
-class CosimError(RuntimeError):
-    pass
 
 
 class SubSystem:
@@ -113,7 +108,9 @@ class SubSystem:
         return z
 
     def switch(self, action: str, params: Mapping) -> None:
-        raise CosimError(f"{type(self).__name__} does not handle event {action!r}")
+        """Apply a topology event; ``ValueError`` for one not taken."""
+        raise ValueError(f"{type(self).__name__} does not handle event "
+                         f"{action!r}")
 
 
 class CouplingMethod(enum.Enum):
@@ -310,11 +307,11 @@ def run_cosimulation(schedule: CouplingSchedule,
                      method: CouplingMethod) -> TimeSeriesLog:
     """March the hub and its spokes to t_end, exchanging per ``method``.
 
-    Refuses to start when an initial interface gap exceeds ``INIT_TOL``.
+    Raises ``ValueError`` when an initial interface gap exceeds ``INIT_TOL``.
     """
     gaps = {name: gap for name, gap in interface_mismatch(subsystems).items()
             if gap > INIT_TOL}
     if gaps:
-        raise CosimError(f"inconsistent initialization: interface gaps "
+        raise ValueError(f"inconsistent initialization: interface gaps "
                          f"{gaps} exceed {INIT_TOL:.0e}")
     return march(schedule, subsystems, exchange_step(subsystems, method))

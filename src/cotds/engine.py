@@ -41,9 +41,9 @@ from .transmission import TransmissionDae, TransmissionSubSystem
 
 __all__ = [
     "RunMethod", "MotorSpec", "FeederSpec", "Scenario", "RunResult",
-    "Verdict", "check_event", "check_run", "build_subsystems",
-    "iterative_td_powerflow_init", "run_scenario", "detect_convergence",
-    "compare_runs",
+    "Verdict", "check_event", "check_run", "check_scenario",
+    "build_subsystems", "iterative_td_powerflow_init", "run_scenario",
+    "detect_convergence", "compare_runs",
 ]
 
 
@@ -76,8 +76,9 @@ class FeederSpec:
 
     The branches grow a tree from the substation, node 0, each listed
     after its parent's own branch, and number its nodes 0..N.  Every load
-    and motor sits on one of those nodes.  A ``ValueError`` starts with
-    the offending field's path (``loads[1].node: ...``).
+    and motor sits on one of those nodes.  The ZIP fractions follow
+    ``ZipLoadParams``' rule.  A ``ValueError`` starts with the offending
+    field's path (``loads[1].node: ...``).
     """
 
     bus: int
@@ -109,8 +110,10 @@ class FeederSpec:
                                  f"feeder, 0..{len(nodes) - 1}")
         if not (0.0 <= self.static_fraction <= 1.0):
             raise ValueError("composition: static_fraction must be in [0, 1]")
-        if abs(sum(self.zip_fractions) - 1.0) > 1e-9:
-            raise ValueError("composition: zip fractions must sum to 1")
+        try:
+            ZipLoadParams(0.0, 0.0, *self.zip_fractions)
+        except ValueError as exc:
+            raise ValueError(f"composition: {exc}") from None
         if self.motors:
             total = sum(m.share for m in self.motors)
             if abs(total - 1.0) > 1e-9:
@@ -507,18 +510,10 @@ class MonolithicDae(DaeSystem):
                 ny += 2 * m
         self.motors = [mu for fd, *_ in self._blocks for mu in fd.motors]
         self._re_idx, self._im_idx = np.array(re_idx), np.array(im_idx)
-        self._nx, self._ny = nx, ny
+        self.n_x, self.n_y = nx, ny
         self._last_g = None  # (x bytes, y bytes, interface power) of g
         self._flags = self._active_flags()
         self.scatter(*self.gather())
-
-    @property
-    def n_x(self) -> int:
-        return self._nx
-
-    @property
-    def n_y(self) -> int:
-        return self._ny
 
     def _feeder_blocks(self, x, y):
         """(feeder, interface index, node voltages, motor states) each."""
@@ -613,16 +608,25 @@ def _post_event_window(scenario: Scenario) -> tuple[float, float]:
     return (t0, scenario.t_end)
 
 
-def run_scenario(scenario: Scenario) -> RunResult:
-    t_start = time.perf_counter()
+def check_scenario(scenario: Scenario) -> CouplingSchedule:
+    """The run's schedule; ``ValueError`` unless the scenario can run.
+
+    Checks the run parameters, the feeders and each event as they stand,
+    whatever changed since the scenario was made, before anything is built.
+    """
     check_run(scenario.h_macro, scenario.t_end, scenario.rk_tol)
     if not scenario.feeders:
         raise ValueError("scenario has no feeders: a T-D run needs at "
                          "least one")
     for ev in scenario.events:
         check_event(scenario.feeders, ev)
-    schedule = CouplingSchedule(scenario.h_macro, scenario.t_end,
-                                tuple(scenario.events))
+    return CouplingSchedule(scenario.h_macro, scenario.t_end,
+                            tuple(scenario.events))
+
+
+def run_scenario(scenario: Scenario) -> RunResult:
+    t_start = time.perf_counter()
+    schedule = check_scenario(scenario)
     subsystems, dsubs, interface_buses = build_subsystems(scenario)
     iterative_td_powerflow_init(subsystems["T"], dsubs, interface_buses)
     if scenario.method is RunMethod.MONOLITHIC:

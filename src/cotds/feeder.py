@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cosim import CosimError, SubSystem
+from .cosim import SubSystem
 from .integrators import NumericFailure, rk_component_step
 from .loads import InductionMotor, ZipLoadParams, zip_power
 
@@ -100,7 +100,11 @@ class MotorUnit:
 
 
 class DistributionFeeder:
-    """Radial tree with node 0 as the substation."""
+    """Radial tree with node 0 as the substation.
+
+    The branches grow one tree from node 0 and number its nodes 0..N, as
+    ``engine.FeederSpec`` checks; this class takes that as given.
+    """
 
     def __init__(self, branches: list[FeederBranch],
                  zip_loads: dict[int, ZipLoadParams] | None = None,
@@ -110,15 +114,7 @@ class DistributionFeeder:
         self.zip_loads = dict(zip_loads or {})
         self.motors = list(motors or [])
         self.active = active
-
-        nodes = {0}
-        for br in self.branches:
-            if br.parent not in nodes:
-                raise FeederError("branches must be listed parent-first")
-            if br.child in nodes:
-                raise FeederError(f"node {br.child} has two parents")
-            nodes.add(br.child)
-        self.n_nodes = len(nodes)
+        self.n_nodes = len(self.branches) + 1
         self.v = np.ones(self.n_nodes, dtype=complex)
         # (parent, child, impedance) of each branch, parent-first
         self._edges = tuple((br.parent, br.child, br.z)
@@ -401,7 +397,8 @@ class DistributionSubSystem(SubSystem):
         return dict(zip(self._channels, values))
 
     def switch(self, action: str, params) -> None:
-        """Apply a topology event; the next ``output()`` re-solves."""
+        """Apply a topology event; the next ``output()`` re-solves.  An
+        unknown action or motor name is a ``ValueError``."""
         if action == "connect_motor":
             mu = self._find_motor(params["name"])
             # load torque referenced to rated consumption at nominal volts
@@ -419,7 +416,7 @@ class DistributionSubSystem(SubSystem):
             fd.active = False
             fd.v[:] = self._v_sub()
         else:
-            raise CosimError(f"unknown distribution event {action!r}")
+            raise ValueError(f"unknown distribution event {action!r}")
         self._output = None
 
     def _find_motor(self, name: str) -> MotorUnit:
@@ -427,4 +424,4 @@ class DistributionSubSystem(SubSystem):
             for mu in fd.motors:
                 if mu.name == name:
                     return mu
-        raise CosimError(f"no motor named {name!r}")
+        raise ValueError(f"no motor named {name!r}")

@@ -307,9 +307,10 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
     Solves x1 = x + h/2 (f(x,y) + f(x1,y1)) together with
     g(x1,y1,u) = 0 on the stacked residual with ``newton_solve``, from
     the explicit Euler predictor.  ``cache`` carries the Jacobian from
-    one step to the next; a step of another ``h`` drops it.  Without a
-    cache every step runs the damped Newton with a fresh FD Jacobian each
-    iteration.  Either way the root meets the same residual tolerance.
+    one step to the next; a step of another ``h`` drops it.  A step
+    handed no cache takes a fresh one, as ``newton_solve`` does: it runs
+    the damped Newton with a fresh FD Jacobian each iteration and keeps
+    nothing.  Either way the root meets the same residual tolerance.
 
     The returned ``(x1, y1)`` are new read-only arrays.  ``cache.end``
     keeps them with ``f(x1, y1)``, which the Newton's last residual
@@ -318,11 +319,13 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
     Any other start, the first step's or one moved by ``set_state``,
     ``rotate``, ``initialize`` or an event, evaluates ``f``.
     """
-    if cache is not None and h != cache.h:
+    if cache is None:
+        cache = JacobianCache()
+    if h != cache.h:
         cache.jac, cache.h = None, h
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    end = None if cache is None else cache.end
+    end = cache.end
     if end is not None and (
             (x is end[0] and y is end[1])
             or (x.tobytes() == end[0].tobytes()
@@ -348,10 +351,9 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
         raise OverflowError("trapezoidal step is non-finite")
     x1, y1 = z[:nx].copy(), z[nx:].copy()
     x1.flags.writeable = y1.flags.writeable = False
-    if cache is not None:
-        # newton_solve returns the last point it evaluated; should that
-        # ever not hold, nothing is kept
-        cache.end = (x1, y1, last[1]) if last[0] is z else None
+    # newton_solve returns the last point it evaluated; should that ever
+    # not hold, nothing is kept
+    cache.end = (x1, y1, last[1]) if last[0] is z else None
     return x1, y1
 
 

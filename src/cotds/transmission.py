@@ -51,14 +51,8 @@ class TransmissionDae(DaeSystem):
         self._if_idx = [net.idx(b) for b in self.interface_buses]
         # (bus index, load) of each static load, read once here
         self._loads = [(net.idx(b), zl) for b, zl in self.static_loads.items()]
-
-    @property
-    def n_x(self) -> int:
-        return N_GEN_STATES * self.bank.n_machines
-
-    @property
-    def n_y(self) -> int:
-        return 2 * self.net.n_bus
+        self.n_x = N_GEN_STATES * bank.n_machines
+        self.n_y = 2 * net.n_bus
 
     def pack_voltages(self, v: np.ndarray) -> np.ndarray:
         return np.concatenate([v.real, v.imag])

@@ -1,14 +1,17 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import cotds
 from cotds import cli, engine, feeder, transmission
 from cotds.cli import EXIT_NUMERIC, EXIT_SCHEMA, EXIT_USAGE, main
-from cotds.integrators import NewtonError
+from cotds.integrators import NewtonError, NumericFailure
 from cotds.scenario_io import fixture_path, load_scenario, read_csv
 
 
@@ -394,9 +397,14 @@ def _network_without_branches(tmp_path):
      "feeders[0].loads[0].node: 7 is not a node of the feeder"),
     (lambda doc, tmp: doc["feeders"][1]["composition"]["motors"][0].update(
         name="f1_im"), "'f1_im' is already a motor on bus 2"),
+    # ZipLoadParams' tolerance is the file's: fractions 5e-10 off once
+    # parsed and then failed to build, exit 1
+    (lambda doc, tmp: doc["feeders"][0]["composition"].update(
+        zip_fractions=[0.3, 0.3, 0.4 + 5e-10]),
+     "feeders[0].composition: ZIP fractions must sum to 1"),
 ], ids=["unknown_bus", "unknown_network", "network_is_directory",
         "network_without_branches", "static_fraction", "zero_impedance",
-        "load_off_the_tree", "motor_name_repeated"])
+        "load_off_the_tree", "motor_name_repeated", "zip_fractions_rounding"])
 def test_bad_scenario_is_schema_error(tmp_path, capsys, edit, message):
     with open(fixture_path("testcase2")) as fh:
         doc = json.load(fh)
@@ -468,3 +476,39 @@ def test_bad_run_flag_is_usage_error(tmp_path, capsys, monkeypatch, flag,
     field = "h_macro" if flag == "--h" else "t_end"
     assert f"error: {field}: must be finite" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_value_error_during_a_run_propagates(tmp_path, monkeypatch):
+    # only the scenario's checks are usage errors; a ValueError from the
+    # numerics is a bug, not "error: ..." and exit 1
+    g = transmission.TransmissionDae.g
+    calls = []
+
+    def buggy_g(self, x, y, u):
+        calls.append(None)
+        if len(calls) == 10:
+            raise ValueError("bug")
+        return g(self, x, y, u)
+
+    monkeypatch.setattr(transmission.TransmissionDae, "g", buggy_g)
+    with pytest.raises(ValueError, match="^bug$"):
+        run_cli("cotds", "run", fixture_path("testcase1"), "--t-end", "0.1",
+                "--out-dir", str(tmp_path / "out"))
+    assert len(calls) == 10
+
+
+def test_every_error_class_maps_to_an_exit_code():
+    # the CLI turns ValueError into exit 1 or 2 and NumericFailure into
+    # exit 3; an error class outside both would reach the user as a
+    # traceback, like a bug
+    classes = []
+    for mod in pkgutil.iter_modules(cotds.__path__):
+        module = importlib.import_module(f"cotds.{mod.name}")
+        classes += [obj for obj in vars(module).values()
+                    if isinstance(obj, type)
+                    and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__]
+    assert cli.CliError in classes and NumericFailure in classes
+    stray = [c.__qualname__ for c in classes if c is not cli.CliError
+             and not issubclass(c, (ValueError, NumericFailure))]
+    assert stray == []

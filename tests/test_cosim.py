@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cotds.cosim import (
-    CosimError,
     CouplingMethod,
     CouplingSchedule,
     Event,
@@ -142,7 +141,7 @@ class TestExchangeSemantics:
         for _ in range(2):
             sched = CouplingSchedule(0.25, 5.0,
                                      events=[Event(2.0, "B", "noop_unknown")])
-            with pytest.raises(CosimError):
+            with pytest.raises(ValueError, match="does not handle event"):
                 run_cosimulation(sched, make_linear_pair(P2, StateVec2(1, 1)),
                                  CouplingMethod.SERIES)
             logs.append(run_cosimulation(
@@ -186,7 +185,7 @@ class TestInitialConsistency:
     def test_run_refuses_inconsistent_start(self):
         subsystems = make_linear_pair(P1, StateVec2(0.3, 0.9))
         subsystems["B"].current_input = subsystems["B"].current_input + 0.5
-        with pytest.raises(CosimError, match="inconsistent initialization"):
+        with pytest.raises(ValueError, match="inconsistent initialization"):
             run_cosimulation(CouplingSchedule(0.1, 1.0), subsystems,
                              CouplingMethod.PARALLEL)
 

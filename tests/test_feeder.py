@@ -221,17 +221,6 @@ class TestZeroDivision:
             f.kcl(np.array([1.0, 0.9], dtype=complex), [])
 
 
-class TestValidation:
-    def test_orphan_branch_rejected(self):
-        with pytest.raises(FeederError):
-            DistributionFeeder([FeederBranch(2, 3, 0.01, 0.01)])
-
-    def test_duplicate_child_rejected(self):
-        with pytest.raises(FeederError):
-            DistributionFeeder([FeederBranch(0, 1, 0.01, 0.01),
-                                FeederBranch(0, 1, 0.02, 0.02)])
-
-
 class TestInitialize:
     def test_motor_equilibrium_consistent_with_sweep(self):
         f = example_feeder()
