@@ -51,6 +51,18 @@ def _params(args) -> linlab.LinearCoupledParams:
         raise CliError(f"invalid parameters: {exc}", EXIT_USAGE)
 
 
+def _check_h_range(args, min_points: int) -> None:
+    """The --h-min/--h-max/--points range and --n, checked by building
+    the step configurations at both ends of the range."""
+    try:
+        for h in (args.h_min, args.h_max):
+            linlab.StepConfig(h, args.n)
+    except ValueError as exc:
+        raise CliError(f"invalid arguments: {exc}", EXIT_USAGE)
+    if args.h_max <= args.h_min or args.points < min_points:
+        raise CliError("empty H range", EXIT_USAGE)
+
+
 def _add_param_flags(p):
     p.add_argument("--lambda-a", type=float, required=True)
     p.add_argument("--lambda-b", type=float, required=True)
@@ -64,10 +76,12 @@ def cmd_linlab_simulate(args) -> int:
     p = _params(args)
     try:
         x0 = linlab.StateVec2(args.x0[0], args.x0[1])
-        traj = linlab.simulate_linear(p, x0, args.h, args.n, args.t_end,
-                                      linlab.SchemeId(args.scheme))
+        linlab.StepConfig(args.h, args.n)
+        CouplingSchedule(args.h, args.t_end)
     except ValueError as exc:
         raise CliError(f"invalid arguments: {exc}", EXIT_USAGE)
+    traj = linlab.simulate_linear(p, x0, args.h, args.n, args.t_end,
+                                  linlab.SchemeId(args.scheme))
     rows = []
     for t, st in zip(traj.times, traj.states):
         ref = linlab.analytic_solution(p, x0, float(t))
@@ -84,14 +98,10 @@ def cmd_linlab_simulate(args) -> int:
 
 def cmd_linlab_stability(args) -> int:
     p = _params(args)
-    if args.h_max <= args.h_min or args.points < 1:
-        raise CliError("empty H range", EXIT_USAGE)
+    _check_h_range(args, min_points=1)
     grid = np.linspace(args.h_min, args.h_max, args.points)
-    try:
-        sweeps = [linlab.stability_sweep(p, linlab.SchemeId(s), args.n, grid)
-                  for s in args.schemes]
-    except ValueError as exc:
-        raise CliError(f"invalid arguments: {exc}", EXIT_USAGE)
+    sweeps = [linlab.stability_sweep(p, linlab.SchemeId(s), args.n, grid)
+              for s in args.schemes]
     rhos = [[rho for _, rho in sweep] for sweep in sweeps]
     rows = np.column_stack([grid, *rhos, np.ones_like(grid)])  # rho = 1 line
     header = ["h"] + [f"rho_{name}" for name in args.schemes] + ["rho_one"]
@@ -103,19 +113,18 @@ def cmd_linlab_stability(args) -> int:
 
 def cmd_linlab_truncation(args) -> int:
     p = _params(args)
-    if args.h_max <= args.h_min or args.points < 2:
-        raise CliError("empty H range", EXIT_USAGE)
-    x0 = linlab.StateVec2(args.x0[0], args.x0[1])
-    rows = []
+    _check_h_range(args, min_points=2)
     try:
-        for h in np.geomspace(args.h_min, args.h_max, args.points):
-            row = [h]
-            for s in linlab.SchemeId:
-                tau = linlab.local_truncation_error(p, x0, h, s, args.n)
-                row.append(float(np.hypot(tau.x_a, tau.x_b)))
-            rows.append(row)
+        x0 = linlab.StateVec2(args.x0[0], args.x0[1])
     except ValueError as exc:
         raise CliError(f"invalid arguments: {exc}", EXIT_USAGE)
+    rows = []
+    for h in np.geomspace(args.h_min, args.h_max, args.points):
+        row = [h]
+        for s in linlab.SchemeId:
+            tau = linlab.local_truncation_error(p, x0, h, s, args.n)
+            row.append(float(np.hypot(tau.x_a, tau.x_b)))
+        rows.append(row)
     path = os.path.join(args.out_dir, args.out)
     write_table(path, ["h"] + [f"tau_{s.value}" for s in linlab.SchemeId],
                 rows)

@@ -100,6 +100,25 @@ class TestLinlab:
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("cmd, computation, flags", [
+        ("simulate", "simulate_linear", ["--h", "0.1", "--scheme", "series"]),
+        ("stability", "stability_sweep", []),
+        ("truncation", "local_truncation_error", []),
+    ])
+    def test_value_error_in_computation_propagates(self, tmp_path,
+                                                   monkeypatch, cmd,
+                                                   computation, flags):
+        # only the argument checks are usage errors; a ValueError from
+        # linlab's numerics is a bug
+        def broken(*args, **kwargs):
+            raise ValueError("bug in the computation")
+
+        monkeypatch.setattr(cli.linlab, computation, broken)
+        with pytest.raises(ValueError, match="bug in the computation"):
+            run_cli("linlab", cmd, "--lambda-a", "-1", "--lambda-b", "-2",
+                    "--ka", "2", "--kb", "2", *flags,
+                    "--out", str(tmp_path / "out.csv"))
+
 
 class TestRunAndCompare:
     def run_fixture(self, tmp_path, sub, method="series"):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -475,3 +476,139 @@ class TestSweepAndSimulate:
                 assert norms[-1] < norms[0] * 1e-2
             elif rho > 1 + 1e-6:
                 assert norms[-1] > norms[0]
+
+
+def scan_threshold(p: LinearCoupledParams, scheme: SchemeId,
+                   n_micro: int = 100, h_max: float = 50.0,
+                   tol: float = 1e-10) -> float:
+    """Smallest H where the spectral radius crosses 1, by scan + bisection.
+
+    The threshold search that the doubling bracket replaced, kept as its
+    oracle: it evaluates the radius at 2000 evenly spaced H.
+    """
+    rho = functools.partial(linlab._radius, p, scheme, n_micro)
+    grid = np.linspace(h_max / 2000.0, h_max, 2000)
+    lo = grid[0]
+    if rho(lo) >= 1.0:
+        return lo
+    for h in grid[1:]:
+        if rho(h) >= 1.0:
+            hi = h
+            break
+        lo = h
+    else:
+        return h_max
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if rho(mid) >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def bench_box_draws(count, seed=0):
+    """Latin-hypercube draws of the decay rates and coupling gains over
+    [0.5, 5]^4: each parameter takes one value in each of ``count``
+    equal strata."""
+    rng = np.random.default_rng(seed)
+    strata = np.array([rng.permutation(count) for _ in range(4)]).T
+    u = (strata + rng.uniform(size=strata.shape)) / count
+    return [LinearCoupledParams(-float(la), -float(lb), float(ka), float(kb))
+            for la, lb, ka, kb in 0.5 + 4.5 * u]
+
+
+# Once the B half's Euler factor 1 + (H/n)*lambda_b is negative
+# (H > n/|lambda_b| = 23.5), the parallel radius of this draw rises
+# above 1 (by at most about 3e-5) on about [44.36, 44.97], falls below it,
+# and crosses 1 again at the Euler limit 2n/|lambda_b| = 47.05.  The
+# doubling bracket [25, 50] holds three crossings and its bisection finds
+# the last; the scan's 0.025 spacing finds the window.
+P_EULER_WINDOW = LinearCoupledParams(-3.397430389648027, -4.25055915317289,
+                                     3.635094230290633, 2.0127088174144214)
+
+
+def search_bound(h_max, tol):
+    """Radius evaluations of one search: rho(h_lo), at most
+    ceil(log2 2000) doublings from h_lo = h_max/2000 to h_max, and the
+    halvings that take a bracket of width at most h_max/2 (hi <= 2 lo and
+    hi <= h_max) to tol."""
+    return (1 + math.ceil(math.log2(2000))
+            + math.ceil(math.log2((h_max / 2) / tol)))
+
+
+class TestThresholdSearch:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts ``linlab._radius`` calls; reset it between searches."""
+        count = [0]
+        radius = linlab._radius
+
+        def counted(*args):
+            count[0] += 1
+            return radius(*args)
+
+        monkeypatch.setattr(linlab, "_radius", counted)
+        return count
+
+    def assert_crossing(self, p, scheme, h, h_max):
+        def rho(x):
+            return spectral_radius(build_step_matrix(p, StepConfig(x), scheme))
+
+        if h >= h_max:
+            assert rho(h_max) < 1.0, (p, scheme)
+        else:
+            below, above = rho(h * (1 - 1e-6)), rho(h * (1 + 1e-6))
+            assert below < 1.0 <= above, (p, scheme, h)
+
+    def check(self, p, scheme, h_max, calls):
+        want = scan_threshold(p, scheme, h_max=h_max)
+        calls[0] = 0
+        got = find_stability_threshold(p, scheme, h_max=h_max)
+        assert calls[0] <= search_bound(h_max, 1e-10), (p, scheme, calls[0])
+        assert abs(got - want) <= 1e-10 * max(1.0, got), (p, scheme, got, want)
+        self.assert_crossing(p, scheme, got, h_max)
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_matches_scan_on_bench_box(self, scheme, calls):
+        for p in bench_box_draws(200):
+            self.check(p, scheme, 20.0, calls)
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_matches_scan_at_default_h_max(self, scheme, calls):
+        # P1 and P2 are the acceptance suite's P_STIFF and P_MILD
+        for p in (P1, P2):
+            self.check(p, scheme, 50.0, calls)
+
+    def test_euler_window_is_stepped_over(self, calls):
+        scheme = SchemeId.COSIM_PARALLEL
+        got = find_stability_threshold(P_EULER_WINDOW, scheme)
+        assert calls[0] <= search_bound(50.0, 1e-10)
+        euler_limit = 2 * 100 / abs(P_EULER_WINDOW.lambda_b)
+        assert got == pytest.approx(euler_limit, rel=1e-9)
+        self.assert_crossing(P_EULER_WINDOW, scheme, got, 50.0)
+        window = scan_threshold(P_EULER_WINDOW, scheme)
+        assert window == pytest.approx(44.359, abs=1e-3)
+        self.assert_crossing(P_EULER_WINDOW, scheme, window, 50.0)
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300])
+    def test_tol_below_float_spacing_ends(self, tol, calls):
+        # a float bracket with hi <= 2 lo holds fewer than 2^53 floats, and
+        # each halving halves that count (one more for the midpoint's
+        # rounding) until the midpoint rounds onto an end
+        for scheme in (SchemeId.COSIM_PARALLEL, SchemeId.COSIM_SERIES):
+            calls[0] = 0
+            got = find_stability_threshold(P2, scheme, tol=tol)
+            assert calls[0] <= 1 + math.ceil(math.log2(2000)) + 54
+            assert got == pytest.approx(find_stability_threshold(P2, scheme),
+                                        rel=1e-10)
+            self.assert_crossing(P2, scheme, got, 50.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-10}, {"tol": math.inf},
+        {"h_max": math.nan}, {"h_max": 0.0}, {"h_max": -50.0},
+        {"h_max": math.inf},
+    ])
+    def test_rejects_bad_tol_and_h_max(self, kwargs):
+        with pytest.raises(ValueError):
+            find_stability_threshold(P2, SchemeId.COSIM_PARALLEL, **kwargs)
