@@ -23,8 +23,8 @@ last step's start, which would never be applied.
 
 A run takes a record after every macro step, a few dozen floats, so the
 record is kept to one ``tolist`` of each sub-system's output and one
-read of each snapshot channel, by name, before the row becomes one
-array.
+read of each snapshot channel, by name.  The row is checked finite on
+those Python floats, and only then becomes one float array in the log.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class SubSystem:
         raise NotImplementedError
 
     def set_input(self, u: np.ndarray) -> None:
-        self.current_input = np.asarray(u, dtype=float).copy()
+        self.current_input = np.array(u, dtype=float)
 
     def advance(self, h: float) -> None:
         raise NotImplementedError
@@ -245,7 +245,7 @@ def march(schedule: CouplingSchedule,
         for sub, chans in parts:
             row += sub.output().tolist()
             row += map(sub.snapshot().__getitem__, chans)
-        return np.array(row, dtype=float)
+        return row
 
     log.append(0.0, record())
     events = sorted(schedule.events, key=lambda e: e.time)
@@ -271,7 +271,7 @@ def march(schedule: CouplingSchedule,
             break
         t = (i + 1) * h
         row = record()
-        if not np.isfinite(row).all():
+        if not all(map(math.isfinite, row)):
             log.diverged = True
             log.failure = f"divergence at t={t:.6g}: non-finite record"
             break

@@ -15,17 +15,20 @@ stability is governed by the spectral radius of the exact 2x2 step matrix.
 Each step matrix is written once, in closed form on Python floats
 (``_step_entries``): Cramer's rule for the total trapezoidal scheme, a
 diagonal (parallel) or lower-triangular (series) left-hand side for the
-co-simulation schemes.  ``build_step_matrix`` and ``build_M_*`` wrap
+co-simulation schemes.  The entries take H and n as numbers:
+``build_step_matrix`` and ``build_M_*`` pass a ``StepConfig``'s and wrap
 the entries as an array; the threshold search and ``stability_sweep``
-take the closed-form radius of the entries directly, with no array and
-no linear solve.  The threshold search (``_first_crossing``) brackets
-the first H where the radius reaches 1 by doubling H and then bisects
-the bracket, about 12 radius evaluations to bracket and 40 to bisect.
+check their arguments once and take the closed-form radius of the
+entries directly, with no ``StepConfig``, array or linear solve per H.
+The threshold search (``_first_crossing``) brackets the first H where
+the radius reaches 1 by doubling H and then bisects the bracket, about
+12 radius evaluations to bracket and 40 to bisect.
 
 The two halves are ``cosim`` sub-systems (``make_linear_pair``, A the
 hub and B its one spoke), and ``simulate_linear`` marches them: the
 co-simulation schemes through ``cosim.run_cosimulation``, the total
-trapezoidal scheme by a direct 2x2 solve over the same pair.
+trapezoidal scheme by one 2x2 solve per run, then float products over
+the same pair.
 """
 
 from __future__ import annotations
@@ -115,12 +118,17 @@ class StepConfig:
         if not 0.0 < self.h_macro < math.inf:
             raise ValueError(f"h_macro must be positive and finite, got "
                              f"{self.h_macro!r}")
-        if self.n_micro < 1:
-            raise ValueError("n_micro must be >= 1")
+        _check_n_micro(self.n_micro)
 
     @property
     def h_micro(self) -> float:
         return self.h_macro / self.n_micro
+
+
+def _check_n_micro(n_micro: int) -> None:
+    """``StepConfig``'s micro-step rule, for the callers that build none."""
+    if n_micro < 1:
+        raise ValueError("n_micro must be >= 1")
 
 
 class SchemeId(enum.Enum):
@@ -160,26 +168,28 @@ def analytic_solution(p: LinearCoupledParams, x0: StateVec2, t: float) -> StateV
     return StateVec2.from_array(e @ x0.as_array())
 
 
-def _euler_map(p: LinearCoupledParams, cfg: StepConfig) -> tuple[float, float]:
-    """(g, w): the B half's n Euler micro steps under a frozen x_a,
-    x_b(t + H) = g*x_b(t) + w*x_a.
+def _euler_map(p: LinearCoupledParams, h: float,
+               n: int) -> tuple[float, float]:
+    """(g, w): the B half's n Euler micro steps over the macro step h
+    under a frozen x_a, x_b(t + h) = g*x_b(t) + w*x_a.
 
-    g = (1 + h*lambda_b)^n is the growth factor and
+    g = (1 + (h/n)*lambda_b)^n is the growth factor and
     w = (k_b/lambda_b)*(g - 1) the exact accumulated weight of the
-    constant A-side input.
+    constant A-side input.  h/n is ``StepConfig.h_micro``'s quotient.
     """
     try:
-        g = (1.0 + cfg.h_micro * p.lambda_b) ** cfg.n_micro
+        g = (1.0 + (h / n) * p.lambda_b) ** n
     except OverflowError:
         raise OverflowError("the B half's Euler growth factor overflows at "
-                            f"H={cfg.h_macro}") from None
+                            f"H={h}") from None
     return g, (p.k_b / p.lambda_b) * (g - 1.0)
 
 
-def _step_entries(p: LinearCoupledParams, cfg: StepConfig,
+def _step_entries(p: LinearCoupledParams, h: float, n: int,
                   scheme: SchemeId) -> tuple[float, float, float, float]:
-    """Entries (m00, m01, m10, m11) of the scheme's one-step matrix M,
-    the solution of lhs @ M = rhs, in closed form.
+    """Entries (m00, m01, m10, m11) of the scheme's one-step matrix M at
+    macro step h and n micro steps, the solution of lhs @ M = rhs, in
+    closed form.
 
     Total trapezoidal: lhs = I - H/2*A and rhs = I + H/2*A, solved by
     Cramer's rule.  Co-simulation: the A row is the trapezoidal half's,
@@ -188,7 +198,6 @@ def _step_entries(p: LinearCoupledParams, cfg: StepConfig,
     diagonal lhs) or by the end-of-step x_a (series, a lower-triangular
     lhs, so the A row is substituted into it).
     """
-    h = cfg.h_macro
     if scheme is SchemeId.TOTAL_TRAPEZOIDAL:
         c = 0.5 * h
         l00, l01 = 1.0 - c * p.lambda_a, c * p.k_a
@@ -203,7 +212,7 @@ def _step_entries(p: LinearCoupledParams, cfg: StepConfig,
     d = 1.0 - 0.5 * p.lambda_a * h
     m00 = (1.0 + 0.5 * p.lambda_a * h) / d
     m01 = -p.k_a * h / d
-    g, w = _euler_map(p, cfg)
+    g, w = _euler_map(p, h, n)
     if scheme is SchemeId.COSIM_PARALLEL:
         return m00, m01, w, g
     return m00, m01, w * m00, g + w * m01
@@ -212,7 +221,7 @@ def _step_entries(p: LinearCoupledParams, cfg: StepConfig,
 def build_step_matrix(p: LinearCoupledParams, cfg: StepConfig,
                       scheme: SchemeId) -> np.ndarray:
     """The scheme's one-step matrix M: x(t + H) = M @ x(t)."""
-    m00, m01, m10, m11 = _step_entries(p, cfg, scheme)
+    m00, m01, m10, m11 = _step_entries(p, cfg.h_macro, cfg.n_micro, scheme)
     return np.array([[m00, m01], [m10, m11]])
 
 
@@ -348,20 +357,24 @@ def local_truncation_error(p: LinearCoupledParams, x0: StateVec2, h_macro: float
 def _radius(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
             h: float) -> float:
     """Spectral radius of the scheme's step matrix at macro step ``h``,
-    from its entries.  ``h`` may come from a numpy grid; as a Python
-    float it keeps the entries Python floats, which are faster."""
-    return _radius_2x2(*_step_entries(p, StepConfig(float(h), n_micro), scheme))
+    from its entries; the caller checks ``h`` and ``n_micro``.  ``h`` may
+    be a numpy scalar; as a Python float it keeps the entries Python
+    floats, which are faster and raise ``OverflowError`` on overflow."""
+    return _radius_2x2(*_step_entries(p, float(h), n_micro, scheme))
 
 
 def stability_sweep(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
                     h_grid) -> list[tuple[float, float]]:
-    """(H, spectral radius) pairs of the scheme's step matrix over a grid."""
-    out = []
-    for h in h_grid:
-        if h <= 0:
-            raise ValueError("grid values must be positive")
-        out.append((float(h), _radius(p, scheme, n_micro, h)))
-    return out
+    """(H, spectral radius) pairs of the scheme's step matrix over a grid
+    of positive, finite H; ``ValueError`` names the first value that is
+    not."""
+    hs = [float(h) for h in h_grid]
+    for h in hs:
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"grid values must be positive and finite, "
+                             f"got {h!r}")
+    _check_n_micro(n_micro)
+    return [(h, _radius(p, scheme, n_micro, h)) for h in hs]
 
 
 def _first_crossing(rho: Callable[[float], float], h_lo: float,
@@ -421,6 +434,7 @@ def find_stability_threshold(p: LinearCoupledParams, scheme: SchemeId,
     the doubling steps over, and the search returns the Euler limit
     2*n_micro/|lambda_b| = 47.05 instead of 44.36.
     """
+    _check_n_micro(n_micro)
     return _first_crossing(functools.partial(_radius, p, scheme, n_micro),
                            h_max / 2000.0, h_max, tol)
 
@@ -434,16 +448,23 @@ class LinearTrajectory:
     diverged: bool
 
 
-def _total_trapezoidal_step(p: LinearCoupledParams, pair):
-    """``step(h)``: the implicit trapezoidal step on the full system, a
-    direct 2x2 solve over the pair's states."""
+def _total_trapezoidal_step(p: LinearCoupledParams, h: float, pair):
+    """``step(h)``: the implicit trapezoidal step over ``h`` on the full
+    system, applied to the pair's states.
+
+    Its matrix M solves (I - h/2*A) M = (I + h/2*A) by one LAPACK solve,
+    independent of ``_step_entries``' Cramer's rule, and each step is
+    Python float products by M's entries.
+    """
     a_half, b_half = pair["A"], pair["B"]
     a = system_matrix(p)
+    m = np.linalg.solve(np.eye(2) - 0.5 * h * a, np.eye(2) + 0.5 * h * a)
+    m00, m01, m10, m11 = m.ravel().tolist()
 
-    def step(h):
-        s = np.array([a_half.x, b_half.x])
-        lhs = np.eye(2) - 0.5 * h * a
-        a_half.x, b_half.x = np.linalg.solve(lhs, s + 0.5 * h * (a @ s))
+    def step(_h):  # the march's H, the h M was built for
+        xa, xb = a_half.x, b_half.x
+        a_half.x = m00 * xa + m01 * xb
+        b_half.x = m10 * xa + m11 * xb
 
     return step
 
@@ -459,7 +480,8 @@ def simulate_linear(p: LinearCoupledParams, x0: StateVec2, h_macro: float,
     schedule = CouplingSchedule(cfg.h_macro, t_end)
     pair = make_linear_pair(p, x0, cfg.n_micro)
     if scheme is SchemeId.TOTAL_TRAPEZOIDAL:
-        log = march(schedule, pair, _total_trapezoidal_step(p, pair))
+        log = march(schedule, pair,
+                    _total_trapezoidal_step(p, cfg.h_macro, pair))
     else:
         log = run_cosimulation(schedule, pair, CouplingMethod(scheme.value))
     cols = [log.columns.index("A.x"), log.columns.index("B.x")]

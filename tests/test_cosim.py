@@ -74,6 +74,41 @@ class TestAgainstLinlabSteppers:
         assert np.all(np.isfinite(log.as_array()))
 
 
+class Channel(Recorder):
+    """A recorder whose snapshot channel reads ``values[k]`` after k
+    steps; its output stays finite."""
+
+    def __init__(self, values):
+        super().__init__()
+        self.values = values
+
+    def snapshot(self):
+        return {"v": self.values[len(self.seen)]}
+
+
+class TestRecordFiniteness:
+    def run(self, values):
+        return run_cosimulation(CouplingSchedule(1.0, 4.0),
+                                {"A": Channel(values), "B": Recorder()},
+                                CouplingMethod.SERIES)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_channel_truncates(self, bad):
+        log = self.run([0.0, 1.0, 2.0, bad, 3.0])
+        assert log.diverged
+        assert log.failure == "divergence at t=3: non-finite record"
+        assert log.times == [0.0, 1.0, 2.0]
+        assert log.channel("A.v").tolist() == [0.0, 1.0, 2.0]
+        assert all(isinstance(r, np.ndarray) and r.dtype == float
+                   for r in log.rows)
+
+    def test_large_finite_channel_is_kept(self):
+        log = self.run([0.0, 1e308, -1e308, 1e308, 2.0])
+        assert not log.diverged and log.failure is None
+        assert log.channel("A.v").tolist() == [0.0, 1e308, -1e308, 1e308,
+                                               2.0]
+
+
 class TestTimeSeriesLog:
     def check_channels(self, log):
         arr = log.as_array()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotds import linlab
+from cotds.cosim import CouplingSchedule, march
 from cotds.linlab import (
     LinearCoupledParams,
     SchemeId,
@@ -19,6 +20,7 @@ from cotds.linlab import (
     build_step_matrix,
     find_stability_threshold,
     local_truncation_error,
+    make_linear_pair,
     simulate_linear,
     spectral_radius,
     stability_sweep,
@@ -369,9 +371,31 @@ class TestClosedFormStepMatrix:
             find_stability_threshold(P2, scheme, h_max=20.0)
             stability_sweep(P2, scheme, 100, np.linspace(0.01, 2.0, 50))
         assert calls == []
+        # one solve per run, not per step
+        for t_end in (0.3, 3.0):
+            simulate_linear(P2, StateVec2(1, 1), 0.1, 100, t_end,
+                            SchemeId.TOTAL_TRAPEZOIDAL)
+            assert calls == ["solve"]
+            calls.clear()
+
+    def test_threshold_and_sweep_build_no_step_config(self, monkeypatch):
+        # their H is checked once, not by a StepConfig per radius; the
+        # simulation shows the counter sees linlab's StepConfigs
+        built = []
+        post_init = StepConfig.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(StepConfig, "__post_init__", counted)
+        for scheme in SchemeId:
+            find_stability_threshold(P2, scheme, h_max=20.0)
+            stability_sweep(P2, scheme, 100, np.linspace(0.01, 2.0, 600))
+        assert built == []
         simulate_linear(P2, StateVec2(1, 1), 0.1, 100, 0.3,
-                        SchemeId.TOTAL_TRAPEZOIDAL)
-        assert calls == ["solve"] * 3
+                        SchemeId.COSIM_SERIES)
+        assert [(c.h_macro, c.n_micro) for c in built] == [(0.1, 100)]
 
 
 class TestSpectralRadius:
@@ -436,6 +460,22 @@ class TestSweepAndSimulate:
     def test_empty_grid(self):
         assert stability_sweep(P1, SchemeId.COSIM_SERIES, 100, []) == []
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_grid_checked_before_any_radius(self, bad, monkeypatch):
+        radii = []
+        monkeypatch.setattr(linlab, "_radius",
+                            lambda *args: radii.append(args) or 0.5)
+        for grid in ([0.1, 0.5, bad, 1.0], np.array([0.1, 0.5, bad, 1.0])):
+            with pytest.raises(ValueError, match=f"got {bad!r}$"):
+                stability_sweep(P2, SchemeId.COSIM_PARALLEL, 100, grid)
+        assert radii == []
+
+    def test_sweep_checks_n_micro(self):
+        with pytest.raises(ValueError, match="n_micro"):
+            stability_sweep(P2, SchemeId.COSIM_SERIES, 0, [0.5])
+        with pytest.raises(ValueError, match="n_micro"):
+            find_stability_threshold(P2, SchemeId.COSIM_SERIES, n_micro=0)
+
     def test_sweep_order_and_content(self):
         grid = [0.1, 0.5, 1.0]
         out = stability_sweep(P2, SchemeId.TOTAL_TRAPEZOIDAL, 100, grid)
@@ -476,6 +516,136 @@ class TestSweepAndSimulate:
                 assert norms[-1] < norms[0] * 1e-2
             elif rho > 1 + 1e-6:
                 assert norms[-1] > norms[0]
+
+
+U = 2.0 ** -53  # unit roundoff
+
+
+def old_total_trapezoidal_step(p, pair):
+    """The total scheme's step as it was, a 2x2 solve per step, kept as
+    the oracle of the one-solve-per-run stepper."""
+    a_half, b_half = pair["A"], pair["B"]
+    a = system_matrix(p)
+
+    def step(h):
+        s = np.array([a_half.x, b_half.x])
+        lhs = np.eye(2) - 0.5 * h * a
+        a_half.x, b_half.x = np.linalg.solve(lhs, s + 0.5 * h * (a @ s))
+
+    return step
+
+
+def inf_norm(m):
+    return float(np.max(np.sum(np.abs(m), axis=1)))
+
+
+# How far step k + 1 of ``simulate_linear`` may sit from M @ x_k, M the
+# step matrix.  Both sides evaluate the same real expansion of M @ x_k
+# from the same floats (the parameters, H and the Euler factor
+# g = (1 + (H/n)*lambda_b)^n, one expression on both sides), in other
+# orders.  To first order each term of the expansion carries k*u
+# relative error, k the roundings on its path; counting the stepper's
+# and the matrix's together:
+# - A row, m00*x_a + m01*x_b (m00 = (1 + H/2*lambda_a)/d,
+#   m01 = -k_a*H/d, d = 1 - H/2*lambda_a): 7 + 7 on the x_a term,
+#   6 + 6 on the x_b term;
+# - parallel B row, w*x_a + g*x_b (w = (k_b/lambda_b)*(g - 1)): 4 + 4
+#   and 2 + 2;
+# - series B row, w*(m00*x_a + m01*x_b) + g*x_b: the stepper's A row
+#   (7 or 6) and 4 more, the matrix's 10: at most 21 on a w term, 5 on g.
+# So |step - M x| <= COSIM_ROUNDINGS*u*(sum of the terms' magnitudes).
+# - total trapezoidal: the stepper's M (an LU solve) and the step matrix
+#   (Cramer's rule) differ in column j by at most
+#   SOLVE_BOUND*u*kappa*max|M[:, j]| (above); each side's products add 2
+#   roundings per term.
+COSIM_ROUNDINGS = 24
+
+
+def stepper_bound(p, cfg, scheme, x):
+    """Per step (row of x) and component, the bound above."""
+    m = build_step_matrix(p, cfg, scheme)
+    ax = np.abs(x)
+    if scheme is SchemeId.TOTAL_TRAPEZOIDAL:
+        lhs = np.eye(2) - 0.5 * cfg.h_macro * system_matrix(p)
+        kappa = np.linalg.cond(lhs, np.inf)
+        col = np.max(np.abs(m), axis=0)
+        solve = SOLVE_BOUND * kappa * (ax @ col)
+        return U * (solve[:, None] + 4 * ax @ np.abs(m).T)
+    g, w = linlab._euler_map(p, cfg.h_macro, cfg.n_micro)
+    mag_a = ax @ np.abs(m[0])
+    if scheme is SchemeId.COSIM_PARALLEL:
+        mag_b = abs(w) * ax[:, 0] + abs(g) * ax[:, 1]
+    else:
+        mag_b = abs(w) * mag_a + abs(g) * ax[:, 1]
+    return COSIM_ROUNDINGS * U * np.stack([mag_a, mag_b], axis=1)
+
+
+def old_total_bound(p, h, states):
+    """How far the old and the new total stepper's trajectories may
+    drift apart.
+
+    From the same x, the steps differ by at most c*u*|x|_inf:
+    - the new M's columns carry SOLVE_BOUND's LU part, 24*u*kappa*|M|;
+      summed over the two columns, 48*u*kappa*|M|*|x|;
+    - the old step's LU solve carries 24*u*kappa*|M x|;
+    - its right-hand side x + H/2*(A x), 4 roundings per term, carries
+      4*u*|lhs^-1|*(1 + |H/2*A|)*|x|;
+    - the new step's products carry 2*u*|M|*|x|.
+    A difference made at step k reaches step N through M^(N-k-1), so
+    the bound at N is the sum over k of |M^(N-k-1)|*c*u*|x_k|.
+    """
+    a = system_matrix(p)
+    lhs = np.eye(2) - 0.5 * h * a
+    m = np.linalg.solve(lhs, np.eye(2) + 0.5 * h * a)
+    kappa = np.linalg.cond(lhs, np.inf)
+    c = ((72 * kappa + 2) * inf_norm(m)
+         + 4 * inf_norm(np.linalg.inv(lhs)) * (1 + inf_norm(0.5 * h * a)))
+    powers = [np.eye(2)]
+    for _ in range(len(states) - 2):
+        powers.append(powers[-1] @ m)
+    spread = np.array([inf_norm(pk) for pk in powers])
+    local = c * U * np.max(np.abs(states[:-1]), axis=1)
+    return np.concatenate([[0.0], np.convolve(spread, local)[:len(local)]])
+
+
+class TestMarchedStepper:
+    """200 marched steps against the step matrix, as the benchmark's
+    linlab check does, on the acceptance suite's P_STIFF (P1) and
+    P_MILD (P2) at half the smaller co-simulation threshold."""
+
+    STEPS = 200
+
+    def run(self, p, scheme):
+        h = 0.5 * min(find_stability_threshold(p, SchemeId.COSIM_PARALLEL),
+                      find_stability_threshold(p, SchemeId.COSIM_SERIES))
+        traj = simulate_linear(p, StateVec2(1, 1), h, 100, self.STEPS * h,
+                               scheme)
+        assert not traj.diverged and len(traj.times) == self.STEPS + 1
+        return StepConfig(h, 100), traj.states
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    @pytest.mark.parametrize("p", [P1, P2])
+    def test_each_step_is_the_step_matrix(self, p, scheme):
+        cfg, states = self.run(p, scheme)
+        m = build_step_matrix(p, cfg, scheme)
+        dev = np.abs(states[1:] - states[:-1] @ m.T)
+        bound = stepper_bound(p, cfg, scheme, states[:-1])
+        assert np.all(dev <= bound), float(np.max(dev / bound))
+        # the other schemes' matrices do not pass
+        for other in set(SchemeId) - {scheme}:
+            m = build_step_matrix(p, cfg, other)
+            assert np.any(np.abs(states[1:] - states[:-1] @ m.T) > bound)
+
+    @pytest.mark.parametrize("p", [P1, P2])
+    def test_total_matches_per_step_solve(self, p):
+        cfg, states = self.run(p, SchemeId.TOTAL_TRAPEZOIDAL)
+        pair = make_linear_pair(p, StateVec2(1, 1), cfg.n_micro)
+        log = march(CouplingSchedule(cfg.h_macro, self.STEPS * cfg.h_macro),
+                    pair, old_total_trapezoidal_step(p, pair))
+        old = log.as_array()[:, [log.columns.index("A.x"),
+                                 log.columns.index("B.x")]]
+        dev = np.max(np.abs(states - old), axis=1)
+        assert np.all(dev <= old_total_bound(p, cfg.h_macro, old))
 
 
 def scan_threshold(p: LinearCoupledParams, scheme: SchemeId,
