@@ -17,6 +17,7 @@ one raised during the run is a bug and propagates.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -145,14 +146,13 @@ def cmd_cotds_run(args) -> int:
         if args.t_end is not None:
             scenario.t_end = args.t_end
             # keep the events that a step of the shortened run follows
-            cut = CouplingSchedule(scenario.h_macro, scenario.t_end)
+            cut = check_scenario(dataclasses.replace(scenario, events=[]))
             scenario.events = [ev for ev in scenario.events
                                if cut.applies(ev)]
         check_scenario(scenario)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     result = run_scenario(scenario)
-    os.makedirs(os.path.abspath(args.out_dir), exist_ok=True)  # "" is "."
     channels = scenario.channels or list(result.log.columns)
     write_csv(os.path.join(args.out_dir, "run.csv"), result.log, channels)
     summary = os.path.join(args.out_dir, "summary.txt")

@@ -14,6 +14,10 @@ derivatives and KCL mismatch) and writes its state back into the same
 component objects, on which events act.  Both paths thus solve one
 model, and any disagreement between them is coupling error, not
 modeling error.
+
+``check_scenario`` owns every rule about a whole scenario, and
+``FeederSpec`` those about one feeder.  ``Scenario`` calls the former
+when made, and ``run_scenario`` again, before anything is built.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .transmission import TransmissionDae, TransmissionSubSystem
 
 __all__ = [
     "RunMethod", "MotorSpec", "FeederSpec", "Scenario", "RunResult",
-    "Verdict", "check_event", "check_run", "check_scenario",
+    "Verdict", "check_scenario",
     "build_subsystems", "iterative_td_powerflow_init", "run_scenario",
     "detect_convergence", "compare_runs",
 ]
@@ -75,7 +79,8 @@ class FeederSpec:
     """One radial feeder on transmission bus ``bus``.
 
     The branches grow a tree from the substation, node 0, each listed
-    after its parent's own branch, and number its nodes 0..N.  Every load
+    after its parent's own branch, and number its nodes 0..N; none has
+    zero impedance (r = x = 0), which the feeder divides by.  Every load
     and motor sits on one of those nodes.  The ZIP fractions follow
     ``ZipLoadParams``' rule.  A ``ValueError`` starts with the offending
     field's path (``loads[1].node: ...``).
@@ -92,6 +97,8 @@ class FeederSpec:
     def __post_init__(self):
         nodes = {0}
         for i, br in enumerate(self.branches):
+            if br.r == 0 and br.x == 0:
+                raise ValueError(f"branches[{i}]: zero impedance (r = x = 0)")
             if br.parent not in nodes or br.child in nodes:
                 raise ValueError(
                     f"branches[{i}]: {br.parent} -> {br.child} does not grow "
@@ -126,6 +133,8 @@ class FeederSpec:
 
 @dataclass
 class Scenario:
+    """A T-D run; ``check_scenario`` refuses one that cannot run."""
+
     name: str
     transmission: str
     feeders: list[FeederSpec]
@@ -137,22 +146,7 @@ class Scenario:
     channels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        check_run(self.h_macro, self.t_end, self.rk_tol)
-        try:
-            net = load_network(self.transmission)
-        except OSError as exc:
-            raise ValueError(f"transmission {self.transmission!r}: "
-                             f"{exc.strerror or exc}") from None
-        names = set()
-        for k, fs in enumerate(self.feeders):
-            if fs.bus not in net.bus_ids:
-                raise ValueError(f"feeder bound to unknown bus {fs.bus}")
-            for i, m in enumerate(fs.motors):
-                if (fs.bus, m.name) in names:
-                    raise ValueError(
-                        f"feeders[{k}].composition.motors[{i}].name: "
-                        f"{m.name!r} is already a motor on bus {fs.bus}")
-                names.add((fs.bus, m.name))
+        check_scenario(self)
 
 
 @dataclass
@@ -173,49 +167,6 @@ class RunResult:
     verdict: Verdict
     wall_time: float
     newton: dict[str, dict[str, int]] = field(default_factory=dict)
-
-
-def check_run(h_macro: float, t_end: float, rk_tol: float) -> None:
-    """Raise ValueError unless a scenario can run with these parameters.
-
-    ``h_macro`` and ``t_end`` must be what ``CouplingSchedule`` takes, and
-    ``rk_tol`` finite and positive.  The message starts with the field's
-    name.
-    """
-    CouplingSchedule(h_macro, t_end)
-    if not (math.isfinite(rk_tol) and rk_tol > 0):
-        raise ValueError(f"rk_tol: must be finite and positive, got "
-                         f"{rk_tol!r}")
-
-
-# the distribution events, and the parameter each one takes
-_EVENT_PARAMS = {"connect_motor": ("name", str),
-                 "disconnect_motor": ("name", str),
-                 "connect_feeder": ("index", int),
-                 "disconnect_feeder": ("index", int)}
-
-
-def check_event(feeders: list[FeederSpec], ev: Event) -> None:
-    """Raise ValueError unless ``ev`` is an event the scenario can apply.
-
-    Its target must be ``D<bus>`` of a feeder bus, its action one of the
-    four distribution actions, and its params exactly the one parameter
-    of that action: a motor on that bus or an index of its feeders.
-    """
-    here = [fs for fs in feeders if f"D{fs.bus}" == ev.target]
-    if not here:
-        raise ValueError(f"target: no feeder on {ev.target!r}")
-    if ev.action not in _EVENT_PARAMS:
-        raise ValueError(f"action: unknown action {ev.action!r}")
-    key, typ = _EVENT_PARAMS[ev.action]
-    if set(ev.params) != {key} or type(ev.params[key]) is not typ:
-        raise ValueError(f"params: expected exactly {{{key!r}: "
-                         f"{typ.__name__}}}, got {dict(ev.params)!r}")
-    known = ({m.name for fs in here for m in fs.motors} if key == "name"
-             else range(len(here)))
-    if ev.params[key] not in known:
-        raise ValueError(f"params.{key}: {ev.params[key]!r} is not one of "
-                         f"{ev.target}'s {sorted(known)}")
 
 
 # -- construction -----------------------------------------------------------
@@ -295,8 +246,12 @@ def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
     u_t = np.zeros(2 * len(interface_buses))
     for k, bus in enumerate(interface_buses):
         d = dsubs[f"D{bus}"]
+        # each load at its nominal power, each running motor at its target
+        # with a reactive guess at rated power factor ~0.9 lagging
         s = sum(complex(p, q) for fd in d.feeders if fd.active
-                for _, p, q in _feeder_nominal(fd))
+                for p, q in [*((z.p0, z.q0) for z in fd.zip_loads.values()),
+                             *((m.p_target, 0.48 * m.p_target)
+                               for m in fd.motors if m.active)])
         u_t[2 * k], u_t[2 * k + 1] = s.real, s.imag
 
     settled = False  # then one more pass starts every side from u_t
@@ -313,17 +268,6 @@ def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
         settled = np.max(np.abs(u_new - u_t)) <= _TD_INIT_TOL
         u_t = u_new
     raise PowerFlowError("T-D power flow initialisation did not converge")
-
-
-def _feeder_nominal(fd: DistributionFeeder):
-    out = []
-    for node, zl in fd.zip_loads.items():
-        out.append((node, zl.p0, zl.q0))
-    for mu in fd.motors:
-        if mu.active:
-            # reactive guess: rated power factor ~0.9 lagging
-            out.append((mu.node, mu.p_target, 0.48 * mu.p_target))
-    return out
 
 
 # -- convergence detector and comparison ------------------------------------
@@ -608,20 +552,74 @@ def _post_event_window(scenario: Scenario) -> tuple[float, float]:
     return (t0, scenario.t_end)
 
 
+# the distribution events, and the parameter each one takes
+_EVENT_PARAMS = {"connect_motor": ("name", str),
+                 "disconnect_motor": ("name", str),
+                 "connect_feeder": ("index", int),
+                 "disconnect_feeder": ("index", int)}
+
+
 def check_scenario(scenario: Scenario) -> CouplingSchedule:
     """The run's schedule; ``ValueError`` unless the scenario can run.
 
-    Checks the run parameters, the feeders and each event as they stand,
-    whatever changed since the scenario was made, before anything is built.
+    The one owner of the rules about a whole scenario, checked as it
+    stands, whatever changed since it was made: the run parameters, at
+    least one feeder, a network that loads with every feeder on one of
+    its buses, no motor name twice on one bus, and each event (a
+    ``D<bus>`` target with a feeder, a distribution action with exactly
+    its one parameter, naming a motor on that bus or an index of its
+    feeders, and a step of the run that follows it).  A message starts
+    with the offending field's path in the scenario file.
     """
-    check_run(scenario.h_macro, scenario.t_end, scenario.rk_tol)
+    try:
+        CouplingSchedule(scenario.h_macro, scenario.t_end)
+    except ValueError as exc:
+        raise ValueError(f"run.{exc}") from None
+    if not (math.isfinite(scenario.rk_tol) and scenario.rk_tol > 0):
+        raise ValueError(f"run.rk_tol: must be finite and positive, got "
+                         f"{scenario.rk_tol!r}")
     if not scenario.feeders:
-        raise ValueError("scenario has no feeders: a T-D run needs at "
-                         "least one")
-    for ev in scenario.events:
-        check_event(scenario.feeders, ev)
-    return CouplingSchedule(scenario.h_macro, scenario.t_end,
-                            tuple(scenario.events))
+        raise ValueError("feeders: no feeders; a T-D scenario needs at "
+                         "least one feeder")
+    try:
+        net = load_network(scenario.transmission)
+    except OSError as exc:
+        raise ValueError(f"transmission {scenario.transmission!r}: "
+                         f"{exc.strerror or exc}") from None
+    names = set()
+    for k, fs in enumerate(scenario.feeders):
+        if fs.bus not in net.bus_ids:
+            raise ValueError(f"feeders[{k}].bus: feeder bound to unknown "
+                             f"bus {fs.bus}")
+        for i, m in enumerate(fs.motors):
+            if (fs.bus, m.name) in names:
+                raise ValueError(
+                    f"feeders[{k}].composition.motors[{i}].name: "
+                    f"{m.name!r} is already a motor on bus {fs.bus}")
+            names.add((fs.bus, m.name))
+    for i, ev in enumerate(scenario.events):
+        here = [fs for fs in scenario.feeders if f"D{fs.bus}" == ev.target]
+        if not here:
+            raise ValueError(f"events[{i}].target: no feeder on "
+                             f"{ev.target!r}")
+        if ev.action not in _EVENT_PARAMS:
+            raise ValueError(f"events[{i}].action: unknown action "
+                             f"{ev.action!r}")
+        key, typ = _EVENT_PARAMS[ev.action]
+        if set(ev.params) != {key} or type(ev.params[key]) is not typ:
+            raise ValueError(f"events[{i}].params: expected exactly "
+                             f"{{{key!r}: {typ.__name__}}}, got "
+                             f"{dict(ev.params)!r}")
+        known = ({m.name for fs in here for m in fs.motors} if key == "name"
+                 else range(len(here)))
+        if ev.params[key] not in known:
+            raise ValueError(f"events[{i}].params.{key}: {ev.params[key]!r} "
+                             f"is not one of {ev.target}'s {sorted(known)}")
+    try:
+        return CouplingSchedule(scenario.h_macro, scenario.t_end,
+                                tuple(scenario.events))
+    except ValueError as exc:
+        raise ValueError(f"events: {exc}") from None
 
 
 def run_scenario(scenario: Scenario) -> RunResult:

@@ -102,8 +102,9 @@ class MotorUnit:
 class DistributionFeeder:
     """Radial tree with node 0 as the substation.
 
-    The branches grow one tree from node 0 and number its nodes 0..N, as
-    ``engine.FeederSpec`` checks; this class takes that as given.
+    The branches grow one tree from node 0, number its nodes 0..N and
+    have nonzero impedances, as ``engine.FeederSpec`` checks; this class
+    takes that as given.
     """
 
     def __init__(self, branches: list[FeederBranch],
@@ -167,13 +168,10 @@ class DistributionFeeder:
             return 0j, v[1:] - v[0]
         v = v.tolist()
         bal = [-i for i in self.node_currents(v, states)]
-        try:
-            for p, c, z in self._edges:
-                ibr = (v[p] - v[c]) / z
-                bal[p] -= ibr
-                bal[c] += ibr
-        except ZeroDivisionError:
-            raise FeederError(f"branch {p}-{c} has zero impedance") from None
+        for p, c, z in self._edges:
+            ibr = (v[p] - v[c]) / z
+            bal[p] -= ibr
+            bal[c] += ibr
         return -bal[0], np.array(bal[1:])
 
     def motor_derivatives(self, v: np.ndarray, states) -> np.ndarray:

@@ -3,7 +3,9 @@ import json
 import math
 import os
 import pkgutil
+import shlex
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,32 @@ from cotds.integrators import NewtonError, NumericFailure
 from cotds.scenario_io import fixture_path, load_scenario, read_csv
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def readme_cli_commands():
+    """The ``cotds ...`` commands of the README's CLI block, as argv."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("cotds ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # run from an empty directory, the files the block names taken from
+    # the repository root, as its comment says
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert [argv[0] for argv in commands] == [
+        "linlab", "linlab", "linlab", "cotds", "cotds", "compare"]
+    for argv in commands:
+        argv = [str(ROOT / a) if (ROOT / a).is_file() else a for a in argv]
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 class TestLinlab:
@@ -166,6 +192,21 @@ class TestRunAndCompare:
         assert (tmp_path / "run.csv").is_file()
         assert run_cli("compare", ".", ".", "--out-dir", "") == 0
         assert (tmp_path / "deviations.csv").is_file()
+
+    def test_unknown_channel_leaves_no_output_directory(self, tmp_path,
+                                                         capsys):
+        with open(fixture_path("testcase2")) as fh:
+            doc = json.load(fh)
+        doc["outputs"]["channels"] = ["D2.out[0]", "D2.nope"]
+        path = str(tmp_path / "nope.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out = str(tmp_path / "out")
+        rc = run_cli("cotds", "run", path, "--t-end", "0.05",
+                     "--out-dir", out)
+        assert rc == EXIT_SCHEMA
+        assert "unknown channels ['D2.nope']" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_missing_scenario_is_usage_error(self):
         assert run_cli("cotds", "run", "/no/such/file.json") == 1
@@ -493,7 +534,7 @@ def test_bad_run_flag_is_usage_error(tmp_path, capsys, monkeypatch, flag,
                  "--out-dir", out)
     assert rc == EXIT_USAGE
     field = "h_macro" if flag == "--h" else "t_end"
-    assert f"error: {field}: must be finite" in capsys.readouterr().err
+    assert f"error: run.{field}: must be finite" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,15 +10,17 @@ from cotds.cosim import (CouplingMethod, CouplingSchedule, Event,
                          TimeSeriesLog, march, run_cosimulation)
 from cotds.engine import (
     RunMethod,
+    Scenario,
     Verdict,
     compare_runs,
     detect_convergence,
     run_scenario,
 )
-from cotds.feeder import FeederError
+from cotds.feeder import FeederBranch, FeederError
 from cotds.integrators import NewtonError, trapezoidal_dae_step
 from cotds.linlab import LinearCoupledParams, StateVec2, make_linear_pair
-from cotds.scenario_io import fixture_path, load_scenario
+from cotds.scenario_io import (SchemaError, fixture_path, load_scenario,
+                               parse_scenario)
 
 
 def make_log(values, diverged=False, columns=("x",)):
@@ -670,7 +673,7 @@ BAD_RUN = [("h_macro", 0.0), ("h_macro", math.inf), ("h_macro", math.nan),
 @pytest.mark.parametrize("field, value", BAD_RUN)
 def test_code_built_scenario_rejects_bad_run_parameter(field, value):
     s = load_scenario(fixture_path("testcase1"))
-    with pytest.raises(ValueError, match=rf"^{field}: must be finite"):
+    with pytest.raises(ValueError, match=rf"^run\.{field}: must be finite"):
         dataclasses.replace(s, **{field: value})
 
 
@@ -687,5 +690,97 @@ def test_run_rejects_bad_run_parameter_before_building(monkeypatch, method,
         raise AssertionError("built a run with a bad parameter")
 
     monkeypatch.setattr(engine, "build_subsystems", build)
-    with pytest.raises(ValueError, match=rf"^{field}: must be finite"):
+    with pytest.raises(ValueError, match=rf"^run\.{field}: must be finite"):
         run_scenario(s)
+
+
+def test_feeder_spec_rejects_zero_impedance():
+    # the feeder divides by every branch impedance
+    fs = load_scenario(fixture_path("testcase1")).feeders[0]
+    with pytest.raises(ValueError,
+                       match=r"^branches\[0\]: zero impedance \(r = x = 0\)"):
+        dataclasses.replace(fs, branches=(FeederBranch(0, 1, 0.0, -0.0),))
+    dataclasses.replace(fs, branches=(FeederBranch(0, 1, 0.0, 0.01),))
+
+
+def test_scenario_without_feeders_rejected_when_made():
+    with pytest.raises(ValueError, match="^feeders: no feeders"):
+        Scenario("x", "twobus", [])
+
+
+def _replace_feeder(s, k, **changes):
+    s.feeders[k] = dataclasses.replace(s.feeders[k], **changes)
+
+
+def _replace_event(s, i, **changes):
+    s.events[i] = dataclasses.replace(s.events[i], **changes)
+
+
+def _rename_motor(s, k, i, name):
+    motors = list(s.feeders[k].motors)
+    motors[i] = dataclasses.replace(motors[i], name=name)
+    _replace_feeder(s, k, motors=tuple(motors))
+
+
+# each rule about a whole testcase2 scenario: one edit of its file, the
+# same edit of a loaded scenario, and the path the message starts with
+SCENARIO_RULES = {
+    "h_macro": (lambda d: d["run"].update(h_macro=0.0),
+                lambda s: setattr(s, "h_macro", 0.0), "run.h_macro: "),
+    "t_end": (lambda d: d["run"].update(t_end=-1.0),
+              lambda s: setattr(s, "t_end", -1.0), "run.t_end: "),
+    "rk_tol": (lambda d: d["run"].update(rk_tol=0.0),
+               lambda s: setattr(s, "rk_tol", 0.0), "run.rk_tol: "),
+    "no_feeders": (lambda d: d.update(feeders=[]),
+                   lambda s: setattr(s, "feeders", []), "feeders: "),
+    "network": (lambda d: d.update(transmission="no_such_network"),
+                lambda s: setattr(s, "transmission", "no_such_network"),
+                "transmission 'no_such_network': "),
+    "unknown_bus": (lambda d: d["feeders"][1].update(bus=99),
+                    lambda s: _replace_feeder(s, 1, bus=99),
+                    "feeders[1].bus: "),
+    "motor_name_repeated": (
+        lambda d: d["feeders"][1]["composition"]["motors"][0].update(
+            name="f1_im"),
+        lambda s: _rename_motor(s, 1, 0, "f1_im"),
+        "feeders[1].composition.motors[0].name: "),
+    "event_target": (lambda d: d["events"][0].update(target="D9"),
+                     lambda s: _replace_event(s, 0, target="D9"),
+                     "events[0].target: "),
+    "event_action": (lambda d: d["events"][0].update(action="trip"),
+                     lambda s: _replace_event(s, 0, action="trip"),
+                     "events[0].action: "),
+    "event_params": (lambda d: d["events"][0].update(params={}),
+                     lambda s: _replace_event(s, 0, params={}),
+                     "events[0].params: "),
+    "event_index": (lambda d: d["events"][0].update(params={"index": 2}),
+                    lambda s: _replace_event(s, 0, params={"index": 2}),
+                    "events[0].params.index: "),
+    "event_after_last_step": (lambda d: d["events"][0].update(time=5.0),
+                              lambda s: _replace_event(s, 0, time=5.0),
+                              "events: event at t=5.0 outside"),
+}
+
+
+@pytest.mark.parametrize("rule", SCENARIO_RULES)
+def test_scenario_rule_refused_alike_when_parsed_and_when_run(rule,
+                                                              monkeypatch):
+    # a scenario changed after it was made is refused before anything is
+    # built, with the message its file would have been refused with
+    edit_file, edit_scenario, prefix = SCENARIO_RULES[rule]
+    with open(fixture_path("testcase2")) as fh:
+        doc = json.load(fh)
+    edit_file(doc)
+    with pytest.raises(SchemaError) as parsed:
+        parse_scenario(doc)
+
+    def build(scenario):
+        raise AssertionError("built a scenario that breaks a rule")
+
+    monkeypatch.setattr(engine, "build_subsystems", build)
+    s = load_scenario(fixture_path("testcase2"))
+    edit_scenario(s)
+    with pytest.raises(ValueError) as run:
+        run_scenario(s)
+    assert str(run.value) == str(parsed.value)
+    assert str(run.value).startswith(prefix)

@@ -215,11 +215,6 @@ class TestZeroDivision:
         with pytest.raises(FeederError, match="zero voltage"):
             f.kcl(v, [mu.state for mu in f.motors])
 
-    def test_kcl_across_zero_impedance(self):
-        f = DistributionFeeder([FeederBranch(0, 1, 0.0, 0.0)])
-        with pytest.raises(FeederError, match="branch 0-1 has zero imp"):
-            f.kcl(np.array([1.0, 0.9], dtype=complex), [])
-
 
 class TestInitialize:
     def test_motor_equilibrium_consistent_with_sweep(self):
