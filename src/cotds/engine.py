@@ -569,7 +569,8 @@ def check_scenario(scenario: Scenario) -> CouplingSchedule:
     ``D<bus>`` target with a feeder, a distribution action with exactly
     its one parameter, naming a motor on that bus or an index of its
     feeders, and a step of the run that follows it).  A message starts
-    with the offending field's path in the scenario file.
+    with the offending field's path in the scenario file; the network's
+    own (a file that is not JSON included) with ``transmission '<path>'``.
     """
     try:
         CouplingSchedule(scenario.h_macro, scenario.t_end)
@@ -583,9 +584,10 @@ def check_scenario(scenario: Scenario) -> CouplingSchedule:
                          "least one feeder")
     try:
         net = load_network(scenario.transmission)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        why = getattr(exc, "strerror", None) or exc
         raise ValueError(f"transmission {scenario.transmission!r}: "
-                         f"{exc.strerror or exc}") from None
+                         f"{why}") from None
     names = set()
     for k, fs in enumerate(scenario.feeders):
         if fs.bus not in net.bus_ids:

@@ -12,23 +12,26 @@ sub-systems use the other's start-of-step output) and series (B uses the
 freshly computed A value).  Each scheme is a linear one-step map, so its
 stability is governed by the spectral radius of the exact 2x2 step matrix.
 
-Each step matrix is written once, in closed form on Python floats
-(``_step_entries``): Cramer's rule for the total trapezoidal scheme, a
-diagonal (parallel) or lower-triangular (series) left-hand side for the
-co-simulation schemes.  The entries take H and n as numbers:
-``build_step_matrix`` and ``build_M_*`` pass a ``StepConfig``'s and wrap
-the entries as an array; the threshold search and ``stability_sweep``
-check their arguments once and take the closed-form radius of the
-entries directly, with no ``StepConfig``, array or linear solve per H.
-The threshold search (``_first_crossing``) brackets the first H where
-the radius reaches 1 by doubling H and then bisects the bracket, about
-12 radius evaluations to bracket and 40 to bisect.
+Each step matrix is written once, in closed form (``_step_entries``):
+Cramer's rule for the total trapezoidal scheme, a diagonal (parallel) or
+lower-triangular (series) left-hand side for the co-simulation schemes.
+The entries take H as a Python float or as a numpy array of them, and n
+as a number: ``build_step_matrix`` and ``build_M_*`` pass a
+``StepConfig``'s and wrap the entries as an array; the threshold search
+checks its arguments once and takes the closed-form radius of the
+entries on Python floats, with no ``StepConfig``, array or linear solve
+per H; ``stability_sweep`` checks its grid once and evaluates the
+entries and their radii over the whole grid in one array pass.  The
+threshold search (``_first_crossing``) brackets the first H where the
+radius reaches 1 by doubling H and then bisects the bracket, about 12
+radius evaluations to bracket and 40 to bisect.
 
 The two halves are ``cosim`` sub-systems (``make_linear_pair``, A the
 hub and B its one spoke), and ``simulate_linear`` marches them: the
 co-simulation schemes through ``cosim.run_cosimulation``, the total
 trapezoidal scheme by one 2x2 solve per run, then float products over
-the same pair.
+the same pair.  A local truncation error is one such step, taken once
+on a fresh pair.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cosim import (CouplingMethod, CouplingSchedule, SubSystem, march,
-                    run_cosimulation)
+from .cosim import (CouplingMethod, CouplingSchedule, SubSystem,
+                    exchange_step, march, run_cosimulation)
 
 __all__ = [
     "LinearCoupledParams",
@@ -168,31 +171,45 @@ def analytic_solution(p: LinearCoupledParams, x0: StateVec2, t: float) -> StateV
     return StateVec2.from_array(e @ x0.as_array())
 
 
-def _euler_map(p: LinearCoupledParams, h: float,
-               n: int) -> tuple[float, float]:
+def _growth_factor(base: float, n: int, h: float) -> float:
+    """base**n by Python's power (libm's ``pow``), the growth factor of
+    n Euler micro steps at macro step h; ``OverflowError`` naming h."""
+    try:
+        return base ** n
+    except OverflowError:
+        raise OverflowError("the B half's Euler growth factor overflows at "
+                            f"H={h}") from None
+
+
+def _euler_map(p: LinearCoupledParams, h, n: int):
     """(g, w): the B half's n Euler micro steps over the macro step h
     under a frozen x_a, x_b(t + h) = g*x_b(t) + w*x_a.
 
     g = (1 + (h/n)*lambda_b)^n is the growth factor and
     w = (k_b/lambda_b)*(g - 1) the exact accumulated weight of the
     constant A-side input.  h/n is ``StepConfig.h_micro``'s quotient.
+    ``h`` is a float or a float array; an array's g is still taken point
+    by point by Python's power, as numpy's ``power`` differs from libm's
+    ``pow`` in the last bit for some bases near 1.
     """
-    try:
-        g = (1.0 + (h / n) * p.lambda_b) ** n
-    except OverflowError:
-        raise OverflowError("the B half's Euler growth factor overflows at "
-                            f"H={h}") from None
+    base = 1.0 + (h / n) * p.lambda_b
+    if isinstance(base, np.ndarray):
+        g = np.array([_growth_factor(b, n, x)
+                      for b, x in zip(base.tolist(), h.tolist())])
+    else:
+        g = _growth_factor(base, n, h)
     return g, (p.k_b / p.lambda_b) * (g - 1.0)
 
 
-def _step_entries(p: LinearCoupledParams, h: float, n: int,
-                  scheme: SchemeId) -> tuple[float, float, float, float]:
+def _step_entries(p: LinearCoupledParams, h, n: int, scheme: SchemeId):
     """Entries (m00, m01, m10, m11) of the scheme's one-step matrix M at
     macro step h and n micro steps, the solution of lhs @ M = rhs, in
-    closed form.
+    closed form; ``h`` is a positive float, or a float array of them and
+    the entries arrays over it.
 
     Total trapezoidal: lhs = I - H/2*A and rhs = I + H/2*A, solved by
-    Cramer's rule.  Co-simulation: the A row is the trapezoidal half's,
+    Cramer's rule; det(lhs) >= 1, as lambda_a, lambda_b < 0 and
+    k_a, k_b > 0.  Co-simulation: the A row is the trapezoidal half's,
     whose lhs row is diagonal; the frozen x_b carries -k_a*H.  The B row
     is the Euler map driven by the start-of-step x_a (parallel, a
     diagonal lhs) or by the end-of-step x_a (series, a lower-triangular
@@ -205,8 +222,6 @@ def _step_entries(p: LinearCoupledParams, h: float, n: int,
         r00, r01 = 1.0 + c * p.lambda_a, -(c * p.k_a)
         r10, r11 = c * p.k_b, 1.0 + c * p.lambda_b
         det = l00 * l11 - l01 * l10
-        if det == 0.0:
-            raise ZeroDivisionError("trapezoidal step matrix is singular at this H")
         return ((l11 * r00 - l01 * r10) / det, (l11 * r01 - l01 * r11) / det,
                 (l00 * r10 - l10 * r00) / det, (l00 * r11 - l10 * r01) / det)
     d = 1.0 - 0.5 * p.lambda_a * h
@@ -331,6 +346,24 @@ def _radius_2x2(a: float, b: float, c: float, d: float) -> float:
     return math.sqrt(det)
 
 
+def _radii_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+               d: np.ndarray) -> np.ndarray:
+    """``_radius_2x2`` of each matrix [[a[i], b[i]], [c[i], d[i]]], by
+    the same float operations on arrays; ``ValueError`` unless every
+    entry is finite."""
+    if not all(np.isfinite(x).all() for x in (a, b, c, d)):
+        raise ValueError("expected a finite 2x2 matrix")
+    tr = a + d
+    det = a * d - b * c
+    disc = 0.25 * tr * tr - det
+    q = np.sqrt(np.abs(disc))
+    # det > 0 wherever disc < 0, so the clip only keeps the other
+    # branch's square root quiet
+    return np.where(disc >= 0,
+                    np.maximum(np.abs(0.5 * tr + q), np.abs(0.5 * tr - q)),
+                    np.sqrt(np.maximum(det, 0.0)))
+
+
 def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a finite 2x2 matrix."""
     m = np.asarray(m, dtype=float)
@@ -344,14 +377,28 @@ def local_truncation_error(p: LinearCoupledParams, x0: StateVec2, h_macro: float
     """Per-step defect (x_true(H) - x0)/H - phi(x0, H) of the scheme.
 
     The increment function phi is (step(x0) - x0)/H, so the defect reduces
-    to (x_true(H) - step(x0))/H, the step being one macro step of
-    ``simulate_linear``.
+    to (x_true(H) - step(x0))/H, the step being the one ``simulate_linear``
+    marches, taken once on a fresh pair.  ``OverflowError`` when the step
+    overflows or leaves a state or an output non-finite.
     """
-    traj = simulate_linear(p, x0, h_macro, n_micro, h_macro, scheme)
-    if traj.diverged:
+    cfg = StepConfig(h_macro, n_micro)
+    pair = make_linear_pair(p, x0, cfg.n_micro)
+    a, b = pair["A"], pair["B"]
+    if scheme is SchemeId.TOTAL_TRAPEZOIDAL:
+        step = _total_trapezoidal_step(p, cfg.h_macro, pair)
+    else:
+        step = exchange_step(pair, CouplingMethod(scheme.value))
+    try:
+        step(cfg.h_macro)
+        finite = all(map(math.isfinite, [a.x, b.x, *a.output().tolist(),
+                                         *b.output().tolist()]))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise OverflowError("the scheme's step is non-finite at this H")
-    true = analytic_solution(p, x0, h_macro).as_array()
-    return StateVec2.from_array((true - traj.states[-1]) / h_macro)
+    true = analytic_solution(p, x0, cfg.h_macro)
+    return StateVec2.from_array([(true.x_a - a.x) / cfg.h_macro,
+                                 (true.x_b - b.x) / cfg.h_macro])
 
 
 def _radius(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
@@ -367,14 +414,29 @@ def stability_sweep(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
                     h_grid) -> list[tuple[float, float]]:
     """(H, spectral radius) pairs of the scheme's step matrix over a grid
     of positive, finite H; ``ValueError`` names the first value that is
-    not."""
+    not.
+
+    One array pass over the grid, each radius bit-identical to
+    ``_radius`` at its H, and as quiet: float overflow is no warning.  An
+    error is the first point's, as ``_radius`` point by point raises it:
+    an overflowing growth factor is replayed that way, since an earlier
+    point's non-finite matrix comes first.
+    """
     hs = [float(h) for h in h_grid]
     for h in hs:
         if not 0.0 < h < math.inf:
             raise ValueError(f"grid values must be positive and finite, "
                              f"got {h!r}")
     _check_n_micro(n_micro)
-    return [(h, _radius(p, scheme, n_micro, h)) for h in hs]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            radii = _radii_2x2(*_step_entries(p, np.array(hs), n_micro,
+                                              scheme))
+    except OverflowError:
+        for h in hs:
+            _radius(p, scheme, n_micro, h)
+        raise
+    return list(zip(hs, radii.tolist()))
 
 
 def _first_crossing(rho: Callable[[float], float], h_lo: float,

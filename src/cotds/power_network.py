@@ -84,10 +84,35 @@ def _build_ybus(bus_ids, branches):
     return y
 
 
+def _check_sections(raw) -> None:
+    """``ValueError`` naming the first section of a network file that is
+    not of its shape: buses, branches and generators lists, each branch
+    and generator an object, loads a mapping of bus to [p, q]."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected an object, got {type(raw).__name__}")
+    for key in ("buses", "branches", "generators"):
+        if not isinstance(raw[key], list):
+            raise ValueError(f"{key}: expected a list, got "
+                             f"{type(raw[key]).__name__}")
+    for key in ("branches", "generators"):
+        for i, item in enumerate(raw[key]):
+            if not isinstance(item, dict):
+                raise ValueError(f"{key}[{i}]: expected an object, got "
+                                 f"{type(item).__name__}")
+    loads = raw["loads"]
+    if not (isinstance(loads, dict) and all(
+            isinstance(pq, list) and len(pq) == 2
+            and all(isinstance(x, (int, float)) for x in pq)
+            for pq in loads.values())):
+        raise ValueError("loads: expected a mapping of bus to [p, q]")
+
+
 def load_network(name_or_path: str) -> TransmissionNetwork:
     """Load a shipped dataset by name ('wscc9', 'twobus') or a JSON path.
 
-    A file missing a section or field raises ``ValueError``.
+    A file that is not JSON, or that misses a section or field or has a
+    section of the wrong shape, raises ``ValueError``; the message does
+    not name the file, which the caller does.
     """
     if name_or_path in ("wscc9", "twobus"):
         text = (resources.files("cotds.data") / f"{name_or_path}.json").read_text()
@@ -96,6 +121,7 @@ def load_network(name_or_path: str) -> TransmissionNetwork:
             text = fh.read()
     raw = json.loads(text)
     try:
+        _check_sections(raw)
         return TransmissionNetwork(
             name=raw["name"],
             f_hz=raw["f_hz"],
@@ -108,7 +134,7 @@ def load_network(name_or_path: str) -> TransmissionNetwork:
                    for k, v in raw["loads"].items()},
         )
     except KeyError as exc:
-        raise ValueError(f"network {name_or_path!r} has no {exc}") from None
+        raise ValueError(f"network has no {exc}") from None
 
 
 @dataclass

@@ -428,16 +428,41 @@ def test_bad_event_is_schema_error(tmp_path, event, method):
     assert not os.path.exists(out)  # rejected before any numerics ran
 
 
-def _network_without_branches(tmp_path):
+def _edited_network(tmp_path, edit):
+    """testcase2's network, edited by ``edit(net)``, written to a file."""
     with open(fixture_path("testcase2")) as fh:
         name = json.load(fh)["transmission"]
     net = json.loads((resources.files("cotds.data") / f"{name}.json")
                      .read_text())
-    del net["branches"]
+    edit(net)
     path = str(tmp_path / "net.json")
     with open(path, "w") as fh:
         json.dump(net, fh)
     return path
+
+
+def _network_without_branches(tmp_path):
+    return _edited_network(tmp_path, lambda net: net.pop("branches"))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda net: net.update(loads=[1, 2]),
+     "loads: expected a mapping of bus to [p, q]"),
+    (lambda net: net.update(buses=5), "buses: expected a list, got int"),
+], ids=["loads_a_list", "buses_a_number"])
+def test_malformed_network_is_schema_error(tmp_path, capsys, edit, message):
+    with open(fixture_path("testcase2")) as fh:
+        doc = json.load(fh)
+    net = _edited_network(tmp_path, edit)
+    doc.update(transmission=net, events=[])
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "out")
+    assert run_cli("cotds", "run", path, "--out-dir", out) == EXIT_SCHEMA
+    assert (capsys.readouterr().err
+            == f"schema error: transmission {net!r}: {message}\n")
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("edit, message", [

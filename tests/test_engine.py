@@ -784,3 +784,19 @@ def test_scenario_rule_refused_alike_when_parsed_and_when_run(rule,
         run_scenario(s)
     assert str(run.value) == str(parsed.value)
     assert str(run.value).startswith(prefix)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "Expecting property name enclosed in double quotes"),
+    ('{"name": "n"}', "network has no 'buses'"),
+    ('{"buses": 5}', "buses: expected a list, got int"),
+], ids=["not_json", "no_buses", "buses_a_number"])
+def test_network_error_starts_with_the_transmission_path(tmp_path, text,
+                                                          message):
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    s = load_scenario(fixture_path("testcase2"))
+    s.transmission = str(path)
+    with pytest.raises(ValueError) as exc:
+        engine.check_scenario(s)
+    assert str(exc.value).startswith(f"transmission {str(path)!r}: {message}")

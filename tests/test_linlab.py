@@ -1,12 +1,13 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotds import linlab
+from cotds import cosim, linlab
 from cotds.cosim import CouplingSchedule, march
 from cotds.linlab import (
     LinearCoupledParams,
@@ -397,6 +398,58 @@ class TestClosedFormStepMatrix:
                         SchemeId.COSIM_SERIES)
         assert [(c.h_macro, c.n_micro) for c in built] == [(0.1, 100)]
 
+    def test_sweep_evaluates_the_entries_once(self, monkeypatch):
+        # once per sweep over the whole grid, not once per point; the
+        # threshold search shows the counter sees every evaluation
+        calls = []
+        entries = linlab._step_entries
+
+        def counted(*args):
+            calls.append(args)
+            return entries(*args)
+
+        monkeypatch.setattr(linlab, "_step_entries", counted)
+        grid = np.linspace(0.01, 2.0, 600)
+        for scheme in SchemeId:
+            calls.clear()
+            out = stability_sweep(P2, scheme, 100, grid)
+            assert len(out) == 600 and len(calls) == 1
+            calls.clear()
+            find_stability_threshold(P2, scheme, h_max=20.0)
+            assert len(calls) > 10
+
+    def test_truncation_builds_no_run(self, monkeypatch):
+        # one exchange step on a fresh pair: no schedule, no log and no
+        # initial interface check, which the pair meets by construction;
+        # the simulation shows the counters see linlab's runs
+        made = {"schedule": 0, "log": 0, "mismatch": 0}
+        post_init = CouplingSchedule.__post_init__
+        log_init = cosim.TimeSeriesLog.__init__
+        mismatch = cosim.interface_mismatch
+
+        def schedule(self):
+            made["schedule"] += 1
+            post_init(self)
+
+        def log(self, *args, **kwargs):
+            made["log"] += 1
+            log_init(self, *args, **kwargs)
+
+        def gaps(*args):
+            made["mismatch"] += 1
+            return mismatch(*args)
+
+        monkeypatch.setattr(CouplingSchedule, "__post_init__", schedule)
+        monkeypatch.setattr(cosim.TimeSeriesLog, "__init__", log)
+        monkeypatch.setattr(cosim, "interface_mismatch", gaps)
+        for scheme in SchemeId:
+            for x0 in (StateVec2(1, 1), StateVec2(0.3, -1.7)):
+                local_truncation_error(P2, x0, 0.1, scheme)
+        assert made == {"schedule": 0, "log": 0, "mismatch": 0}
+        simulate_linear(P2, StateVec2(1, 1), 0.1, 100, 0.3,
+                        SchemeId.COSIM_SERIES)
+        assert made == {"schedule": 1, "log": 1, "mismatch": 1}
+
 
 class TestSpectralRadius:
     def test_identity(self):
@@ -462,13 +515,19 @@ class TestSweepAndSimulate:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.1])
     def test_grid_checked_before_any_radius(self, bad, monkeypatch):
-        radii = []
-        monkeypatch.setattr(linlab, "_radius",
-                            lambda *args: radii.append(args) or 0.5)
+        # the sweep evaluates the step entries, which take any H; the
+        # valid grid shows the counter sees the sweep's evaluation
+        evaluated = []
+        entries = linlab._step_entries
+        monkeypatch.setattr(linlab, "_step_entries",
+                            lambda *args: evaluated.append(args)
+                            or entries(*args))
         for grid in ([0.1, 0.5, bad, 1.0], np.array([0.1, 0.5, bad, 1.0])):
             with pytest.raises(ValueError, match=f"got {bad!r}$"):
                 stability_sweep(P2, SchemeId.COSIM_PARALLEL, 100, grid)
-        assert radii == []
+        assert evaluated == []
+        stability_sweep(P2, SchemeId.COSIM_PARALLEL, 100, [0.1, 0.5, 1.0])
+        assert len(evaluated) == 1
 
     def test_sweep_checks_n_micro(self):
         with pytest.raises(ValueError, match="n_micro"):
@@ -782,3 +841,137 @@ class TestThresholdSearch:
     def test_rejects_bad_tol_and_h_max(self, kwargs):
         with pytest.raises(ValueError):
             find_stability_threshold(P2, SchemeId.COSIM_PARALLEL, **kwargs)
+
+
+# -- the one-pass sweep and the one-step truncation error --------------------
+
+# the benchmark's linlab-map grids
+SWEEP_GRID = np.linspace(0.01, 2.0, 200)
+TRUNC_GRID = np.geomspace(0.005, 0.16, 6)
+
+
+def bits(xs):
+    """The float64 bit patterns of xs, to compare floats bit for bit."""
+    return np.asarray(xs, dtype=float).view(np.uint64).tolist()
+
+
+def point_radii(p, scheme, n, grid):
+    """The sweep as it was: one ``_radius`` per grid point."""
+    return [linlab._radius(p, scheme, n, float(h)) for h in grid]
+
+
+def swept_radii(p, scheme, n, grid):
+    return [rho for _, rho in stability_sweep(p, scheme, n, grid)]
+
+
+def old_local_truncation_error(p, x0, h_macro, scheme, n_micro=100):
+    """The truncation error as it was, one macro step of
+    ``simulate_linear``, kept as the oracle of the one exchange step."""
+    traj = simulate_linear(p, x0, h_macro, n_micro, h_macro, scheme)
+    if traj.diverged:
+        raise OverflowError("the scheme's step is non-finite at this H")
+    true = analytic_solution(p, x0, h_macro).as_array()
+    return StateVec2.from_array((true - traj.states[-1]) / h_macro)
+
+
+def outcome(truncation, *args):
+    """The error's bits, or the class and message of what it raised."""
+    try:
+        tau = truncation(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return bits([tau.x_a, tau.x_b])
+
+
+class TestOnePassSweep:
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_bit_identical_to_radius_on_bench_box(self, scheme):
+        for p in bench_box_draws(200, seed=3):
+            assert (bits(swept_radii(p, scheme, 100, SWEEP_GRID))
+                    == bits(point_radii(p, scheme, 100, SWEEP_GRID))), p
+
+    def test_bit_identical_past_the_euler_limit(self):
+        # P1 and P2 up to 1.2 times the Euler limit 2n/|lambda_b|: a
+        # negative growth factor for odd n, and both branches of the radius
+        seen = set()
+        for p in (P1, P2):
+            for n in (1, 3, 100):
+                grid = np.linspace(1e-3, 2.4 * n / abs(p.lambda_b), 500)
+                for scheme in SchemeId:
+                    assert (bits(swept_radii(p, scheme, n, grid))
+                            == bits(point_radii(p, scheme, n, grid))), \
+                        (p, n, scheme)
+                    a, b, c, d = linlab._step_entries(p, grid, n, scheme)
+                    disc = 0.25 * (a + d) * (a + d) - (a * d - b * c)
+                    seen |= {"real" if x >= 0 else "complex" for x in disc}
+                g, _ = linlab._euler_map(p, grid, n)
+                seen |= {"negative g"} if np.any(g < 0) else set()
+        assert seen == {"real", "complex", "negative g"}
+
+    def test_array_radius_is_the_float_radius(self):
+        rng = np.random.default_rng(5)
+        m = (rng.normal(size=(4, 4000))
+             * 10.0 ** rng.integers(-3, 4, size=(4, 4000)))
+        # a double eigenvalue, zero, a singular and a traceless matrix
+        edge = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0],
+                         [2.0, 1.0, 4.0, 2.0], [1.0, 2.0, -3.0, -1.0]]).T
+        m = np.hstack([m, edge])
+        want = [linlab._radius_2x2(*col) for col in m.T.tolist()]
+        assert bits(linlab._radii_2x2(*m)) == bits(want)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite 2x2"):
+                linlab._radii_2x2(*np.array([[1.0, bad], [0.0, 0.0],
+                                             [0.0, 0.0], [1.0, 1.0]]))
+
+    def test_errors_are_the_first_points(self):
+        # (1 - 0.005*H)^100 is finite at H = 237000 but w = -10*(g - 1)
+        # is not, a non-finite matrix; at H = 250000 g overflows
+        p = LinearCoupledParams(-5.0, -0.5, 0.6, 5.0)
+        for scheme in (SchemeId.COSIM_PARALLEL, SchemeId.COSIM_SERIES):
+            for grid in ([237000.0, 250000.0], np.array([237000.0, 250000.0])):
+                with pytest.raises(ValueError, match="finite 2x2"):
+                    stability_sweep(p, scheme, 100, grid)
+                with pytest.raises(ValueError, match="finite 2x2"):
+                    point_radii(p, scheme, 100, grid)
+            for grid in ([1.0, 250000.0, 237000.0], np.array([250000.0])):
+                with pytest.raises(OverflowError,
+                                   match=r"overflows at H=250000\.0$"):
+                    stability_sweep(p, scheme, 100, grid)
+        # the trapezoidal determinant overflows quietly, as on floats
+        with pytest.raises(ValueError, match="finite 2x2"):
+            stability_sweep(P1, SchemeId.TOTAL_TRAPEZOIDAL, 100, [1.0, 1e200])
+
+
+class TestOneStepTruncation:
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_bit_identical_to_the_run_on_bench_box(self, scheme):
+        # the bench's numpy H, and Python floats on the first draws
+        for i, p in enumerate(bench_box_draws(200, seed=4)):
+            hs = [*TRUNC_GRID, *(TRUNC_GRID.tolist() if i < 20 else [])]
+            for x0 in (StateVec2(1, 1), StateVec2(0.3, -1.7)):
+                for h in hs:
+                    got = local_truncation_error(p, x0, h, scheme)
+                    want = old_local_truncation_error(p, x0, h, scheme)
+                    assert (bits([got.x_a, got.x_b])
+                            == bits([want.x_a, want.x_b])), (p, x0, h)
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_non_finite_step_raises_as_the_run(self, scheme):
+        message = ("OverflowError", "the scheme's step is non-finite at this H")
+        cases = [
+            # the growth factor overflows (the total scheme has none)
+            (StateVec2(1, 1), 1e6, scheme is not SchemeId.TOTAL_TRAPEZOIDAL),
+            # the outputs k*x0 overflow
+            (StateVec2(1e308, 1e308), 0.1, True),
+            # parallel: both states end finite, A's output k_b*x_a does
+            # not; series: B takes that output
+            (StateVec2(0.89e308, -0.8e308), 0.5,
+             scheme is not SchemeId.TOTAL_TRAPEZOIDAL),
+        ]
+        for x0, h, raises in cases:
+            got = outcome(local_truncation_error, P2, x0, h, scheme)
+            with warnings.catch_warnings():  # the old run's inf - inf gaps
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = outcome(old_local_truncation_error, P2, x0, h, scheme)
+            assert got == want, (x0, h)
+            assert (got == message) is raises, (x0, h, got)

@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,41 @@ class TestLoadNetwork:
     def test_unknown_name(self):
         with pytest.raises((FileNotFoundError, ValueError)):
             load_network("no_such_network")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda net: net.update(buses=5), "buses: expected a list, got int"),
+        (lambda net: net.update(branches={}),
+         "branches: expected a list, got dict"),
+        (lambda net: net.update(generators="g1"),
+         "generators: expected a list, got str"),
+        (lambda net: net["branches"].append([1, 2]),
+         "branches[1]: expected an object, got list"),
+        (lambda net: net["generators"].insert(0, 1),
+         "generators[0]: expected an object, got int"),
+        (lambda net: net.update(loads=[1, 2]),
+         "loads: expected a mapping of bus to [p, q]"),
+        (lambda net: net.update(loads={"2": 1.0}),
+         "loads: expected a mapping of bus to [p, q]"),
+        (lambda net: net.update(loads={"2": [1.0, "0.3"]}),
+         "loads: expected a mapping of bus to [p, q]"),
+        (lambda net: net.clear(), "network has no 'buses'"),
+    ], ids=["buses", "branches", "generators", "branch", "generator",
+            "loads_a_list", "load_a_number", "load_a_string", "empty"])
+    def test_malformed_section_is_named(self, tmp_path, edit, message):
+        net = json.loads((resources.files("cotds.data") / "twobus.json")
+                         .read_text())
+        edit(net)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(net))
+        with pytest.raises(ValueError) as exc:
+            load_network(str(path))
+        assert str(exc.value) == message
+
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="^expected an object, got list$"):
+            load_network(str(path))
 
     def test_ybus_symmetric(self):
         net = load_network("wscc9")
