@@ -21,8 +21,11 @@ their time and are applied before that boundary's step, each by its
 target sub-system's ``switch``; the schedule refuses an event after the
 last step's start, which would never be applied.
 
-A run takes a record after every macro step, a few dozen floats, so the
-record is kept to one ``tolist`` of each sub-system's output and one
+The interface vectors, ``current_input`` and ``output()``, are lists of
+Python floats, a few per sub-system, so a macro step's exchange is list
+concatenation and slicing.  The loop takes any float sequence, so an
+``output()`` that is an array works too.  A run takes a record after
+every macro step, a few dozen floats: each sub-system's output and one
 read of each snapshot channel, by name.  The row is checked finite on
 those Python floats, and only then becomes one float array in the log.
 """
@@ -30,6 +33,7 @@ those Python floats, and only then becomes one float array in the log.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -61,10 +65,11 @@ class SubSystem:
     """Stateful solver unit: set inputs, advance a macro step, read outputs.
 
     ``current_input`` is the input the sub-system last took, through
-    ``initialize`` or ``set_input``; its size is the size of the input.
-    ``advance`` must be deterministic given prior state and input, and
-    ``output()`` right after ``initialize`` must be the steady-state output
-    consistent with the initial input.
+    ``initialize`` or ``set_input``, as a list of Python floats; its
+    length is the size of the input.  ``output()`` is a new list of
+    Python floats.  ``advance`` must be deterministic given prior state
+    and input, and ``output()`` right after ``initialize`` must be the
+    steady-state output consistent with the initial input.
 
     ``state()`` is everything ``advance`` and ``output()`` read that a
     step may change, as one flat float array, read without solving
@@ -74,18 +79,18 @@ class SubSystem:
     that only start an iteration are not state.
     """
 
-    current_input: np.ndarray
+    current_input: list[float]
 
-    def initialize(self, inputs: np.ndarray) -> None:
+    def initialize(self, inputs: Sequence[float]) -> None:
         raise NotImplementedError
 
-    def set_input(self, u: np.ndarray) -> None:
-        self.current_input = np.array(u, dtype=float)
+    def set_input(self, u: Sequence[float]) -> None:
+        self.current_input = list(map(float, u))
 
     def advance(self, h: float) -> None:
         raise NotImplementedError
 
-    def output(self) -> np.ndarray:
+    def output(self) -> list[float]:
         raise NotImplementedError
 
     def snapshot(self) -> Mapping[str, float]:
@@ -189,8 +194,8 @@ class TimeSeriesLog:
 
 def _slices(sizes: Sequence[int]) -> list[slice]:
     """Consecutive slices of the given sizes, laid end to end from 0."""
-    ends = np.cumsum(sizes)
-    return [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
+    ends = itertools.accumulate(sizes)
+    return [slice(e - n, e) for n, e in zip(sizes, ends)]
 
 
 def interface_mismatch(subsystems: Mapping[str, SubSystem]
@@ -204,12 +209,14 @@ def interface_mismatch(subsystems: Mapping[str, SubSystem]
     hub, *spokes = subsystems.values()
     y_hub, u_hub = hub.output(), hub.current_input
     outputs = [sp.output() for sp in spokes]
-    to_spoke = _slices([sp.current_input.size for sp in spokes])
-    to_hub = _slices([y.size for y in outputs])
+    to_spoke = _slices([len(sp.current_input) for sp in spokes])
+    to_hub = _slices([len(y) for y in outputs])
     gaps = {}
     for name, sp, y, into, back in zip(list(subsystems)[1:], spokes, outputs,
                                        to_spoke, to_hub):
-        gap = np.concatenate([y_hub[into] - sp.current_input, u_hub[back] - y])
+        gap = ([a - b for a, b in zip(y_hub[into], sp.current_input,
+                                      strict=True)]
+               + [a - b for a, b in zip(u_hub[back], y, strict=True)])
         gaps[name] = float(np.max(np.abs(gap)))
     return gaps
 
@@ -232,8 +239,7 @@ def march(schedule: CouplingSchedule,
     channels = {name: list(sub.snapshot()) for name, sub in subsystems.items()}
     columns = []
     for name, sub in subsystems.items():
-        columns += [f"{name}.out[{i}]"
-                    for i in range(np.asarray(sub.output()).size)]
+        columns += [f"{name}.out[{i}]" for i in range(len(sub.output()))]
         columns += [f"{name}.{ch}" for ch in channels[name]]
     log = TimeSeriesLog(columns=columns)
 
@@ -243,8 +249,8 @@ def march(schedule: CouplingSchedule,
     def record():
         row = []
         for sub, chans in parts:
-            row += sub.output().tolist()
-            row += map(sub.snapshot().__getitem__, chans)
+            row.extend(sub.output())
+            row.extend(map(sub.snapshot().__getitem__, chans))
         return row
 
     log.append(0.0, record())
@@ -286,12 +292,15 @@ def exchange_step(subsystems: Mapping[str, SubSystem],
     Inputs are held constant within the step.
     """
     hub, *spokes = subsystems.values()
-    slices = _slices([sp.current_input.size for sp in spokes])
+    slices = _slices([len(sp.current_input) for sp in spokes])
 
     def step(h):
         if method is CouplingMethod.PARALLEL:
             y_hub = hub.output()
-        hub.set_input(np.concatenate([sp.output() for sp in spokes]))
+        u_hub = []
+        for sp in spokes:
+            u_hub.extend(sp.output())
+        hub.set_input(u_hub)
         hub.advance(h)
         if method is CouplingMethod.SERIES:
             y_hub = hub.output()

@@ -243,7 +243,7 @@ def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
     voltage raises ``FeederError``; a power flow that fails, or powers
     that do not settle in ``_TD_INIT_PASSES`` passes, ``PowerFlowError``.
     """
-    u_t = np.zeros(2 * len(interface_buses))
+    u_t = [0.0] * (2 * len(interface_buses))
     for k, bus in enumerate(interface_buses):
         d = dsubs[f"D{bus}"]
         # each load at its nominal power, each running motor at its target
@@ -258,14 +258,14 @@ def iterative_td_powerflow_init(tsub: TransmissionSubSystem,
     for _ in range(_TD_INIT_PASSES + 1):
         tsub.initialize(u_t)
         v_if = tsub.output()
-        u_new = np.empty_like(u_t)
+        u_new = []
         for k, bus in enumerate(interface_buses):
             d = dsubs[f"D{bus}"]
             d.initialize(v_if[2 * k:2 * k + 2])
-            u_new[2 * k:2 * k + 2] = d.output()
+            u_new.extend(d.output())
         if settled:
             return
-        settled = np.max(np.abs(u_new - u_t)) <= _TD_INIT_TOL
+        settled = all(abs(a - b) <= _TD_INIT_TOL for a, b in zip(u_new, u_t))
         u_t = u_new
     raise PowerFlowError("T-D power flow initialisation did not converge")
 
@@ -466,15 +466,15 @@ class MonolithicDae(DaeSystem):
             yield fd, k, v[vs], x[xs].reshape(-1, 3)
 
     def interface_power(self, x, y):
-        """Consumed [P, Q] per interface bus, and every feeder's mismatch."""
+        """Consumed [P, Q] per interface bus, laid end to end as a list
+        of floats, and every feeder's mismatch."""
         s = np.zeros(self.n_if, dtype=complex)
         mismatch = []
         for fd, k, v, states in self._feeder_blocks(x, y):
             i_src, r = fd.kcl(v, states)
             s[k] += v[0] * np.conj(i_src)
             mismatch += [r.real, r.imag]
-        u = np.empty(2 * self.n_if)
-        u[0::2], u[1::2] = s.real, s.imag
+        u = [part for sk in s.tolist() for part in (sk.real, sk.imag)]
         return u, mismatch
 
     def f(self, x, y):
@@ -519,10 +519,10 @@ class MonolithicDae(DaeSystem):
             u = last[2]
         else:
             u, _ = self.interface_power(x, y)
-        for d, e, s in zip(self.dsubs, self.tsub.output().reshape(-1, 2),
-                           u.reshape(-1, 2)):
-            d.set_input(e)
-            d.set_output(complex(*s))
+        e = self.tsub.output()
+        for k, d in enumerate(self.dsubs):
+            d.set_input(e[2 * k:2 * k + 2])
+            d.set_output(complex(u[2 * k], u[2 * k + 1]))
         for fd, _, v, states in self._feeder_blocks(x, y):
             if fd.active:
                 fd.v = v.copy()

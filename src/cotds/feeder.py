@@ -287,8 +287,8 @@ class DistributionSubSystem(SubSystem):
         self.name = name
         self.feeders = list(feeders)
         self.rk_tol = rk_tol
-        self.current_input = np.array([1.0, 0.0])
-        self._output = np.zeros(2)
+        self.current_input = [1.0, 0.0]
+        self._output = [0.0, 0.0]
         self._channels = []
         for k, fd in enumerate(self.feeders):
             self._channels += [f"{mu.name}.slip" for mu in fd.motors]
@@ -306,7 +306,7 @@ class DistributionSubSystem(SubSystem):
                 s += fd.source_power(v)
         return s
 
-    def set_input(self, u: np.ndarray) -> None:
+    def set_input(self, u) -> None:
         """Take the bus voltage [e, f]; a feeder switched off floats at it."""
         super().set_input(u)
         for fd in self.feeders:
@@ -315,9 +315,9 @@ class DistributionSubSystem(SubSystem):
 
     def set_output(self, s: complex) -> None:
         """Report ``s`` as the consumed power until the next step or switch."""
-        self._output = np.array([s.real, s.imag])
+        self._output = [s.real, s.imag]
 
-    def initialize(self, inputs: np.ndarray) -> None:
+    def initialize(self, inputs) -> None:
         self.set_input(inputs)
         v = self._v_sub()
         for fd in self.feeders:
@@ -341,13 +341,12 @@ class DistributionSubSystem(SubSystem):
         if self._output is None:
             self.set_output(self._total_power())
 
-    def output(self) -> np.ndarray:
+    def output(self) -> list[float]:
         self._resolve()
         return self._output.copy()
 
     def state(self) -> np.ndarray:
-        out = (np.full(2, np.nan) if self._output is None
-               else self._output)
+        out = [math.nan] * 2 if self._output is None else self._output
         return np.concatenate(
             [self.current_input, out]
             + [fd.v.view(float) for fd in self.feeders]
@@ -355,8 +354,8 @@ class DistributionSubSystem(SubSystem):
 
     def set_state(self, z) -> None:
         z = self._state_vector(z)
-        out = z[2:4]
-        self._output = None if np.isnan(out).all() else out
+        out = z[2:4].tolist()
+        self._output = None if all(map(math.isnan, out)) else out
         k = 4
         for fd in self.feeders:
             fd.v = z[k:k + 2 * fd.n_nodes].view(complex)
@@ -378,7 +377,7 @@ class DistributionSubSystem(SubSystem):
                 e = complex(er, ei) * c
                 mu.state = np.array([e.real, e.imag, s])
         v = c * self._v_sub()
-        self.set_input(np.array([v.real, v.imag]))
+        self.set_input([v.real, v.imag])
 
     def snapshot(self):
         """Each motor's slip, then each node's |V|, feeder by feeder.

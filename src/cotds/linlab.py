@@ -24,14 +24,16 @@ per H; ``stability_sweep`` checks its grid once and evaluates the
 entries and their radii over the whole grid in one array pass.  The
 threshold search (``_first_crossing``) brackets the first H where the
 radius reaches 1 by doubling H and then bisects the bracket, about 12
-radius evaluations to bracket and 40 to bisect.
+radius evaluations to bracket and 40 to bisect.  Entries that overflow,
+through the growth factor or past it, are an ``OverflowError`` in both.
 
 The two halves are ``cosim`` sub-systems (``make_linear_pair``, A the
-hub and B its one spoke), and ``simulate_linear`` marches them: the
-co-simulation schemes through ``cosim.run_cosimulation``, the total
-trapezoidal scheme by one 2x2 solve per run, then float products over
-the same pair.  A local truncation error is one such step, taken once
-on a fresh pair.
+hub and B its one spoke) whose interface vectors are one-float lists,
+and ``simulate_linear`` marches them: the co-simulation schemes through
+``cosim.run_cosimulation``, the total trapezoidal scheme by one 2x2
+solve per run, then float products over the same pair.  A local
+truncation error is one such step, taken once on a fresh pair, against
+``analytic_solution``, which is Python float arithmetic too.
 """
 
 from __future__ import annotations
@@ -151,14 +153,14 @@ def analytic_solution(p: LinearCoupledParams, x0: StateVec2, t: float) -> StateV
     Writes A = m*I + (A - m*I) with m = tr(A)/2; the deviatoric part
     squares to disc*I with disc = m^2 - det(A), so the exponential is
     cosh/sinh (disc > 0), cos/sin (disc < 0) or the linear limit (disc = 0).
+    Its four entries and their product with x0 are Python floats.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and non-negative")
-    a = system_matrix(p)
-    m = 0.5 * (a[0, 0] + a[1, 1])
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    a00, a01, a10, a11 = p.lambda_a, -p.k_a, p.k_b, p.lambda_b
+    m = 0.5 * (a00 + a11)
+    det = a00 * a11 - a01 * a10
     disc = m * m - det
-    n = a - m * np.eye(2)
     if disc > 0:
         q = math.sqrt(disc)
         c, s = math.cosh(q * t), math.sinh(q * t) / q
@@ -167,8 +169,10 @@ def analytic_solution(p: LinearCoupledParams, x0: StateVec2, t: float) -> StateV
         c, s = math.cos(q * t), math.sin(q * t) / q
     else:
         c, s = 1.0, t
-    e = math.exp(m * t) * (c * np.eye(2) + s * n)
-    return StateVec2.from_array(e @ x0.as_array())
+    g = math.exp(m * t)
+    e00, e01 = g * (c + s * (a00 - m)), g * (s * a01)
+    e10, e11 = g * (s * a10), g * (c + s * (a11 - m))
+    return StateVec2(e00 * x0.x_a + e01 * x0.x_b, e10 * x0.x_a + e11 * x0.x_b)
 
 
 def _growth_factor(base: float, n: int, h: float) -> float:
@@ -285,30 +289,30 @@ def euler_half_step(lam: float, h: float, n: int, x: float, u: float) -> float:
 class LinearHalf(SubSystem):
     """x' = lambda*x + u, taken over each macro step by ``step(h, x, u)``;
     a non-finite state is recorded, and ``march`` ends the run there.
-    ``state()`` is ``[x, u]``."""
+    Input ``[u]``, output ``[k_out*x]``; ``state()`` is ``[x, u]``."""
 
     def __init__(self, step: Callable[[float, float, float], float],
                  k_out: float, x0: float, u0: float):
         self.step = step
         self.k_out = k_out
         self.x = x0
-        self.current_input = np.array([u0])
+        self.current_input = [float(u0)]
 
     def advance(self, h):
-        self.x = self.step(h, self.x, float(self.current_input[0]))
+        self.x = self.step(h, self.x, self.current_input[0])
 
     def output(self):
-        return np.array([self.k_out * self.x])
+        return [self.k_out * self.x]
 
     def snapshot(self):
         return {"x": self.x}
 
     def state(self) -> np.ndarray:
-        return np.concatenate([[self.x], self.current_input])
+        return np.array([self.x, *self.current_input], dtype=float)
 
     def set_state(self, z) -> None:
-        z = self._state_vector(z)
-        self.x = float(z[0])
+        z = self._state_vector(z).tolist()
+        self.x = z[0]
         self.current_input = z[1:]
 
 
@@ -390,8 +394,8 @@ def local_truncation_error(p: LinearCoupledParams, x0: StateVec2, h_macro: float
         step = exchange_step(pair, CouplingMethod(scheme.value))
     try:
         step(cfg.h_macro)
-        finite = all(map(math.isfinite, [a.x, b.x, *a.output().tolist(),
-                                         *b.output().tolist()]))
+        finite = all(map(math.isfinite, [a.x, b.x, *a.output(),
+                                         *b.output()]))
     except OverflowError:
         finite = False
     if not finite:
@@ -406,8 +410,13 @@ def _radius(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
     """Spectral radius of the scheme's step matrix at macro step ``h``,
     from its entries; the caller checks ``h`` and ``n_micro``.  ``h`` may
     be a numpy scalar; as a Python float it keeps the entries Python
-    floats, which are faster and raise ``OverflowError`` on overflow."""
-    return _radius_2x2(*_step_entries(p, float(h), n_micro, scheme))
+    floats, which are faster and raise ``OverflowError`` on overflow.
+    An entry that overflows to a non-finite value while the growth
+    factor stays finite is an ``OverflowError`` too."""
+    entries = _step_entries(p, float(h), n_micro, scheme)
+    if not all(map(math.isfinite, entries)):
+        raise OverflowError(f"the step matrix overflows at H={h}")
+    return _radius_2x2(*entries)
 
 
 def stability_sweep(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
@@ -419,8 +428,8 @@ def stability_sweep(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
     One array pass over the grid, each radius bit-identical to
     ``_radius`` at its H, and as quiet: float overflow is no warning.  An
     error is the first point's, as ``_radius`` point by point raises it:
-    an overflowing growth factor is replayed that way, since an earlier
-    point's non-finite matrix comes first.
+    an overflowing growth factor or a non-finite entry is replayed that
+    way, so the first point that overflows either way names the error.
     """
     hs = [float(h) for h in h_grid]
     for h in hs:
@@ -430,8 +439,10 @@ def stability_sweep(p: LinearCoupledParams, scheme: SchemeId, n_micro: int,
     _check_n_micro(n_micro)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            radii = _radii_2x2(*_step_entries(p, np.array(hs), n_micro,
-                                              scheme))
+            entries = _step_entries(p, np.array(hs), n_micro, scheme)
+            if not all(np.isfinite(x).all() for x in entries):
+                raise OverflowError("the step matrix overflows")
+            radii = _radii_2x2(*entries)
     except OverflowError:
         for h in hs:
             _radius(p, scheme, n_micro, h)

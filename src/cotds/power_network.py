@@ -12,6 +12,7 @@ In the dynamic model loads are interface inputs or static ZIP loads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -107,12 +108,80 @@ def _check_sections(raw) -> None:
         raise ValueError("loads: expected a mapping of bus to [p, q]")
 
 
+def _field(item: dict, key: str, where: str):
+    """``item[key]``; ``ValueError`` naming ``where.key`` when missing."""
+    if key not in item:
+        raise ValueError(f"{where}.{key}: missing")
+    return item[key]
+
+
+def _check_number(item: dict, key: str, where: str) -> None:
+    """``ValueError`` unless ``item[key]`` is a finite JSON number."""
+    x = _field(item, key, where)
+    if not (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x)):
+        raise ValueError(f"{where}.{key}: expected a finite number, got "
+                         f"{x!r}")
+
+
+# the generator fields the machine model reads: numbers of the generator,
+# and numbers of each of its control blocks
+_GEN_NUMBERS = ("v_set", "h", "d", "xd", "xq", "xdp", "xqp", "td0p", "tq0p")
+_GEN_BLOCKS = {"exciter": ("gain", "time_const"),
+               "governor": ("droop", "time_const")}
+
+
+def _check_fields(raw) -> None:
+    """``ValueError`` naming the first bus reference or numeric field of
+    a branch, load or generator that is not one: every bus an integer
+    id, every reference to a bus in ``buses``, every impedance, power
+    and machine constant a finite number.  ``p_set`` may be null or
+    absent at the slack bus only, whose generation the power flow
+    solves for."""
+    buses = raw["buses"]
+    for i, bus in enumerate(buses):
+        if not (isinstance(bus, int) and not isinstance(bus, bool)):
+            raise ValueError(f"buses[{i}]: expected an integer bus id, "
+                             f"got {bus!r}")
+
+    def check_bus(bus, where):
+        if bus not in buses:
+            raise ValueError(f"{where}: unknown bus {bus!r}")
+
+    slack = raw["slack"]
+    check_bus(slack, "slack")
+    for i, br in enumerate(raw["branches"]):
+        where = f"branches[{i}]"
+        for key in ("from", "to"):
+            check_bus(_field(br, key, where), f"{where}.{key}")
+        for key in ("r", "x", "b"):
+            _check_number(br, key, where)
+    for key in raw["loads"]:
+        check_bus(int(key) if key.isdigit() else key, "loads")
+    for i, g in enumerate(raw["generators"]):
+        where = f"generators[{i}]"
+        bus = _field(g, "bus", where)
+        check_bus(bus, f"{where}.bus")
+        if bus != slack or g.get("p_set") is not None:
+            _check_number(g, "p_set", where)
+        for key in _GEN_NUMBERS:
+            _check_number(g, key, where)
+        for sub, keys in _GEN_BLOCKS.items():
+            block = _field(g, sub, where)
+            if not isinstance(block, dict):
+                raise ValueError(f"{where}.{sub}: expected an object, got "
+                                 f"{type(block).__name__}")
+            for key in keys:
+                _check_number(block, key, f"{where}.{sub}")
+
+
 def load_network(name_or_path: str) -> TransmissionNetwork:
     """Load a shipped dataset by name ('wscc9', 'twobus') or a JSON path.
 
-    A file that is not JSON, or that misses a section or field or has a
-    section of the wrong shape, raises ``ValueError``; the message does
-    not name the file, which the caller does.
+    A file that is not JSON, or that misses a section or field, has a
+    section of the wrong shape, refers to a bus it does not list or has
+    a field that is not a finite number, raises ``ValueError``; the
+    message does not name the file, which the caller does.
     """
     if name_or_path in ("wscc9", "twobus"):
         text = (resources.files("cotds.data") / f"{name_or_path}.json").read_text()
@@ -122,6 +191,7 @@ def load_network(name_or_path: str) -> TransmissionNetwork:
     raw = json.loads(text)
     try:
         _check_sections(raw)
+        _check_fields(raw)
         return TransmissionNetwork(
             name=raw["name"],
             f_hz=raw["f_hz"],

@@ -36,8 +36,8 @@ _DELTA = 2  # index of the rotor angle within a machine's block
 class TransmissionDae(DaeSystem):
     """f: generator dynamics; g: complex current balance at every bus.
 
-    Input layout: ``u = [P_1, Q_1, P_2, Q_2, ...]`` consumed at the
-    interface buses, in the order of ``interface_buses``.
+    Input layout: ``u = [P_1, Q_1, P_2, Q_2, ...]``, a float sequence,
+    consumed at the interface buses, in the order of ``interface_buses``.
     """
 
     def __init__(self, net: TransmissionNetwork, bank: GeneratorBank,
@@ -71,11 +71,10 @@ class TransmissionDae(DaeSystem):
         gen = self.bank.injected_current(x, [v[k] for k in self._gen_idx])
         for k, i in zip(self._gen_idx, gen.tolist()):
             i_inj[k] += i
-        ul = u.tolist()
         try:
             for k, zl in self._loads:
                 i_inj[k] -= (zip_power(zl, abs(v[k])) / v[k]).conjugate()
-            for k, p, q in zip(self._if_idx, ul[0::2], ul[1::2]):
+            for k, p, q in zip(self._if_idx, u[0::2], u[1::2]):
                 i_inj[k] -= (complex(p, q) / v[k]).conjugate()
         except (ZeroDivisionError, OverflowError):  # a dead or runaway bus
             return np.full(self.n_y, np.nan)
@@ -100,7 +99,7 @@ class TransmissionSubSystem(SubSystem):
         self.newton_cache = JacobianCache()
         self.power_flow_cache = JacobianCache()
         self._pf_v = None  # the last power-flow solution
-        self.current_input = np.zeros(2 * len(dae.interface_buses))
+        self.current_input = [0.0] * (2 * len(dae.interface_buses))
         self.x = np.zeros(dae.n_x)
         self.y = np.zeros(dae.n_y)
         n = dae.net.n_bus
@@ -113,7 +112,7 @@ class TransmissionSubSystem(SubSystem):
                           for name in ("delta", "domega")]
         self._channels += [f"bus{bus}.vmag" for bus in dae.net.bus_ids]
 
-    def initialize(self, inputs: np.ndarray) -> None:
+    def initialize(self, inputs) -> None:
         """Power-flow start: interface powers are constant-power loads.
 
         The static ZIP loads enter the power flow at each iterate's bus
@@ -140,8 +139,8 @@ class TransmissionSubSystem(SubSystem):
             self.dae, self.x, self.y, self.current_input, h,
             cache=self.newton_cache)
 
-    def output(self) -> np.ndarray:
-        return self.y[self._out_idx]
+    def output(self) -> list[float]:
+        return self.y[self._out_idx].tolist()
 
     def state(self) -> np.ndarray:
         return np.concatenate([self.x, self.y, self.current_input])
@@ -150,7 +149,7 @@ class TransmissionSubSystem(SubSystem):
         z = self._state_vector(z)
         nx, ny = self.x.size, self.y.size
         self.x, self.y = z[:nx], z[nx:nx + ny]
-        self.current_input = z[nx + ny:]
+        self.current_input = z[nx + ny:].tolist()
 
     def rotate(self, angle: float) -> None:
         """Turn the frame by ``angle``: every rotor angle grows by it and

@@ -111,6 +111,25 @@ class TestLinlab:
                      "--h", "-0.1", "--scheme", "series")
         assert rc == 1
 
+    @pytest.mark.parametrize("h_min, h_max, message", [
+        # the growth factor is finite, the step matrix's entries are not
+        ("236900", "237000", "the step matrix overflows at H=236900.0"),
+        # the growth factor itself overflows
+        ("249900", "250000",
+         "the B half's Euler growth factor overflows at H=249900.0"),
+    ], ids=["entries", "growth_factor"])
+    def test_overflowing_stability_sweep_exits_numeric(self, tmp_path,
+                                                       capsys, h_min, h_max,
+                                                       message):
+        out = tmp_path / "stab.csv"
+        rc = run_cli("linlab", "stability", "--lambda-a", "-5",
+                     "--lambda-b", "-0.5", "--ka", "0.6", "--kb", "5",
+                     "--h-min", h_min, "--h-max", h_max, "--points", "2",
+                     "--out", str(out))
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numeric error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd, flags", [
         ("stability", ["--h-min", "0"]),
         ("stability", ["--h-min", "-0.1"]),
@@ -449,7 +468,12 @@ def _network_without_branches(tmp_path):
     (lambda net: net.update(loads=[1, 2]),
      "loads: expected a mapping of bus to [p, q]"),
     (lambda net: net.update(buses=5), "buses: expected a list, got int"),
-], ids=["loads_a_list", "buses_a_number"])
+    (lambda net: net["branches"][0].update(to=99),
+     "branches[0].to: unknown bus 99"),
+    (lambda net: net["branches"][0].update(r="0.01"),
+     "branches[0].r: expected a finite number, got '0.01'"),
+], ids=["loads_a_list", "buses_a_number", "branch_to_unknown_bus",
+        "branch_quoted_number"])
 def test_malformed_network_is_schema_error(tmp_path, capsys, edit, message):
     with open(fixture_path("testcase2")) as fh:
         doc = json.load(fh)

@@ -9,6 +9,7 @@ from cotds.cosim import (
     Event,
     SubSystem,
     TimeSeriesLog,
+    exchange_step,
     interface_mismatch,
     run_cosimulation,
 )
@@ -72,6 +73,24 @@ class TestAgainstLinlabSteppers:
         assert len(log.times) < 4001
         # the flagged record is not kept
         assert np.all(np.isfinite(log.as_array()))
+
+
+class TestArrayOutputs:
+    """The exchange takes any float sequence: a spoke whose output is
+    an array feeds a hub whose interface vectors are float lists."""
+
+    @pytest.mark.parametrize("method", list(CouplingMethod))
+    def test_spoke_returning_an_array(self, method):
+        hub = make_linear_pair(P1, StateVec2(1.0, 1.0))["A"]
+        spoke = Recorder(out_value=0.25)
+        y_start = hub.output()
+        exchange_step({"A": hub, "B": spoke}, method)(0.1)
+        assert isinstance(spoke.output(), np.ndarray)
+        assert type(hub.current_input) is list
+        assert hub.current_input == [0.25]
+        assert type(hub.current_input[0]) is float
+        want = y_start if method is CouplingMethod.PARALLEL else hub.output()
+        assert [u.tolist() for u in spoke.seen] == [want]
 
 
 class Channel(Recorder):
@@ -212,14 +231,14 @@ class TestInitialConsistency:
 
     def test_perturbed_input_flagged(self):
         subsystems = make_linear_pair(P1, StateVec2(0.3, 0.9))
-        subsystems["B"].current_input = subsystems["B"].current_input + 0.1
+        subsystems["B"].set_input(np.add(subsystems["B"].current_input, 0.1))
         gaps = interface_mismatch(subsystems)
         assert list(gaps) == ["B"]
         assert gaps["B"] == pytest.approx(0.1, abs=1e-12)
 
     def test_run_refuses_inconsistent_start(self):
         subsystems = make_linear_pair(P1, StateVec2(0.3, 0.9))
-        subsystems["B"].current_input = subsystems["B"].current_input + 0.5
+        subsystems["B"].set_input(np.add(subsystems["B"].current_input, 0.5))
         with pytest.raises(ValueError, match="inconsistent initialization"):
             run_cosimulation(CouplingSchedule(0.1, 1.0), subsystems,
                              CouplingMethod.PARALLEL)

@@ -551,7 +551,7 @@ def test_monolithic_scatter_takes_the_last_g(monkeypatch):
         u, _ = mono.interface_power(*mono.gather())
         outside.clear()
         out = np.concatenate([d.output() for d in dsubs.values()])
-        assert out.tobytes() == u.tobytes()
+        assert out.tobytes() == np.asarray(u).tobytes()
         steps.append(h)
 
     log = march(CouplingSchedule(s.h_macro, s.t_end, tuple(s.events)),

@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import warnings
@@ -927,19 +928,40 @@ class TestOnePassSweep:
         # (1 - 0.005*H)^100 is finite at H = 237000 but w = -10*(g - 1)
         # is not, a non-finite matrix; at H = 250000 g overflows
         p = LinearCoupledParams(-5.0, -0.5, 0.6, 5.0)
+        matrix = r"^the step matrix overflows at H=237000\.0$"
         for scheme in (SchemeId.COSIM_PARALLEL, SchemeId.COSIM_SERIES):
             for grid in ([237000.0, 250000.0], np.array([237000.0, 250000.0])):
-                with pytest.raises(ValueError, match="finite 2x2"):
+                with pytest.raises(OverflowError, match=matrix):
                     stability_sweep(p, scheme, 100, grid)
-                with pytest.raises(ValueError, match="finite 2x2"):
+                with pytest.raises(OverflowError, match=matrix):
                     point_radii(p, scheme, 100, grid)
             for grid in ([1.0, 250000.0, 237000.0], np.array([250000.0])):
                 with pytest.raises(OverflowError,
-                                   match=r"overflows at H=250000\.0$"):
+                                   match=r"growth factor overflows at "
+                                         r"H=250000\.0$"):
                     stability_sweep(p, scheme, 100, grid)
         # the trapezoidal determinant overflows quietly, as on floats
-        with pytest.raises(ValueError, match="finite 2x2"):
+        with pytest.raises(OverflowError,
+                           match=r"^the step matrix overflows at H=1e\+200$"):
             stability_sweep(P1, SchemeId.TOTAL_TRAPEZOIDAL, 100, [1.0, 1e200])
+
+    def test_overflowing_entries_are_numeric(self):
+        # the growth factor at H = 237000 is finite (~2e307), w is not:
+        # the sweep and the point radius raise OverflowError there, as
+        # they do where g itself overflows, and so does the threshold
+        # search where it meets such a matrix
+        p = LinearCoupledParams(-5.0, -0.5, 0.6, 5.0)
+        g, w = linlab._euler_map(p, 237000.0, 100)
+        assert math.isfinite(g) and not math.isfinite(w)
+        for scheme in (SchemeId.COSIM_PARALLEL, SchemeId.COSIM_SERIES):
+            with pytest.raises(OverflowError, match="step matrix overflows"):
+                linlab._radius(p, scheme, 100, 237000.0)
+            with pytest.raises(OverflowError, match="step matrix overflows"):
+                stability_sweep(p, scheme, 100, [236900.0, 237000.0])
+        # the trapezoidal scheme is stable up to where its entries overflow
+        with pytest.raises(OverflowError, match="step matrix overflows"):
+            find_stability_threshold(P1, SchemeId.TOTAL_TRAPEZOIDAL, 100,
+                                     h_max=1e300)
 
 
 class TestOneStepTruncation:
@@ -975,3 +997,46 @@ class TestOneStepTruncation:
                 want = outcome(old_local_truncation_error, P2, x0, h, scheme)
             assert got == want, (x0, h)
             assert (got == message) is raises, (x0, h, got)
+
+
+class NumpyCounter:
+    """Stands in for numpy in a module: each numpy function called
+    through it is counted by name.  Types, modules and constants pass
+    through uncounted."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+class TestMarchNumpyCalls:
+    """The interface vectors are Python floats, so a macro step of the
+    march, exchange and record, makes no numpy call; the one numpy call
+    per record is the row array ``TimeSeriesLog.append`` stores."""
+
+    def numpy_calls(self, monkeypatch, scheme, n_steps):
+        counter = NumpyCounter()
+        with monkeypatch.context() as m:
+            m.setattr(cosim, "np", counter)
+            m.setattr(linlab, "np", counter)
+            traj = simulate_linear(P1, StateVec2(1.0, -0.5), 0.01, 100,
+                                   n_steps * 0.01, scheme)
+        assert len(traj.times) == n_steps + 1 and not traj.diverged
+        return counter.calls
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_no_numpy_call_per_step(self, monkeypatch, scheme):
+        short = self.numpy_calls(monkeypatch, scheme, 10)
+        long = self.numpy_calls(monkeypatch, scheme, 200)
+        assert short["asarray"] >= 11
+        rows = collections.Counter(asarray=190)
+        assert long == short + rows, long - short

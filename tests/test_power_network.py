@@ -80,8 +80,33 @@ class TestLoadNetwork:
         (lambda net: net.update(loads={"2": [1.0, "0.3"]}),
          "loads: expected a mapping of bus to [p, q]"),
         (lambda net: net.clear(), "network has no 'buses'"),
+        (lambda net: net["branches"][0].update(to=3),
+         "branches[0].to: unknown bus 3"),
+        (lambda net: net["branches"][0].update(r="0.01"),
+         "branches[0].r: expected a finite number, got '0.01'"),
+        (lambda net: net["branches"][0].pop("x"), "branches[0].x: missing"),
+        (lambda net: net["loads"].update({"3": [1.0, 0.1]}),
+         "loads: unknown bus 3"),
+        (lambda net: net["generators"][0].update(bus=7),
+         "generators[0].bus: unknown bus 7"),
+        (lambda net: net["generators"][0].update(h="5.0"),
+         "generators[0].h: expected a finite number, got '5.0'"),
+        (lambda net: net["generators"][0]["exciter"].update(gain=None),
+         "generators[0].exciter.gain: expected a finite number, got None"),
+        (lambda net: net["generators"][0].update(governor=[0.05, 0.5]),
+         "generators[0].governor: expected an object, got list"),
+        (lambda net: net.update(slack=2, buses=[1, 2]),
+         "generators[0].p_set: expected a finite number, got None"),
+        (lambda net: net.update(slack=4), "slack: unknown bus 4"),
+        (lambda net: net.update(buses=[1, "2"]),
+         "buses[1]: expected an integer bus id, got '2'"),
     ], ids=["buses", "branches", "generators", "branch", "generator",
-            "loads_a_list", "load_a_number", "load_a_string", "empty"])
+            "loads_a_list", "load_a_number", "load_a_string", "empty",
+            "branch_to_unknown_bus", "branch_quoted_number",
+            "branch_without_x", "load_at_unknown_bus",
+            "generator_at_unknown_bus", "generator_quoted_number",
+            "exciter_gain_null", "governor_a_list", "p_set_null_off_slack",
+            "slack_unknown", "bus_id_a_string"])
     def test_malformed_section_is_named(self, tmp_path, edit, message):
         net = json.loads((resources.files("cotds.data") / "twobus.json")
                          .read_text())

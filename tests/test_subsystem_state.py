@@ -144,6 +144,27 @@ def test_round_trip_is_bit_identical(cls, case):
     assert sub.snapshot() == snap0
 
 
+def float_list(v):
+    return type(v) is list and all(type(x) is float for x in v)
+
+
+@pytest.mark.parametrize("cls, case", ALL_CASES, ids=case_id)
+def test_interface_vectors_are_float_lists(cls, case):
+    sub = CASES[cls][case]()
+    y = sub.output()
+    assert float_list(y) and float_list(sub.current_input)
+    # a new list each call: the caller may keep or change it
+    y.append(0.0)
+    assert sub.output() == y[:-1]
+    u = np.asarray(sub.current_input)
+    sub.set_input(u)
+    assert float_list(sub.current_input)
+    assert sub.current_input == u.tolist()
+    z = sub.state()
+    sub.set_state(z)
+    assert float_list(sub.current_input)
+
+
 def test_stale_output_survives_without_a_sweep(monkeypatch):
     sub = CASES[DistributionSubSystem]["after_connect_motor"]()
     twin = CASES[DistributionSubSystem]["after_connect_motor"]()
@@ -204,7 +225,8 @@ def test_rotate_keeps_magnitudes(cls, case):
     a D output, powers, stays and a T output, voltages, turns."""
     sub = CASES[cls][case]()
     a = -1.3
-    y = sub.output()  # a stale D output re-solves, moving the nodes
+    # a stale D output re-solves, moving the nodes
+    y = np.asarray(sub.output())
     snap = sub.snapshot()
     sub.rotate(a)
     turned = sub.snapshot()

@@ -172,6 +172,7 @@ def oracle_f(dae, x, y):
 
 def oracle_g(dae, x, y, u):
     net = dae.net
+    u = np.asarray(u, dtype=float)
     v = bus_voltages(dae, y)
     gen = [net.idx(b) for b in net.gen_buses]
     if_idx = np.array([net.idx(b) for b in dae.interface_buses], dtype=int)
@@ -201,8 +202,8 @@ def off_equilibrium(sub, rng):
     x = sub.x * (1.0 + 0.05 * rng.standard_normal(sub.x.size))
     x += 0.02 * rng.standard_normal(sub.x.size)
     y = sub.y + 0.05 * rng.standard_normal(sub.y.size)
-    u = sub.current_input * (1.0 + 0.1 * rng.standard_normal(
-        sub.current_input.size))
+    u = np.asarray(sub.current_input) * (1.0 + 0.1 * rng.standard_normal(
+        len(sub.current_input)))
     return x, y, u
 
 
@@ -243,7 +244,7 @@ class TestScalarKernelMatchesVectorized:
         # initialize moves them to another operating point
         _, dae, sub = make_sub(**KERNEL_CASES[case])
         vref, pref = dae.bank.vref.copy(), dae.bank.pref.copy()
-        sub.initialize(1.2 * sub.current_input)
+        sub.initialize(1.2 * np.asarray(sub.current_input))
         assert not np.any(dae.bank.vref == vref)
         assert not np.any(dae.bank.pref == pref)
         assert np.max(np.abs(dae.f(sub.x, sub.y))) < 1e-9
