@@ -13,6 +13,7 @@ Sub-modules:
   ``feeder``: phasor-domain transmission and distribution models.
 - ``engine``: scenario-level combined transmission-distribution runs
   (series, parallel, monolithic) and the convergence detector.
+- ``schema``: the typed reader of JSON input, scenario and network files.
 - ``scenario_io`` / ``cli``: scenario files, CSV emission, command line.
 """
 

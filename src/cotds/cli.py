@@ -91,7 +91,8 @@ def cmd_linlab_simulate(args) -> int:
     write_table(path, ["t", "x_a", "x_b", "x_a_exact", "x_b_exact"], rows)
     print(path)
     if traj.diverged:
-        print(f"numeric error: trajectory diverged after t={traj.times[-1]:.6g}; "
+        when = f"after t={traj.times[-1]:.6g}" if rows else "at t=0"
+        print(f"numeric error: trajectory diverged {when}; "
               f"wrote {len(rows)} rows", file=sys.stderr)
         return EXIT_NUMERIC
     return 0
@@ -153,8 +154,8 @@ def cmd_cotds_run(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     result = run_scenario(scenario)
-    channels = scenario.channels or list(result.log.columns)
-    write_csv(os.path.join(args.out_dir, "run.csv"), result.log, channels)
+    write_csv(os.path.join(args.out_dir, "run.csv"), result.log,
+              scenario.channels)
     summary = os.path.join(args.out_dir, "summary.txt")
     with open(summary, "w") as fh:
         fh.write(f"scenario: {result.scenario}\n"

@@ -50,6 +50,7 @@ __all__ = [
     "TimeSeriesLog",
     "INIT_TOL",
     "interface_mismatch",
+    "record_columns",
     "exchange_step",
     "march",
     "run_cosimulation",
@@ -204,7 +205,8 @@ def interface_mismatch(subsystems: Mapping[str, SubSystem]
 
     Both directions count: the hub's output against the spoke's
     ``current_input``, and the spoke's output against its slice of the
-    hub's ``current_input``.
+    hub's ``current_input``.  A value equal to the one it feeds has no
+    gap, an infinite one included; a nan has a nan gap.
     """
     hub, *spokes = subsystems.values()
     y_hub, u_hub = hub.output(), hub.current_input
@@ -214,11 +216,23 @@ def interface_mismatch(subsystems: Mapping[str, SubSystem]
     gaps = {}
     for name, sp, y, into, back in zip(list(subsystems)[1:], spokes, outputs,
                                        to_spoke, to_hub):
-        gap = ([a - b for a, b in zip(y_hub[into], sp.current_input,
-                                      strict=True)]
-               + [a - b for a, b in zip(u_hub[back], y, strict=True)])
+        gap = [0.0 if a == b else a - b for a, b in itertools.chain(
+            zip(y_hub[into], sp.current_input, strict=True),
+            zip(u_hub[back], y, strict=True))]
         gaps[name] = float(np.max(np.abs(gap)))
     return gaps
+
+
+def record_columns(layout: Mapping[str, tuple[int, Sequence[str]]]
+                   ) -> list[str]:
+    """The column names of a record, from each sub-system's name, output
+    length and snapshot channels, in record order: ``<name>.out[i]`` for
+    each output, then ``<name>.<channel>`` for each channel."""
+    columns = []
+    for name, (n_out, channels) in layout.items():
+        columns += [f"{name}.out[{i}]" for i in range(n_out)]
+        columns += [f"{name}.{ch}" for ch in channels]
+    return columns
 
 
 def march(schedule: CouplingSchedule,
@@ -229,19 +243,18 @@ def march(schedule: CouplingSchedule,
     A record holds each sub-system's ``output()`` and every channel of
     its ``snapshot()``, at t = 0 and after every step.  The channels are
     those of the t = 0 snapshot, in that snapshot's order, and are read
-    by name, so a snapshot that loses a key raises ``KeyError``.
-    OverflowError or a non-finite record is a divergence, a
-    ``NumericFailure`` from an event or a step a sub-system
-    failure; either truncates the log with time and cause, keeping the
-    finite records made before it.  Any other exception is a programming
-    error and propagates.
+    by name, so a snapshot that loses a key raises ``KeyError``;
+    ``record_columns`` names the columns.  OverflowError or a non-finite
+    record, the one at t = 0 included, is a divergence, a
+    ``NumericFailure`` from an event or a step a sub-system failure;
+    either truncates the log with time and cause, keeping the finite
+    records made before it.  Any other exception is a programming error
+    and propagates.
     """
     channels = {name: list(sub.snapshot()) for name, sub in subsystems.items()}
-    columns = []
-    for name, sub in subsystems.items():
-        columns += [f"{name}.out[{i}]" for i in range(len(sub.output()))]
-        columns += [f"{name}.{ch}" for ch in channels[name]]
-    log = TimeSeriesLog(columns=columns)
+    log = TimeSeriesLog(columns=record_columns(
+        {name: (len(sub.output()), channels[name])
+         for name, sub in subsystems.items()}))
 
     # each sub-system with its snapshot's channels, in record order
     parts = [(sub, channels[name]) for name, sub in subsystems.items()]
@@ -253,12 +266,19 @@ def march(schedule: CouplingSchedule,
             row.extend(map(sub.snapshot().__getitem__, chans))
         return row
 
-    log.append(0.0, record())
     events = sorted(schedule.events, key=lambda e: e.time)
     next_event = 0
-    h = schedule.h_macro
+    h, n = schedule.h_macro, schedule.n_steps
     t = 0.0
-    for i in range(schedule.n_steps):
+    for i in range(n + 1):
+        row = record()
+        if not all(map(math.isfinite, row)):
+            log.diverged = True
+            log.failure = f"divergence at t={t:.6g}: non-finite record"
+            break
+        log.append(t, row)
+        if i == n:
+            break
         at = t  # an event fails at its boundary, a step at the step's end
         try:
             while (next_event < len(events)
@@ -276,12 +296,6 @@ def march(schedule: CouplingSchedule,
             log.failure = f"sub-system failure at t={at:.6g}: {exc}"
             break
         t = (i + 1) * h
-        row = record()
-        if not all(map(math.isfinite, row)):
-            log.diverged = True
-            log.failure = f"divergence at t={t:.6g}: non-finite record"
-            break
-        log.append(t, row)
     return log
 
 
@@ -316,10 +330,11 @@ def run_cosimulation(schedule: CouplingSchedule,
                      method: CouplingMethod) -> TimeSeriesLog:
     """March the hub and its spokes to t_end, exchanging per ``method``.
 
-    Raises ``ValueError`` when an initial interface gap exceeds ``INIT_TOL``.
+    Raises ``ValueError`` when an initial interface gap exceeds ``INIT_TOL``
+    or is nan.
     """
     gaps = {name: gap for name, gap in interface_mismatch(subsystems).items()
-            if gap > INIT_TOL}
+            if not gap <= INIT_TOL}
     if gaps:
         raise ValueError(f"inconsistent initialization: interface gaps "
                          f"{gaps} exceed {INIT_TOL:.0e}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosim import (CouplingMethod, CouplingSchedule, Event, TimeSeriesLog,
-                    march, run_cosimulation)
+                    march, record_columns, run_cosimulation)
 from .feeder import (DistributionFeeder, DistributionSubSystem, FeederBranch,
                      MotorUnit)
 from .integrators import DaeSystem, JacobianCache, trapezoidal_dae_step
@@ -40,12 +40,12 @@ from .loads import InductionMotor, InductionMotorParams, ZipLoadParams
 # benchmark's patch list drops it.
 from .loads import zip_power  # noqa: F401
 from .machines import GeneratorBank
-from .power_network import PowerFlowError, load_network
+from .power_network import PowerFlowError, TransmissionNetwork, load_network
 from .transmission import TransmissionDae, TransmissionSubSystem
 
 __all__ = [
     "RunMethod", "MotorSpec", "FeederSpec", "Scenario", "RunResult",
-    "Verdict", "check_scenario",
+    "Verdict", "check_scenario", "scenario_columns",
     "build_subsystems", "iterative_td_powerflow_init", "run_scenario",
     "detect_convergence", "compare_runs",
 ]
@@ -221,6 +221,21 @@ def build_subsystems(scenario: Scenario):
              for bus in interface_buses}
     subsystems = {"T": TransmissionSubSystem("T", dae), **dsubs}
     return subsystems, dsubs, interface_buses
+
+
+def scenario_columns(scenario: Scenario,
+                     net: TransmissionNetwork) -> list[str]:
+    """The columns of the scenario's record, from its feeder specs and
+    its network alone: the names ``march`` gives the sub-systems that
+    ``build_subsystems`` makes of them."""
+    buses = sorted({fs.bus for fs in scenario.feeders})
+    layout = {"T": (2 * len(buses), TransmissionSubSystem.snapshot_channels(
+        len(net.gen_buses), net.bus_ids))}
+    for bus in buses:
+        layout[f"D{bus}"] = (2, DistributionSubSystem.snapshot_channels(
+            [([m.name for m in fs.motors], len(fs.branches) + 1)
+             for fs in scenario.feeders if fs.bus == bus]))
+    return record_columns(layout)
 
 
 _TD_INIT_TOL = 1e-8  # largest interface-power change at the fixed point
@@ -565,7 +580,8 @@ def check_scenario(scenario: Scenario) -> CouplingSchedule:
     The one owner of the rules about a whole scenario, checked as it
     stands, whatever changed since it was made: the run parameters, at
     least one feeder, a network that loads with every feeder on one of
-    its buses, no motor name twice on one bus, and each event (a
+    its buses, no motor name twice on one bus, every output channel a
+    column of the record (``scenario_columns``), and each event (a
     ``D<bus>`` target with a feeder, a distribution action with exactly
     its one parameter, naming a motor on that bus or an index of its
     feeders, and a step of the run that follows it).  A message starts
@@ -599,6 +615,11 @@ def check_scenario(scenario: Scenario) -> CouplingSchedule:
                     f"feeders[{k}].composition.motors[{i}].name: "
                     f"{m.name!r} is already a motor on bus {fs.bus}")
             names.add((fs.bus, m.name))
+    if scenario.channels:
+        columns = set(scenario_columns(scenario, net))
+        unknown = [c for c in scenario.channels if c not in columns]
+        if unknown:
+            raise ValueError(f"outputs.channels: unknown channels {unknown}")
     for i, ev in enumerate(scenario.events):
         here = [fs for fs in scenario.feeders if f"D{fs.bus}" == ev.target]
         if not here:

@@ -289,10 +289,19 @@ class DistributionSubSystem(SubSystem):
         self.rk_tol = rk_tol
         self.current_input = [1.0, 0.0]
         self._output = [0.0, 0.0]
-        self._channels = []
-        for k, fd in enumerate(self.feeders):
-            self._channels += [f"{mu.name}.slip" for mu in fd.motors]
-            self._channels += [f"f{k}.v{node}" for node in range(fd.n_nodes)]
+        self._channels = self.snapshot_channels(
+            [([mu.name for mu in fd.motors], fd.n_nodes) for fd in feeders])
+
+    @staticmethod
+    def snapshot_channels(feeders: list[tuple[list[str], int]]
+                          ) -> list[str]:
+        """The snapshot's channel names, from each feeder's motor names
+        and node count alone."""
+        channels = []
+        for k, (motors, n_nodes) in enumerate(feeders):
+            channels += [f"{name}.slip" for name in motors]
+            channels += [f"f{k}.v{node}" for node in range(n_nodes)]
+        return channels
 
     def _v_sub(self) -> complex:
         return complex(self.current_input[0], self.current_input[1])

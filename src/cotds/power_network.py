@@ -12,7 +12,6 @@ In the dynamic model loads are interface inputs or static ZIP loads.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -21,6 +20,7 @@ import numpy as np
 from .integrators import (JacobianCache, NewtonConfig, NewtonError,
                           NumericFailure, newton_solve)
 from .loads import ZipLoadParams, zip_power
+from .schema import SchemaError, coerce, require
 
 __all__ = [
     "TransmissionNetwork",
@@ -85,126 +85,64 @@ def _build_ybus(bus_ids, branches):
     return y
 
 
-def _check_sections(raw) -> None:
-    """``ValueError`` naming the first section of a network file that is
-    not of its shape: buses, branches and generators lists, each branch
-    and generator an object, loads a mapping of bus to [p, q]."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"expected an object, got {type(raw).__name__}")
-    for key in ("buses", "branches", "generators"):
-        if not isinstance(raw[key], list):
-            raise ValueError(f"{key}: expected a list, got "
-                             f"{type(raw[key]).__name__}")
-    for key in ("branches", "generators"):
-        for i, item in enumerate(raw[key]):
-            if not isinstance(item, dict):
-                raise ValueError(f"{key}[{i}]: expected an object, got "
-                                 f"{type(item).__name__}")
-    loads = raw["loads"]
-    if not (isinstance(loads, dict) and all(
-            isinstance(pq, list) and len(pq) == 2
-            and all(isinstance(x, (int, float)) for x in pq)
-            for pq in loads.values())):
-        raise ValueError("loads: expected a mapping of bus to [p, q]")
+# the network file's spec; p_set, which may be null at the slack bus only,
+# is checked once the slack bus is
+_BRANCH = {"from": int, "to": int, "r": float, "x": float, "b": float}
+_GENERATOR = dict(bus=int, p_set=(object, None), v_set=float, h=float,
+                  d=float, xd=float, xq=float, xdp=float, xqp=float,
+                  td0p=float, tq0p=float,
+                  exciter=dict(gain=float, time_const=float),
+                  governor=dict(droop=float, time_const=float))
+_NETWORK = dict(buses=[int], slack=int, branches=[_BRANCH], loads=dict,
+                generators=[_GENERATOR], name=str, f_hz=float)
 
 
-def _field(item: dict, key: str, where: str):
-    """``item[key]``; ``ValueError`` naming ``where.key`` when missing."""
-    if key not in item:
-        raise ValueError(f"{where}.{key}: missing")
-    return item[key]
+def _network(doc) -> TransmissionNetwork:
+    """The network of a JSON document, checked: ``_NETWORK``, ``loads`` a
+    mapping of bus to [p, q], every bus reference one of ``buses``, and
+    ``p_set`` a number at every generator but the slack's, where it may
+    be null or absent."""
+    net = require(doc, "", _NETWORK)
+    buses, slack = net["buses"], net["slack"]
+    branches, gens = net["branches"], net["generators"]
+    loads = {}
+    for key, pq in net["loads"].items():
+        if not (isinstance(pq, list) and len(pq) == 2):
+            raise SchemaError("loads: expected a mapping of bus to [p, q]")
+        loads[int(key) if key.isdecimal() else key] = complex(
+            *(coerce(x, float, "loads") for x in pq))
 
-
-def _check_number(item: dict, key: str, where: str) -> None:
-    """``ValueError`` unless ``item[key]`` is a finite JSON number."""
-    x = _field(item, key, where)
-    if not (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x)):
-        raise ValueError(f"{where}.{key}: expected a finite number, got "
-                         f"{x!r}")
-
-
-# the generator fields the machine model reads: numbers of the generator,
-# and numbers of each of its control blocks
-_GEN_NUMBERS = ("v_set", "h", "d", "xd", "xq", "xdp", "xqp", "td0p", "tq0p")
-_GEN_BLOCKS = {"exciter": ("gain", "time_const"),
-               "governor": ("droop", "time_const")}
-
-
-def _check_fields(raw) -> None:
-    """``ValueError`` naming the first bus reference or numeric field of
-    a branch, load or generator that is not one: every bus an integer
-    id, every reference to a bus in ``buses``, every impedance, power
-    and machine constant a finite number.  ``p_set`` may be null or
-    absent at the slack bus only, whose generation the power flow
-    solves for."""
-    buses = raw["buses"]
-    for i, bus in enumerate(buses):
-        if not (isinstance(bus, int) and not isinstance(bus, bool)):
-            raise ValueError(f"buses[{i}]: expected an integer bus id, "
-                             f"got {bus!r}")
-
-    def check_bus(bus, where):
-        if bus not in buses:
-            raise ValueError(f"{where}: unknown bus {bus!r}")
-
-    slack = raw["slack"]
-    check_bus(slack, "slack")
-    for i, br in enumerate(raw["branches"]):
-        where = f"branches[{i}]"
-        for key in ("from", "to"):
-            check_bus(_field(br, key, where), f"{where}.{key}")
-        for key in ("r", "x", "b"):
-            _check_number(br, key, where)
-    for key in raw["loads"]:
-        check_bus(int(key) if key.isdigit() else key, "loads")
-    for i, g in enumerate(raw["generators"]):
-        where = f"generators[{i}]"
-        bus = _field(g, "bus", where)
-        check_bus(bus, f"{where}.bus")
-        if bus != slack or g.get("p_set") is not None:
-            _check_number(g, "p_set", where)
-        for key in _GEN_NUMBERS:
-            _check_number(g, key, where)
-        for sub, keys in _GEN_BLOCKS.items():
-            block = _field(g, sub, where)
-            if not isinstance(block, dict):
-                raise ValueError(f"{where}.{sub}: expected an object, got "
-                                 f"{type(block).__name__}")
-            for key in keys:
-                _check_number(block, key, f"{where}.{sub}")
+    refs = [("slack", slack)]
+    refs += [(f"branches[{i}].{key}", br[key])
+             for i, br in enumerate(branches) for key in ("from", "to")]
+    refs += [("loads", bus) for bus in loads]
+    refs += [(f"generators[{i}].bus", g["bus"]) for i, g in enumerate(gens)]
+    ids = set(buses)
+    for where, bus in refs:
+        if bus not in ids:
+            raise SchemaError(f"{where}: unknown bus {bus!r}")
+    for i, g in enumerate(gens):
+        if g["bus"] != slack or g["p_set"] is not None:
+            g["p_set"] = coerce(g["p_set"], float, f"generators[{i}].p_set")
+    return TransmissionNetwork(
+        name=net["name"], f_hz=net["f_hz"], bus_ids=buses, slack_bus=slack,
+        ybus=_build_ybus(buses, branches), gen_buses=[g["bus"] for g in gens],
+        gen_params=gens, loads=loads)
 
 
 def load_network(name_or_path: str) -> TransmissionNetwork:
     """Load a shipped dataset by name ('wscc9', 'twobus') or a JSON path.
 
-    A file that is not JSON, or that misses a section or field, has a
-    section of the wrong shape, refers to a bus it does not list or has
-    a field that is not a finite number, raises ``ValueError``; the
-    message does not name the file, which the caller does.
+    A file that is not JSON, or that ``_network`` refuses, raises
+    ``ValueError`` (a ``SchemaError`` naming the field); the message does
+    not name the file, which the caller does.
     """
     if name_or_path in ("wscc9", "twobus"):
         text = (resources.files("cotds.data") / f"{name_or_path}.json").read_text()
     else:
         with open(name_or_path) as fh:
             text = fh.read()
-    raw = json.loads(text)
-    try:
-        _check_sections(raw)
-        _check_fields(raw)
-        return TransmissionNetwork(
-            name=raw["name"],
-            f_hz=raw["f_hz"],
-            bus_ids=list(raw["buses"]),
-            slack_bus=raw["slack"],
-            ybus=_build_ybus(raw["buses"], raw["branches"]),
-            gen_buses=[g["bus"] for g in raw["generators"]],
-            gen_params=raw["generators"],
-            loads={int(k): complex(v[0], v[1])
-                   for k, v in raw["loads"].items()},
-        )
-    except KeyError as exc:
-        raise ValueError(f"network has no {exc}") from None
+    return _network(json.loads(text))
 
 
 @dataclass

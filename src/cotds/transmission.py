@@ -106,11 +106,15 @@ class TransmissionSubSystem(SubSystem):
         # positions in y of the interface voltages' [e, f], laid end to end
         self._out_idx = np.array([i for k in dae._if_idx for i in (k, k + n)],
                                  dtype=int)
-        bank = dae.bank
-        self._channels = [f"gen{k + 1}.{name}"
-                          for k in range(bank.n_machines)
-                          for name in ("delta", "domega")]
-        self._channels += [f"bus{bus}.vmag" for bus in dae.net.bus_ids]
+        self._channels = self.snapshot_channels(dae.bank.n_machines,
+                                                dae.net.bus_ids)
+
+    @staticmethod
+    def snapshot_channels(n_machines: int, bus_ids: list[int]) -> list[str]:
+        """The snapshot's channel names, from the network alone."""
+        return ([f"gen{k + 1}.{name}" for k in range(n_machines)
+                 for name in ("delta", "domega")]
+                + [f"bus{bus}.vmag" for bus in bus_ids])
 
     def initialize(self, inputs) -> None:
         """Power-flow start: interface powers are constant-power loads.

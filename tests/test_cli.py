@@ -95,6 +95,21 @@ class TestLinlab:
         assert 1 < len(log.times) < 4001
         assert np.all(np.isfinite(log.as_array()))
 
+    @pytest.mark.parametrize("scheme", ["parallel", "series", "total"])
+    def test_non_finite_start_diverges_at_t_0(self, tmp_path, capsys,
+                                              scheme):
+        # k_b * x_a overflows, so the t = 0 record is not finite
+        out = str(tmp_path / "div.csv")
+        rc = run_cli("linlab", "simulate", "--lambda-a", "-1",
+                     "--lambda-b", "-2", "--ka", "2", "--kb", "2",
+                     "--h", "0.1", "--t-end", "1", "--x0", "1e308", "1",
+                     "--scheme", scheme, "--out", out)
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric error: trajectory diverged at t=0; wrote 0 rows\n")
+        with open(out) as fh:
+            assert fh.read() == "t,x_a,x_b,x_a_exact,x_b_exact\n"
+
     def test_zero_micro_steps_is_usage_error(self):
         rc = run_cli("linlab", "simulate", "--lambda-a", "-1",
                      "--lambda-b", "-2", "--ka", "2", "--kb", "2",
@@ -224,7 +239,8 @@ class TestRunAndCompare:
         rc = run_cli("cotds", "run", path, "--t-end", "0.05",
                      "--out-dir", out)
         assert rc == EXIT_SCHEMA
-        assert "unknown channels ['D2.nope']" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "schema error: outputs.channels: unknown channels ['D2.nope']\n")
         assert not os.path.exists(out)
 
     def test_missing_scenario_is_usage_error(self):
@@ -466,7 +482,7 @@ def _network_without_branches(tmp_path):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda net: net.update(loads=[1, 2]),
-     "loads: expected a mapping of bus to [p, q]"),
+     "loads: expected an object, got list"),
     (lambda net: net.update(buses=5), "buses: expected a list, got int"),
     (lambda net: net["branches"][0].update(to=99),
      "branches[0].to: unknown bus 99"),
@@ -497,7 +513,7 @@ def test_malformed_network_is_schema_error(tmp_path, capsys, edit, message):
     (lambda doc, tmp: doc.update(transmission=str(tmp)),
      "Is a directory"),
     (lambda doc, tmp: doc.update(transmission=_network_without_branches(tmp)),
-     "has no 'branches'"),
+     "branches: missing"),
     (lambda doc, tmp: doc["feeders"][0]["composition"].update(
         static_fraction=1.5), "feeders[0].composition: static_fraction"),
     (lambda doc, tmp: doc["feeders"][0]["branches"][0].update(r=0.0, x=0.0),

@@ -237,11 +237,26 @@ class TestInitialConsistency:
         assert gaps["B"] == pytest.approx(0.1, abs=1e-12)
 
     def test_run_refuses_inconsistent_start(self):
-        subsystems = make_linear_pair(P1, StateVec2(0.3, 0.9))
-        subsystems["B"].set_input(np.add(subsystems["B"].current_input, 0.5))
-        with pytest.raises(ValueError, match="inconsistent initialization"):
-            run_cosimulation(CouplingSchedule(0.1, 1.0), subsystems,
-                             CouplingMethod.PARALLEL)
+        # a nan gap is refused as a large one
+        for shift in (0.5, math.nan):
+            subsystems = make_linear_pair(P1, StateVec2(0.3, 0.9))
+            subsystems["B"].set_input(np.add(subsystems["B"].current_input,
+                                             shift))
+            with pytest.raises(ValueError,
+                               match="inconsistent initialization"):
+                run_cosimulation(CouplingSchedule(0.1, 1.0), subsystems,
+                                 CouplingMethod.PARALLEL)
+
+    @pytest.mark.parametrize("method", list(CouplingMethod))
+    def test_non_finite_first_record_is_divergence(self, method):
+        # k * x0 overflows: B takes A's infinite output as its input, so
+        # the interface has no gap, but the t = 0 record is not finite
+        subsystems = make_linear_pair(P1, StateVec2(1e308, 1.0))
+        assert interface_mismatch(subsystems) == {"B": 0.0}
+        log = run_cosimulation(CouplingSchedule(0.1, 1.0), subsystems, method)
+        assert log.diverged
+        assert log.failure == "divergence at t=0: non-finite record"
+        assert log.times == [] and log.as_array().shape == (0, 4)
 
     def test_event_outside_horizon_rejected(self):
         with pytest.raises(ValueError):

@@ -427,6 +427,16 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="no feeder on 'D9'"):
             run_scenario(s)
 
+    @pytest.mark.parametrize("fixture", ["testcase1", "testcase2"])
+    @pytest.mark.parametrize("method", list(RunMethod))
+    def test_scenario_columns_are_the_record_columns(self, fixture, method):
+        # the names check_scenario asks for, without building anything,
+        # are those march makes of the built sub-systems
+        s = quick_scenario(method=method, t_end=0.02, fixture=fixture)
+        net = engine.load_network(s.transmission)
+        assert (engine.scenario_columns(s, net)
+                == run_scenario(s).log.columns)
+
     @pytest.mark.parametrize("method", [RunMethod.SERIES,
                                         RunMethod.MONOLITHIC])
     def test_event_no_step_follows_rejected_before_building(self, method,
@@ -759,6 +769,9 @@ SCENARIO_RULES = {
     "event_after_last_step": (lambda d: d["events"][0].update(time=5.0),
                               lambda s: _replace_event(s, 0, time=5.0),
                               "events: event at t=5.0 outside"),
+    "channels": (lambda d: d["outputs"].update(channels=["D2.nope"]),
+                 lambda s: setattr(s, "channels", ["D2.nope"]),
+                 "outputs.channels: unknown channels ['D2.nope']"),
 }
 
 
@@ -788,7 +801,7 @@ def test_scenario_rule_refused_alike_when_parsed_and_when_run(rule,
 
 @pytest.mark.parametrize("text, message", [
     ("{not json", "Expecting property name enclosed in double quotes"),
-    ('{"name": "n"}', "network has no 'buses'"),
+    ('{"name": "n"}', "buses: missing"),
     ('{"buses": 5}', "buses: expected a list, got int"),
 ], ids=["not_json", "no_buses", "buses_a_number"])
 def test_network_error_starts_with_the_transmission_path(tmp_path, text,

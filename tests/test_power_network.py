@@ -74,12 +74,12 @@ class TestLoadNetwork:
         (lambda net: net["generators"].insert(0, 1),
          "generators[0]: expected an object, got int"),
         (lambda net: net.update(loads=[1, 2]),
-         "loads: expected a mapping of bus to [p, q]"),
+         "loads: expected an object, got list"),
         (lambda net: net.update(loads={"2": 1.0}),
          "loads: expected a mapping of bus to [p, q]"),
         (lambda net: net.update(loads={"2": [1.0, "0.3"]}),
-         "loads: expected a mapping of bus to [p, q]"),
-        (lambda net: net.clear(), "network has no 'buses'"),
+         "loads: expected a finite number, got '0.3'"),
+        (lambda net: net.clear(), "buses: missing"),
         (lambda net: net["branches"][0].update(to=3),
          "branches[0].to: unknown bus 3"),
         (lambda net: net["branches"][0].update(r="0.01"),
@@ -99,14 +99,26 @@ class TestLoadNetwork:
          "generators[0].p_set: expected a finite number, got None"),
         (lambda net: net.update(slack=4), "slack: unknown bus 4"),
         (lambda net: net.update(buses=[1, "2"]),
-         "buses[1]: expected an integer bus id, got '2'"),
+         "buses[1]: expected an integer, got '2'"),
+        (lambda net: net["branches"][0].update(c=0.0),
+         "branches[0]: unknown keys ['c']"),
+        (lambda net: net["generators"][0].update(kd=1.0),
+         "generators[0]: unknown keys ['kd']"),
+        (lambda net: net["generators"][0]["exciter"].update(k=1.0),
+         "generators[0].exciter: unknown keys ['k']"),
+        (lambda net: net.update(f_hz="60"),
+         "f_hz: expected a finite number, got '60'"),
+        (lambda net: net.update(base_mva=100.0),
+         "unknown keys ['base_mva']"),
     ], ids=["buses", "branches", "generators", "branch", "generator",
             "loads_a_list", "load_a_number", "load_a_string", "empty",
             "branch_to_unknown_bus", "branch_quoted_number",
             "branch_without_x", "load_at_unknown_bus",
             "generator_at_unknown_bus", "generator_quoted_number",
             "exciter_gain_null", "governor_a_list", "p_set_null_off_slack",
-            "slack_unknown", "bus_id_a_string"])
+            "slack_unknown", "bus_id_a_string", "branch_unknown_key",
+            "generator_unknown_key", "exciter_unknown_key",
+            "f_hz_quoted_number", "base_mva"])
     def test_malformed_section_is_named(self, tmp_path, edit, message):
         net = json.loads((resources.files("cotds.data") / "twobus.json")
                          .read_text())
