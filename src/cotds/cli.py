@@ -17,7 +17,6 @@ one raised during the run is a bug and propagates.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -144,13 +143,12 @@ def cmd_cotds_run(args) -> int:
     if args.h is not None:
         scenario.h_macro = args.h
     try:
+        events = scenario.events
         if args.t_end is not None:
-            scenario.t_end = args.t_end
-            # keep the events that a step of the shortened run follows
-            cut = check_scenario(dataclasses.replace(scenario, events=[]))
-            scenario.events = [ev for ev in scenario.events
-                               if cut.applies(ev)]
-        check_scenario(scenario)
+            # the shortened run keeps the events that a step follows
+            scenario.t_end, scenario.events = args.t_end, []
+        schedule, _ = check_scenario(scenario)
+        scenario.events = [ev for ev in events if schedule.applies(ev)]
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     result = run_scenario(scenario)

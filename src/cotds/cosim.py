@@ -16,10 +16,10 @@ hub's output:
 - series (Gauss-Seidel exchange): the hub's output after its step.
 
 A march takes ``CouplingSchedule.n_steps`` macro steps, t_end / H
-rounded.  Timed events snap to the first macro boundary at or after
-their time and are applied before that boundary's step, each by its
-target sub-system's ``switch``; the schedule refuses an event after the
-last step's start, which would never be applied.
+rounded.  The schedule places each timed event on the first macro
+boundary at or after its time, and refuses one after the last step's
+start; the march applies a boundary's events, each by its target's
+``switch``, then calls ``step(h, switched)``, true if it applied any.
 
 The interface vectors, ``current_input`` and ``output()``, are lists of
 Python floats, a few per sub-system, so a macro step's exchange is list
@@ -32,6 +32,7 @@ those Python floats, and only then becomes one float array in the log.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
@@ -132,7 +133,7 @@ class Event:
     params: Mapping = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CouplingSchedule:
     h_macro: float
     t_end: float
@@ -149,18 +150,29 @@ class CouplingSchedule:
             if not self.applies(ev):
                 raise ValueError(
                     f"event at t={ev.time} outside [0, "
-                    f"{self._last_start():.6g}], the last step's start")
+                    f"{(self.n_steps - 1) * self.h_macro:.6g}], the last "
+                    f"step's start")
+        # the events applied at each boundary's index, in time order,
+        # placed once: the schedule is frozen
+        switches: dict[int, list[Event]] = {}
+        for ev in sorted(self.events, key=lambda e: e.time):
+            switches.setdefault(self.boundary(ev), []).append(ev)
+        object.__setattr__(self, "switches", switches)
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.h_macro))
 
-    def _last_start(self) -> float:
-        return (self.n_steps - 1) * self.h_macro
+    def boundary(self, ev: Event) -> int | None:
+        """The first boundary index k with ``ev.time <= k·H + 1e-12``,
+        where the event applies; ``None`` when no step starts there."""
+        k = bisect.bisect_left(range(self.n_steps), ev.time,
+                               key=lambda k: k * self.h_macro + _EVENT_SNAP)
+        return k if 0 <= ev.time and k < self.n_steps else None
 
     def applies(self, ev: Event) -> bool:
         """Whether a macro step starts at or after the event's time."""
-        return 0 <= ev.time <= self._last_start() + _EVENT_SNAP
+        return self.boundary(ev) is not None
 
 
 @dataclass
@@ -237,15 +249,16 @@ def record_columns(layout: Mapping[str, tuple[int, Sequence[str]]]
 
 def march(schedule: CouplingSchedule,
           subsystems: Mapping[str, SubSystem],
-          step: Callable[[float], None]) -> TimeSeriesLog:
-    """Switch due events, ``step(h)`` and record, once per macro step.
+          step: Callable[[float, bool], None]) -> TimeSeriesLog:
+    """Switch due events, ``step(h, switched)`` and record, per step.
 
-    A record holds each sub-system's ``output()`` and every channel of
-    its ``snapshot()``, at t = 0 and after every step.  The channels are
-    those of the t = 0 snapshot, in that snapshot's order, and are read
-    by name, so a snapshot that loses a key raises ``KeyError``;
-    ``record_columns`` names the columns.  OverflowError or a non-finite
-    record, the one at t = 0 included, is a divergence, a
+    ``switched`` is true when the schedule placed events on the step's
+    start.  A record holds each sub-system's ``output()`` and every
+    channel of its ``snapshot()``, at t = 0 and after every step.  The
+    channels are those of the t = 0 snapshot, in that snapshot's order,
+    and are read by name, so a snapshot that loses a key raises
+    ``KeyError``; ``record_columns`` names the columns.  OverflowError or
+    a non-finite record, the one at t = 0 included, is a divergence, a
     ``NumericFailure`` from an event or a step a sub-system failure;
     either truncates the log with time and cause, keeping the finite
     records made before it.  Any other exception is a programming error
@@ -266,8 +279,6 @@ def march(schedule: CouplingSchedule,
             row.extend(map(sub.snapshot().__getitem__, chans))
         return row
 
-    events = sorted(schedule.events, key=lambda e: e.time)
-    next_event = 0
     h, n = schedule.h_macro, schedule.n_steps
     t = 0.0
     for i in range(n + 1):
@@ -281,13 +292,11 @@ def march(schedule: CouplingSchedule,
             break
         at = t  # an event fails at its boundary, a step at the step's end
         try:
-            while (next_event < len(events)
-                   and events[next_event].time <= t + _EVENT_SNAP):
-                ev = events[next_event]
+            events = schedule.switches.get(i, ())
+            for ev in events:
                 subsystems[ev.target].switch(ev.action, ev.params)
-                next_event += 1
             at = t + h
-            step(h)
+            step(h, bool(events))
         except OverflowError as exc:
             log.diverged = True
             log.failure = f"divergence at t={at:.6g}: {exc}"
@@ -300,15 +309,15 @@ def march(schedule: CouplingSchedule,
 
 
 def exchange_step(subsystems: Mapping[str, SubSystem],
-                  method: CouplingMethod) -> Callable[[float], None]:
-    """One macro step of the hub and its spokes: ``step(h)``.
+                  method: CouplingMethod) -> Callable[[float, bool], None]:
+    """One macro step of the hub and its spokes: ``step(h, switched)``.
 
-    Inputs are held constant within the step.
+    Inputs are held constant within the step, ``switched`` or not.
     """
     hub, *spokes = subsystems.values()
     slices = _slices([len(sp.current_input) for sp in spokes])
 
-    def step(h):
+    def step(h, switched):
         if method is CouplingMethod.PARALLEL:
             y_hub = hub.output()
         u_hub = []

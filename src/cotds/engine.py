@@ -202,7 +202,11 @@ def build_subsystems(scenario: Scenario):
     The sub-systems are the hub ``T`` and its spokes, one ``D<bus>`` per
     interface bus; the second element holds the spokes alone.
     """
-    net = load_network(scenario.transmission)
+    return _build(scenario, load_network(scenario.transmission))
+
+
+def _build(scenario: Scenario, net: TransmissionNetwork):
+    """``build_subsystems`` on the scenario's network, already loaded."""
     bank = GeneratorBank.from_params(net.gen_params, net.omega_s)
 
     by_bus: dict[int, list[DistributionFeeder]] = {}
@@ -430,15 +434,15 @@ class MonolithicDae(DaeSystem):
     voltages, then for every feeder the real then imaginary voltages of
     nodes 1..N (node 0 is the interface bus).
 
-    ``advance(h)`` is one trapezoidal step, from and back into the
-    component objects; ``newton_cache`` keeps its Jacobian and counters,
-    and the step's end point with ``f`` there, which the next step
-    reuses when it gathers that point back.  ``f`` also reads the
-    feeders' and motors' ``active`` flags, so a step that finds them
-    switched drops the end point: an event that switches a motor off
-    leaves every state where it was.  ``g`` keeps the interface power at
-    the point it last evaluated, which ``scatter`` takes once, when it
-    writes that point back.
+    ``advance(h, switched)`` is one trapezoidal step, from and back into
+    the component objects; ``newton_cache`` keeps its Jacobian and
+    counters, and the step's end point with ``f`` there, which the next
+    step reuses when it gathers that point back.  ``f`` also reads the
+    feeders' and motors' ``active`` flags, so a step told that events
+    were applied before it (``switched``) drops the end point: an event
+    that switches a motor off leaves every state where it was.  ``g``
+    keeps the interface power at the point it last evaluated, which
+    ``scatter`` takes once, when it writes that point back.
     """
 
     def __init__(self, tsub: TransmissionSubSystem,
@@ -471,7 +475,6 @@ class MonolithicDae(DaeSystem):
         self._re_idx, self._im_idx = np.array(re_idx), np.array(im_idx)
         self.n_x, self.n_y = nx, ny
         self._last_g = None  # (x bytes, y bytes, interface power) of g
-        self._flags = self._active_flags()
         self.scatter(*self.gather())
 
     def _feeder_blocks(self, x, y):
@@ -506,14 +509,9 @@ class MonolithicDae(DaeSystem):
         return np.concatenate(
             [tdae.g(x[:tdae.n_x], y[:tdae.n_y], u_t)] + mismatch)
 
-    def _active_flags(self) -> list[bool]:
-        return ([fd.active for fd, *_ in self._blocks]
-                + [mu.active for mu in self.motors])
-
-    def advance(self, h: float) -> None:
-        flags = self._active_flags()
-        if flags != self._flags:
-            self._flags, self.newton_cache.end = flags, None
+    def advance(self, h: float, switched: bool) -> None:
+        if switched:
+            self.newton_cache.end = None
         x, y = trapezoidal_dae_step(self, *self.gather(), None, h,
                                     cache=self.newton_cache)
         self.scatter(x, y)
@@ -559,14 +557,6 @@ class MonolithicDae(DaeSystem):
 # -- run orchestration --------------------------------------------------------
 
 
-def _post_event_window(scenario: Scenario) -> tuple[float, float]:
-    if scenario.events:
-        t0 = max(ev.time for ev in scenario.events)
-    else:
-        t0 = 0.0
-    return (t0, scenario.t_end)
-
-
 # the distribution events, and the parameter each one takes
 _EVENT_PARAMS = {"connect_motor": ("name", str),
                  "disconnect_motor": ("name", str),
@@ -574,8 +564,8 @@ _EVENT_PARAMS = {"connect_motor": ("name", str),
                  "disconnect_feeder": ("index", int)}
 
 
-def check_scenario(scenario: Scenario) -> CouplingSchedule:
-    """The run's schedule; ``ValueError`` unless the scenario can run.
+def check_scenario(scenario: Scenario):
+    """(The run's schedule, its network); ``ValueError`` unless it can run.
 
     The one owner of the rules about a whole scenario, checked as it
     stands, whatever changed since it was made: the run parameters, at
@@ -640,15 +630,15 @@ def check_scenario(scenario: Scenario) -> CouplingSchedule:
                              f"is not one of {ev.target}'s {sorted(known)}")
     try:
         return CouplingSchedule(scenario.h_macro, scenario.t_end,
-                                tuple(scenario.events))
+                                tuple(scenario.events)), net
     except ValueError as exc:
         raise ValueError(f"events: {exc}") from None
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
     t_start = time.perf_counter()
-    schedule = check_scenario(scenario)
-    subsystems, dsubs, interface_buses = build_subsystems(scenario)
+    schedule, net = check_scenario(scenario)
+    subsystems, dsubs, interface_buses = _build(scenario, net)
     iterative_td_powerflow_init(subsystems["T"], dsubs, interface_buses)
     if scenario.method is RunMethod.MONOLITHIC:
         mono = MonolithicDae(subsystems["T"], dsubs)
@@ -658,7 +648,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
         log = run_cosimulation(schedule, subsystems,
                                CouplingMethod(scenario.method.value))
         newton = {"T": subsystems["T"].newton_cache.counters()}
-    verdict = detect_convergence(log, _post_event_window(scenario))
+    # the verdict judges the run from its last event on
+    t0 = max((ev.time for ev in schedule.events), default=0.0)
+    verdict = detect_convergence(log, (t0, scenario.t_end))
     return RunResult(scenario=scenario.name, method=scenario.method,
                      h_macro=scenario.h_macro, log=log,
                      verdict=verdict, wall_time=time.perf_counter() - t_start,

@@ -109,8 +109,8 @@ class DaeSystem:
     call, writes into neither argument, and gives bitwise the same value
     at the same point: ``trapezoidal_dae_step`` relies on all three when
     it reuses one step's end-point ``f`` as the next step's start.  A
-    system whose ``f`` changes between steps at a fixed point drops the
-    cache's ``end`` when it does.
+    system whose ``f`` an event changes at a fixed point drops the
+    cache's ``end`` on the step that ``march`` tells of the event.
     """
 
     n_x: int

@@ -393,7 +393,7 @@ def local_truncation_error(p: LinearCoupledParams, x0: StateVec2, h_macro: float
     else:
         step = exchange_step(pair, CouplingMethod(scheme.value))
     try:
-        step(cfg.h_macro)
+        step(cfg.h_macro, False)
         finite = all(map(math.isfinite, [a.x, b.x, *a.output(),
                                          *b.output()]))
     except OverflowError:
@@ -522,8 +522,8 @@ class LinearTrajectory:
 
 
 def _total_trapezoidal_step(p: LinearCoupledParams, h: float, pair):
-    """``step(h)``: the implicit trapezoidal step over ``h`` on the full
-    system, applied to the pair's states.
+    """``step(h, switched)``: the implicit trapezoidal step over ``h`` on
+    the full system, applied to the pair's states.
 
     Its matrix M solves (I - h/2*A) M = (I + h/2*A) by one LAPACK solve,
     independent of ``_step_entries``' Cramer's rule, and each step is
@@ -534,7 +534,7 @@ def _total_trapezoidal_step(p: LinearCoupledParams, h: float, pair):
     m = np.linalg.solve(np.eye(2) - 0.5 * h * a, np.eye(2) + 0.5 * h * a)
     m00, m01, m10, m11 = m.ravel().tolist()
 
-    def step(_h):  # the march's H, the h M was built for
+    def step(_h, _switched):  # the march's H, the h M was built for
         xa, xb = a_half.x, b_half.x
         a_half.x = m00 * xa + m01 * xb
         b_half.x = m10 * xa + m11 * xb

@@ -590,10 +590,10 @@ def test_non_finite_physical_number_is_schema_error(tmp_path, capsys):
     ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "-1")])
 def test_bad_run_flag_is_usage_error(tmp_path, capsys, monkeypatch, flag,
                                      value):
-    def build(scenario):
+    def build(scenario, net):
         raise AssertionError("built a run with a bad flag")
 
-    monkeypatch.setattr(engine, "build_subsystems", build)
+    monkeypatch.setattr(engine, "_build", build)
     out = str(tmp_path / "out")
     rc = run_cli("cotds", "run", fixture_path("testcase2"), flag, value,
                  "--out-dir", out)
@@ -601,6 +601,25 @@ def test_bad_run_flag_is_usage_error(tmp_path, capsys, monkeypatch, flag,
     field = "h_macro" if flag == "--h" else "t_end"
     assert f"error: run.{field}: must be finite" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flags", [[], ["--t-end", "0.5"]],
+                         ids=["whole run", "t-end cut"])
+def test_run_reads_the_network_three_times(tmp_path, monkeypatch, flags):
+    # the scenario's check when loaded, the CLI's check of the flags and
+    # the run's own; the --t-end cut reads none
+    reads = []
+    load = engine.load_network
+
+    def counted(name):
+        reads.append(name)
+        return load(name)
+
+    monkeypatch.setattr(engine, "load_network", counted)
+    rc = run_cli("cotds", "run", fixture_path("testcase2"), "--h", "0.1",
+                 *flags, "--out-dir", str(tmp_path / "out"))
+    assert rc == 0
+    assert len(reads) == 3
 
 
 def test_value_error_during_a_run_propagates(tmp_path, monkeypatch):

@@ -10,7 +10,9 @@ from cotds.cosim import (
     SubSystem,
     TimeSeriesLog,
     exchange_step,
+    _EVENT_SNAP,
     interface_mismatch,
+    march,
     run_cosimulation,
 )
 from cotds.linlab import (
@@ -84,7 +86,7 @@ class TestArrayOutputs:
         hub = make_linear_pair(P1, StateVec2(1.0, 1.0))["A"]
         spoke = Recorder(out_value=0.25)
         y_start = hub.output()
-        exchange_step({"A": hub, "B": spoke}, method)(0.1)
+        exchange_step({"A": hub, "B": spoke}, method)(0.1, False)
         assert isinstance(spoke.output(), np.ndarray)
         assert type(hub.current_input) is list
         assert hub.current_input == [0.25]
@@ -309,3 +311,111 @@ class TestSchedule:
         assert not sched.applies(Event(last + 1e-9, "A", "x"))
         assert sched.applies(Event(0.0, "A", "x"))
         assert not sched.applies(Event(-1e-9, "A", "x"))
+
+
+def old_event_loop(schedule, subsystems, step):
+    """``march``'s event loop before the schedule placed the events,
+    verbatim, with the records and failures left out: the placement's
+    oracle.  ``step(h)`` is called once per macro step."""
+    events = sorted(schedule.events, key=lambda e: e.time)
+    next_event = 0
+    h, n = schedule.h_macro, schedule.n_steps
+    t = 0.0
+    for i in range(n + 1):
+        if i == n:
+            break
+        while (next_event < len(events)
+               and events[next_event].time <= t + _EVENT_SNAP):
+            ev = events[next_event]
+            subsystems[ev.target].switch(ev.action, ev.params)
+            next_event += 1
+        step(h)
+        t = (i + 1) * h
+
+
+class Switchboard(SubSystem):
+    """Takes any event; records each one with the number of steps taken
+    before it, and each step's ``switched``."""
+
+    def __init__(self):
+        self.steps, self.switched = 0, []
+
+    def output(self):
+        return [0.0]
+
+    def switch(self, action, params):
+        self.switched.append((self.steps, params["id"]))
+
+    def step(self, h, switched=None):
+        self.steps += 1
+        self.switched.append(switched)
+
+
+def event_draw(rng):
+    """(H, t_end, event times) for one draw.  The times cover each way an
+    event can sit against the macro boundaries k·H: on one, 1e-13 before
+    one, up to 1e-12 after one, between two, several on one and on the
+    last step's start, in no order."""
+    h = float(rng.choice([0.006, 0.037, 0.1, 0.5, 1.0 / 3.0])
+              * rng.uniform(0.5, 2.0))
+    t_end = h * float(rng.integers(2, 400)) + float(rng.uniform(-0.4, 0.4)) * h
+    n = int(round(t_end / h))
+    k = lambda: int(rng.integers(0, max(n - 1, 1)))
+    times = [k() * h, k() * h - 1e-13, k() * h + float(rng.uniform(0, 1e-12)),
+             k() * h + 1e-12, (k() + float(rng.uniform())) * h,
+             (n - 1) * h, (n - 1) * h + 1e-12]
+    times += [times[int(rng.integers(len(times)))]] * 2
+    k0 = k() + 1  # three more on one boundary, two of them before it
+    times += [(k0 - 0.3) * h, k0 * h - 1e-13, k0 * h]
+    rng.shuffle(times)
+    return h, t_end, times
+
+
+class TestEventPlacement:
+    """The schedule places each event where the old march applied it."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_placement_matches_the_old_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            h, t_end, times = event_draw(rng)
+            last = (CouplingSchedule(h, t_end).n_steps - 1) * h
+            times = [t for t in times if 0 <= t <= last + 1e-12]
+            events = [Event(t, "A", "x", {"id": j})
+                      for j, t in enumerate(times)]
+            sched = CouplingSchedule(h, t_end, events)
+            old = Switchboard()
+            old_event_loop(sched, {"A": old}, old.step)
+            placed = [(k, ev.params["id"])
+                      for k, evs in sorted(sched.switches.items())
+                      for ev in evs]
+            assert placed == [e for e in old.switched if e is not None]
+            new = Switchboard()
+            march(sched, {"A": new}, new.step)
+            # the events first, then the step, told it whether there were
+            # any: the old loop's order
+            assert [e for e in new.switched if type(e) is tuple] == placed
+            assert [e for e in new.switched if type(e) is bool] == [
+                k in sched.switches for k in range(sched.n_steps)]
+            for ev in events:
+                assert sched.applies(ev)
+                assert sched.boundary(ev) == next(
+                    k for k, j in placed if j == ev.params["id"])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_out_of_range_refused_as_before(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            h, t_end, _ = event_draw(rng)
+            sched = CouplingSchedule(h, t_end)
+            last = (sched.n_steps - 1) * h
+            for t in (last + 2e-12, last + 0.5 * h, -1e-13, -h):
+                ev = Event(t, "A", "x", {"id": 0})
+                old_applies = 0 <= ev.time <= last + _EVENT_SNAP
+                assert sched.applies(ev) is old_applies is False
+                assert sched.boundary(ev) is None
+                with pytest.raises(ValueError) as refused:
+                    CouplingSchedule(h, t_end, [ev])
+                assert str(refused.value) == (
+                    f"event at t={t} outside [0, {last:.6g}], the last "
+                    f"step's start")

@@ -197,6 +197,29 @@ def quick_scenario(method=RunMethod.SERIES, h=0.01, t_end=0.5, events=False,
     return s
 
 
+def counted_network_reads(monkeypatch) -> list[str]:
+    """Count ``engine.load_network`` calls: the returned list grows by
+    the name read at each."""
+    reads = []
+    load = engine.load_network
+
+    def counted(name):
+        reads.append(name)
+        return load(name)
+
+    monkeypatch.setattr(engine, "load_network", counted)
+    return reads
+
+
+@pytest.mark.parametrize("method", list(RunMethod))
+def test_run_reads_the_network_once(monkeypatch, method):
+    # the run builds on the network its own check loaded
+    s = quick_scenario(method=method, t_end=0.15, events=True)
+    reads = counted_network_reads(monkeypatch)
+    assert run_scenario(s).log.failure is None
+    assert reads == [s.transmission]
+
+
 def fail_sweeps_after_switch(monkeypatch):
     """Make every feeder sweep raise ``FeederError`` from the first switch
     on; a connect_motor switch itself sweeps nothing."""
@@ -418,10 +441,10 @@ class TestRunScenario:
     @pytest.mark.parametrize("method", [RunMethod.SERIES,
                                         RunMethod.MONOLITHIC])
     def test_bad_event_rejected_before_building(self, method, monkeypatch):
-        def build(scenario):
+        def build(scenario, net):
             raise AssertionError("built before the events were checked")
 
-        monkeypatch.setattr(engine, "build_subsystems", build)
+        monkeypatch.setattr(engine, "_build", build)
         s = quick_scenario(method=method, fixture="testcase2")
         s.events = [Event(0.02, "D9", "connect_feeder", {"index": 1})]
         with pytest.raises(ValueError, match="no feeder on 'D9'"):
@@ -443,10 +466,10 @@ class TestRunScenario:
                                                             monkeypatch):
         # t_end 1.2 at H 0.5 steps from 0 and 0.5 only, so testcase2's
         # connect_feeder at 1.0 would never be applied
-        def build(scenario):
+        def build(scenario, net):
             raise AssertionError("built a run whose event never applies")
 
-        monkeypatch.setattr(engine, "build_subsystems", build)
+        monkeypatch.setattr(engine, "_build", build)
         s = quick_scenario(method=method, h=0.5, t_end=1.2,
                            fixture="testcase2")
         s.events = load_scenario(fixture_path("testcase2")).events
@@ -507,10 +530,10 @@ class TestRunScenario:
     @pytest.mark.parametrize("method", [RunMethod.SERIES,
                                         RunMethod.MONOLITHIC])
     def test_no_feeders_rejected_before_building(self, method, monkeypatch):
-        def build(scenario):
+        def build(scenario, net):
             raise AssertionError("built a scenario with no feeders")
 
-        monkeypatch.setattr(engine, "build_subsystems", build)
+        monkeypatch.setattr(engine, "_build", build)
         s = quick_scenario(method=method)
         s.feeders = []
         with pytest.raises(ValueError, match="no feeders"):
@@ -555,8 +578,8 @@ def test_monolithic_scatter_takes_the_last_g(monkeypatch):
     monkeypatch.setattr(feeder.DistributionFeeder, "kcl", traced_kcl)
     steps = []
 
-    def checked(h):
-        mono.advance(h)
+    def checked(h, switched):
+        mono.advance(h, switched)
         assert not outside
         u, _ = mono.interface_power(*mono.gather())
         outside.clear()
@@ -696,10 +719,10 @@ def test_run_rejects_bad_run_parameter_before_building(monkeypatch, method,
     s = quick_scenario(method=method)
     setattr(s, field, value)
 
-    def build(scenario):
+    def build(scenario, net):
         raise AssertionError("built a run with a bad parameter")
 
-    monkeypatch.setattr(engine, "build_subsystems", build)
+    monkeypatch.setattr(engine, "_build", build)
     with pytest.raises(ValueError, match=rf"^run\.{field}: must be finite"):
         run_scenario(s)
 
@@ -787,10 +810,10 @@ def test_scenario_rule_refused_alike_when_parsed_and_when_run(rule,
     with pytest.raises(SchemaError) as parsed:
         parse_scenario(doc)
 
-    def build(scenario):
+    def build(scenario, net):
         raise AssertionError("built a scenario that breaks a rule")
 
-    monkeypatch.setattr(engine, "build_subsystems", build)
+    monkeypatch.setattr(engine, "_build", build)
     s = load_scenario(fixture_path("testcase2"))
     edit_scenario(s)
     with pytest.raises(ValueError) as run:

@@ -317,9 +317,9 @@ def test_every_call_across_the_motor_start(monkeypatch, method):
     step = exchange_step(subsystems, method)
     rows = [old_record(subsystems, channels)]
 
-    def recorded(h):
+    def recorded(h, switched):
         # march records right after the step, from the same state
-        step(h)
+        step(h, switched)
         rows.append(old_record(subsystems, channels))
 
     log = march(MOTOR_START, subsystems, recorded)

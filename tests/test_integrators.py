@@ -495,9 +495,10 @@ MOTOR_START = CouplingSchedule(
 
 
 def start_evaluations(dae, cache):
-    """Count ``dae.f`` calls; returns ``evaluated(h, step)``, which takes
-    ``step(h)`` and gives its f calls less its residual evaluations: 1
-    where the step evaluated f at its start, 0 where it reused it."""
+    """Count ``dae.f`` calls; returns ``evaluated(step, *args)``, which
+    calls ``step(*args)`` and gives its f calls less its residual
+    evaluations: 1 where the step evaluated f at its start, 0 where it
+    reused it."""
     calls = [0]
     fresh = type(dae).f
 
@@ -507,9 +508,9 @@ def start_evaluations(dae, cache):
 
     dae.f = counted
 
-    def evaluated(h, step):
+    def evaluated(step, *args):
         n, evals = calls[0], cache.residual_evals
-        step(h)
+        step(*args)
         return (calls[0] - n) - (cache.residual_evals - evals)
     return evaluated
 
@@ -520,10 +521,10 @@ def test_reused_f0_is_a_fresh_f_over_the_motor_start(method):
     evaluated = start_evaluations(dae, cache)
     reused = []
 
-    def checked(h):
+    def checked(h, switched):
         x, y = start()
         end = cache.end
-        extra = evaluated(h, step)
+        extra = evaluated(step, h, switched)
         assert extra in (0, 1)
         if extra == 0:
             assert end[2].tobytes() == type(dae).f(dae, x, y).tobytes()
@@ -548,9 +549,9 @@ def test_transmission_start_moved_by_the_state_contract(move, evaluated):
     subsystems, dae, cache, step, _ = tc1_motor_start("series")
     tsub = subsystems["T"]
     count = start_evaluations(dae, cache)
-    step(0.006)
+    step(0.006, False)
     move(tsub)
-    assert count(0.006, tsub.advance) == evaluated
+    assert count(tsub.advance, 0.006) == evaluated
 
 
 def test_monolithic_switch_drops_the_end_point():
@@ -562,15 +563,38 @@ def test_monolithic_switch_drops_the_end_point():
     for action in (None, "disconnect_motor", None, "connect_motor"):
         if action:
             subsystems["D6"].switch(action, {"name": "bus6_im1"})
-        extra.append(evaluated(0.006, step))
+        extra.append(evaluated(step, 0.006, action is not None))
     assert extra == [1, 1, 0, 1]
+
+
+@pytest.mark.parametrize("method", ["series", "parallel", "monolithic"])
+@pytest.mark.parametrize("events", [
+    MOTOR_START.events,
+    # two events that the schedule places on one boundary, 0.06 s
+    MOTOR_START.events + (Event(0.0581, "D6", "disconnect_motor",
+                                {"name": "bus6_im1"}),),
+], ids=["one-event", "two-events"])
+def test_step_told_of_the_motor_start(method, events):
+    # march tells the step at 0.06 s, step 10, that events were applied
+    # before it, once however many, and no other step
+    subsystems, _, _, step, _ = tc1_motor_start(method)
+    seen = []
+
+    def recorded(h, switched):
+        seen.append(switched)
+        step(h, switched)
+
+    schedule = CouplingSchedule(MOTOR_START.h_macro, MOTOR_START.t_end,
+                                events)
+    assert march(schedule, subsystems, recorded).failure is None
+    assert seen == [i == 10 for i in range(50)]
 
 
 def test_monolithic_step_leaves_no_reference_cycle():
     # a cycle through the kept end point would hold every finished run's
     # component objects until the cyclic collector ran, raising peak memory
     subsystems, mono, cache, step, gather = tc1_motor_start("monolithic")
-    step(0.006)
+    step(0.006, False)
     ref = weakref.ref(mono)
     gc.disable()
     try:

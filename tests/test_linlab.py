@@ -587,7 +587,7 @@ def old_total_trapezoidal_step(p, pair):
     a_half, b_half = pair["A"], pair["B"]
     a = system_matrix(p)
 
-    def step(h):
+    def step(h, _switched):
         s = np.array([a_half.x, b_half.x])
         lhs = np.eye(2) - 0.5 * h * a
         a_half.x, b_half.x = np.linalg.solve(lhs, s + 0.5 * h * (a @ s))
