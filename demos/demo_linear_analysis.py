@@ -32,13 +32,9 @@ def stability_table(p, tag):
     rows = []
     for h in grid:
         cfg = linlab.StepConfig(h_macro=h, n_micro=100)
-        rows.append((
-            h,
-            linlab.spectral_radius(linlab.build_M_total(p, h)),
-            linlab.spectral_radius(
-                linlab.build_M_cosim_parallel(p, cfg)),
-            linlab.spectral_radius(linlab.build_M_cosim_series(p, cfg)),
-        ))
+        rows.append((h, *(
+            linlab.spectral_radius(linlab.build_step_matrix(p, cfg, scheme))
+            for scheme in linlab.SchemeId)))
     write(os.path.join(OUT, f"stability_{tag}.csv"),
           ["h", "rho_total", "rho_parallel", "rho_series"], rows)
 

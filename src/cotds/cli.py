@@ -178,8 +178,11 @@ def cmd_compare(args) -> int:
     for d in (args.run_a, args.run_b):
         if not os.path.isfile(os.path.join(d, "run.csv")):
             raise CliError(f"no run.csv under {d}", EXIT_USAGE)
-    log_a = read_csv(os.path.join(args.run_a, "run.csv"))
-    log_b = read_csv(os.path.join(args.run_b, "run.csv"))
+    log_a, log_b = (read_csv(os.path.join(d, "run.csv"))
+                    for d in (args.run_a, args.run_b))
+    for d, log in ((args.run_a, log_a), (args.run_b, log_b)):
+        if not log.times:
+            raise CliError(f"the run under {d} has no records", EXIT_USAGE)
     channels = args.channels.split(",") if args.channels else None
     same_grid = (len(log_a.times) == len(log_b.times)
                  and np.allclose(log_a.times, log_b.times))

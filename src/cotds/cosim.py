@@ -66,12 +66,10 @@ _EVENT_SNAP = 1e-12
 class SubSystem:
     """Stateful solver unit: set inputs, advance a macro step, read outputs.
 
-    ``current_input`` is the input the sub-system last took, through
-    ``initialize`` or ``set_input``, as a list of Python floats; its
-    length is the size of the input.  ``output()`` is a new list of
-    Python floats.  ``advance`` must be deterministic given prior state
-    and input, and ``output()`` right after ``initialize`` must be the
-    steady-state output consistent with the initial input.
+    ``current_input`` is the input the sub-system last took, as a list
+    of Python floats; its length is the size of the input.  ``output()``
+    is a new list of Python floats.  ``advance`` must be deterministic
+    given prior state and input.
 
     ``state()`` is everything ``advance`` and ``output()`` read that a
     step may change, as one flat float array, read without solving
@@ -82,9 +80,6 @@ class SubSystem:
     """
 
     current_input: list[float]
-
-    def initialize(self, inputs: Sequence[float]) -> None:
-        raise NotImplementedError
 
     def set_input(self, u: Sequence[float]) -> None:
         self.current_input = list(map(float, u))
@@ -146,6 +141,10 @@ class CouplingSchedule:
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end: must be finite and >= 0, got "
                              f"{self.t_end!r}")
+        if math.isinf(self.t_end / self.h_macro):
+            raise ValueError(f"h_macro: {self.h_macro!r} is too small for "
+                             f"t_end {self.t_end!r}: the step count "
+                             "overflows")
         for ev in self.events:
             if not self.applies(ev):
                 raise ValueError(

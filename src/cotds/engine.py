@@ -71,7 +71,7 @@ class MotorSpec:
     node: int
     share: float
     machine: InductionMotorParams
-    active: bool = True
+    active: bool
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class FeederSpec:
     static_fraction: float
     zip_fractions: tuple[float, float, float]  # (z, i, p)
     motors: tuple[MotorSpec, ...]
-    active: bool = True
+    active: bool
 
     def __post_init__(self):
         nodes = {0}
@@ -133,17 +133,18 @@ class FeederSpec:
 
 @dataclass
 class Scenario:
-    """A T-D run; ``check_scenario`` refuses one that cannot run."""
+    """A T-D run; ``check_scenario`` refuses one that cannot run.  The
+    scenario file's spec (``scenario_io``) owns the defaults."""
 
     name: str
     transmission: str
     feeders: list[FeederSpec]
-    events: list[Event] = field(default_factory=list)
-    method: RunMethod = RunMethod.SERIES
-    h_macro: float = 0.006
-    t_end: float = 10.0
-    rk_tol: float = 1e-6
-    channels: list[str] = field(default_factory=list)
+    events: list[Event]
+    method: RunMethod
+    h_macro: float
+    t_end: float
+    rk_tol: float
+    channels: list[str]
 
     def __post_init__(self):
         check_scenario(self)
@@ -220,10 +221,9 @@ def _build(scenario: Scenario, net: TransmissionNetwork):
               for bus, s in net.loads.items() if bus not in by_bus}
 
     dae = TransmissionDae(net, bank, static, interface_buses)
-    dsubs = {f"D{bus}": DistributionSubSystem(f"D{bus}", by_bus[bus],
-                                              rk_tol=scenario.rk_tol)
+    dsubs = {f"D{bus}": DistributionSubSystem(by_bus[bus], scenario.rk_tol)
              for bus in interface_buses}
-    subsystems = {"T": TransmissionSubSystem("T", dae), **dsubs}
+    subsystems = {"T": TransmissionSubSystem(dae), **dsubs}
     return subsystems, dsubs, interface_buses
 
 
@@ -519,11 +519,10 @@ class MonolithicDae(DaeSystem):
     # -- the shared component objects
 
     def scatter(self, x, y) -> None:
-        """Write (x, y) into the component objects, and each feeder
-        sub-system's input and output (bus voltage, power drawn); the
-        nodes of a feeder switched off stay where ``set_input`` pins them.
-        The interface power is the last ``g``'s when (x, y) is bitwise
-        the point it evaluated, and computed here otherwise."""
+        """Write (x, y) into the component objects, then each feeder
+        sub-system's input and output (bus voltage, power drawn).  The
+        interface power is the last ``g``'s when (x, y) is bitwise the
+        point it evaluated, and computed here otherwise."""
         tdae = self.tdae
         self.tsub.x, self.tsub.y = x[:tdae.n_x].copy(), y[:tdae.n_y].copy()
         last, self._last_g = self._last_g, None
@@ -532,15 +531,14 @@ class MonolithicDae(DaeSystem):
             u = last[2]
         else:
             u, _ = self.interface_power(x, y)
+        for fd, _, v, states in self._feeder_blocks(x, y):
+            fd.v = v.copy()
+            for mu, st in zip(fd.motors, states):
+                mu.state = st.copy()
         e = self.tsub.output()
         for k, d in enumerate(self.dsubs):
             d.set_input(e[2 * k:2 * k + 2])
             d.set_output(complex(u[2 * k], u[2 * k + 1]))
-        for fd, _, v, states in self._feeder_blocks(x, y):
-            if fd.active:
-                fd.v = v.copy()
-            for mu, st in zip(fd.motors, states):
-                mu.state = st.copy()
 
     def gather(self):
         """(x, y) read from the component objects."""

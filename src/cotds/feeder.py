@@ -227,7 +227,7 @@ class DistributionFeeder:
 
     # -- dynamics -----------------------------------------------------------
 
-    def step_motors(self, h: float, tol: float = 1e-6) -> None:
+    def step_motors(self, h: float, tol: float) -> None:
         """Advance every active motor over ``h``, its terminal voltage held."""
         v = self.v.tolist()
         for mu in self.motors:
@@ -282,9 +282,7 @@ class DistributionSubSystem(SubSystem):
     again.  The ``active`` flags are topology, not state.
     """
 
-    def __init__(self, name: str, feeders: list[DistributionFeeder],
-                 rk_tol: float = 1e-6):
-        self.name = name
+    def __init__(self, feeders: list[DistributionFeeder], rk_tol: float):
         self.feeders = list(feeders)
         self.rk_tol = rk_tol
         self.current_input = [1.0, 0.0]

@@ -414,7 +414,7 @@ def _dp_step(deriv, e, s, u, dt, k1e, k1s):
 
 
 def rk_component_step(deriv: Callable, e: complex, s: float, u, h: float,
-                      tol: float = 1e-6) -> tuple[complex, float]:
+                      tol: float) -> tuple[complex, float]:
     """Integrate (e, s)' = deriv(e, s, u) from 0 to h, input u held constant.
 
     ``e`` is a Python complex and ``s`` a Python float; ``deriv`` takes

@@ -16,12 +16,12 @@ Each step matrix is written once, in closed form (``_step_entries``):
 Cramer's rule for the total trapezoidal scheme, a diagonal (parallel) or
 lower-triangular (series) left-hand side for the co-simulation schemes.
 The entries take H as a Python float or as a numpy array of them, and n
-as a number: ``build_step_matrix`` and ``build_M_*`` pass a
-``StepConfig``'s and wrap the entries as an array; the threshold search
-checks its arguments once and takes the closed-form radius of the
-entries on Python floats, with no ``StepConfig``, array or linear solve
-per H; ``stability_sweep`` checks its grid once and evaluates the
-entries and their radii over the whole grid in one array pass.  The
+as a number: ``build_step_matrix`` passes a ``StepConfig``'s and wraps
+the entries as an array; the threshold search checks its arguments once
+and takes the closed-form radius of the entries on Python floats, with
+no ``StepConfig``, array or linear solve per H; ``stability_sweep``
+checks its grid once and evaluates the entries and their radii over the
+whole grid in one array pass.  The
 threshold search (``_first_crossing``) brackets the first H where the
 radius reaches 1 by doubling H and then bisects the bracket, about 12
 radius evaluations to bracket and 40 to bisect.  Entries that overflow,
@@ -58,9 +58,6 @@ __all__ = [
     "analytic_solution",
     "trapezoidal_half_step",
     "euler_half_step",
-    "build_M_total",
-    "build_M_cosim_parallel",
-    "build_M_cosim_series",
     "build_step_matrix",
     "spectral_radius",
     "local_truncation_error",
@@ -242,31 +239,6 @@ def build_step_matrix(p: LinearCoupledParams, cfg: StepConfig,
     """The scheme's one-step matrix M: x(t + H) = M @ x(t)."""
     m00, m01, m10, m11 = _step_entries(p, cfg.h_macro, cfg.n_micro, scheme)
     return np.array([[m00, m01], [m10, m11]])
-
-
-def build_M_total(p: LinearCoupledParams, h_macro: float) -> np.ndarray:
-    """One-step matrix of the implicit trapezoidal method on the full system."""
-    return build_step_matrix(p, StepConfig(h_macro), SchemeId.TOTAL_TRAPEZOIDAL)
-
-
-def build_M_cosim_parallel(p: LinearCoupledParams, cfg: StepConfig) -> np.ndarray:
-    """One-step matrix of the parallel (Jacobi) coupling schedule.
-
-    The A row carries -k_a*H off-diagonal: the frozen x_b enters both
-    halves of the trapezoidal update.  The B row is the exact n-step
-    Euler map driven by the start-of-step x_a.
-    """
-    return build_step_matrix(p, cfg, SchemeId.COSIM_PARALLEL)
-
-
-def build_M_cosim_series(p: LinearCoupledParams, cfg: StepConfig) -> np.ndarray:
-    """One-step matrix of the series (Gauss-Seidel) coupling schedule.
-
-    Identical to the parallel matrix except that the B micro-integration
-    is driven by the end-of-step x_a, which moves the coupling weight to
-    the left-hand side.
-    """
-    return build_step_matrix(p, cfg, SchemeId.COSIM_SERIES)
 
 
 def trapezoidal_half_step(lam: float, h: float, x: float, u: float) -> float:

@@ -44,7 +44,6 @@ _NEWTON = NewtonConfig(max_iterations=30, residual_tolerance=1e-10)
 class TransmissionNetwork:
     """Bus/branch model plus generator placement and nominal bus loads."""
 
-    name: str
     f_hz: float
     bus_ids: list[int]
     slack_bus: int
@@ -94,7 +93,7 @@ _GENERATOR = dict(bus=int, p_set=(object, None), v_set=float, h=float,
                   exciter=dict(gain=float, time_const=float),
                   governor=dict(droop=float, time_const=float))
 _NETWORK = dict(buses=[int], slack=int, branches=[_BRANCH], loads=dict,
-                generators=[_GENERATOR], name=str, f_hz=float)
+                generators=[_GENERATOR], f_hz=float)
 
 
 def _network(doc) -> TransmissionNetwork:
@@ -125,7 +124,7 @@ def _network(doc) -> TransmissionNetwork:
         if g["bus"] != slack or g["p_set"] is not None:
             g["p_set"] = coerce(g["p_set"], float, f"generators[{i}].p_set")
     return TransmissionNetwork(
-        name=net["name"], f_hz=net["f_hz"], bus_ids=buses, slack_bus=slack,
+        f_hz=net["f_hz"], bus_ids=buses, slack_bus=slack,
         ybus=_build_ybus(buses, branches), gen_buses=[g["bus"] for g in gens],
         gen_params=gens, loads=loads)
 

@@ -115,11 +115,15 @@ def write_table(path: str, header: list[str], rows) -> None:
 
 
 def read_csv(path: str) -> TimeSeriesLog:
+    """The log a CSV of ``write_csv`` holds; one with a header alone
+    holds no records."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        lines = fh.readlines()
     if header[0] != "t":
         raise SchemaError(f"{path}: first column must be 't'")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = (np.loadtxt(lines, delimiter=",", ndmin=2) if lines
+            else np.empty((0, len(header))))
     return TimeSeriesLog(columns=header[1:], times=list(data[:, 0]),
                          rows=[list(r) for r in data[:, 1:]],
                          diverged=False, failure=None)

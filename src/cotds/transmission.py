@@ -93,8 +93,7 @@ class TransmissionSubSystem(SubSystem):
     input, laid end to end.
     """
 
-    def __init__(self, name: str, dae: TransmissionDae):
-        self.name = name
+    def __init__(self, dae: TransmissionDae):
         self.dae = dae
         self.newton_cache = JacobianCache()
         self.power_flow_cache = JacobianCache()

@@ -4,6 +4,7 @@ import math
 import os
 import pkgutil
 import shlex
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -216,6 +217,31 @@ class TestRunAndCompare:
     def test_compare_missing_dir(self, tmp_path):
         a = self.run_fixture(tmp_path, "a")
         assert run_cli("compare", a, str(tmp_path / "nope")) == 1
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    @pytest.mark.parametrize("flags", [[], ["--resample"]],
+                             ids=["same_grid", "resample"])
+    def test_compare_run_without_records_is_usage_error(self, tmp_path,
+                                                         capsys, first,
+                                                         flags):
+        # a run that diverges at t = 0 writes run.csv's header alone;
+        # numpy once warned that it read no data, then failed on it
+        a = self.run_fixture(tmp_path, "a")
+        with open(os.path.join(a, "run.csv")) as fh:
+            header = fh.readline()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "run.csv").write_text(header)
+        runs = [str(empty), a] if first else [a, str(empty)]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("compare", *runs, *flags,
+                         "--out-dir", str(tmp_path))
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: the run under {empty} has no records\n")
+        assert not (tmp_path / "deviations.csv").exists()
 
     def test_empty_out_dir_is_working_directory(self, tmp_path,
                                                 monkeypatch):
@@ -488,8 +514,9 @@ def _network_without_branches(tmp_path):
      "branches[0].to: unknown bus 99"),
     (lambda net: net["branches"][0].update(r="0.01"),
      "branches[0].r: expected a finite number, got '0.01'"),
+    (lambda net: net.update(name="wscc9"), "unknown keys ['name']"),
 ], ids=["loads_a_list", "buses_a_number", "branch_to_unknown_bus",
-        "branch_quoted_number"])
+        "branch_quoted_number", "name"])
 def test_malformed_network_is_schema_error(tmp_path, capsys, edit, message):
     with open(fixture_path("testcase2")) as fh:
         doc = json.load(fh)
@@ -601,6 +628,43 @@ def test_bad_run_flag_is_usage_error(tmp_path, capsys, monkeypatch, flag,
     field = "h_macro" if flag == "--h" else "t_end"
     assert f"error: run.{field}: must be finite" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def _tiny_h_linlab(tmp_path):
+    return ["linlab", "simulate", "--lambda-a", "-1", "--lambda-b", "-2",
+            "--ka", "1", "--kb", "1", "--h", "5e-324", "--t-end", "1",
+            "--scheme", "series", "--out-dir", str(tmp_path)]
+
+
+def _tiny_h_run(tmp_path):
+    return ["cotds", "run", fixture_path("testcase2"), "--h", "5e-324",
+            "--out-dir", str(tmp_path / "out")]
+
+
+def _tiny_h_file(tmp_path):
+    with open(fixture_path("testcase2")) as fh:
+        doc = json.load(fh)
+    doc["run"]["h_macro"] = 5e-324
+    path = str(tmp_path / "tiny_h.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return ["cotds", "run", path, "--out-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (_tiny_h_linlab, EXIT_USAGE, "error: invalid arguments: h_macro: "),
+    (_tiny_h_run, EXIT_USAGE, "error: run.h_macro: "),
+    (_tiny_h_file, EXIT_SCHEMA, "schema error: run.h_macro: "),
+], ids=["linlab_flag", "run_flag", "run_file"])
+def test_overflowing_step_count_is_refused(tmp_path, capsys, argv, code,
+                                           prefix):
+    # t_end / H past the float range once reached the run and exited 3
+    # with "cannot convert float infinity to integer"
+    assert run_cli(*argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "5e-324 is too small for t_end ")
+    assert err.endswith(": the step count overflows\n")
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize("flags", [[], ["--t-end", "0.5"]],

@@ -738,7 +738,8 @@ def test_feeder_spec_rejects_zero_impedance():
 
 def test_scenario_without_feeders_rejected_when_made():
     with pytest.raises(ValueError, match="^feeders: no feeders"):
-        Scenario("x", "twobus", [])
+        Scenario("x", "twobus", [], events=[], method=RunMethod.SERIES,
+                 h_macro=0.006, t_end=10.0, rk_tol=1e-6, channels=[])
 
 
 def _replace_feeder(s, k, **changes):
@@ -824,7 +825,7 @@ def test_scenario_rule_refused_alike_when_parsed_and_when_run(rule,
 
 @pytest.mark.parametrize("text, message", [
     ("{not json", "Expecting property name enclosed in double quotes"),
-    ('{"name": "n"}', "buses: missing"),
+    ('{"f_hz": 60.0}', "buses: missing"),
     ('{"buses": 5}', "buses: expected a list, got int"),
 ], ids=["not_json", "no_buses", "buses_a_number"])
 def test_network_error_starts_with_the_transmission_path(tmp_path, text,

@@ -291,7 +291,7 @@ class TestWarmStart:
 
 class TestSubSystem:
     def make_sub(self):
-        sub = DistributionSubSystem("D", [example_feeder()])
+        sub = DistributionSubSystem([example_feeder()], rk_tol=1e-6)
         sub.initialize(np.array([1.0, 0.0]))
         return sub
 

@@ -30,7 +30,9 @@ from cotds.integrators import (
 )
 from cotds.linlab import (
     LinearCoupledParams,
-    build_M_total,
+    SchemeId,
+    StepConfig,
+    build_step_matrix,
     system_matrix,
 )
 from cotds.loads import InductionMotor, InductionMotorParams
@@ -113,7 +115,8 @@ class TestTrapezoidalDae:
 
     def test_matches_linlab_direct_solve(self):
         p = LinearCoupledParams(-1.0, -2.0, 2.0, 2.0)
-        ref = build_M_total(p, 0.3) @ [1.0, -0.5]
+        m = build_step_matrix(p, StepConfig(0.3), SchemeId.TOTAL_TRAPEZOIDAL)
+        ref = m @ [1.0, -0.5]
         x1, _ = trapezoidal_dae_step(CoupledLinear(p), [1.0, -0.5], [], None, 0.3,
                                      NewtonConfig(residual_tolerance=1e-13))
         assert np.max(np.abs(x1 - ref)) <= 1e-10
@@ -1036,7 +1039,8 @@ class TestListFormOracle:
                                               failure):
         motor, _, v = testcase1_motor
         with pytest.raises(failure):
-            list_rk_component_step(as_list(motor.derivatives), x0, v, 0.006)
+            list_rk_component_step(as_list(motor.derivatives), x0, v, 0.006,
+                                   1e-6)
         with pytest.raises(failure):
             rk_component_step(motor.derivatives, complex(x0[0], x0[1]),
-                              x0[2], v, 0.006)
+                              x0[2], v, 0.006, 1e-6)

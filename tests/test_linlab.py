@@ -16,9 +16,6 @@ from cotds.linlab import (
     StateVec2,
     StepConfig,
     analytic_solution,
-    build_M_cosim_parallel,
-    build_M_cosim_series,
-    build_M_total,
     build_step_matrix,
     find_stability_threshold,
     local_truncation_error,
@@ -135,7 +132,7 @@ class TestTotalTrapezoidal:
         assert x_b == pytest.approx((1 - h) / (1 + h), abs=1e-10)
 
     def test_matches_matrix(self):
-        m = build_M_total(P2, 0.75)
+        m = build_step_matrix(P2, StepConfig(0.75), SchemeId.TOTAL_TRAPEZOIDAL)
         got = one_step(P2, StepConfig(0.75), StateVec2(1, 0),
                        SchemeId.TOTAL_TRAPEZOIDAL)
         assert np.max(np.abs(got - m @ [1, 0])) <= 1e-12
@@ -211,11 +208,12 @@ class TestCosimSteppers:
 class TestStepMatrices:
     def test_total_zero_radius_case(self):
         p = LinearCoupledParams(-1.0, -1.0, 1e-14, 1e-14)
-        assert spectral_radius(build_M_total(p, 2.0)) <= 1e-12
+        m = build_step_matrix(p, StepConfig(2.0), SchemeId.TOTAL_TRAPEZOIDAL)
+        assert spectral_radius(m) <= 1e-12
 
     def test_total_radius_h075(self):
         # hand-checked: det(M) = 0.71875/2.96875, complex pair
-        m = build_M_total(P2, 0.75)
+        m = build_step_matrix(P2, StepConfig(0.75), SchemeId.TOTAL_TRAPEZOIDAL)
         assert spectral_radius(m) == pytest.approx(math.sqrt(0.71875 / 2.96875),
                                                    abs=1e-12)
         assert char_poly_radius(m) == pytest.approx(spectral_radius(m), abs=1e-10)
@@ -223,31 +221,33 @@ class TestStepMatrices:
     @given(params_strategy, st.floats(0.01, 10.0))
     @settings(max_examples=80, deadline=None)
     def test_total_a_stable(self, p, h):
-        assert spectral_radius(build_M_total(p, h)) < 1.0
+        m = build_step_matrix(p, StepConfig(h), SchemeId.TOTAL_TRAPEZOIDAL)
+        assert spectral_radius(m) < 1.0
 
-    @pytest.mark.parametrize("scheme,builder", [
-        (SchemeId.COSIM_PARALLEL, build_M_cosim_parallel),
-        (SchemeId.COSIM_SERIES, build_M_cosim_series),
-    ])
-    def test_column_extraction(self, scheme, builder):
+    @pytest.mark.parametrize("scheme", [SchemeId.COSIM_PARALLEL,
+                                        SchemeId.COSIM_SERIES])
+    def test_column_extraction(self, scheme):
         cfg = StepConfig(0.75, 100)
-        m = builder(P2, cfg)
+        m = build_step_matrix(P2, cfg, scheme)
         e1 = one_step(P2, cfg, StateVec2(1, 0), scheme)
         e2 = one_step(P2, cfg, StateVec2(0, 1), scheme)
         assert np.max(np.abs(np.column_stack([e1, e2]) - m)) <= 1e-12
 
     def test_parallel_radius_near_unity(self):
-        rho = spectral_radius(build_M_cosim_parallel(P2, StepConfig(0.75, 100)))
+        m = build_step_matrix(P2, StepConfig(0.75, 100),
+                              SchemeId.COSIM_PARALLEL)
+        rho = spectral_radius(m)
         assert rho == pytest.approx(0.97, abs=0.01)
-        assert char_poly_radius(build_M_cosim_parallel(P2, StepConfig(0.75, 100))) \
-            == pytest.approx(rho, abs=1e-10)
+        assert char_poly_radius(m) == pytest.approx(rho, abs=1e-10)
 
     def test_parallel_radius_stable_case(self):
-        rho = spectral_radius(build_M_cosim_parallel(P1, StepConfig(0.1, 100)))
+        rho = spectral_radius(build_step_matrix(
+            P1, StepConfig(0.1, 100), SchemeId.COSIM_PARALLEL))
         assert rho < 1.0
 
     def test_series_radius_well_below_unity(self):
-        rho = spectral_radius(build_M_cosim_series(P2, StepConfig(0.75, 100)))
+        rho = spectral_radius(build_step_matrix(
+            P2, StepConfig(0.75, 100), SchemeId.COSIM_SERIES))
         assert rho == pytest.approx(0.32, abs=0.01)
 
     def test_series_beats_parallel_on_strongly_coupled_set(self):
@@ -256,8 +256,10 @@ class TestStepMatrices:
         # so the claim is parameter-dependent (see acceptance suite)
         for h in np.linspace(0.05, 1.15, 23):
             cfg = StepConfig(h, 100)
-            assert (spectral_radius(build_M_cosim_series(P2, cfg))
-                    <= spectral_radius(build_M_cosim_parallel(P2, cfg)) + 1e-12)
+            rho_ser, rho_par = (
+                spectral_radius(build_step_matrix(P2, cfg, scheme))
+                for scheme in (SchemeId.COSIM_SERIES, SchemeId.COSIM_PARALLEL))
+            assert rho_ser <= rho_par + 1e-12
         assert (find_stability_threshold(P2, SchemeId.COSIM_SERIES)
                 > 1.2 * find_stability_threshold(P2, SchemeId.COSIM_PARALLEL))
 
@@ -268,7 +270,8 @@ class TestStepMatrices:
         exact_w = (P2.k_b / P2.lambda_b) * (exact_g - 1.0)
         errs = []
         for n in (10, 100, 1000, 10000):
-            m = build_M_cosim_parallel(P2, StepConfig(h, n))
+            m = build_step_matrix(P2, StepConfig(h, n),
+                                  SchemeId.COSIM_PARALLEL)
             errs.append(abs(m[1, 1] - exact_g) + abs(m[1, 0] - exact_w))
         ratios = [a / b for a, b in zip(errs, errs[1:])]
         assert all(r > 8 for r in ratios)  # O(1/n)
@@ -344,7 +347,7 @@ class TestClosedFormStepMatrix:
     def test_total_rejects_non_positive_h(self):
         for h in (0.0, -0.5):
             with pytest.raises(ValueError, match="h_macro must be positive"):
-                build_M_total(P1, h)
+                build_step_matrix(P1, StepConfig(h), SchemeId.TOTAL_TRAPEZOIDAL)
 
     def test_overflowing_growth_factor_is_numeric(self):
         # (1 + h*lambda_b)^n overflows the same way on a numpy grid and a
@@ -547,8 +550,10 @@ class TestSweepAndSimulate:
         assert 0.75 < hstar < 1.0
         cfg_lo = StepConfig(hstar * 0.999, 100)
         cfg_hi = StepConfig(hstar * 1.001, 100)
-        assert spectral_radius(build_M_cosim_parallel(P2, cfg_lo)) < 1.0
-        assert spectral_radius(build_M_cosim_parallel(P2, cfg_hi)) > 1.0
+        lo, hi = (build_step_matrix(P2, cfg, SchemeId.COSIM_PARALLEL)
+                  for cfg in (cfg_lo, cfg_hi))
+        assert spectral_radius(lo) < 1.0
+        assert spectral_radius(hi) > 1.0
 
     def test_t_end_zero(self):
         traj = simulate_linear(P1, StateVec2(1, 1), 0.1, 10, 0.0,

@@ -110,6 +110,7 @@ class TestLoadNetwork:
          "f_hz: expected a finite number, got '60'"),
         (lambda net: net.update(base_mva=100.0),
          "unknown keys ['base_mva']"),
+        (lambda net: net.update(name="twobus"), "unknown keys ['name']"),
     ], ids=["buses", "branches", "generators", "branch", "generator",
             "loads_a_list", "load_a_number", "load_a_string", "empty",
             "branch_to_unknown_bus", "branch_quoted_number",
@@ -118,7 +119,7 @@ class TestLoadNetwork:
             "exciter_gain_null", "governor_a_list", "p_set_null_off_slack",
             "slack_unknown", "bus_id_a_string", "branch_unknown_key",
             "generator_unknown_key", "exciter_unknown_key",
-            "f_hz_quoted_number", "base_mva"])
+            "f_hz_quoted_number", "base_mva", "name"])
     def test_malformed_section_is_named(self, tmp_path, edit, message):
         net = json.loads((resources.files("cotds.data") / "twobus.json")
                          .read_text())

@@ -23,7 +23,7 @@ def make_sub(interface=(5,), zip_loads=True, network="wscc9"):
             statics[bus] = ZipLoadParams(p0=s.real, q0=s.imag, z_frac=0.0,
                                          i_frac=0.0, p_frac=1.0)
     dae = TransmissionDae(net, bank, statics, list(interface))
-    sub = TransmissionSubSystem("T", dae)
+    sub = TransmissionSubSystem(dae)
     sub.initialize(np.array([part for bus in interface
                              for part in (net.loads[bus].real,
                                           net.loads[bus].imag)]))
