@@ -61,6 +61,11 @@ __all__ = [
 INIT_TOL = 1e-6
 # an event at most this much after a macro boundary snaps back onto it
 _EVENT_SNAP = 1e-12
+# most macro steps one run may take.  A run keeps every record, and a
+# testcase1 record (39 floats, with its time) takes about 0.5 kB, so 10^6
+# steps take about 0.5 GB: about 190 times the longest run a test or a
+# probe makes, about 5 200 steps (testcase1 to 13 s at H 0.0025)
+_MAX_STEPS = 10 ** 6
 
 
 class SubSystem:
@@ -141,10 +146,10 @@ class CouplingSchedule:
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end: must be finite and >= 0, got "
                              f"{self.t_end!r}")
-        if math.isinf(self.t_end / self.h_macro):
+        if not self.t_end / self.h_macro <= _MAX_STEPS:  # inf included
             raise ValueError(f"h_macro: {self.h_macro!r} is too small for "
-                             f"t_end {self.t_end!r}: the step count "
-                             "overflows")
+                             f"t_end {self.t_end!r}: more than {_MAX_STEPS} "
+                             "steps")
         for ev in self.events:
             if not self.applies(ev):
                 raise ValueError(

@@ -441,8 +441,10 @@ class MonolithicDae(DaeSystem):
     feeders' and motors' ``active`` flags, so a step told that events
     were applied before it (``switched``) drops the end point: an event
     that switches a motor off leaves every state where it was.  ``g``
-    keeps the interface power at the point it last evaluated, which
-    ``scatter`` takes once, when it writes that point back.
+    keeps the interface power at the point it last evaluated.  A step
+    whose cache keeps its end point ended on that point, so ``advance``
+    hands that power to ``scatter``; it computes the power only when no
+    end point is kept.
     """
 
     def __init__(self, tsub: TransmissionSubSystem,
@@ -474,8 +476,9 @@ class MonolithicDae(DaeSystem):
         self.motors = [mu for fd, *_ in self._blocks for mu in fd.motors]
         self._re_idx, self._im_idx = np.array(re_idx), np.array(im_idx)
         self.n_x, self.n_y = nx, ny
-        self._last_g = None  # (x bytes, y bytes, interface power) of g
-        self.scatter(*self.gather())
+        self._g_power = None  # the interface power at g's last point
+        x, y = self.gather()
+        self.scatter(x, y, self.interface_power(x, y)[0])
 
     def _feeder_blocks(self, x, y):
         """(feeder, interface index, node voltages, motor states) each."""
@@ -505,32 +508,29 @@ class MonolithicDae(DaeSystem):
     def g(self, x, y, u):
         tdae = self.tdae
         u_t, mismatch = self.interface_power(x, y)
-        self._last_g = x.tobytes(), y.tobytes(), u_t
+        self._g_power = u_t
         return np.concatenate(
             [tdae.g(x[:tdae.n_x], y[:tdae.n_y], u_t)] + mismatch)
 
     def advance(self, h: float, switched: bool) -> None:
+        cache = self.newton_cache
         if switched:
-            self.newton_cache.end = None
+            cache.end = None
         x, y = trapezoidal_dae_step(self, *self.gather(), None, h,
-                                    cache=self.newton_cache)
-        self.scatter(x, y)
+                                    cache=cache)
+        # a kept end point is where the Newton's last g stood
+        self.scatter(x, y, self._g_power if cache.end is not None
+                     else self.interface_power(x, y)[0])
 
     # -- the shared component objects
 
-    def scatter(self, x, y) -> None:
+    def scatter(self, x, y, u) -> None:
         """Write (x, y) into the component objects, then each feeder
-        sub-system's input and output (bus voltage, power drawn).  The
-        interface power is the last ``g``'s when (x, y) is bitwise the
-        point it evaluated, and computed here otherwise."""
+        sub-system's input and output: its bus voltage, and the power
+        drawn, which ``u``, the interface power at (x, y), lays end to
+        end."""
         tdae = self.tdae
         self.tsub.x, self.tsub.y = x[:tdae.n_x].copy(), y[:tdae.n_y].copy()
-        last, self._last_g = self._last_g, None
-        if (last is not None and x.tobytes() == last[0]
-                and y.tobytes() == last[1]):
-            u = last[2]
-        else:
-            u, _ = self.interface_power(x, y)
         for fd, _, v, states in self._feeder_blocks(x, y):
             fd.v = v.copy()
             for mu, st in zip(fd.motors, states):

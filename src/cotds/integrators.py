@@ -22,34 +22,30 @@ expression that must compare as the ``max`` builtin does, nan included.
 All systems here are small and dense; no sparsity is exploited.
 
 ``newton_solve`` is the simplified (modified) Newton of DASSL and of
-Hairer & Wanner, refreshing its Jacobian where it stands.  While it
-still holds the Jacobian a ``JacobianCache`` kept from an earlier solve,
-it takes undamped updates and keeps each only while the residual norm
-stays finite and either falls to at most ``CONTRACTION`` times the
-previous one or meets ``cfg.residual_tolerance``.  At the first update
-that does not, or on a singular solve, it drops that update and goes on
-from the last kept iterate with the damped Newton: a fresh Jacobian
-every iteration, the last of which the cache keeps.  It goes on the same
-way when the kept Jacobian's iterations run out.  Each phase has
+Hairer & Wanner, refreshing its Jacobian where it stands.  A
+``JacobianCache`` keeps one matrix across solves: the inverse of the
+last Jacobian a solve built.  A solve handed such an inverse starts in
+the kept phase: undamped updates ``inv @ -r``, each kept only while the
+residual norm stays finite and either falls to at most ``CONTRACTION``
+times the previous one or meets ``cfg.residual_tolerance``.  At the
+first update that does not, or when the kept phase's iterations run
+out, it drops that update and goes on from the last kept iterate with
+the damped phase: a fresh FD Jacobian every iteration, solved with
+directly, its update halved while the residual norm fails to fall.  A
+solve that ends there stores the inverse of its last Jacobian, which
+the solve has just factored, so it inverts.  Each phase has
 ``cfg.max_iterations`` iterations; only the damped one raises
-``NewtonError``.  A trapezoidal step of another ``h`` drops
-the kept Jacobian.
+``NewtonError``, and a cache it raises through holds the inverse as
+the kept phase left it, or none.  A trapezoidal step of another ``h``
+drops the kept inverse.
 
-The kept phase pays for its matrix once: its first update inverts the
-kept Jacobian and the cache stores the inverse, so every kept update is
-one matrix-vector product, across steps, where a dense solve would
-factor the same matrix again.  Each kept update the contraction test
-accepts then refines the stored inverse by Broyden's rank-one secant
+So the kept phase pays no factorisation: every kept update is one
+matrix-vector product, across steps.  Each kept update the contraction
+test accepts refines the stored inverse by Broyden's rank-one secant
 update, so that it maps the update's change of residual onto the update
 itself.  The kept phase converges superlinearly where the stale
 Jacobian alone contracts only linearly, and the next step starts from
-the refined inverse, at no extra residual evaluation.  The inverse
-starts from its Jacobian: any assignment to ``JacobianCache.jac`` drops
-it, so a fresh build, a step of another ``h`` and a Jacobian set from
-outside each start from that Jacobian's own inverse.  A singular kept
-Jacobian fails to invert and is dropped like a failed update.  The
-damped Newton uses each fresh Jacobian once and solves with it
-directly.
+the refined inverse, at no extra residual evaluation.
 
 ``trapezoidal_dae_step`` runs the Newton with ``NewtonConfig()`` unless
 handed another config.  It returns a finite step or raises
@@ -182,16 +178,16 @@ def _secant_update(inv: np.ndarray, s: np.ndarray,
 
 
 class JacobianCache:
-    """The last FD Jacobian of one residual, kept for the next solve.
+    """The kept Jacobian of one residual, as its inverse, for the next
+    solve.
 
-    ``h`` is the trapezoidal step the Jacobian was built for.  ``inv``
-    starts as the Jacobian's inverse once a kept update has needed it,
-    and every accepted kept update refines it by one secant update, so
-    it drifts from ``jac`` towards the Jacobian where the solves stand;
-    assigning ``jac`` drops ``inv``.  The counters add up over every
-    solve handed the cache: Jacobian builds, residual evaluations, solves
-    that started with a kept Jacobian and built none, and solves whose
-    kept-Jacobian update was dropped.
+    ``inv`` is the inverse of the last FD Jacobian a damped solve built,
+    as every accepted kept update since has refined it by one secant
+    update, or ``None``.  ``h`` is the trapezoidal step it was built
+    for.  The counters add up over every solve handed the cache:
+    Jacobian builds, residual evaluations, solves that started with a
+    kept inverse and built none, and solves whose kept update was
+    dropped.
 
     ``end`` is ``(x1, y1, f1)``: the read-only end point the last
     trapezoidal step returned and ``f`` there, or ``None``.  It is
@@ -200,21 +196,13 @@ class JacobianCache:
     """
 
     def __init__(self):
-        self.jac = None
+        self.inv: np.ndarray | None = None
         self.h: float | None = None
         self.end: tuple | None = None
         self.jacobian_builds = 0
         self.residual_evals = 0
         self.reused_steps = 0
         self.fallbacks = 0
-
-    @property
-    def jac(self) -> np.ndarray | None:
-        return self._jac
-
-    @jac.setter
-    def jac(self, jac: np.ndarray | None) -> None:
-        self._jac, self.inv = jac, None
 
     def counters(self) -> dict[str, int]:
         return {"jacobian_builds": self.jacobian_builds,
@@ -228,44 +216,25 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
                  cache: JacobianCache | None = None) -> np.ndarray:
     """Newton on res(z) = 0 starting from z0; see the module docstring.
 
-    ``cache`` holds the Jacobian the solve starts with, keeps the last
-    one it builds, and counts the work.  Without one the solve starts
-    with no Jacobian: the damped Newton alone.
+    ``cache`` holds the inverse the solve starts with, keeps the inverse
+    of the last Jacobian it builds, and counts the work.  Without one the
+    solve starts with no inverse: the damped Newton alone.
     """
     if cache is None:
         cache = JacobianCache()
+    tol = cfg.residual_tolerance
     # each residual is counted before it is evaluated, so a residual that
     # raises counts too
     z = z0.copy()
     cache.residual_evals += 1
     r = res(z)
     rnorm = math.sqrt(r @ r)  # np.linalg.norm's own sum, without its wrapper
-    kept = cache.jac is not None  # on the Jacobian the solve started with
-    left = cfg.max_iterations
-    while not rnorm <= cfg.residual_tolerance:  # a nan norm goes on
-        if kept and not left:
-            # the kept Jacobian failed or ran out: damped Newton from here
-            kept, left = False, cfg.max_iterations
-            cache.fallbacks += 1
-        if not left:
-            raise NewtonError("Newton did not converge", rnorm)
-        left -= 1
-        if not kept:
-            cache.jac = _fd_jacobian(res, z, r, cache)
-            cache.jacobian_builds += 1
-        try:
-            if kept:
-                if cache.inv is None:
-                    cache.inv = np.linalg.inv(cache.jac)
-                dz = cache.inv @ -r
-            else:
-                dz = np.linalg.solve(cache.jac, -r)
-        except np.linalg.LinAlgError as exc:
-            if not kept:
-                raise NewtonError(f"singular Jacobian: {exc}", rnorm) from exc
-            left = 0
-            continue
-        if kept:
+    if cache.inv is not None:
+        # the kept phase: undamped updates while they contract
+        for _ in range(cfg.max_iterations):
+            if rnorm <= tol:
+                break
+            dz = cache.inv @ -r
             z_new = z + dz
             cache.residual_evals += 1
             r_new = res(z_new)
@@ -273,25 +242,41 @@ def newton_solve(res: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
             # an update that already meets the tolerance is kept however
             # little it contracted
             if not (math.isfinite(rnorm_new)
-                    and rnorm_new <= max(CONTRACTION * rnorm,
-                                         cfg.residual_tolerance)):
-                left = 0
-                continue
+                    and rnorm_new <= max(CONTRACTION * rnorm, tol)):
+                break
             cache.inv = _secant_update(cache.inv, dz, r_new - r)
-        else:
-            # halve the update while the residual norm fails to decrease
-            step = 1.0
-            for _ in range(_MAX_DAMPING_HALVINGS + 1):
-                z_new = z + step * dz
-                cache.residual_evals += 1
-                r_new = res(z_new)
-                rnorm_new = math.sqrt(r_new @ r_new)
-                if math.isfinite(rnorm_new) and rnorm_new < rnorm:
-                    break
-                step *= 0.5
+            z, r, rnorm = z_new, r_new, rnorm_new
+        if rnorm <= tol:
+            cache.reused_steps += 1
+            return z
+        cache.fallbacks += 1
+    # the damped phase, from the last kept iterate
+    jac = None
+    left = cfg.max_iterations
+    while not rnorm <= tol:  # a nan norm goes on
+        if not left:
+            raise NewtonError("Newton did not converge", rnorm)
+        left -= 1
+        jac = _fd_jacobian(res, z, r, cache)
+        cache.jacobian_builds += 1
+        try:
+            dz = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonError(f"singular Jacobian: {exc}", rnorm) from exc
+        # halve the update while the residual norm fails to decrease
+        step = 1.0
+        for _ in range(_MAX_DAMPING_HALVINGS + 1):
+            z_new = z + step * dz
+            cache.residual_evals += 1
+            r_new = res(z_new)
+            rnorm_new = math.sqrt(r_new @ r_new)
+            if math.isfinite(rnorm_new) and rnorm_new < rnorm:
+                break
+            step *= 0.5
         z, r, rnorm = z_new, r_new, rnorm_new
-    if kept:
-        cache.reused_steps += 1
+    if jac is not None:
+        # the solve above factored it, so it inverts
+        cache.inv = np.linalg.inv(jac)
     return z
 
 
@@ -306,8 +291,8 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
 
     Solves x1 = x + h/2 (f(x,y) + f(x1,y1)) together with
     g(x1,y1,u) = 0 on the stacked residual with ``newton_solve``, from
-    the explicit Euler predictor.  ``cache`` carries the Jacobian from
-    one step to the next; a step of another ``h`` drops it.  A step
+    the explicit Euler predictor.  ``cache`` carries the kept inverse
+    from one step to the next; a step of another ``h`` drops it.  A step
     handed no cache takes a fresh one, as ``newton_solve`` does: it runs
     the damped Newton with a fresh FD Jacobian each iteration and keeps
     nothing.  Either way the root meets the same residual tolerance.
@@ -322,7 +307,7 @@ def trapezoidal_dae_step(sys: DaeSystem, x: np.ndarray, y: np.ndarray, u,
     if cache is None:
         cache = JacobianCache()
     if h != cache.h:
-        cache.jac, cache.h = None, h
+        cache.inv, cache.h = None, h
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     end = cache.end

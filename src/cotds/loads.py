@@ -63,7 +63,13 @@ def zip_power(params: ZipLoadParams, vmag: float) -> complex:
 
 @dataclass(frozen=True)
 class InductionMotorParams:
-    """Equivalent-circuit data on the machine base plus base scaling."""
+    """Equivalent-circuit data on the machine base plus base scaling.
+
+    The model divides by ``rr``, ``h_m``, ``mva_scale``, ``xm + xr`` and
+    the stator impedance ``rs + j x'``, so ``xm``, ``rr``, ``xr``,
+    ``h_m`` and ``mva_scale`` must be positive and ``rs`` and ``xs`` not
+    negative.  A ``ValueError`` starts with the field's name.
+    """
 
     rs: float
     xs: float
@@ -72,6 +78,16 @@ class InductionMotorParams:
     xr: float
     h_m: float
     mva_scale: float = 1.0   # machine base / system base
+
+    def __post_init__(self):
+        for name in ("xm", "rr", "xr", "h_m", "mva_scale"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}: must be positive, got "
+                                 f"{getattr(self, name)!r}")
+        for name in ("rs", "xs"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name}: must not be negative, got "
+                                 f"{getattr(self, name)!r}")
 
     @property
     def x_p(self) -> float:

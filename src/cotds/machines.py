@@ -30,6 +30,12 @@ __all__ = ["GeneratorBank", "N_GEN_STATES"]
 
 N_GEN_STATES = 6
 
+# the parameters of one machine that the model divides by, as paths into
+# its parameters (``GeneratorBank.from_params``' keys); the exciter gain
+# divides the voltage set point ``initialize`` finds
+_POSITIVE = ("h", "xdp", "xqp", "td0p", "tq0p", "exciter.gain",
+             "exciter.time_const", "governor.droop", "governor.time_const")
+
 
 def _stator(xd_p, xq_p, eq_p, ed_p, delta, v):
     """Rotor angle sin/cos and dq stator currents of one machine."""
@@ -93,6 +99,17 @@ class GeneratorBank:
             droop=col("droop", "governor"), tg=col("time_const", "governor"),
             vref=np.zeros(n), pref=np.zeros(n), omega_s=omega_s,
         )
+
+    @staticmethod
+    def check_params(params: dict) -> None:
+        """``ValueError``, starting with the field's path, unless every
+        parameter of one machine that the model divides by is positive."""
+        for path in _POSITIVE:
+            value = params
+            for key in path.split("."):
+                value = value[key]
+            if not value > 0:
+                raise ValueError(f"{path}: must be positive, got {value!r}")
 
     @property
     def n_machines(self) -> int:

@@ -20,6 +20,7 @@ import numpy as np
 from .integrators import (JacobianCache, NewtonConfig, NewtonError,
                           NumericFailure, newton_solve)
 from .loads import ZipLoadParams, zip_power
+from .machines import GeneratorBank
 from .schema import SchemaError, coerce, require
 
 __all__ = [
@@ -55,6 +56,8 @@ class TransmissionNetwork:
     _index: dict[int, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if not self.f_hz > 0:
+            raise ValueError(f"f_hz: must be positive, got {self.f_hz!r}")
         self._index = {b: i for i, b in enumerate(self.bus_ids)}
 
     @property
@@ -73,7 +76,9 @@ def _build_ybus(bus_ids, branches):
     n = len(bus_ids)
     index = {b: i for i, b in enumerate(bus_ids)}
     y = np.zeros((n, n), dtype=complex)
-    for br in branches:
+    for k, br in enumerate(branches):
+        if br["r"] == 0 and br["x"] == 0:
+            raise SchemaError(f"branches[{k}]: zero impedance (r = x = 0)")
         i, j = index[br["from"]], index[br["to"]]
         ys = 1.0 / complex(br["r"], br["x"])
         ysh = 1j * br["b"] / 2.0
@@ -98,9 +103,10 @@ _NETWORK = dict(buses=[int], slack=int, branches=[_BRANCH], loads=dict,
 
 def _network(doc) -> TransmissionNetwork:
     """The network of a JSON document, checked: ``_NETWORK``, ``loads`` a
-    mapping of bus to [p, q], every bus reference one of ``buses``, and
+    mapping of bus to [p, q], every bus reference one of ``buses``,
     ``p_set`` a number at every generator but the slack's, where it may
-    be null or absent."""
+    be null or absent, the rules of ``GeneratorBank.check_params`` and
+    of ``TransmissionNetwork``, and no branch of zero impedance."""
     net = require(doc, "", _NETWORK)
     buses, slack = net["buses"], net["slack"]
     branches, gens = net["branches"], net["generators"]
@@ -123,6 +129,10 @@ def _network(doc) -> TransmissionNetwork:
     for i, g in enumerate(gens):
         if g["bus"] != slack or g["p_set"] is not None:
             g["p_set"] = coerce(g["p_set"], float, f"generators[{i}].p_set")
+        try:
+            GeneratorBank.check_params(g)
+        except ValueError as exc:
+            raise SchemaError(f"generators[{i}].{exc}") from None
     return TransmissionNetwork(
         f_hz=net["f_hz"], bus_ids=buses, slack_bus=slack,
         ybus=_build_ybus(buses, branches), gen_buses=[g["bus"] for g in gens],

@@ -47,6 +47,14 @@ def _feeder(f: dict, where: str) -> FeederSpec:
     if len(comp["zip_fractions"]) != 3:
         raise SchemaError(f"{where}.composition.zip_fractions: "
                           "expected three numbers")
+    motors = []
+    for i, m in enumerate(comp["motors"]):
+        try:
+            machine = InductionMotorParams(**m["machine"])
+        except ValueError as exc:
+            raise SchemaError(f"{where}.composition.motors[{i}].machine."
+                              f"{exc}") from None
+        motors.append(MotorSpec(**{**m, "machine": machine}))
     try:
         return FeederSpec(
             bus=f["bus"], active=f["active"],
@@ -55,8 +63,7 @@ def _feeder(f: dict, where: str) -> FeederSpec:
             loads=tuple((ld["node"], ld["p"], ld["q"]) for ld in f["loads"]),
             static_fraction=comp["static_fraction"],
             zip_fractions=tuple(comp["zip_fractions"]),
-            motors=tuple(MotorSpec(**{**m, "machine": InductionMotorParams(
-                **m["machine"])}) for m in comp["motors"]))
+            motors=tuple(motors))
     except ValueError as exc:
         raise SchemaError(f"{where}.{exc}") from None
 

@@ -502,6 +502,25 @@ def _edited_network(tmp_path, edit):
     return path
 
 
+# every generator parameter the machine model divides by; each once made
+# a run exit 1 with a ZeroDivisionError traceback when zero (the exciter
+# gain with a nan Newton residual at t = 0.006, exit 3)
+GENERATOR_DIVISORS = ["h", "xdp", "xqp", "td0p", "tq0p", "exciter.gain",
+                      "exciter.time_const", "governor.droop",
+                      "governor.time_const"]
+
+
+def _zero_generator_field(path):
+    """An edit that zeroes the first generator's ``path``."""
+    def edit(net):
+        *parents, key = path.split(".")
+        d = net["generators"][0]
+        for parent in parents:
+            d = d[parent]
+        d[key] = 0
+    return edit
+
+
 def _network_without_branches(tmp_path):
     return _edited_network(tmp_path, lambda net: net.pop("branches"))
 
@@ -515,8 +534,14 @@ def _network_without_branches(tmp_path):
     (lambda net: net["branches"][0].update(r="0.01"),
      "branches[0].r: expected a finite number, got '0.01'"),
     (lambda net: net.update(name="wscc9"), "unknown keys ['name']"),
-], ids=["loads_a_list", "buses_a_number", "branch_to_unknown_bus",
-        "branch_quoted_number", "name"])
+    (lambda net: net.update(f_hz=0), "f_hz: must be positive, got 0.0"),
+    (lambda net: net["branches"][0].update(r=0, x=0),
+     "branches[0]: zero impedance (r = x = 0)"),
+] + [(_zero_generator_field(path), f"generators[0].{path}: must be "
+      "positive, got 0.0") for path in GENERATOR_DIVISORS],
+    ids=["loads_a_list", "buses_a_number", "branch_to_unknown_bus",
+         "branch_quoted_number", "name", "f_hz", "zero_impedance",
+         *GENERATOR_DIVISORS])
 def test_malformed_network_is_schema_error(tmp_path, capsys, edit, message):
     with open(fixture_path("testcase2")) as fh:
         doc = json.load(fh)
@@ -530,6 +555,22 @@ def test_malformed_network_is_schema_error(tmp_path, capsys, edit, message):
     assert (capsys.readouterr().err
             == f"schema error: transmission {net!r}: {message}\n")
     assert not os.path.exists(out)
+
+
+# a motor's parameters each with its rule, and a value that breaks it;
+# rr, h_m and mva_scale at zero once raised ZeroDivisionError, exit 1
+MACHINE_RULES = [("rr", 0, "be positive"), ("h_m", 0, "be positive"),
+                 ("mva_scale", 0, "be positive"), ("xm", -1, "be positive"),
+                 ("xr", -1, "be positive"), ("rs", -1, "not be negative"),
+                 ("xs", -1, "not be negative")]
+
+
+def _edit_machine(k, **values):
+    """An edit that sets the machine of feeder ``k``'s first motor."""
+    def edit(doc, tmp):
+        doc["feeders"][k]["composition"]["motors"][0]["machine"].update(
+            values)
+    return edit
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -554,9 +595,19 @@ def test_malformed_network_is_schema_error(tmp_path, capsys, edit, message):
     (lambda doc, tmp: doc["feeders"][0]["composition"].update(
         zip_fractions=[0.3, 0.3, 0.4 + 5e-10]),
      "feeders[0].composition: ZIP fractions must sum to 1"),
+] + [(_edit_machine(1, **{key: value}), f"feeders[1].composition.motors[0]"
+      f".machine.{key}: must {rule}, got {float(value)!r}")
+     for key, value, rule in MACHINE_RULES] + [
+    # the two pairs that divide by zero though no one of them does
+    (_edit_machine(0, xm=0, xr=0), "feeders[0].composition.motors[0]"
+     ".machine.xm: must be positive, got 0.0"),
+    (_edit_machine(0, rs=0, xs=0, xm=0), "feeders[0].composition.motors[0]"
+     ".machine.xm: must be positive, got 0.0"),
 ], ids=["unknown_bus", "unknown_network", "network_is_directory",
         "network_without_branches", "static_fraction", "zero_impedance",
-        "load_off_the_tree", "motor_name_repeated", "zip_fractions_rounding"])
+        "load_off_the_tree", "motor_name_repeated", "zip_fractions_rounding",
+        *(f"machine_{key}" for key, _, _ in MACHINE_RULES),
+        "machine_xm_xr", "machine_rs_xs_xm"])
 def test_bad_scenario_is_schema_error(tmp_path, capsys, edit, message):
     with open(fixture_path("testcase2")) as fh:
         doc = json.load(fh)
@@ -597,6 +648,69 @@ def test_bad_run_parameter_is_schema_error(tmp_path, capsys, field, value,
     assert not os.path.exists(out)
 
 
+def _number_paths(doc, path=()):
+    """The path of every number in a JSON document, as keys and indices."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from _number_paths(value, path + (key,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def test_every_number_at_zero_or_minus_one_exits_cleanly(tmp_path, capsys):
+    # Each number of testcase2 and of its network set to 0 and to -1, one
+    # at a time, and the motor's two sets of parameters that divide by
+    # zero together: a short run ends in success, a schema error or a
+    # numeric failure (exit 0, 2 or 3), never in an exception.  Zeroed
+    # generator, motor and frequency parameters once escaped as
+    # ZeroDivisionError.
+    with open(fixture_path("testcase2")) as fh:
+        scenario = json.load(fh)
+    network = json.loads((resources.files("cotds.data")
+                          / f"{scenario['transmission']}.json").read_text())
+    machine = ("feeders", 0, "composition", "motors", 0, "machine")
+    cases = [("scenario", [path], value) for path in _number_paths(scenario)
+             for value in (0, -1)]
+    cases += [("network", [path], value) for path in _number_paths(network)
+              for value in (0, -1)]
+    cases += [("scenario", [machine + (key,) for key in keys], 0)
+              for keys in (("xm", "xr"), ("rs", "xs", "xm"))]
+    escaped = []
+    for k, (which, paths, value) in enumerate(cases):
+        docs = {"scenario": json.loads(json.dumps(scenario)),
+                "network": json.loads(json.dumps(network))}
+        for path in paths:
+            _set(docs[which], path, value)
+        net_path = str(tmp_path / f"net{k}.json")
+        docs["scenario"]["transmission"] = net_path
+        path = str(tmp_path / f"scenario{k}.json")
+        for name, doc in ((net_path, docs["network"]),
+                          (path, docs["scenario"])):
+            with open(name, "w") as fh:
+                json.dump(doc, fh)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = run_cli("cotds", "run", path, "--t-end", "0.05",
+                               "--out-dir", str(tmp_path / f"out{k}"))
+        except Exception as exc:  # recorded, and failed on below
+            code = repr(exc)
+        if code not in (0, EXIT_SCHEMA, EXIT_NUMERIC):
+            escaped.append((which, paths, value, code))
+    capsys.readouterr()
+    # 113 numbers, each at two values, and the two motor sets: the walk
+    # found every number
+    assert len(cases) == 228
+    assert not escaped
+
+
 def test_non_finite_physical_number_is_schema_error(tmp_path, capsys):
     # a NaN motor inertia once built, initialised and ended in "step size
     # underflow in RK integrator" (exit 3)
@@ -630,32 +744,36 @@ def test_bad_run_flag_is_usage_error(tmp_path, capsys, monkeypatch, flag,
     assert not os.path.exists(out)
 
 
-def _tiny_h_linlab(tmp_path):
+def _tiny_h_linlab(tmp_path, h="5e-324"):
     return ["linlab", "simulate", "--lambda-a", "-1", "--lambda-b", "-2",
-            "--ka", "1", "--kb", "1", "--h", "5e-324", "--t-end", "1",
+            "--ka", "1", "--kb", "1", "--h", h, "--t-end", "1",
             "--scheme", "series", "--out-dir", str(tmp_path)]
 
 
-def _tiny_h_run(tmp_path):
-    return ["cotds", "run", fixture_path("testcase2"), "--h", "5e-324",
+def _tiny_h_run(tmp_path, h="5e-324"):
+    return ["cotds", "run", fixture_path("testcase2"), "--h", h,
             "--out-dir", str(tmp_path / "out")]
 
 
-def _tiny_h_file(tmp_path):
+def _tiny_h_file(tmp_path, h="5e-324"):
     with open(fixture_path("testcase2")) as fh:
         doc = json.load(fh)
-    doc["run"]["h_macro"] = 5e-324
+    doc["run"]["h_macro"] = float(h)
     path = str(tmp_path / "tiny_h.json")
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return ["cotds", "run", path, "--out-dir", str(tmp_path / "out")]
 
 
-@pytest.mark.parametrize("argv, code, prefix", [
+TINY_H = [
     (_tiny_h_linlab, EXIT_USAGE, "error: invalid arguments: h_macro: "),
     (_tiny_h_run, EXIT_USAGE, "error: run.h_macro: "),
     (_tiny_h_file, EXIT_SCHEMA, "schema error: run.h_macro: "),
-], ids=["linlab_flag", "run_flag", "run_file"])
+]
+
+
+@pytest.mark.parametrize("argv, code, prefix", TINY_H,
+                         ids=["linlab_flag", "run_flag", "run_file"])
 def test_overflowing_step_count_is_refused(tmp_path, capsys, argv, code,
                                            prefix):
     # t_end / H past the float range once reached the run and exited 3
@@ -663,7 +781,20 @@ def test_overflowing_step_count_is_refused(tmp_path, capsys, argv, code,
     assert run_cli(*argv(tmp_path)) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix + "5e-324 is too small for t_end ")
-    assert err.endswith(": the step count overflows\n")
+    assert err.endswith(": more than 1000000 steps\n")
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("argv, code, prefix", TINY_H,
+                         ids=["linlab_flag", "run_flag", "run_file"])
+def test_step_count_past_the_bound_is_refused(tmp_path, capsys, argv, code,
+                                              prefix):
+    # a finite step count the run would keep every record of until memory
+    # runs out: 10^9 steps of 1 s, 5 * 10^9 of testcase2's 5 s
+    assert run_cli(*argv(tmp_path, "1e-9")) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "1e-09 is too small for t_end ")
+    assert err.endswith(": more than 1000000 steps\n")
     assert not os.path.exists(tmp_path / "out")
 
 

@@ -285,6 +285,13 @@ class TestSchedule:
                                CouplingMethod.SERIES)
         assert len(log.times) == n + 1
 
+    def test_step_count_is_bounded(self):
+        # the bound itself is taken, one step more is refused
+        assert CouplingSchedule(1.0, 1e6).n_steps == 10 ** 6
+        with pytest.raises(ValueError, match=r"^h_macro: 1\.0 is too small "
+                           r"for t_end 1000001\.0: more than 1000000 steps"):
+            CouplingSchedule(1.0, 1e6 + 1)
+
     @pytest.mark.parametrize("time", [1.0, 1.2, -0.1])
     def test_event_no_step_follows_rejected(self, time):
         # t_end 1.2 at H 0.5 takes steps from 0 and 0.5 and ends at 1.0

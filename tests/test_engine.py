@@ -609,6 +609,27 @@ def test_testcase2_post_event_steps_keep_their_jacobian():
     assert r.newton["T"]["jacobian_builds"] <= 6
 
 
+def test_testcase2_keeps_an_inverse_after_every_step(monkeypatch):
+    # A damped solve stores the inverse of the last Jacobian it built, so
+    # from the first step that builds one on, T's cache holds an inverse
+    # after every step: the matrix a sensitivity of T reads between steps.
+    seen = []
+    advance = transmission.TransmissionSubSystem.advance
+
+    def recorded(self, h):
+        advance(self, h)
+        cache = self.newton_cache
+        seen.append((cache.jacobian_builds, cache.inv is not None))
+
+    monkeypatch.setattr(transmission.TransmissionSubSystem, "advance",
+                        recorded)
+    s = load_scenario(fixture_path("testcase2"))
+    s.method, s.h_macro = RunMethod.SERIES, 0.006
+    assert run_scenario(s).verdict is Verdict.CONVERGED
+    first = next(k for k, (builds, _) in enumerate(seen) if builds)
+    assert first > 0 and all(kept for _, kept in seen[first:])
+
+
 def test_runs_in_one_process_are_bit_identical():
     # Nothing a run leaves behind in the package, a cache of a module or
     # of a class, may reach the next run: testcase2 at H 0.037 gives the

@@ -199,6 +199,19 @@ class TestJacobianReuse:
         miss = np.max(np.abs(inv @ (r_b - r_a) - (z_b - z_a)))
         return miss <= 2 * np.finfo(float).eps * np.max(np.abs(z_b))
 
+    @staticmethod
+    def record_builds(monkeypatch):
+        """Every FD Jacobian the solves build, in order."""
+        built = []
+        fd_jacobian = integrators._fd_jacobian
+
+        def recorded(*args):
+            built.append(fd_jacobian(*args))
+            return built[-1]
+
+        monkeypatch.setattr(integrators, "_fd_jacobian", recorded)
+        return built
+
     def test_cached_matches_uncached(self):
         cache = JacobianCache()
         x_c, y_c = self.march(0.05, 50, cache)
@@ -215,35 +228,33 @@ class TestJacobianReuse:
         self.march(0.05, 3, cache)
         assert cache.inv is not None
         builds = cache.jacobian_builds
+        built = self.record_builds(monkeypatch)
         self.march(0.02, 1, cache)
         assert cache.jacobian_builds > builds
         assert cache.fallbacks == 0
         assert cache.h == 0.02
-        # the damped Newton of the new h leaves its Jacobian uninverted
-        assert cache.inv is None
-        builds, jac = cache.jacobian_builds, cache.jac
+        # the damped Newton of the new h holds the inverse of the last
+        # Jacobian it built
+        assert np.array_equal(cache.inv, np.linalg.inv(built[-1]))
+        builds, inv = cache.jacobian_builds, cache.inv.copy()
         solves = self.record_solves(monkeypatch)
         self.march(0.02, 1, cache)
         assert cache.jacobian_builds == builds
-        # the kept phase started from the new h's own Jacobian (to the
-        # rounding bound of ``meets_secant``) ...
+        # the kept phase started from that inverse ...
         (z0, r0), (z1, _) = solves[0][:2]
-        miss = np.max(np.abs(z1 - z0 - np.linalg.solve(jac, -r0)))
-        assert miss <= 2 * np.finfo(float).eps * np.max(np.abs(z1))
+        assert np.array_equal(z1, z0 + inv @ -r0)
         # ... and its secant updates left the inverse meeting the last
         # accepted update's secant equation
-        assert cache.jac is jac
         assert self.meets_secant(cache.inv, solves[0])
 
-    def test_assigned_jacobian_drops_its_inverse(self):
-        # a stale inverse of the marched Jacobian would pass the
-        # contraction test where the assigned one fails it
+    def test_assigned_inverse_replaces_the_kept_one(self):
+        # the marched inverse would pass the contraction test where the
+        # assigned one fails it
         cache = JacobianCache()
         x, y = self.march(0.05, 5, cache)
         assert cache.inv is not None
         fallbacks = cache.fallbacks
-        cache.jac = -np.eye(3)
-        assert cache.inv is None
+        cache.inv = np.linalg.inv(-np.eye(3))
         x_c, y_c = trapezoidal_dae_step(Pendulum(), x, y, None, 0.05,
                                         self.TIGHT, cache)
         x_u, y_u = trapezoidal_dae_step(Pendulum(), x, y, None, 0.05,
@@ -288,10 +299,10 @@ class TestJacobianReuse:
 
     @staticmethod
     def skipped_update_solve(res, jac, z0):
-        """Solve from the kept ``jac``, and the inverse each residual
-        evaluation saw, copied."""
+        """Solve from the kept inverse of ``jac``, and the inverse each
+        residual evaluation saw, copied."""
         cache = JacobianCache()
-        cache.jac = np.array(jac)
+        cache.inv = np.linalg.inv(jac)
         seen = []
 
         def recorded(z):
@@ -329,36 +340,42 @@ class TestJacobianReuse:
 
     def test_poisoned_cache_falls_back(self):
         cache = JacobianCache()
-        cache.jac, cache.h = -np.eye(3), 0.05  # wrong sign and scale
+        # wrong sign and scale
+        cache.inv, cache.h = np.linalg.inv(-np.eye(3)), 0.05
         x_c, y_c = self.march(0.05, 1, cache)
         x_u, y_u = self.march(0.05, 1)
         assert cache.fallbacks == 1
         assert np.max(np.abs(x_c - x_u)) == 0.0
         assert np.max(np.abs(y_c - y_u)) == 0.0
-        # the full Newton's Jacobian replaced the poisoned one
-        assert not np.array_equal(cache.jac, -np.eye(3))
+        # the inverse of the full Newton's Jacobian replaced the poisoned
+        # one
+        assert not np.array_equal(cache.inv, -np.eye(3))
 
     def test_singular_cached_jacobian_falls_back(self):
+        # no solve keeps a singular Jacobian's inverse; a zero one, its
+        # nearest stand-in, makes a null update, which does not contract
         cache = JacobianCache()
-        cache.jac, cache.h = np.zeros((3, 3)), 0.05
+        cache.inv, cache.h = np.zeros((3, 3)), 0.05
         x_c, _ = self.march(0.05, 1, cache)
         assert cache.fallbacks == 1
         assert np.array_equal(x_c, self.march(0.05, 1)[0])
 
     def test_nonconvergence_with_cache_raises(self):
         cache = JacobianCache()
-        cache.jac, cache.h = np.eye(2), 0.1
+        cache.inv, cache.h = np.linalg.inv(np.eye(2)), 0.1
         with pytest.raises(NewtonError):
             trapezoidal_dae_step(NoRoot(), [1.0], [0.0], None, 0.1,
                                  NewtonConfig(max_iterations=8), cache)
         assert cache.fallbacks == 1
+        # the failed damped phase kept none of its Jacobians
+        assert np.array_equal(cache.inv, np.eye(2))
 
     def test_kept_update_meeting_tolerance_is_kept(self):
         # r(z) = z with the kept slope 2.5: the update scales z by 0.6,
         # more than CONTRACTION, but takes |r| from 1.5e-8 to 9e-9, under
         # the tolerance 1e-8, so the solve ends on the kept iterate
         cache = JacobianCache()
-        cache.jac = np.array([[2.5]])
+        cache.inv = np.linalg.inv([[2.5]])
         cfg = NewtonConfig(residual_tolerance=1e-8)
         z = integrators.newton_solve(lambda z: z, np.array([1.5e-8]), cfg,
                                      cache)
@@ -384,7 +401,7 @@ class TestJacobianReuse:
 
         monkeypatch.setattr(integrators, "_fd_jacobian", spy)
         cache = JacobianCache()
-        cache.jac, cache.h = np.array([[3.0]]), 0.5
+        cache.inv, cache.h = np.linalg.inv([[3.0]]), 0.5
         x1, _ = trapezoidal_dae_step(Recorded(), [2.0], [], None, 0.5,
                                      self.TIGHT, cache)
         assert evaluated.count(-2.0) == 1  # the predictor, once
