@@ -19,7 +19,7 @@ A march takes ``CouplingSchedule.n_steps`` macro steps, t_end / H
 rounded.  The schedule places each timed event on the first macro
 boundary at or after its time, and refuses one after the last step's
 start; the march applies a boundary's events, each by its target's
-``switch``, then calls ``step(h, switched)``, true if it applied any.
+``switch``, then calls ``step(h, switched)``, the names it switched.
 
 The interface vectors, ``current_input`` and ``output()``, are lists of
 Python floats, a few per sub-system, so a macro step's exchange is list
@@ -66,6 +66,7 @@ _EVENT_SNAP = 1e-12
 # steps take about 0.5 GB: about 190 times the longest run a test or a
 # probe makes, about 5 200 steps (testcase1 to 13 s at H 0.0025)
 _MAX_STEPS = 10 ** 6
+_NO_SWITCH = frozenset()  # what a step without events switched
 
 
 class SubSystem:
@@ -115,7 +116,8 @@ class SubSystem:
         return z
 
     def switch(self, action: str, params: Mapping) -> None:
-        """Apply a topology event; ``ValueError`` for one not taken."""
+        """Apply a topology event; ``ValueError`` for one not taken.  A
+        sub-system that takes events defines ``restart()`` too."""
         raise ValueError(f"{type(self).__name__} does not handle event "
                          f"{action!r}")
 
@@ -253,11 +255,11 @@ def record_columns(layout: Mapping[str, tuple[int, Sequence[str]]]
 
 def march(schedule: CouplingSchedule,
           subsystems: Mapping[str, SubSystem],
-          step: Callable[[float, bool], None]) -> TimeSeriesLog:
+          step: Callable[[float, frozenset[str]], None]) -> TimeSeriesLog:
     """Switch due events, ``step(h, switched)`` and record, per step.
 
-    ``switched`` is true when the schedule placed events on the step's
-    start.  A record holds each sub-system's ``output()`` and every
+    ``switched`` names the sub-systems switched on the step's start,
+    mostly none.  A record holds each sub-system's ``output()`` and every
     channel of its ``snapshot()``, at t = 0 and after every step.  The
     channels are those of the t = 0 snapshot, in that snapshot's order,
     and are read by name, so a snapshot that loses a key raises
@@ -300,7 +302,8 @@ def march(schedule: CouplingSchedule,
             for ev in events:
                 subsystems[ev.target].switch(ev.action, ev.params)
             at = t + h
-            step(h, bool(events))
+            step(h, frozenset(ev.target for ev in events) if events
+                 else _NO_SWITCH)
         except OverflowError as exc:
             log.diverged = True
             log.failure = f"divergence at t={at:.6g}: {exc}"
@@ -313,25 +316,28 @@ def march(schedule: CouplingSchedule,
 
 
 def exchange_step(subsystems: Mapping[str, SubSystem],
-                  method: CouplingMethod) -> Callable[[float, bool], None]:
+                  method: CouplingMethod
+                  ) -> Callable[[float, frozenset[str]], None]:
     """One macro step of the hub and its spokes: ``step(h, switched)``.
 
-    Inputs are held constant within the step, ``switched`` or not.
+    Inputs are held; a switched spoke restarts before its output is read.
     """
-    hub, *spokes = subsystems.values()
-    slices = _slices([len(sp.current_input) for sp in spokes])
+    (_, hub), *spokes = subsystems.items()
+    slices = _slices([len(sp.current_input) for _, sp in spokes])
 
     def step(h, switched):
         if method is CouplingMethod.PARALLEL:
             y_hub = hub.output()
         u_hub = []
-        for sp in spokes:
+        for name, sp in spokes:
+            if name in switched:
+                sp.restart()
             u_hub.extend(sp.output())
         hub.set_input(u_hub)
         hub.advance(h)
         if method is CouplingMethod.SERIES:
             y_hub = hub.output()
-        for sp, sl in zip(spokes, slices):
+        for (_, sp), sl in zip(spokes, slices):
             sp.set_input(y_hub[sl])
             sp.advance(h)
 

@@ -80,7 +80,8 @@ class FeederSpec:
 
     The branches grow a tree from the substation, node 0, each listed
     after its parent's own branch, and number its nodes 0..N; none has
-    zero impedance (r = x = 0), which the feeder divides by.  Every load
+    a negative r or zero impedance (r = x = 0), which the feeder divides
+    by; x takes either sign, a series capacitor's is negative.  Every load
     and motor sits on one of those nodes.  The ZIP fractions follow
     ``ZipLoadParams``' rule.  A ``ValueError`` starts with the offending
     field's path (``loads[1].node: ...``).
@@ -97,6 +98,9 @@ class FeederSpec:
     def __post_init__(self):
         nodes = {0}
         for i, br in enumerate(self.branches):
+            if not br.r >= 0:  # a negative resistance is a source
+                raise ValueError(f"branches[{i}].r: must not be negative, "
+                                 f"got {br.r!r}")
             if br.r == 0 and br.x == 0:
                 raise ValueError(f"branches[{i}]: zero impedance (r = x = 0)")
             if br.parent not in nodes or br.child in nodes:
@@ -396,7 +400,11 @@ class DeviationReport:
 
 def compare_runs(a: TimeSeriesLog, b: TimeSeriesLog,
                  channels: list[str] | None = None) -> DeviationReport:
-    """Per-channel max-abs and RMS deviation, b resampled onto a's grid."""
+    """Per-channel max-abs and RMS deviation, b resampled onto a's grid.
+
+    ``ValueError`` when a ends after b by more than b's last step: b's
+    last value would stand in for the times b never reached.
+    """
     if channels is None:
         channels = sorted(set(a.columns) & set(b.columns))
     if not channels:
@@ -406,6 +414,11 @@ def compare_runs(a: TimeSeriesLog, b: TimeSeriesLog,
     if missing:
         raise ValueError(f"channels missing from a run: {missing}")
     ta, tb = np.asarray(a.times), np.asarray(b.times)
+    if not (ta.size and tb.size):
+        raise ValueError("a run has no records")
+    if ta[-1] - tb[-1] > (tb[-1] - tb[-2] if tb.size > 1 else 0.0):
+        raise ValueError(f"run a ends at t={ta[-1]:.6g}, after run b's end "
+                         f"at t={tb[-1]:.6g}; give the shorter run first")
     rows_a, rows_b = a.as_array(), b.as_array()
     max_abs, rms = {}, {}
     for c in channels:
@@ -438,10 +451,10 @@ class MonolithicDae(DaeSystem):
     the component objects; ``newton_cache`` keeps its Jacobian and
     counters, and the step's end point with ``f`` there, which the next
     step reuses when it gathers that point back.  ``f`` also reads the
-    feeders' and motors' ``active`` flags, so a step told that events
-    were applied before it (``switched``) drops the end point: an event
-    that switches a motor off leaves every state where it was.  ``g``
-    keeps the interface power at the point it last evaluated.  A step
+    feeders' and motors' ``active`` flags, so a step told of switched
+    sub-systems (``switched``) drops the end point: switching a motor off
+    moves no state.  ``scatter``, not ``restart``, writes their outputs.
+    ``g`` keeps the interface power at the point it last evaluated.  A step
     whose cache keeps its end point ended on that point, so ``advance``
     hands that power to ``scatter``; it computes the power only when no
     end point is kept.
@@ -512,7 +525,7 @@ class MonolithicDae(DaeSystem):
         return np.concatenate(
             [tdae.g(x[:tdae.n_x], y[:tdae.n_y], u_t)] + mismatch)
 
-    def advance(self, h: float, switched: bool) -> None:
+    def advance(self, h: float, switched: frozenset[str]) -> None:
         cache = self.newton_cache
         if switched:
             cache.end = None

@@ -277,9 +277,9 @@ class DistributionSubSystem(SubSystem):
 
     ``state()`` is the input, the output, every feeder's node voltages as
     [re, im] per node, then every motor's state, active or not, feeder by
-    feeder.  An output left to be re-solved after a ``switch`` reads as
-    nan in its two slots, and ``set_state`` leaves it to be re-solved
-    again.  The ``active`` flags are topology, not state.
+    feeder.  The output is the last one solved: a ``switch`` leaves it as
+    it was, and ``restart`` re-solves it.  The ``active`` flags are
+    topology, not state.
     """
 
     def __init__(self, feeders: list[DistributionFeeder], rk_tol: float):
@@ -321,7 +321,7 @@ class DistributionSubSystem(SubSystem):
                 fd.v[:] = self._v_sub()
 
     def set_output(self, s: complex) -> None:
-        """Report ``s`` as the consumed power until the next step or switch."""
+        """Report ``s`` as the consumed power until the next solve."""
         self._output = [s.real, s.imag]
 
     def initialize(self, inputs) -> None:
@@ -330,7 +330,7 @@ class DistributionSubSystem(SubSystem):
         for fd in self.feeders:
             if fd.active:
                 fd.initialize(v)
-        self.set_output(self._total_power())
+        self.restart()
 
     def advance(self, h: float) -> None:
         v = self._v_sub()
@@ -343,26 +343,23 @@ class DistributionSubSystem(SubSystem):
             raise OverflowError("distribution state is non-finite")
         self.set_output(s)
 
-    def _resolve(self) -> None:
-        """Re-solve an output left stale by a switch; it moves the nodes."""
-        if self._output is None:
-            self.set_output(self._total_power())
+    def restart(self) -> None:
+        """Re-solve every active feeder at the input, motor states fixed,
+        and report its power: the output after a ``switch``."""
+        self.set_output(self._total_power())
 
     def output(self) -> list[float]:
-        self._resolve()
         return self._output.copy()
 
     def state(self) -> np.ndarray:
-        out = [math.nan] * 2 if self._output is None else self._output
         return np.concatenate(
-            [self.current_input, out]
+            [self.current_input, self._output]
             + [fd.v.view(float) for fd in self.feeders]
             + [mu.state for fd in self.feeders for mu in fd.motors])
 
     def set_state(self, z) -> None:
         z = self._state_vector(z)
-        out = z[2:4].tolist()
-        self._output = None if all(map(math.isnan, out)) else out
+        self._output = z[2:4].tolist()
         k = 4
         for fd in self.feeders:
             fd.v = z[k:k + 2 * fd.n_nodes].view(complex)
@@ -387,11 +384,7 @@ class DistributionSubSystem(SubSystem):
         self.set_input([v.real, v.imag])
 
     def snapshot(self):
-        """Each motor's slip, then each node's |V|, feeder by feeder.
-
-        A stale output is re-solved first, as ``output()`` does, so the
-        nodes read the same whichever of the two is read first."""
-        self._resolve()
+        """Each motor's slip, then each node's |V|, feeder by feeder."""
         values = []
         for fd in self.feeders:
             values += [mu.state.item(2) for mu in fd.motors]
@@ -401,7 +394,7 @@ class DistributionSubSystem(SubSystem):
         return dict(zip(self._channels, values))
 
     def switch(self, action: str, params) -> None:
-        """Apply a topology event; the next ``output()`` re-solves.  An
+        """Apply a topology event, leaving the output to ``restart``.  An
         unknown action or motor name is a ``ValueError``."""
         if action == "connect_motor":
             mu = self._find_motor(params["name"])
@@ -421,7 +414,6 @@ class DistributionSubSystem(SubSystem):
             fd.v[:] = self._v_sub()
         else:
             raise ValueError(f"unknown distribution event {action!r}")
-        self._output = None
 
     def _find_motor(self, name: str) -> MotorUnit:
         for fd in self.feeders:

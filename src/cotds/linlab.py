@@ -365,7 +365,7 @@ def local_truncation_error(p: LinearCoupledParams, x0: StateVec2, h_macro: float
     else:
         step = exchange_step(pair, CouplingMethod(scheme.value))
     try:
-        step(cfg.h_macro, False)
+        step(cfg.h_macro, frozenset())
         finite = all(map(math.isfinite, [a.x, b.x, *a.output(),
                                          *b.output()]))
     except OverflowError:

@@ -30,11 +30,15 @@ __all__ = ["GeneratorBank", "N_GEN_STATES"]
 
 N_GEN_STATES = 6
 
-# the parameters of one machine that the model divides by, as paths into
-# its parameters (``GeneratorBank.from_params``' keys); the exciter gain
-# divides the voltage set point ``initialize`` finds
-_POSITIVE = ("h", "xdp", "xqp", "td0p", "tq0p", "exciter.gain",
-             "exciter.time_const", "governor.droop", "governor.time_const")
+# the parameters of one machine that must be positive, as paths into its
+# network file entry (``GeneratorBank.from_params``' keys, and ``v_set``):
+# those the model divides by (the exciter gain divides the voltage set
+# point ``initialize`` finds), the synchronous reactances and the voltage
+# set point.  The damping may be zero; a negative one drives the swing
+_POSITIVE = ("h", "xd", "xq", "xdp", "xqp", "td0p", "tq0p", "v_set",
+             "exciter.gain", "exciter.time_const", "governor.droop",
+             "governor.time_const")
+_NON_NEGATIVE = ("d",)
 
 
 def _stator(xd_p, xq_p, eq_p, ed_p, delta, v):
@@ -103,12 +107,15 @@ class GeneratorBank:
     @staticmethod
     def check_params(params: dict) -> None:
         """``ValueError``, starting with the field's path, unless every
-        parameter of one machine that the model divides by is positive."""
-        for path in _POSITIVE:
+        parameter of one machine keeps its sign rule."""
+        for path in _POSITIVE + _NON_NEGATIVE:
             value = params
             for key in path.split("."):
                 value = value[key]
-            if not value > 0:
+            if path in _NON_NEGATIVE and not value >= 0:
+                raise ValueError(f"{path}: must not be negative, got "
+                                 f"{value!r}")
+            if path in _POSITIVE and not value > 0:
                 raise ValueError(f"{path}: must be positive, got {value!r}")
 
     @property

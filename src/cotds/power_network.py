@@ -77,6 +77,12 @@ def _build_ybus(bus_ids, branches):
     index = {b: i for i, b in enumerate(bus_ids)}
     y = np.zeros((n, n), dtype=complex)
     for k, br in enumerate(branches):
+        # x takes either sign, a series capacitor's is negative; a negative
+        # r makes a line a source, and charging b is a shunt capacitance
+        for key in ("r", "b"):
+            if not br[key] >= 0:
+                raise SchemaError(f"branches[{k}].{key}: must not be "
+                                  f"negative, got {br[key]!r}")
         if br["r"] == 0 and br["x"] == 0:
             raise SchemaError(f"branches[{k}]: zero impedance (r = x = 0)")
         i, j = index[br["from"]], index[br["to"]]
@@ -106,7 +112,7 @@ def _network(doc) -> TransmissionNetwork:
     mapping of bus to [p, q], every bus reference one of ``buses``,
     ``p_set`` a number at every generator but the slack's, where it may
     be null or absent, the rules of ``GeneratorBank.check_params`` and
-    of ``TransmissionNetwork``, and no branch of zero impedance."""
+    of ``TransmissionNetwork``, and ``_build_ybus``' branch rules."""
     net = require(doc, "", _NETWORK)
     buses, slack = net["buses"], net["slack"]
     branches, gens = net["branches"], net["generators"]

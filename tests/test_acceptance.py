@@ -173,7 +173,7 @@ def macro_step_radius(subsystems, method, h, eps=1e-5):
         set_state(z)
         # a perturbed state is off the interface consistency by design, so
         # the step is taken without run_cosimulation's initial check
-        step(h, False)
+        step(h, set())
         to_machine1_frame()
         return state()
 

@@ -214,6 +214,24 @@ class TestRunAndCompare:
             header = fh.readline().strip()
         assert header == "channel,max_abs,rms"
 
+    def test_compare_past_the_end_of_run_b_is_usage_error(self, tmp_path,
+                                                          capsys):
+        # b stops at 0.096 s: its last value held flat would be compared
+        # with a's records to 0.3 s
+        a = self.run_fixture(tmp_path, "a")
+        b = str(tmp_path / "b")
+        assert run_cli("cotds", "run", fixture_path("testcase1"),
+                       "--h", "0.012", "--t-end", "0.1", "--out-dir", b) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "cmp")
+        assert run_cli("compare", a, b, "--resample", "--out-dir", out) == (
+            EXIT_USAGE)
+        assert capsys.readouterr().err == (
+            "error: run a ends at t=0.3, after run b's end at t=0.096; "
+            "give the shorter run first\n")
+        assert not os.path.exists(out)
+        assert run_cli("compare", b, a, "--resample", "--out-dir", out) == 0
+
     def test_compare_missing_dir(self, tmp_path):
         a = self.run_fixture(tmp_path, "a")
         assert run_cli("compare", a, str(tmp_path / "nope")) == 1
@@ -508,16 +526,21 @@ def _edited_network(tmp_path, edit):
 GENERATOR_DIVISORS = ["h", "xdp", "xqp", "td0p", "tq0p", "exciter.gain",
                       "exciter.time_const", "governor.droop",
                       "governor.time_const"]
+# generator and branch numbers with a sign rule that no division needs;
+# each at -1 once ran and exited 0, and v_set at 0 or -1 failed in the
+# power flow (exit 3) instead of naming its field
+SIGN_RULES = [(path, value, "be positive") for path in ("xd", "xq", "v_set")
+              for value in (0, -1)] + [("d", -1, "not be negative")]
 
 
-def _zero_generator_field(path):
-    """An edit that zeroes the first generator's ``path``."""
+def _zero_generator_field(path, value=0):
+    """An edit that sets the first generator's ``path`` to ``value``."""
     def edit(net):
         *parents, key = path.split(".")
         d = net["generators"][0]
         for parent in parents:
             d = d[parent]
-        d[key] = 0
+        d[key] = value
     return edit
 
 
@@ -537,11 +560,18 @@ def _network_without_branches(tmp_path):
     (lambda net: net.update(f_hz=0), "f_hz: must be positive, got 0.0"),
     (lambda net: net["branches"][0].update(r=0, x=0),
      "branches[0]: zero impedance (r = x = 0)"),
+    (lambda net: net["branches"][0].update(r=-1),
+     "branches[0].r: must not be negative, got -1.0"),
+    (lambda net: net["branches"][0].update(b=-1),
+     "branches[0].b: must not be negative, got -1.0"),
 ] + [(_zero_generator_field(path), f"generators[0].{path}: must be "
-      "positive, got 0.0") for path in GENERATOR_DIVISORS],
+      "positive, got 0.0") for path in GENERATOR_DIVISORS] + [
+    (_zero_generator_field(path, value), f"generators[0].{path}: must "
+     f"{rule}, got {float(value)!r}") for path, value, rule in SIGN_RULES],
     ids=["loads_a_list", "buses_a_number", "branch_to_unknown_bus",
          "branch_quoted_number", "name", "f_hz", "zero_impedance",
-         *GENERATOR_DIVISORS])
+         "negative_r", "negative_b", *GENERATOR_DIVISORS,
+         *(f"{path}={value}" for path, value, _ in SIGN_RULES)])
 def test_malformed_network_is_schema_error(tmp_path, capsys, edit, message):
     with open(fixture_path("testcase2")) as fh:
         doc = json.load(fh)
@@ -586,6 +616,8 @@ def _edit_machine(k, **values):
         static_fraction=1.5), "feeders[0].composition: static_fraction"),
     (lambda doc, tmp: doc["feeders"][0]["branches"][0].update(r=0.0, x=0.0),
      "feeders[0].branches[0]: zero impedance"),
+    (lambda doc, tmp: doc["feeders"][1]["branches"][0].update(r=-1),
+     "feeders[1].branches[0].r: must not be negative, got -1.0"),
     (lambda doc, tmp: doc["feeders"][0]["loads"][0].update(node=7),
      "feeders[0].loads[0].node: 7 is not a node of the feeder"),
     (lambda doc, tmp: doc["feeders"][1]["composition"]["motors"][0].update(
@@ -605,6 +637,7 @@ def _edit_machine(k, **values):
      ".machine.xm: must be positive, got 0.0"),
 ], ids=["unknown_bus", "unknown_network", "network_is_directory",
         "network_without_branches", "static_fraction", "zero_impedance",
+        "negative_r",
         "load_off_the_tree", "motor_name_repeated", "zip_fractions_rounding",
         *(f"machine_{key}" for key, _, _ in MACHINE_RULES),
         "machine_xm_xr", "machine_rs_xs_xm"])
@@ -670,9 +703,11 @@ def test_every_number_at_zero_or_minus_one_exits_cleanly(tmp_path, capsys):
     # zero together: a short run ends in success, a schema error or a
     # numeric failure (exit 0, 2 or 3), never in an exception.  Zeroed
     # generator, motor and frequency parameters once escaped as
-    # ZeroDivisionError.
+    # ZeroDivisionError.  The second feeder connects at t = 0, not 1 s, so
+    # that the short run reaches its numbers too.
     with open(fixture_path("testcase2")) as fh:
         scenario = json.load(fh)
+    scenario["events"][0]["time"] = 0.0
     network = json.loads((resources.files("cotds.data")
                           / f"{scenario['transmission']}.json").read_text())
     machine = ("feeders", 0, "composition", "motors", 0, "machine")
@@ -682,7 +717,7 @@ def test_every_number_at_zero_or_minus_one_exits_cleanly(tmp_path, capsys):
               for value in (0, -1)]
     cases += [("scenario", [machine + (key,) for key in keys], 0)
               for keys in (("xm", "xr"), ("rs", "xs", "xm"))]
-    escaped = []
+    escaped, codes = [], {}
     for k, (which, paths, value) in enumerate(cases):
         docs = {"scenario": json.loads(json.dumps(scenario)),
                 "network": json.loads(json.dumps(network))}
@@ -704,11 +739,19 @@ def test_every_number_at_zero_or_minus_one_exits_cleanly(tmp_path, capsys):
             code = repr(exc)
         if code not in (0, EXIT_SCHEMA, EXIT_NUMERIC):
             escaped.append((which, paths, value, code))
+        codes[which, paths[0], value] = code
     capsys.readouterr()
     # 113 numbers, each at two values, and the two motor sets: the walk
     # found every number
     assert len(cases) == 228
     assert not escaped
+    # a negative load fails the motor's equilibrium on either feeder: the
+    # connected second feeder ran
+    for k in range(4):
+        load = ("loads", k, "p")
+        assert (codes["scenario", ("feeders", 1) + load, -1]
+                == codes["scenario", ("feeders", 0) + load, -1]
+                == EXIT_NUMERIC)
 
 
 def test_non_finite_physical_number_is_schema_error(tmp_path, capsys):

@@ -86,7 +86,7 @@ class TestArrayOutputs:
         hub = make_linear_pair(P1, StateVec2(1.0, 1.0))["A"]
         spoke = Recorder(out_value=0.25)
         y_start = hub.output()
-        exchange_step({"A": hub, "B": spoke}, method)(0.1, False)
+        exchange_step({"A": hub, "B": spoke}, method)(0.1, set())
         assert isinstance(spoke.output(), np.ndarray)
         assert type(hub.current_input) is list
         assert hub.current_input == [0.25]
@@ -399,11 +399,12 @@ class TestEventPlacement:
             assert placed == [e for e in old.switched if e is not None]
             new = Switchboard()
             march(sched, {"A": new}, new.step)
-            # the events first, then the step, told it whether there were
-            # any: the old loop's order
+            # the events first, then the step, told the names it switched:
+            # the old loop's order
             assert [e for e in new.switched if type(e) is tuple] == placed
-            assert [e for e in new.switched if type(e) is bool] == [
-                k in sched.switches for k in range(sched.n_steps)]
+            assert [e for e in new.switched if type(e) is frozenset] == [
+                {"A"} if k in sched.switches else set()
+                for k in range(sched.n_steps)]
             for ev in events:
                 assert sched.applies(ev)
                 assert sched.boundary(ev) == next(

@@ -177,6 +177,29 @@ class TestCompareRuns:
         rep = compare_runs(a, b)
         assert rep.worst < 20.0  # linear signal resamples almost exactly
 
+    def test_a_past_b_end_raises(self):
+        # b's last value would stand in for the 0.2 s it never reached
+        a = make_log(np.ones(41))
+        b = make_log(np.ones(21))
+        with pytest.raises(ValueError, match=r"^run a ends at t=0\.4, after "
+                           r"run b's end at t=0\.2; give the shorter run "
+                           r"first$"):
+            compare_runs(a, b)
+        assert compare_runs(b, a).worst == 0.0
+        # within b's last step of its end, as after a rounded step count
+        assert compare_runs(make_log(np.ones(22)), b).worst == 0.0
+        with pytest.raises(ValueError, match="^run a ends"):
+            compare_runs(make_log(np.ones(23)), b)
+        with pytest.raises(ValueError, match="^run a ends"):
+            compare_runs(a, make_log(np.ones(1)))
+
+    def test_run_without_records_raises(self):
+        empty = make_log(np.ones((0, 1)))
+        for a, b in ((empty, make_log(np.ones(3))),
+                     (make_log(np.ones(3)), empty)):
+            with pytest.raises(ValueError, match="^a run has no records$"):
+                compare_runs(a, b)
+
     def test_disjoint_channels_raise(self):
         a = make_log(np.ones(10), columns=["x"])
         b = make_log(np.ones(10), columns=["y"])
@@ -755,6 +778,16 @@ def test_feeder_spec_rejects_zero_impedance():
                        match=r"^branches\[0\]: zero impedance \(r = x = 0\)"):
         dataclasses.replace(fs, branches=(FeederBranch(0, 1, 0.0, -0.0),))
     dataclasses.replace(fs, branches=(FeederBranch(0, 1, 0.0, 0.01),))
+
+
+def test_feeder_spec_rejects_negative_resistance():
+    # a negative resistance makes a line a source; a negative reactance,
+    # a series capacitor's, is taken
+    fs = load_scenario(fixture_path("testcase1")).feeders[0]
+    with pytest.raises(ValueError, match=r"^branches\[0\]\.r: must not be "
+                       r"negative, got -0\.01$"):
+        dataclasses.replace(fs, branches=(FeederBranch(0, 1, -0.01, 0.06),))
+    dataclasses.replace(fs, branches=(FeederBranch(0, 1, 0.02, -0.06),))
 
 
 def test_scenario_without_feeders_rejected_when_made():

@@ -315,14 +315,17 @@ class TestSubSystem:
         sub = self.make_sub()
         p0, _ = sub.output()
         sub.switch("disconnect_motor", {"name": "m1"})
+        sub.restart()
         p1, _ = sub.output()
         assert p1 < p0 - 0.15
 
     def test_connect_motor_draws_inrush(self):
         sub = self.make_sub()
         sub.switch("disconnect_motor", {"name": "m1"})
+        sub.restart()
         _, q_off = sub.output()
         sub.switch("connect_motor", {"name": "m1"})
+        sub.restart()
         _, q_on = sub.output()
         assert q_on > q_off + 0.5  # locked-rotor reactive inrush
 

@@ -17,6 +17,7 @@ from cotds.cosim import (CouplingMethod, CouplingSchedule, Event,
                          exchange_step, march)
 from cotds.engine import (MonolithicDae, build_subsystems,
                           iterative_td_powerflow_init)
+from cotds.feeder import DistributionSubSystem
 from cotds.integrators import (
     A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64,
     A65, B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7,
@@ -569,7 +570,7 @@ def test_transmission_start_moved_by_the_state_contract(move, evaluated):
     subsystems, dae, cache, step, _ = tc1_motor_start("series")
     tsub = subsystems["T"]
     count = start_evaluations(dae, cache)
-    step(0.006, False)
+    step(0.006, set())
     move(tsub)
     assert count(tsub.advance, 0.006) == evaluated
 
@@ -583,7 +584,7 @@ def test_monolithic_switch_drops_the_end_point():
     for action in (None, "disconnect_motor", None, "connect_motor"):
         if action:
             subsystems["D6"].switch(action, {"name": "bus6_im1"})
-        extra.append(evaluated(step, 0.006, action is not None))
+        extra.append(evaluated(step, 0.006, {"D6"} if action else set()))
     assert extra == [1, 1, 0, 1]
 
 
@@ -595,8 +596,8 @@ def test_monolithic_switch_drops_the_end_point():
                                 {"name": "bus6_im1"}),),
 ], ids=["one-event", "two-events"])
 def test_step_told_of_the_motor_start(method, events):
-    # march tells the step at 0.06 s, step 10, that events were applied
-    # before it, once however many, and no other step
+    # march tells the step at 0.06 s, step 10, that it switched D6, once
+    # however many events, and tells every other step it switched none
     subsystems, _, _, step, _ = tc1_motor_start(method)
     seen = []
 
@@ -607,14 +608,54 @@ def test_step_told_of_the_motor_start(method, events):
     schedule = CouplingSchedule(MOTOR_START.h_macro, MOTOR_START.t_end,
                                 events)
     assert march(schedule, subsystems, recorded).failure is None
-    assert seen == [i == 10 for i in range(50)]
+    assert seen == [{"D6"} if i == 10 else set() for i in range(50)]
+
+
+@pytest.mark.parametrize("method", ["series", "parallel", "monolithic"])
+def test_exchange_restarts_each_switched_spoke_once(method, monkeypatch):
+    # three events on the boundary at 0.06 s, two of them D6's: the
+    # exchange restarts D6 and D8 once each, in spoke order, each just
+    # before it reads that spoke's output, and never D5; the monolithic
+    # step writes every feeder's output itself and restarts none
+    subsystems, _, _, step, _ = tc1_motor_start(method)
+    names = {id(sub): name for name, sub in subsystems.items()}
+    steps, calls = [0], []
+
+    def counting(kind):
+        read = getattr(DistributionSubSystem, kind)
+
+        def counted(self):
+            calls.append((steps[0], kind, names[id(self)]))
+            return read(self)
+        return counted
+
+    for kind in ("restart", "output"):
+        monkeypatch.setattr(DistributionSubSystem, kind, counting(kind))
+
+    def counted_step(h, switched):
+        step(h, switched)
+        steps[0] += 1
+
+    schedule = CouplingSchedule(MOTOR_START.h_macro, MOTOR_START.t_end,
+                                MOTOR_START.events + (
+        Event(0.0581, "D6", "disconnect_motor", {"name": "bus6_im1"}),
+        Event(0.06, "D8", "disconnect_motor", {"name": "bus8_im1"})))
+    assert march(schedule, subsystems, counted_step).failure is None
+    restarts = [(k, name) for k, kind, name in calls if kind == "restart"]
+    if method == "monolithic":
+        assert restarts == []
+        return
+    assert restarts == [(10, "D6"), (10, "D8")]
+    for j, (k, kind, name) in enumerate(calls):
+        if kind == "restart":
+            assert calls[j + 1] == (k, "output", name)
 
 
 def test_monolithic_step_leaves_no_reference_cycle():
     # a cycle through the kept end point would hold every finished run's
     # component objects until the cyclic collector ran, raising peak memory
     subsystems, mono, cache, step, gather = tc1_motor_start("monolithic")
-    step(0.006, False)
+    step(0.006, set())
     ref = weakref.ref(mono)
     gc.disable()
     try:
