@@ -36,7 +36,7 @@ def build_feeder():
                          p_frac=0.5),
     }
     motors = [MotorUnit("demo_im", 3, InductionMotor(MACHINE, OMEGA_S),
-                        p_target=0.20, state=None, active=True)]
+                        p_target=0.20, active=True)]
     fd = DistributionFeeder(branches, zips, motors)
     fd.initialize(V_SOURCE)
     return fd
@@ -60,7 +60,7 @@ def dense_nodal_solution(fd, v_sub, tol=1e-13):
             i[node] -= np.conj(s / v[node])
         for mu in fd.motors:
             if mu.active:
-                s = mu.motor.terminal_power(mu.state, v[mu.node])
+                s = mu.motor.terminal_power(mu.state[0], v[mu.node])
                 i[mu.node] -= np.conj(s / v[mu.node])
         rhs = i[1:] - y[1:, 0] * v_sub
         v_new = np.linalg.solve(y[1:, 1:], rhs)
@@ -84,8 +84,8 @@ def main():
     s_src = fd.source_power(V_SOURCE)
     print(f"power drawn at the feeder head: "
           f"{s_src.real:.6f} + j{s_src.imag:.6f} pu")
-    mu = fd.motors[0]
-    print(f"motor slip at equilibrium: {mu.state[2]:.6f}")
+    _, slip = fd.motors[0].state
+    print(f"motor slip at equilibrium: {slip:.6f}")
 
 
 if __name__ == "__main__":

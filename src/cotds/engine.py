@@ -83,8 +83,11 @@ class FeederSpec:
     a negative r or zero impedance (r = x = 0), which the feeder divides
     by; x takes either sign, a series capacitor's is negative.  Every load
     and motor sits on one of those nodes.  The ZIP fractions follow
-    ``ZipLoadParams``' rule.  A ``ValueError`` starts with the offending
-    field's path (``loads[1].node: ...``).
+    ``ZipLoadParams``' rule.  Every motor's share is positive, and so is
+    the budget they share (``motor_budget``), since a motor has no running
+    state that draws no or negative power; a single load may be negative,
+    as distributed generation is.  A ``ValueError`` starts with the
+    offending field's path (``loads[1].node: ...``).
     """
 
     bus: int
@@ -125,14 +128,24 @@ class FeederSpec:
             ZipLoadParams(0.0, 0.0, *self.zip_fractions)
         except ValueError as exc:
             raise ValueError(f"composition: {exc}") from None
+        for i, m in enumerate(self.motors):
+            if not m.share > 0:
+                raise ValueError(f"composition.motors[{i}].share: must be "
+                                 f"positive, got {m.share!r}")
         if self.motors:
             total = sum(m.share for m in self.motors)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError("composition: motor shares must sum to 1")
+            if not self.motor_budget > 0:
+                raise ValueError(
+                    "composition: the motors' budget, (1 - static_fraction) "
+                    "times the loads' total p, must be positive, got "
+                    f"{self.motor_budget!r}")
 
     @property
-    def p_total(self) -> float:
-        return sum(p for _, p, _ in self.loads)
+    def motor_budget(self) -> float:
+        """The active power the motors share between them."""
+        return (1.0 - self.static_fraction) * sum(p for _, p, _ in self.loads)
 
 
 @dataclass
@@ -178,7 +191,6 @@ class RunResult:
 
 
 def _build_feeder(fs: FeederSpec, omega_s: float) -> DistributionFeeder:
-    motor_budget = (1.0 - fs.static_fraction) * fs.p_total
     # the loads listed at one node draw together, as one load
     at_node = {}
     for node, p, q in fs.loads:
@@ -195,7 +207,7 @@ def _build_feeder(fs: FeederSpec, omega_s: float) -> DistributionFeeder:
     for ms in fs.motors:
         motor = InductionMotor(ms.machine, omega_s)
         motors.append(MotorUnit(name=ms.name, node=ms.node, motor=motor,
-                                p_target=ms.share * motor_budget,
+                                p_target=ms.share * fs.motor_budget,
                                 active=ms.active))
     return DistributionFeeder(list(fs.branches), zips, motors,
                               active=fs.active)
@@ -445,7 +457,8 @@ class MonolithicDae(DaeSystem):
     Differential states: the generator blocks, then three per motor,
     feeder by feeder.  Algebraic unknowns: real then imaginary bus
     voltages, then for every feeder the real then imaginary voltages of
-    nodes 1..N (node 0 is the interface bus).
+    nodes 1..N (node 0 is the interface bus).  ``gather`` and ``scatter``
+    pack and unpack them from and into the feeders' own form.
 
     ``advance(h, switched)`` is one trapezoidal step, from and back into
     the component objects; ``newton_cache`` keeps its Jacobian and
@@ -470,8 +483,8 @@ class MonolithicDae(DaeSystem):
         self.dsubs = list(dsubs.values())
         self.n_if = len(self.dsubs)
         # per feeder: the feeder, its interface index, the slice of x
-        # holding its motor states, the slice of the stacked node voltages
-        # holding its nodes 0..N, and where its node voltages start in y
+        # holding its motor states, and the slice of the stacked node
+        # voltages holding its nodes 0..N
         self._blocks = []
         re_idx, im_idx = [], []
         nx, ny = tdae.n_x, tdae.n_y
@@ -481,12 +494,11 @@ class MonolithicDae(DaeSystem):
                 m, n_states = fd.n_nodes - 1, 3 * len(fd.motors)
                 nodes = slice(len(re_idx), len(re_idx) + m + 1)
                 self._blocks.append(
-                    (fd, k, slice(nx, nx + n_states), nodes, ny))
+                    (fd, k, slice(nx, nx + n_states), nodes))
                 re_idx += [bus_i, *range(ny, ny + m)]
                 im_idx += [bus_i + tdae.net.n_bus, *range(ny + m, ny + 2 * m)]
                 nx += n_states
                 ny += 2 * m
-        self.motors = [mu for fd, *_ in self._blocks for mu in fd.motors]
         self._re_idx, self._im_idx = np.array(re_idx), np.array(im_idx)
         self.n_x, self.n_y = nx, ny
         self._g_power = None  # the interface power at g's last point
@@ -494,36 +506,40 @@ class MonolithicDae(DaeSystem):
         self.scatter(x, y, self.interface_power(x, y)[0])
 
     def _feeder_blocks(self, x, y):
-        """(feeder, interface index, node voltages, motor states) each."""
-        v = y[self._re_idx] + 1j * y[self._im_idx]
-        for fd, k, xs, vs, _ in self._blocks:
-            yield fd, k, v[vs], x[xs].reshape(-1, 3)
+        """(feeder, interface index, node voltages, motor states) each, in
+        the feeder's own form: Python complex numbers, (E', slip) pairs."""
+        v = (y[self._re_idx] + 1j * y[self._im_idx]).tolist()
+        x = x.tolist()
+        for fd, k, xs, vs in self._blocks:
+            it = iter(x[xs])
+            yield fd, k, v[vs], [(complex(er, ei), s)
+                                 for er, ei, s in zip(it, it, it)]
 
     def interface_power(self, x, y):
         """Consumed [P, Q] per interface bus, laid end to end as a list
-        of floats, and every feeder's mismatch."""
+        of floats, and every feeder's mismatch, laid end to end too."""
         s = np.zeros(self.n_if, dtype=complex)
         mismatch = []
         for fd, k, v, states in self._feeder_blocks(x, y):
             i_src, r = fd.kcl(v, states)
             s[k] += v[0] * np.conj(i_src)
-            mismatch += [r.real, r.imag]
+            mismatch += [z.real for z in r] + [z.imag for z in r]
         u = [part for sk in s.tolist() for part in (sk.real, sk.imag)]
         return u, mismatch
 
     def f(self, x, y):
         tdae = self.tdae
-        out = [tdae.f(x[:tdae.n_x], y[:tdae.n_y])]
+        out = []
         for fd, _, v, states in self._feeder_blocks(x, y):
-            out.append(fd.motor_derivatives(v, states))
-        return np.concatenate(out)
+            out += fd.motor_derivatives(v, states)
+        return np.concatenate([tdae.f(x[:tdae.n_x], y[:tdae.n_y]), out])
 
     def g(self, x, y, u):
         tdae = self.tdae
         u_t, mismatch = self.interface_power(x, y)
         self._g_power = u_t
         return np.concatenate(
-            [tdae.g(x[:tdae.n_x], y[:tdae.n_y], u_t)] + mismatch)
+            [tdae.g(x[:tdae.n_x], y[:tdae.n_y], u_t), mismatch])
 
     def advance(self, h: float, switched: frozenset[str]) -> None:
         cache = self.newton_cache
@@ -545,9 +561,9 @@ class MonolithicDae(DaeSystem):
         tdae = self.tdae
         self.tsub.x, self.tsub.y = x[:tdae.n_x].copy(), y[:tdae.n_y].copy()
         for fd, _, v, states in self._feeder_blocks(x, y):
-            fd.v = v.copy()
+            fd.v = v
             for mu, st in zip(fd.motors, states):
-                mu.state = st.copy()
+                mu.state = st
         e = self.tsub.output()
         for k, d in enumerate(self.dsubs):
             d.set_input(e[2 * k:2 * k + 2])
@@ -555,14 +571,13 @@ class MonolithicDae(DaeSystem):
 
     def gather(self):
         """(x, y) read from the component objects."""
-        x = np.concatenate([self.tsub.x] + [mu.state for mu in self.motors])
-        y = np.empty(self.n_y)
-        y[:self.tdae.n_y] = self.tsub.y
-        for fd, _, _, _, off in self._blocks:
-            m = fd.n_nodes - 1
-            y[off:off + m] = fd.v[1:].real
-            y[off + m:off + 2 * m] = fd.v[1:].imag
-        return x, y
+        x, y = [], []
+        for fd, *_ in self._blocks:
+            for e, s in (mu.state for mu in fd.motors):
+                x += e.real, e.imag, s
+            y += [vn.real for vn in fd.v[1:]] + [vn.imag for vn in fd.v[1:]]
+        return (np.concatenate([self.tsub.x, x]),
+                np.concatenate([self.tsub.y, y]))
 
 
 # -- run orchestration --------------------------------------------------------
@@ -585,7 +600,8 @@ def check_scenario(scenario: Scenario):
     column of the record (``scenario_columns``), and each event (a
     ``D<bus>`` target with a feeder, a distribution action with exactly
     its one parameter, naming a motor on that bus or an index of its
-    feeders, and a step of the run that follows it).  A message starts
+    feeders, one that the events before it have not left as this one
+    would, and a step of the run that follows it).  A message starts
     with the offending field's path in the scenario file; the network's
     own (a file that is not JSON included) with ``transmission '<path>'``.
     """
@@ -639,6 +655,24 @@ def check_scenario(scenario: Scenario):
         if ev.params[key] not in known:
             raise ValueError(f"events[{i}].params.{key}: {ev.params[key]!r} "
                              f"is not one of {ev.target}'s {sorted(known)}")
+    # each event switches its target, in the schedule's order (by time,
+    # ties as listed) from the specs' active flags
+    on = {}
+    for bus in {fs.bus for fs in scenario.feeders}:
+        here = [fs for fs in scenario.feeders if fs.bus == bus]
+        for j, fs in enumerate(here):
+            on[f"D{bus}", j] = fs.active
+            on.update({(f"D{bus}", m.name): m.active for m in fs.motors})
+    for i in sorted(range(len(scenario.events)),
+                    key=lambda i: scenario.events[i].time):
+        ev = scenario.events[i]
+        (which,) = ev.params.values()
+        connect = ev.action.startswith("connect")
+        if on[ev.target, which] is connect:
+            raise ValueError(f"events[{i}]: {ev.action} {which!r} on "
+                             f"{ev.target}, which is already "
+                             f"{'on' if connect else 'off'}")
+        on[ev.target, which] = connect
     try:
         return CouplingSchedule(scenario.h_macro, scenario.t_end,
                                 tuple(scenario.events)), net

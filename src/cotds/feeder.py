@@ -9,16 +9,16 @@ one place the ZIP and motor currents are computed; besides the sweep it
 feeds ``kcl``, the feeder's KCL mismatch at given node voltages and motor
 states, which the monolithic reference stacks into its DAE together with
 ``motor_derivatives``.  A feeder has a handful of nodes, where numpy's
-per-call overhead outweighs the arithmetic, so the sweep and ``kcl`` work
-on lists of Python complex node voltages and currents; the sweep writes
-``DistributionFeeder.v`` back as an array once it has converged.  A
-sweep reads its active motors' states as lists once and hands them to
-every pass, whose convergence test maps ``abs`` over the voltage
-changes, and ``step_motors`` reads the node voltages as one list.  A
-motor's state is the array [re E', im E', slip]; ``step_motors`` hands
-it to the RK45 as E' and slip, a Python complex and float, and
-``motor_derivatives`` unpacks the same pair, so the co-simulation and
-the monolithic reference share the one motor model.
+per-call overhead outweighs the arithmetic, so the feeder keeps its state
+in the form its kernels compute in: ``DistributionFeeder.v`` is a list of
+Python complex node voltages, and a motor's state is the pair (E', slip),
+a Python complex and float, which ``step_motors`` hands to the RK45 and
+takes back as it is.  ``node_currents``, and through it the sweep, the
+initialisation and ``kcl``, reads one such pair per motor, and
+``motor_derivatives`` the same pairs, so the co-simulation and the
+monolithic reference share the one motor model.  numpy stays where a flat
+float vector is the contract: the sub-system's ``state``/``set_state``,
+and the monolithic reference's stacked vectors (``engine.MonolithicDae``).
 
 ``DistributionFeeder.initialize`` solves a feeder's steady state: it
 alternates the motors' running equilibria at their node voltages with
@@ -41,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,16 +76,17 @@ class FeederBranch:
 
 @dataclass
 class MotorUnit:
-    """One motor instance attached to a feeder node."""
+    """One motor instance attached to a feeder node; its ``state`` is
+    (E', slip), a Python complex and float."""
 
     name: str
     node: int
     motor: InductionMotor
     p_target: float          # consumed active power at initialisation
-    state: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    state: tuple[complex, float] = (0j, 0.0)   # (E', slip)
     active: bool = True
 
-    def equilibrium(self, v: complex) -> np.ndarray:
+    def equilibrium(self, v: complex) -> tuple[complex, float]:
         """The motor's running state drawing ``p_target`` at voltage ``v``.
 
         Raises ``FeederError`` when no stable running state draws that
@@ -116,7 +117,7 @@ class DistributionFeeder:
         self.motors = list(motors or [])
         self.active = active
         self.n_nodes = len(self.branches) + 1
-        self.v = np.ones(self.n_nodes, dtype=complex)
+        self.v = [1 + 0j] * self.n_nodes
         # (parent, child, impedance) of each branch, parent-first
         self._edges = tuple((br.parent, br.child, br.z)
                             for br in self.branches)
@@ -129,11 +130,10 @@ class DistributionFeeder:
         """Current drawn at each node by its components (system base).
 
         ``v`` holds the node voltages as Python complex numbers, and
-        ``states`` one state per motor, in ``motors`` order, each an array
-        or a list [re E', im E', slip], by default the motors' own.  A
-        zero voltage at a loaded node is a ``FeederError``; one whose
-        magnitude is past the float range gives a non-finite current
-        there, as numpy's ``abs`` did.
+        ``states`` one (E', slip) per motor, in ``motors`` order, by
+        default the motors' own.  A zero voltage at a loaded node is a
+        ``FeederError``; one whose magnitude is past the float range gives
+        a non-finite current there, as numpy's ``abs`` did.
         """
         i = [0j] * self.n_nodes
         if states is None:
@@ -146,52 +146,51 @@ class DistributionFeeder:
                 except OverflowError:
                     vm = math.inf
                 i[node] += (zip_power(zl, vm) / vn).conjugate()
-            for mu, x in zip(self.motors, states):
+            for mu, (e, _) in zip(self.motors, states):
                 if mu.active:
                     vn = v[mu.node]
-                    i[mu.node] += (mu.motor.terminal_power(x, vn)
+                    i[mu.node] += (mu.motor.terminal_power(e, vn)
                                    / vn).conjugate()
         except ZeroDivisionError:
             raise FeederError("zero voltage at a loaded node") from None
         return i
 
-    def kcl(self, v: np.ndarray, states) -> tuple[complex, np.ndarray]:
+    def kcl(self, v: list[complex], states) -> tuple[complex, list[complex]]:
         """Source current and KCL mismatch at nodes 1..N.
 
-        ``v`` holds every node voltage, node 0 the substation's.  The
-        mismatch at a node is the branch current flowing in less the
-        branch currents flowing out and the current its components draw.
-        A feeder that is switched off draws nothing, and its nodes float
-        at the substation voltage.
+        ``v`` holds every node voltage, node 0 the substation's, and
+        ``states`` one (E', slip) per motor.  The mismatch at a node is the
+        branch current flowing in less the branch currents flowing out and
+        the current its components draw.  A feeder that is switched off
+        draws nothing, and its nodes float at the substation voltage.
         """
         if not self.active:
-            return 0j, v[1:] - v[0]
-        v = v.tolist()
+            return 0j, [vn - v[0] for vn in v[1:]]
         bal = [-i for i in self.node_currents(v, states)]
         for p, c, z in self._edges:
             ibr = (v[p] - v[c]) / z
             bal[p] -= ibr
             bal[c] += ibr
-        return -bal[0], np.array(bal[1:])
+        return -bal[0], bal[1:]
 
-    def motor_derivatives(self, v: np.ndarray, states) -> np.ndarray:
-        """Stacked motor state derivatives; zero for a motor switched off."""
-        out = np.zeros((len(self.motors), InductionMotor.N_STATES))
-        if self.active:
-            for k, (mu, x) in enumerate(zip(self.motors, states)):
-                if mu.active:
-                    er, ei, s = x.tolist()
-                    de, ds = mu.motor.derivatives(complex(er, ei), s,
-                                                  complex(v[mu.node]))
-                    out[k] = de.real, de.imag, ds
-        return out.ravel()
+    def motor_derivatives(self, v: list[complex], states) -> list[float]:
+        """Every motor's [re dE'/dt, im dE'/dt, ds/dt], laid end to end;
+        zero for a motor switched off."""
+        out = []
+        for mu, (e, s) in zip(self.motors, states):
+            if self.active and mu.active:
+                de, ds = mu.motor.derivatives(e, s, v[mu.node])
+                out += de.real, de.imag, ds
+            else:
+                out += 0.0, 0.0, 0.0
+        return out
 
-    def _sweep_pass(self, v: list[complex], v_sub: complex,
-                    states) -> tuple[list[complex], complex]:
+    def _sweep_pass(self, v: list[complex],
+                    v_sub: complex) -> tuple[list[complex], complex]:
         """One backward/forward pass from the node voltages ``v`` at the
-        motor ``states``: the new node voltages and the substation source
+        motors' states: the new node voltages and the substation source
         current."""
-        acc = self.node_currents(v, states)
+        acc = self.node_currents(v)
         # backward: accumulate branch currents toward the root; a child's
         # branches come after its own, so acc[c] is final
         for p, c in self._back:
@@ -203,23 +202,17 @@ class DistributionFeeder:
         return v_new, acc[0]
 
     def sweep(self, v_sub: complex, tol: float = 1e-8) -> complex:
-        """Backward/forward sweep; returns the substation source current.
-
-        The active motors' states are read once, as lists, for every
-        pass."""
+        """Backward/forward sweep; returns the substation source current."""
         v_sub = complex(v_sub)
-        v = self.v.tolist()
-        v[0] = v_sub
-        states = [mu.state.tolist() if mu.active else None
-                  for mu in self.motors]
+        v = [v_sub, *self.v[1:]]
         for _ in range(_SWEEP_ITERS):
-            v_new, i_src = self._sweep_pass(v, v_sub, states)
+            v_new, i_src = self._sweep_pass(v, v_sub)
             delta = max(map(abs, map(operator.sub, v_new, v)))
             v = v_new
             if delta < tol:
-                self.v = np.array(v)
+                self.v = v
                 return i_src
-        self.v = np.array(v)
+        self.v = v
         raise FeederError("feeder sweep did not converge")
 
     def source_power(self, v_sub: complex) -> complex:
@@ -229,14 +222,10 @@ class DistributionFeeder:
 
     def step_motors(self, h: float, tol: float) -> None:
         """Advance every active motor over ``h``, its terminal voltage held."""
-        v = self.v.tolist()
         for mu in self.motors:
             if mu.active:
-                er, ei, s = mu.state.tolist()
-                e, s = rk_component_step(
-                    mu.motor.derivatives, complex(er, ei), s, v[mu.node], h,
-                    tol=tol)
-                mu.state = np.array([e.real, e.imag, s])
+                mu.state = rk_component_step(mu.motor.derivatives, *mu.state,
+                                             self.v[mu.node], h, tol=tol)
 
     def initialize(self, v_sub: complex) -> None:
         """Fixed point of the node voltages and the motor equilibria.
@@ -252,9 +241,12 @@ class DistributionFeeder:
         or whose ``v[0]`` is zero.
         """
         v_sub = complex(v_sub)
-        v0 = complex(self.v[0])
-        if v0 != 0 and np.all(np.isfinite(self.v)):
-            v = (self.v * (v_sub / v0)).tolist()
+        v0 = self.v[0]
+        if v0 != 0 and all(map(cmath.isfinite, self.v)):
+            # numpy's complex product, not Python's: the two round some
+            # products differently in the last bit, and every T-D
+            # initialisation's later passes start from these voltages
+            v = (np.array(self.v) * (v_sub / v0)).tolist()
             v[0] = v_sub
         else:
             v = [v_sub] * self.n_nodes
@@ -262,13 +254,13 @@ class DistributionFeeder:
             for mu in self.motors:
                 if mu.active:
                     mu.state = mu.equilibrium(v[mu.node])
-            v_new, _ = self._sweep_pass(v, v_sub, None)
+            v_new, _ = self._sweep_pass(v, v_sub)
             delta = max(map(abs, map(operator.sub, v_new, v)))
             v = v_new
             if delta < 1e-12:
-                self.v = np.array(v)
+                self.v = v
                 return
-        self.v = np.array(v)
+        self.v = v
         raise FeederError("feeder initialisation did not converge")
 
 
@@ -318,7 +310,7 @@ class DistributionSubSystem(SubSystem):
         super().set_input(u)
         for fd in self.feeders:
             if not fd.active:
-                fd.v[:] = self._v_sub()
+                fd.v = [self._v_sub()] * fd.n_nodes
 
     def set_output(self, s: complex) -> None:
         """Report ``s`` as the consumed power until the next solve."""
@@ -352,22 +344,23 @@ class DistributionSubSystem(SubSystem):
         return self._output.copy()
 
     def state(self) -> np.ndarray:
-        return np.concatenate(
-            [self.current_input, self._output]
-            + [fd.v.view(float) for fd in self.feeders]
-            + [mu.state for fd in self.feeders for mu in fd.motors])
+        z = self.current_input + self._output
+        for fd in self.feeders:
+            for vn in fd.v:
+                z += vn.real, vn.imag
+        for e, s in (mu.state for fd in self.feeders for mu in fd.motors):
+            z += e.real, e.imag, s
+        return np.array(z)
 
     def set_state(self, z) -> None:
-        z = self._state_vector(z)
-        self._output = z[2:4].tolist()
-        k = 4
+        z = self._state_vector(z).tolist()
+        self._output = z[2:4]
+        it = iter(z[4:])
         for fd in self.feeders:
-            fd.v = z[k:k + 2 * fd.n_nodes].view(complex)
-            k += 2 * fd.n_nodes
+            fd.v = [complex(next(it), next(it)) for _ in range(fd.n_nodes)]
         for fd in self.feeders:
             for mu in fd.motors:
-                mu.state = z[k:k + 3]
-                k += 3
+                mu.state = complex(next(it), next(it)), next(it)
         self.set_input(z[:2])
 
     def rotate(self, angle: float) -> None:
@@ -375,11 +368,10 @@ class DistributionSubSystem(SubSystem):
         voltage and every motor's E' turn by it."""
         c = cmath.exp(1j * angle)
         for fd in self.feeders:
-            fd.v = fd.v * c
+            fd.v = [vn * c for vn in fd.v]
             for mu in fd.motors:
-                er, ei, s = mu.state.tolist()
-                e = complex(er, ei) * c
-                mu.state = np.array([e.real, e.imag, s])
+                e, s = mu.state
+                mu.state = e * c, s
         v = c * self._v_sub()
         self.set_input([v.real, v.imag])
 
@@ -387,10 +379,8 @@ class DistributionSubSystem(SubSystem):
         """Each motor's slip, then each node's |V|, feeder by feeder."""
         values = []
         for fd in self.feeders:
-            values += [mu.state.item(2) for mu in fd.motors]
-            # the scalar modulus: numpy's vectorised abs rounds some
-            # moduli differently from it
-            values += map(abs, fd.v.tolist())
+            values += [mu.state[1] for mu in fd.motors]
+            values += map(abs, fd.v)
         return dict(zip(self._channels, values))
 
     def switch(self, action: str, params) -> None:
@@ -411,7 +401,7 @@ class DistributionSubSystem(SubSystem):
         elif action == "disconnect_feeder":
             fd = self.feeders[int(params["index"])]
             fd.active = False
-            fd.v[:] = self._v_sub()
+            fd.v = [self._v_sub()] * fd.n_nodes
         else:
             raise ValueError(f"unknown distribution event {action!r}")
 

@@ -18,8 +18,9 @@ returns their derivatives as a (complex, float) pair, the form
 write the stator current (v - E') / zs out, and the constant factors
 j (x0 - x'), 2 H and the MVA scale are made once.  Both must keep each
 floating-point operation of the model and its order.  The state a motor
-keeps between steps is the array [re E', im E', slip]; ``terminal_power``
-takes it as an array or as a list.
+keeps between steps is that same pair (E', slip), so ``initialize`` and
+``standstill_state`` return it and ``terminal_power`` and
+``electrical_torque`` take E' as it is.
 
 ``InductionMotor.initialize`` finds the running state in closed form.
 At dE'/dt = 0, E' = a v / (b + j c s) with a = j (x0 - x') / zs,
@@ -33,8 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["ZipLoadParams", "zip_power",
            "InductionMotorParams", "InductionMotor"]
@@ -102,14 +101,12 @@ class InductionMotorParams:
 
 
 class InductionMotor:
-    """Third-order motor: state [re E', im E', slip].
+    """Third-order motor: state (E', slip), a Python complex and float.
 
     Mechanical torque is ``tm0 * ((1 - s) / (1 - s0))**2`` so the machine
     produces its rated torque at the initialisation slip and can start
     from standstill against a small load torque.
     """
-
-    N_STATES = 3
 
     def __init__(self, params: InductionMotorParams, omega_s: float):
         self.p = params
@@ -142,15 +139,13 @@ class InductionMotor:
     def _stator_current(self, e_p: complex, v: complex) -> complex:
         return (v - e_p) / self._zs
 
-    def terminal_power(self, x, v: complex) -> complex:
-        """Consumed P + jQ on the *system* base; ``x`` is the state, an
-        array or a list."""
+    def terminal_power(self, e_p: complex, v: complex) -> complex:
+        """Consumed P + jQ on the *system* base at the EMF ``e_p``."""
         # the stator current, written out: this runs once per sweep pass
-        i = (v - complex(x[0], x[1])) / self._zs
+        i = (v - e_p) / self._zs
         return v * i.conjugate() * self._mva_scale
 
-    def electrical_torque(self, x: np.ndarray, v: complex) -> float:
-        e_p = complex(x[0], x[1])
+    def electrical_torque(self, e_p: complex, v: complex) -> float:
         i = self._stator_current(e_p, v)
         return (e_p * i.conjugate()).real
 
@@ -180,8 +175,9 @@ class InductionMotor:
         i = self._stator_current(e_p, v)
         return (e_p * i.conjugate()).real
 
-    def initialize(self, v: complex, p_target: float) -> np.ndarray:
-        """Solve the running equilibrium drawing ``p_target`` (system base).
+    def initialize(self, v: complex,
+                   p_target: float) -> tuple[complex, float]:
+        """The running state (E', slip) drawing ``p_target`` (system base).
 
         The steady-state power is |v|^2 N(s) / M(s), two quadratics in
         the slip, so P(s) = p_target is the quadratic A s^2 + B s + C = 0.
@@ -211,9 +207,8 @@ class InductionMotor:
 
         self.s0 = slip
         self.tm0 = self.steady_torque(slip, v)
-        e_p = self._steady_emf(slip, v)
-        return np.array([e_p.real, e_p.imag, slip])
+        return self._steady_emf(slip, v), slip
 
-    def standstill_state(self) -> np.ndarray:
+    def standstill_state(self) -> tuple[complex, float]:
         """Flux-free at slip one, for switch-in events."""
-        return np.array([0.0, 0.0, 1.0])
+        return 0j, 1.0

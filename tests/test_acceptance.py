@@ -502,7 +502,7 @@ def _dense_nodal(fd, v_sub, tol=1e-13):
             i[node] -= np.conj(s / v[node])
         for mu in fd.motors:
             if mu.active:
-                s = mu.motor.terminal_power(mu.state, v[mu.node])
+                s = mu.motor.terminal_power(mu.state[0], v[mu.node])
                 i[mu.node] -= np.conj(s / v[mu.node])
         rhs = i[1:] - y[1:, 0] * v_sub
         v_new = np.linalg.solve(y[1:, 1:], rhs)

@@ -603,6 +603,23 @@ def _edit_machine(k, **values):
     return edit
 
 
+def _shares(*shares):
+    """An edit that gives feeder 0 one copy of its motor per share."""
+    def edit(doc, tmp):
+        motors = doc["feeders"][0]["composition"]["motors"]
+        motors[:] = [{**motors[0], "name": f"im{i}", "share": share}
+                     for i, share in enumerate(shares)]
+    return edit
+
+
+def _events(*events):
+    """An edit that sets the events, each (time, action, params) on D2."""
+    def edit(doc, tmp):
+        doc["events"] = [dict(time=t, target="D2", action=action,
+                              params=params) for t, action, params in events]
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc, tmp: doc["feeders"][1].update(bus=99),
      "feeder bound to unknown bus 99"),
@@ -627,6 +644,30 @@ def _edit_machine(k, **values):
     (lambda doc, tmp: doc["feeders"][0]["composition"].update(
         zip_fractions=[0.3, 0.3, 0.4 + 5e-10]),
      "feeders[0].composition: ZIP fractions must sum to 1"),
+    (_shares(1.5, -0.5),
+     "feeders[0].composition.motors[1].share: must be positive, got -0.5"),
+    (_shares(1.0, 0.0),
+     "feeders[0].composition.motors[1].share: must be positive, got 0.0"),
+    (lambda doc, tmp: doc["feeders"][0]["composition"].update(
+        static_fraction=1.0),
+     "feeders[0].composition: the motors' budget, (1 - static_fraction) "
+     "times the loads' total p, must be positive, got 0.0"),
+    (lambda doc, tmp: doc["feeders"][1]["loads"][0].update(p=-1.0),
+     "feeders[1].composition: the motors' budget"),
+    (_events((0.5, "connect_feeder", {"index": 0})),
+     "events[0]: connect_feeder 0 on D2, which is already on"),
+    (_events((0.5, "disconnect_feeder", {"index": 1})),
+     "events[0]: disconnect_feeder 1 on D2, which is already off"),
+    (_events((0.5, "connect_motor", {"name": "f1_im"})),
+     "events[0]: connect_motor 'f1_im' on D2, which is already on"),
+    # in time order, not as listed: the disconnect comes first
+    (_events((1.0, "connect_feeder", {"index": 1}),
+             (0.5, "disconnect_feeder", {"index": 1})),
+     "events[1]: disconnect_feeder 1 on D2, which is already off"),
+    # ties as listed
+    (_events((0.5, "connect_feeder", {"index": 1}),
+             (0.5, "connect_feeder", {"index": 1})),
+     "events[1]: connect_feeder 1 on D2, which is already on"),
 ] + [(_edit_machine(1, **{key: value}), f"feeders[1].composition.motors[0]"
       f".machine.{key}: must {rule}, got {float(value)!r}")
      for key, value, rule in MACHINE_RULES] + [
@@ -639,6 +680,10 @@ def _edit_machine(k, **values):
         "network_without_branches", "static_fraction", "zero_impedance",
         "negative_r",
         "load_off_the_tree", "motor_name_repeated", "zip_fractions_rounding",
+        "motor_share_negative", "motor_share_zero", "motor_budget_zero",
+        "motor_budget_negative", "connect_connected_feeder",
+        "disconnect_disconnected_feeder", "connect_running_motor",
+        "events_in_time_order", "events_tied_as_listed",
         *(f"machine_{key}" for key, _, _ in MACHINE_RULES),
         "machine_xm_xr", "machine_rs_xs_xm"])
 def test_bad_scenario_is_schema_error(tmp_path, capsys, edit, message):
@@ -745,13 +790,19 @@ def test_every_number_at_zero_or_minus_one_exits_cleanly(tmp_path, capsys):
     # found every number
     assert len(cases) == 228
     assert not escaped
-    # a negative load fails the motor's equilibrium on either feeder: the
-    # connected second feeder ran
+    # a negative load that leaves the motors a negative budget is a schema
+    # error on either feeder
     for k in range(4):
         load = ("loads", k, "p")
         assert (codes["scenario", ("feeders", 1) + load, -1]
                 == codes["scenario", ("feeders", 0) + load, -1]
-                == EXIT_NUMERIC)
+                == EXIT_SCHEMA)
+    # all of a feeder's load on its motor, past its pull-out, fails the
+    # motor's equilibrium on either feeder: the connected second feeder ran
+    static = ("composition", "static_fraction")
+    assert (codes["scenario", ("feeders", 1) + static, 0]
+            == codes["scenario", ("feeders", 0) + static, 0]
+            == EXIT_NUMERIC)
 
 
 def test_non_finite_physical_number_is_schema_error(tmp_path, capsys):

@@ -12,6 +12,7 @@ from cotds.engine import (
     RunMethod,
     Scenario,
     Verdict,
+    check_scenario,
     compare_runs,
     detect_convergence,
     run_scenario,
@@ -790,6 +791,26 @@ def test_feeder_spec_rejects_negative_resistance():
     dataclasses.replace(fs, branches=(FeederBranch(0, 1, 0.02, -0.06),))
 
 
+def test_feeder_spec_takes_a_negative_load():
+    # distributed generation is a negative load: taken while the motors
+    # keep a positive budget, refused once they would draw none
+    fs = load_scenario(fixture_path("testcase1")).feeders[0]
+    gen = dataclasses.replace(fs, loads=fs.loads + ((1, -0.5, -0.1),))
+    assert 0 < gen.motor_budget < fs.motor_budget
+    with pytest.raises(ValueError, match=r"^composition: the motors' "
+                       r"budget.* must be positive, got -"):
+        dataclasses.replace(fs, loads=fs.loads + ((1, -2.0, 0.0),))
+
+
+def test_events_that_switch_back_and_forth_are_taken():
+    s = load_scenario(fixture_path("testcase1"))
+    s.events = [Event(2.0, "D5", "connect_motor", {"name": "bus5_im1"}),
+                Event(1.0, "D5", "disconnect_motor", {"name": "bus5_im1"}),
+                *s.events,
+                Event(12.0, "D6", "disconnect_motor", {"name": "bus6_im2"})]
+    check_scenario(s)
+
+
 def test_scenario_without_feeders_rejected_when_made():
     with pytest.raises(ValueError, match="^feeders: no feeders"):
         Scenario("x", "twobus", [], events=[], method=RunMethod.SERIES,
@@ -844,6 +865,10 @@ SCENARIO_RULES = {
     "event_index": (lambda d: d["events"][0].update(params={"index": 2}),
                     lambda s: _replace_event(s, 0, params={"index": 2}),
                     "events[0].params.index: "),
+    "event_switches_nothing": (
+        lambda d: d["events"][0].update(params={"index": 0}),
+        lambda s: _replace_event(s, 0, params={"index": 0}),
+        "events[0]: connect_feeder 0 on D2, which is already on"),
     "event_after_last_step": (lambda d: d["events"][0].update(time=5.0),
                               lambda s: _replace_event(s, 0, time=5.0),
                               "events: event at t=5.0 outside"),

@@ -7,11 +7,13 @@ comparison is on raw bytes: on seeded random states, and at every call of
 a co-simulation across ``testcase1``'s motor start.
 """
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from cotds import feeder
 from cotds.cosim import (CouplingMethod, CouplingSchedule, Event,
                          TimeSeriesLog, exchange_step, march)
 from cotds.engine import (RunMethod, build_subsystems,
@@ -29,6 +31,13 @@ OMEGA_S = 2.0 * np.pi * 60.0
 def raw(*values) -> bytes:
     """The bytes of complex and float values, the sign of a zero kept."""
     return np.array(values, dtype=complex).tobytes()
+
+
+def flat(state):
+    """A motor state (E', slip) in the form the replaced code kept it:
+    [re E', im E', slip]."""
+    e, s = state
+    return np.array([e.real, e.imag, s])
 
 
 # -- the replaced forms, verbatim but for ``self`` ----------------------------
@@ -72,7 +81,7 @@ def old_node_currents(fd, v, states=None):
         for k, mu in enumerate(fd.motors):
             if not mu.active:
                 continue
-            x = mu.state if states is None else states[k]
+            x = flat(mu.state) if states is None else states[k]
             vn = v[mu.node]
             i[mu.node] += (old_terminal_power(mu.motor, x, vn)
                            / vn).conjugate()
@@ -96,7 +105,7 @@ def old_sweep(fd, v_sub, tol=1e-8):
     """The source current, the node voltages and the passes the sweep
     took; ``fd`` is left as it was."""
     v_sub = complex(v_sub)
-    v = fd.v.tolist()
+    v = list(fd.v)
     v[0] = v_sub
     for k in range(100):
         v_new, i_src = old_sweep_pass(fd, v, v_sub)
@@ -111,9 +120,9 @@ def old_step_motors(fd, h, tol):
     """Every motor's state after the step; ``fd`` is left as it was."""
     out = []
     for mu in fd.motors:
-        x = mu.state
+        x = flat(mu.state)
         if mu.active:
-            er, ei, s = mu.state.tolist()
+            er, ei, s = flat(mu.state).tolist()
             e, s = rk_component_step(
                 lambda e, s, u, m=mu.motor: old_derivatives(m, e, s, u),
                 complex(er, ei), s, complex(fd.v[mu.node]), h, tol=tol)
@@ -158,9 +167,8 @@ def test_motor_kernels_on_random_states():
         assert raw(*m.derivatives(e, s, v)) == raw(
             *old_derivatives(m, e, s, v))
         x = np.array([e.real, e.imag, s])
-        want = raw(old_terminal_power(m, x, v))
-        assert raw(m.terminal_power(x, v)) == want
-        assert raw(m.terminal_power(x.tolist(), v)) == want
+        assert raw(m.terminal_power(e, v)) == raw(
+            old_terminal_power(m, x, v))
         assert m.mech_torque(s) == old_mech_torque(m, s)
 
 
@@ -185,7 +193,7 @@ def test_motor_kernels_at_edges(e, s, v):
     x = [e.real, e.imag, s]
     assert outcome(m.derivatives, e, s, v) == outcome(
         old_derivatives, m, e, s, v)
-    assert outcome(m.terminal_power, x, v) == outcome(
+    assert outcome(m.terminal_power, e, v) == outcome(
         old_terminal_power, m, x, v)
 
 
@@ -224,26 +232,25 @@ def test_node_currents_and_sweep_on_random_states(which):
     for fd in feeders:
         for _ in range(200):
             n = fd.n_nodes
-            v = (fd.v * (1.0 + 0.05 * rng.standard_normal(n))
+            v = (np.array(fd.v) * (1.0 + 0.05 * rng.standard_normal(n))
                  * np.exp(0.05j * rng.standard_normal(n)))
-            states = [mu.state * (1.0 + 0.1 * rng.standard_normal(3))
+            states = [flat(mu.state) * (1.0 + 0.1 * rng.standard_normal(3))
                       for mu in fd.motors]
+            pairs = [(complex(x[0], x[1]), float(x[2])) for x in states]
             vl = v.tolist()
             want = raw(*old_node_currents(fd, vl, states))
-            assert raw(*fd.node_currents(vl, states)) == want
-            assert raw(*fd.node_currents(
-                vl, [x.tolist() for x in states])) == want
+            assert raw(*fd.node_currents(vl, pairs)) == want
             assert raw(*fd.node_currents(vl)) == raw(
                 *old_node_currents(fd, vl))
             # a sweep from the perturbed profile, at a moved substation
-            for mu, x in zip(fd.motors, states):
+            for mu, x in zip(fd.motors, pairs):
                 mu.state = x
-            fd.v = v
+            fd.v = vl
             v_sub = v[0] * (1.0 + 0.02 * rng.standard_normal())
             i_src, v_end, passes = old_sweep(fd, v_sub)
             counted = count_passes(fd)
             assert raw(fd.sweep(v_sub)) == raw(i_src)
-            assert fd.v.tobytes() == v_end.tobytes()
+            assert np.array(fd.v).tobytes() == v_end.tobytes()
             assert counted() == passes
 
 
@@ -279,14 +286,15 @@ def test_every_call_across_the_motor_start(monkeypatch, method):
     def checked_sweep(fd, v_sub, tol=1e-8):
         i_src, v_end, _ = old_sweep(fd, v_sub, tol)
         got = sweep(fd, v_sub, tol)
-        assert raw(got) == raw(i_src) and fd.v.tobytes() == v_end.tobytes()
+        assert raw(got) == raw(i_src)
+        assert np.array(fd.v).tobytes() == v_end.tobytes()
         calls["sweep"] += 1
         return got
 
     def checked_step_motors(fd, h, tol=1e-6):
         want = old_step_motors(fd, h, tol)
         step_motors(fd, h, tol)
-        assert [mu.state.tobytes() for mu in fd.motors] == [
+        assert [flat(mu.state).tobytes() for mu in fd.motors] == [
             x.tobytes() for x in want]
         calls["step_motors"] += 1
 
@@ -296,9 +304,10 @@ def test_every_call_across_the_motor_start(monkeypatch, method):
         calls["derivatives"] += 1
         return got
 
-    def checked_terminal_power(motor, x, v):
-        got = terminal_power(motor, x, v)
-        assert raw(got) == raw(old_terminal_power(motor, x, v))
+    def checked_terminal_power(motor, e_p, v):
+        got = terminal_power(motor, e_p, v)
+        assert raw(got) == raw(old_terminal_power(
+            motor, [e_p.real, e_p.imag], v))
         calls["terminal_power"] += 1
         return got
 
@@ -328,6 +337,42 @@ def test_every_call_across_the_motor_start(monkeypatch, method):
     # 50 steps of three sub-systems, each two sweeps of each feeder
     assert calls["sweep"] >= 300 and calls["step_motors"] == 150
     assert min(calls.values()) > 0
+
+
+class NumpyCounter:
+    """Stands in for numpy in a module: each numpy function called
+    through it is counted by name.  Types and constants pass through
+    uncounted."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def test_feeder_makes_no_numpy_call_across_the_motor_start(monkeypatch):
+    # the feeders keep their state as Python scalars, so the sweeps, the
+    # motor steps, the restart after the switch and the record call no
+    # numpy function; the flat state vector still is one
+    subsystems, dsubs, buses = build_subsystems(load_scenario(fixture_path(
+        "testcase1")))
+    iterative_td_powerflow_init(subsystems["T"], dsubs, buses)
+    counter = NumpyCounter()
+    monkeypatch.setattr(feeder, "np", counter)
+    log = march(MOTOR_START, subsystems,
+                exchange_step(subsystems, CouplingMethod.SERIES))
+    assert log.failure is None and len(log.rows) == 51
+    assert counter.calls == {}
+    dsubs["D6"].state()
+    assert counter.calls["array"] == 1
 
 
 # -- the log ------------------------------------------------------------------

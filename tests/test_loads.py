@@ -22,10 +22,15 @@ MP = InductionMotorParams(rs=0.013, xs=0.05, xm=6.0, rr=0.03, xr=0.12,
 
 
 def derivs(m, x, v):
-    """The motor's derivatives at the state [re E', im E', slip], as
-    three floats."""
-    de, ds = m.derivatives(complex(x[0], x[1]), float(x[2]), v)
+    """The motor's derivatives at the state (E', slip), as three floats."""
+    de, ds = m.derivatives(*x, v)
     return de.real, de.imag, ds
+
+
+def flat(x):
+    """The state (E', slip) as [re E', im E', slip]."""
+    e, s = x
+    return [e.real, e.imag, s]
 
 
 class TestZipLoad:
@@ -73,13 +78,18 @@ class TestInductionMotor:
         m, x0 = self.make()
         assert m.s0 == pytest.approx(0.0262164057124992, rel=1e-10)
         assert m.tm0 == pytest.approx(0.790332157867163, rel=1e-10)
-        assert x0 == pytest.approx(
+        assert flat(x0) == pytest.approx(
             [0.931471520899242, -0.040450674948499, 0.026216405712499],
             rel=1e-9)
 
+    def test_initialize_returns_python_scalars(self):
+        m = InductionMotor(MP, OMEGA_S)
+        e, s = m.initialize(complex(self.V), p_target=0.20)
+        assert type(e) is complex and type(s) is float
+
     def test_initialize_hits_power_target(self):
         m, x0 = self.make()
-        s = m.terminal_power(x0, self.V)
+        s = m.terminal_power(x0[0], self.V)
         assert s.real == pytest.approx(0.20, abs=1e-12)
         assert s.imag > 0.0  # motors absorb reactive power
 
@@ -89,28 +99,29 @@ class TestInductionMotor:
 
     def test_steady_torque_matches_electrical_torque(self):
         m, x0 = self.make()
-        te = m.electrical_torque(x0, self.V)
+        te = m.electrical_torque(x0[0], self.V)
         assert te == pytest.approx(m.steady_torque(m.s0, self.V), rel=1e-10)
         assert te == pytest.approx(m.mech_torque(m.s0), rel=1e-10)
 
     def test_standstill_draws_inrush(self):
         m, x0 = self.make()
         ss = m.standstill_state()
-        assert ss == pytest.approx([0.0, 0.0, 1.0])
-        s = m.terminal_power(ss, self.V)
+        assert ss == (0j, 1.0) and type(ss[1]) is float
+        s = m.terminal_power(ss[0], self.V)
         # locked-rotor current is dominated by the leakage reactance
-        assert s.imag > 5.0 * abs(m.terminal_power(x0, self.V).imag)
+        assert s.imag > 5.0 * abs(m.terminal_power(x0[0], self.V).imag)
 
     def test_acceleration_from_standstill(self):
         # Rotor flux (and hence torque) builds from zero; after a few
         # milliseconds the machine must be spinning up.
         m, _ = self.make()
-        x = m.standstill_state()
+        e, s = m.standstill_state()
         h = 1e-4
         for _ in range(100):
-            x = x + h * np.array(derivs(m, x, self.V))
-        assert derivs(m, x, self.V)[2] < 0.0
-        assert x[2] < 1.0
+            de, ds = m.derivatives(e, s, self.V)
+            e, s = e + h * de, s + h * ds
+        assert derivs(m, (e, s), self.V)[2] < 0.0
+        assert s < 1.0
 
     def test_infeasible_target_raises(self):
         m = InductionMotor(MP, OMEGA_S)
@@ -125,7 +136,7 @@ class TestInductionMotor:
         x1 = m1.initialize(self.V, p_target=0.20)
         x2 = m2.initialize(self.V, p_target=0.40)
         # same machine loading per unit of rating -> identical internal state
-        assert x1 == pytest.approx(x2, rel=1e-10)
+        assert flat(x1) == pytest.approx(flat(x2), rel=1e-10)
 
 
 def bracketed_steady_state(p, omega_s, v, slip):
@@ -210,8 +221,8 @@ class TestClosedFormEquilibrium:
         s_ref = brentq_slip(MP, OMEGA_S, v, p_target, s_po)
         _, e, i, torque = bracketed_steady_state(MP, OMEGA_S, v, s_ref)
         tol_s = self.slip_bound(m, v, p_target, s_ref, e, i)
-        assert abs(x[2] - s_ref) <= tol_s
-        assert m.s0 == x[2]
+        assert abs(x[1] - s_ref) <= tol_s
+        assert m.s0 == x[1]
         # E' = a v / (b + j c s) with a = j dx / zs, b = 1 + a and c = ws
         # T0', so |dE'/ds| = c |E'| / |b + j c s|; the torque Re(E' i*)
         # with i = (v - E') / zs moves by at most |dE'/ds| (|i| + |E'| /
@@ -221,7 +232,7 @@ class TestClosedFormEquilibrium:
         b = 1.0 + 1j * (MP.x_0 - MP.x_p) / zs
         de_ds = c * abs(e) / abs(b + 1j * c * s_ref)
         tol_e = de_ds * tol_s + 8 * EPS * abs(e)
-        assert abs(complex(x[0], x[1]) - e) <= tol_e
+        assert abs(x[0] - e) <= tol_e
         tol_t = (de_ds * (abs(i) + abs(e) / abs(zs)) * tol_s
                  + 8 * EPS * abs(e) * abs(i))
         assert abs(m.tm0 - torque) <= tol_t
@@ -247,7 +258,7 @@ class TestClosedFormEquilibrium:
         m = InductionMotor(MP, OMEGA_S)
         p_target = 0.99 * p_max
         x = m.initialize(1.0 + 0j, p_target)
-        assert x[2] == pytest.approx(0.1649, abs=5e-5)
+        assert x[1] == pytest.approx(0.1649, abs=5e-5)
         self.check(m, 1.0 + 0j, p_target, s_po)
 
     def test_past_pull_out_is_feeder_error(self, pull_out):
@@ -358,8 +369,9 @@ class TestAgainstTextbook:
         v = complex(vmag * math.cos(vang), vmag * math.sin(vang))
         deriv, deriv_scale, power, power_scale, tiny = textbook_motor(
             p, OMEGA_S, tm0, s0, x, v)
-        got = derivs(m, np.array(x), v)
+        e_p = complex(x[0], x[1])
+        got = derivs(m, (e_p, x[2]), v)
         for g, want, scale in zip(got, deriv, deriv_scale):
             assert abs(g - want) <= 1e-13 * scale + tiny
-        s = m.terminal_power(np.array(x), v)
+        s = m.terminal_power(e_p, v)
         assert abs(s - power) <= 1e-13 * power_scale + tiny

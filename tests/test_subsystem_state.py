@@ -17,7 +17,8 @@ import pytest
 import cotds
 from cotds.cosim import (CouplingMethod, CouplingSchedule, SubSystem,
                          run_cosimulation)
-from cotds.engine import build_subsystems, iterative_td_powerflow_init
+from cotds.engine import (MonolithicDae, build_subsystems,
+                          iterative_td_powerflow_init)
 from cotds.feeder import DistributionFeeder, DistributionSubSystem
 from cotds.linlab import (LinearCoupledParams, LinearHalf, StateVec2,
                           make_linear_pair)
@@ -219,7 +220,43 @@ def test_switched_off_feeder_pinned_to_input():
     sub.set_state(z)
     v_in = complex(*sub.state()[:2])
     for fd in off:
-        assert np.all(fd.v == v_in)
+        assert fd.v == [v_in] * fd.n_nodes
+
+
+def in_solver_form(sub):
+    """Every node voltage list of Python complex numbers, and every motor
+    state a (Python complex, Python float) pair."""
+    for fd in sub.feeders:
+        assert type(fd.v) is list and len(fd.v) == fd.n_nodes
+        assert all(type(vn) is complex for vn in fd.v)
+        for mu in fd.motors:
+            assert type(mu.state) is tuple and len(mu.state) == 2
+            assert type(mu.state[0]) is complex, mu.name
+            assert type(mu.state[1]) is float, mu.name
+    return True
+
+
+@pytest.mark.parametrize("name", ["testcase1", "testcase2"])
+def test_distribution_state_stays_in_solver_form(name):
+    subsystems = initialised(name)
+    dsubs = [sub for sub in subsystems.values()
+             if isinstance(sub, DistributionSubSystem)]
+    assert all(in_solver_form(sub) for sub in dsubs)
+    for sub in dsubs:
+        sub.advance(H)
+        assert in_solver_form(sub)
+        for fd in sub.feeders:
+            for mu in fd.motors:
+                sub.switch("connect_motor", {"name": mu.name})
+                assert in_solver_form(sub)
+        sub.restart()
+        sub.set_state(sub.state())
+        assert in_solver_form(sub)
+    mono = MonolithicDae(subsystems["T"], {f"D{k}": sub for k, sub in
+                                           enumerate(dsubs)})
+    x, y = mono.gather()
+    mono.scatter(x, y, mono.interface_power(x, y)[0])
+    assert all(in_solver_form(sub) for sub in dsubs)
 
 
 @pytest.mark.parametrize("cls, case", ROTATED, ids=case_id)
